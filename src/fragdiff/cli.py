@@ -32,9 +32,9 @@ from . import stepper as stepmod
 from .errors import (
     CflViolationError,
     ConfigError,
+    ContractViolationError,
     DivergentSeriesError,
     FragdiffError,
-    LinearSolveError,
     NumericalAbortError,
 )
 from .kernels import validate_kernel_set
@@ -478,9 +478,12 @@ def main(argv=None):
     except CflViolationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalAbortError, LinearSolveError) as exc:
+    except NumericalAbortError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ContractViolationError as exc:
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except FragdiffError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,7 +15,7 @@ from fragdiff.config import (
     make_initial_condition,
     reference_scenario_dict,
 )
-from fragdiff.errors import ConfigError
+from fragdiff.errors import ConfigError, ContractViolationError
 from fragdiff.grid import write_species_csv
 
 
@@ -258,6 +258,46 @@ class TestSimulateCommand:
         assert summary["run"]["steps"] == 0
         assert (out / "monitors.csv").exists()
         assert (out / "fields_final.csv").exists()
+
+
+    def test_failed_solve_contract_keeps_partial_outputs(self, tmp_path):
+        # the residual contract fails down to dt = 1.17 and the next
+        # halving undercuts dt_min, so the run aborts before its first step
+        grid = fd.make_grid_1d(64)
+        data = np.ones((4, 64))
+        data[:, ::3] = 0.0
+        ic_path = tmp_path / "stage.csv"
+        write_species_csv(ic_path, grid, data)
+        doc = small_doc(
+            kernel={"n": 4},
+            grid={"cells": [64]},
+            ic={"family": "custom_csv", "path": str(ic_path), "allow_custom": True,
+                "profile": "constant", "depth": 0.0},
+            stepper={"dt": 37.5, "t_end": 100.0, "dt_min": 1.0},
+            monitors={"cadence": 5, "tail_levels": [2], "energy_specs": [],
+                      "envelope_family": None},
+            eps=0.0,
+        )
+        cfg_path = write_cfg(tmp_path, doc)
+        out = tmp_path / "aborted"
+        rc = cli.main(["simulate", "--config", cfg_path, "--out", str(out), "--quiet"])
+        assert rc == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["run"]["aborted"] is True
+        assert summary["run"]["rejected_steps"] == 6
+        assert summary["run"]["steps"] == 0
+        assert (out / "monitors.csv").exists()
+        assert (out / "fields_final.csv").exists()
+
+    def test_contract_violation_exit_code(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ContractViolationError("weighted null sum breached")
+
+        monkeypatch.setattr(cli.stepmod, "run_simulation", broken)
+        cfg_path = write_cfg(tmp_path, small_doc())
+        rc = cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                       "--quiet"])
+        assert rc == 1
 
 
 class TestAuditCommand:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 import fragdiff as fd
 from fragdiff.errors import (
@@ -9,7 +11,13 @@ from fragdiff.errors import (
     DomainError,
     NumericalAbortError,
 )
-from fragdiff.grid import integrate, make_grid_1d, make_grid_2d, stencil_eigenvalue
+from fragdiff.grid import (
+    integrate,
+    laplacian_neumann,
+    make_grid_1d,
+    make_grid_2d,
+    stencil_eigenvalue,
+)
 from fragdiff.stepper import (
     DiffusionSolver,
     StepperConfig,
@@ -88,22 +96,73 @@ def test_imex_first_order_in_time():
     assert 1.7 < e1 / e2 < 2.4
 
 
+def _per_species_splu(grid, ks, stage, dt):
+    """Reference 1D solve: one natural-order, no-pivot ``splu`` of
+    ``I - dt * d_i * Lap_h`` per species."""
+    m, h = grid.shape[0], grid.h[0]
+    main = np.full(m, -2.0)
+    main[0] = main[-1] = -1.0
+    off = np.ones(m - 1)
+    lap = (scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)).tocsc()
+    eye = scipy.sparse.identity(m, format="csc")
+    out = np.empty_like(stage)
+    for i, d in enumerate(ks.d):
+        A = (eye - (dt * float(d)) * lap).tocsc()
+        lu = scipy.sparse.linalg.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        out[i] = lu.solve(stage[i])
+    return out
+
+
+def _line_residual(grid, axis, d_dt, x, b):
+    """``max|x - dt*d*L_axis x - b|`` with ``L_axis`` applied line by line
+    through the public 1D stencil."""
+    line_grid = make_grid_1d(grid.shape[axis], grid.lengths[axis])
+    xs = np.moveaxis(x, axis, -1).reshape(-1, grid.shape[axis])
+    bs = np.moveaxis(b, axis, -1).reshape(-1, grid.shape[axis])
+    return max(
+        float(np.max(np.abs(xl - d_dt * laplacian_neumann(line_grid, xl) - bl)))
+        for xl, bl in zip(xs, bs)
+    )
+
+
 class TestDiffusionSolver:
     def test_residual_contract(self):
         rng = np.random.default_rng(21)
-        for g in (make_grid_1d(64), make_grid_2d(8, 12)):
-            ks = fd.power_law_uniform(3, 4.0, 0.5)
-            solver = DiffusionSolver(g, ks)
-            A = solver._lap
-            for dt in (1e-3, 0.5):
-                stage = rng.standard_normal((3,) + g.shape)  # signed input is fine
-                out = solver.solve(stage, dt)
-                for i in range(3):
-                    b = stage[i].ravel()
-                    x = out[i].ravel()
-                    Ai = solver._factors[dt][i][0]
-                    resid = np.max(np.abs(Ai @ x - b))
+        ks = fd.power_law_uniform(3, 4.0, 0.5)
+        g = make_grid_1d(64)
+        solver = DiffusionSolver(g, ks)
+        for dt in (1e-3, 0.5):
+            stage = rng.standard_normal((3,) + g.shape)  # signed input is fine
+            out = solver.solve(stage, dt)
+            for i in range(3):
+                b, x = stage[i], out[i]
+                resid = np.max(np.abs(x - dt * ks.d[i] * laplacian_neumann(g, x) - b))
+                assert resid <= 1e-12 * max(1.0, np.max(np.abs(b)))
+        # 2D: the x sweep and the y sweep each meet the contract on their own
+        g = make_grid_2d(8, 12, 1.0, 1.5)
+        solver = DiffusionSolver(g, ks)
+        for dt in (1e-3, 0.5):
+            stage = rng.standard_normal((3,) + g.shape)
+            w = solver.sweep(stage, dt, 0)
+            out = solver.sweep(w, dt, 1)
+            np.testing.assert_array_equal(solver.solve(stage, dt), out)
+            for i in range(3):
+                for axis, b, x in ((0, stage[i], w[i]), (1, w[i], out[i])):
+                    resid = _line_residual(g, axis, dt * ks.d[i], x, b)
                     assert resid <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+    def test_batched_matches_per_species_splu(self):
+        # the blocks are decoupled, so the batched factorization does the
+        # same arithmetic as one factorization per species
+        rng = np.random.default_rng(26)
+        g = make_grid_1d(48, 1.5)
+        ks = fd.power_law_uniform(5, 4.0, 0.5)
+        solver = DiffusionSolver(g, ks)
+        for dt in (1e-4, 1e-3, 0.05, 0.5, 2.0):
+            stage = rng.uniform(0.0, 2.0, size=(5,) + g.shape)
+            np.testing.assert_array_equal(
+                solver.solve(stage, dt), _per_species_splu(g, ks, stage, dt)
+            )
 
     def test_nonnegative_exactly(self):
         # no-pivot LU of an M-matrix: nonnegative input gives nonnegative
@@ -212,6 +271,40 @@ def test_imex_reject_to_abort():
     assert exc.trajectory.state.rejected_steps == 2
     assert exc.trajectory.times == [0.0]
     np.testing.assert_array_equal(exc.trajectory.terminal, F0)
+
+
+def _uncertifiable_setup():
+    """The grid, kernel and stage of ``test_uncertifiable_solve_refused``:
+    the residual contract fails at dt = 37.5 and first holds after six
+    halvings, at dt = 37.5 / 64."""
+    g = make_grid_1d(64)
+    ks = fd.power_law_uniform(4, 4.0, 0.5)
+    F0 = np.ones((4,) + g.shape)
+    F0[:, ::3] = 0.0
+    return g, ks, F0
+
+
+@pytest.mark.parametrize("policy", ["reject_and_halve", "clip_to_zero"])
+def test_failed_solve_contract_halves_step(policy):
+    g, ks, F0 = _uncertifiable_setup()
+    cfg = StepperConfig(scheme="imex_euler", dt=37.5, t_end=37.5,
+                        negativity_policy=policy)
+    traj = run_simulation(g, ks, F0, cfg, cadence=1)
+    assert traj.times[1] == 37.5 / 64.0
+    assert traj.state.rejected_steps >= 6
+    assert traj.state.t == pytest.approx(37.5)
+    assert np.min(traj.terminal) >= 0.0
+
+
+def test_failed_solve_contract_aborts_below_dt_min():
+    g, ks, F0 = _uncertifiable_setup()
+    cfg = StepperConfig(scheme="imex_euler", dt=37.5, t_end=100.0, dt_min=1.0)
+    with pytest.raises(NumericalAbortError) as exc_info:
+        run_simulation(g, ks, F0, cfg)
+    traj = exc_info.value.trajectory
+    assert traj.state.rejected_steps == 6
+    assert traj.times == [0.0]
+    np.testing.assert_array_equal(traj.terminal, F0)
 
 
 def test_imex_clip_policy_continues():
