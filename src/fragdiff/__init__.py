@@ -47,8 +47,6 @@ from .grid import (
     write_species_csv,
 )
 from .reaction import (
-    TruncationFn,
-    apply_truncation,
     check_quasipositivity,
     dump_q_csv,
     q_field,

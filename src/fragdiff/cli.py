@@ -52,6 +52,17 @@ def _say(quiet, *parts):
         print(*parts)
 
 
+def _exit_code(exc):
+    """``(exit code, message prefix)`` for a package error that ends a run."""
+    if isinstance(exc, NumericalAbortError):
+        return EXIT_NUMERICAL, "numerical abort"
+    if isinstance(exc, ContractViolationError):
+        return EXIT_INVARIANT, "invariant failure"
+    if isinstance(exc, (ConfigError, CflViolationError)):
+        return EXIT_CONFIG, "config error"
+    return EXIT_CONFIG, "error"
+
+
 def _thread_cap():
     raw = os.environ.get("FRAGDIFF_THREADS", "")
     if not raw:
@@ -124,8 +135,6 @@ def _run_single(cfg, outdir, quiet):
     monmod.write_summary_json(out / "summary.json", report, extra=extra)
     gridmod.write_species_csv(out / "fields_final.csv", grid, traj.terminal,
                               metadata={"t": repr(traj.times[-1])})
-    stepmod.checkpoint_save(out / "checkpoint.csv", grid, traj.terminal,
-                            traj.times[-1], config_echo=cfg.to_dict())
 
     for name, entry in report.invariants.items():
         _say(quiet, f"[{'PASS' if entry['pass'] else 'FAIL'}] {name}: "
@@ -227,12 +236,10 @@ def _sweep_worker(packed):
     try:
         cfg = cfgmod.SimConfig.from_dict(doc)
         return _run_single(cfg, rundir, quiet)
-    except ConfigError as exc:
-        print(f"config error in {rundir}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericalAbortError, FragdiffError) as exc:
-        print(f"run failed in {rundir}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except FragdiffError as exc:
+        code, what = _exit_code(exc)
+        print(f"{what} in {rundir}: {exc}", file=sys.stderr)
+        return code
 
 
 def _l1_between(grid, a, b):
@@ -472,21 +479,10 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CflViolationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalAbortError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ContractViolationError as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except FragdiffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, what = _exit_code(exc)
+        print(f"{what}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Run configuration: strict JSON parsing and object builders.
 
 A config document is a single JSON object with sections ``kernel``,
-``grid``, ``ic``, ``stepper``, ``monitors`` plus top-level ``eps``,
-``output_dir``, ``seed``.  Parsing is fail-closed: unknown keys, missing
+``grid``, ``ic``, ``stepper``, ``monitors`` plus top-level ``eps`` and
+``output_dir``.  Parsing is fail-closed: unknown keys, missing
 required keys, and out-of-range values all raise :class:`ConfigError` —
 a silently ignored typo in a kernel exponent would invalidate every
 certificate the run produces.
@@ -233,10 +233,9 @@ class SimConfig:
     monitors: MonitorsConfig = field(default_factory=MonitorsConfig)
     eps: float = 0.0
     output_dir: str | None = None
-    seed: int = 0
 
     TOP_KEYS = ("kernel", "grid", "ic", "stepper", "monitors", "eps",
-                "output_dir", "seed")
+                "output_dir")
 
     @classmethod
     def from_dict(cls, doc):
@@ -251,7 +250,6 @@ class SimConfig:
             monitors=MonitorsConfig.from_dict(_section(doc, "monitors", required=False)),
             eps=_pull(doc, "config", "eps", float, 0.0, lambda v: 0 <= v < 1),
             output_dir=_pull(doc, "config", "output_dir", str, None),
-            seed=_pull(doc, "config", "seed", int, 0),
         )
 
     def to_dict(self):

@@ -14,20 +14,18 @@ null sum intact and reduces bit-consistently to the truncated operator at
 
 Collisions that re-emit exactly the colliding pair (for the uniform
 breakage family: every pair of total size <= 3) contribute zero to every
-``Q_i`` identically in exact arithmetic.  The evaluators skip them, so the
+``Q_i`` identically in exact arithmetic.  The evaluator skips them, so the
 cancellation happens analytically instead of numerically -- this is what
 keeps ``|sum_i i Q_i|`` at the rounding floor of the *active* collisions
 rather than of the full operator, and makes low-``n`` neutral states
-evaluate to exact zeros.
+evaluate to exact zeros.  Gain and loss are each sums of nonnegative
+terms, so the only cancellation left is the final ``gain - loss``.
 
-Evaluation is pointwise in space; the ``*_field`` variants vectorize over
-cells with a fixed reduction order.
+There is one evaluator, :func:`q_field`, over stacked fields
+``(n, *spatial)``; the single-point functions are views of it on one cell.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 
@@ -36,91 +34,7 @@ from .errors import ContractViolationError, DomainError
 QUASIPOSITIVITY_TOL = 1e-14
 
 
-def _validate_species(f, n=None):
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 1:
-        raise DomainError(f"species vector must be 1-D, got shape {f.shape}")
-    if n is not None and f.size != n:
-        raise DomainError(f"species vector has {f.size} entries, kernel set has {n}")
-    if not np.all(np.isfinite(f)):
-        raise DomainError("species vector contains non-finite entries")
-    if np.any(f < 0):
-        raise ContractViolationError(
-            f"species vector contains negative entries (min {f.min():g})"
-        )
-    return f
-
-
-def _gain_loss_uniform(g, n):
-    """Separable power-law rates with uniform breakage.
-
-    ``g_i = i**-lam * f_i``; pair sums ``S_j = sum_{k} g_{j-k} g_k`` are
-    distributed with weight ``2/(j-1)``.  Pairs of total size <= 3 are
-    neutral and skipped.
-    """
-    S = np.zeros(n + 1)
-    for j in range(4, n + 1):
-        S[j] = fsum(g[: j - 1] * g[j - 2 :: -1])
-    gain = np.array(
-        [fsum(S[j] / (j - 1) for j in range(max(i + 1, 4), n + 1)) for i in range(1, n + 1)]
-    )
-    loss = np.array(
-        [fsum(g[i - 1] * g[max(4 - i, 1) - 1 : n - i]) for i in range(1, n + 1)]
-    )
-    return gain, loss
-
-
-def _gain_loss_general(f, ks):
-    B = ks.gain_tensor()
-    M = ks.loss_matrix()
-    P = np.outer(f, f)
-    gain = np.array([0.5 * fsum((B[i] * P).ravel()) for i in range(ks.n)])
-    loss = np.array([fsum(M[i] * P[i]) for i in range(ks.n)])
-    return gain, loss
-
-
-def _gain_loss_point(f, ks):
-    if ks.uniform_breakage and ks.sep_weights is not None:
-        return _gain_loss_uniform(ks.sep_weights * f, ks.n)
-    return _gain_loss_general(f, ks)
-
-
-def q_truncated(f, ks):
-    """Truncated fragmentation operator at a single spatial point."""
-    f = _validate_species(f, ks.n)
-    gain, loss = _gain_loss_point(f, ks)
-    return gain - loss
-
-
-def regularization_denominator(f, ks, eps):
-    """``1 + eps * sum_j c_j f_j**2`` with enclosure-midpoint weights."""
-    if not 0.0 <= eps < 1.0:
-        raise DomainError(f"eps must lie in [0, 1), got {eps}")
-    if eps == 0.0:
-        return 1.0
-    f = np.asarray(f, dtype=float)
-    return 1.0 + eps * fsum(ks.c_mid * f * f)
-
-
-def q_regularized(f, ks, eps):
-    """Regularized operator ``Q_i / (1 + eps sum_j c_j f_j^2)``.
-
-    At ``eps = 0`` the denominator is exactly 1.0 and the result is
-    bit-identical to :func:`q_truncated`.
-    """
-    Q = q_truncated(f, ks)
-    denom = regularization_denominator(f, ks, eps)
-    if denom == 1.0:
-        return Q
-    return Q / denom
-
-
-def q_field(F, ks, eps=0.0):
-    """Vectorized operator evaluation on stacked fields, shape ``(n, *spatial)``.
-
-    Evaluation at distinct cells is independent; the per-cell reduction
-    order is fixed, so results do not depend on any partitioning.
-    """
+def _checked(F, ks):
     F = np.asarray(F, dtype=float)
     if F.shape[0] != ks.n:
         raise DomainError(f"field has {F.shape[0]} species, kernel set has {ks.n}")
@@ -130,14 +44,38 @@ def q_field(F, ks, eps=0.0):
         raise ContractViolationError(
             f"field contains negative entries (min {F.min():g})"
         )
-    spatial = F.shape[1:]
-    n = ks.n
-    G2 = F.reshape(n, -1)
+    return F
 
+
+def _point(f, ks):
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 1:
+        raise DomainError(f"species vector must be 1-D, got shape {f.shape}")
+    return _checked(f, ks)
+
+
+def _check_eps(eps):
+    if not 0.0 <= eps < 1.0:
+        raise DomainError(f"eps must lie in [0, 1), got {eps}")
+
+
+def _denominator(G2, ks, eps):
+    return 1.0 + eps * np.einsum("j,jm,jm->m", ks.c_mid, G2, G2)
+
+
+def _gain_loss(G2, ks):
+    """Gain and loss terms of the truncated operator, each ``(n, ncells)``.
+
+    The loss ``f_i * sum_j M_ij f_j`` sums nonnegative terms only.  The
+    uniform family (``a_ij = w_i w_j``, uniform breakage) gets its gain
+    from pair sums ``S_j = sum_k g_{j-k} g_k`` with ``g = w * f``,
+    distributed with weight ``2/(j-1)`` through suffix sums over ``j``;
+    every other family contracts the dense gain tensor.
+    """
+    n = ks.n
     if ks.uniform_breakage and ks.sep_weights is not None:
         g = ks.sep_weights[:, None] * G2
-        ncells = g.shape[1]
-        S = np.zeros((n + 2, ncells))
+        S = np.zeros((n + 2, G2.shape[1]))
         for j in range(4, n + 1):
             S[j] = np.einsum("km,km->m", g[: j - 1], g[j - 2 :: -1])
         W = np.zeros_like(S)
@@ -146,27 +84,52 @@ def q_field(F, ks, eps=0.0):
         # gain_i = sum_{j >= max(i+1, 4)} S_j/(j-1): suffix sums over j
         suffix = np.zeros_like(W)
         suffix[: n + 1] = np.cumsum(W[n::-1], axis=0)[::-1]
-        i1 = np.arange(1, n + 1)
-        gain = suffix[np.minimum(np.maximum(i1 + 1, 4), n + 1)]
-        # loss_i = g_i * sum_{j=max(4-i,1)}^{n-i} g_j via prefix sums
-        csum = np.vstack([np.zeros((1, ncells)), np.cumsum(g, axis=0)])
-        lo = np.maximum(4 - i1, 1)
-        hi = np.maximum(n - i1, 0)
-        loss = g * (csum[hi] - csum[np.minimum(lo - 1, hi)])
-        Q = gain - loss
+        gain = suffix[np.minimum(np.maximum(np.arange(2, n + 2), 4), n + 1)]
     else:
-        B = ks.gain_tensor()
-        M = ks.loss_matrix()
-        gain = 0.5 * np.einsum("ipq,pm,qm->im", B, G2, G2, optimize=True)
-        loss = G2 * (M @ G2)
-        Q = gain - loss
+        gain = 0.5 * np.einsum("ipq,pm,qm->im", ks.gain_tensor(), G2, G2, optimize=True)
+    loss = G2 * (ks.loss_matrix() @ G2)
+    return gain, loss
 
+
+def q_field(F, ks, eps=0.0):
+    """Operator evaluation on stacked fields, shape ``(n, *spatial)``.
+
+    Evaluation at distinct cells is independent, and for a given field
+    shape the reduction order is fixed, so reruns are bitwise equal.  A
+    cell evaluated alone can differ in the last bits from the same cell
+    inside a larger field: the matrix products order their sums by shape.
+    """
+    F = _checked(F, ks)
+    G2 = F.reshape(ks.n, -1)
+    gain, loss = _gain_loss(G2, ks)
+    Q = gain - loss
     if eps:
-        if not 0.0 <= eps < 1.0:
-            raise DomainError(f"eps must lie in [0, 1), got {eps}")
-        denom = 1.0 + eps * np.einsum("j,jm,jm->m", ks.c_mid, G2, G2)
-        Q = Q / denom[None, :]
-    return Q.reshape((n,) + spatial)
+        _check_eps(eps)
+        Q = Q / _denominator(G2, ks, eps)
+    return Q.reshape(F.shape)
+
+
+def q_truncated(f, ks):
+    """Truncated fragmentation operator at a single spatial point."""
+    return q_field(_point(f, ks), ks)
+
+
+def regularization_denominator(f, ks, eps):
+    """``1 + eps * sum_j c_j f_j**2`` with enclosure-midpoint weights."""
+    _check_eps(eps)
+    if eps == 0.0:
+        return 1.0
+    f = np.asarray(f, dtype=float)
+    return float(_denominator(f[:, None], ks, eps)[0])
+
+
+def q_regularized(f, ks, eps):
+    """Regularized operator ``Q_i / (1 + eps sum_j c_j f_j^2)``.
+
+    At ``eps = 0`` the denominator is exactly 1.0 and the result is
+    bit-identical to :func:`q_truncated`.
+    """
+    return q_field(_point(f, ks), ks, eps)
 
 
 def check_quasipositivity(f, ks, eps, i):
@@ -177,102 +140,29 @@ def check_quasipositivity(f, ks, eps, i):
     vanishing ``f_i`` the loss term vanishes exactly, so the result must be
     a pure (nonnegative) gain.
     """
-    f = _validate_species(f, ks.n)
+    f = _point(f, ks)
     if i < 1 or i > ks.n:
         raise DomainError(f"species index {i} outside 1..{ks.n}")
     if f[i - 1] != 0.0:
         raise DomainError(f"quasipositivity check requires f_{i} = 0, got {f[i-1]!r}")
-    gain, loss = _gain_loss_point(f, ks)
-    denom = regularization_denominator(f, ks, eps)
-    q_i = (gain[i - 1] - loss[i - 1]) / denom
-    if q_i < -QUASIPOSITIVITY_TOL * abs(gain[i - 1]):
+    gain, loss = _gain_loss(f[:, None], ks)
+    gain_i = gain[i - 1, 0]
+    q_i = (gain_i - loss[i - 1, 0]) / regularization_denominator(f, ks, eps)
+    if q_i < -QUASIPOSITIVITY_TOL * abs(gain_i):
         raise ContractViolationError(
-            f"quasipositivity violated at i={i}: Q_i={q_i!r}, gain={gain[i-1]!r}"
+            f"quasipositivity violated at i={i}: Q_i={q_i!r}, gain={gain_i!r}"
         )
-    return q_i, gain[i - 1]
+    return q_i, gain_i
 
 
 def dump_q_csv(path, f, ks, eps=0.0):
     """Write per-species gain/loss/denominator/Q diagnostics as CSV."""
-    f = _validate_species(f, ks.n)
-    gain, loss = _gain_loss_point(f, ks)
+    f = _point(f, ks)
+    gain, loss = _gain_loss(f[:, None], ks)
     denom = regularization_denominator(f, ks, eps)
     with open(path, "w") as fh:
         fh.write("i,gain,loss,denominator,Q\n")
         for i in range(ks.n):
-            g, l = float(gain[i]), float(loss[i])
+            g, l = float(gain[i, 0]), float(loss[i, 0])
             q = (g - l) / denom
             fh.write(f"{i+1},{g!r},{l!r},{float(denom)!r},{q!r}\n")
-
-
-# -- truncation device -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TruncationFn:
-    """C^2 truncation ``T_m``: identity below ``m - 1``, saturating at ``m``.
-
-    The connecting bridge is the (degenerate-quintic) Hermite polynomial
-
-        T_m(m - 1 + s) = m - 1 + s**4/16 - s**3/4 + s,   s in [0, 2],
-
-    which matches value, slope, and curvature at both knots exactly and has
-    ``T' in [0, 1]`` and ``T'' in [-3/4, 0]`` throughout.  Note the plateau
-    value ``m`` is attained from ``sigma = m + 1`` on: a C^2 function that
-    is the identity up to ``m - 1`` and constant ``m`` already at ``m``
-    would need mean slope 1 with ``T' <= 1``, forcing a slope discontinuity,
-    so no bridge on ``(m-1, m)`` can satisfy the derivative bounds.
-    """
-
-    m: float
-
-    def __post_init__(self):
-        if self.m <= 0:
-            raise DomainError(f"truncation level must be positive, got {self.m}")
-
-    def __call__(self, sigma):
-        sigma = np.asarray(sigma, dtype=float)
-        s = np.clip(sigma - (self.m - 1.0), 0.0, 2.0)
-        bridge = (self.m - 1.0) + s**4 / 16.0 - s**3 / 4.0 + s
-        out = np.where(sigma <= self.m - 1.0, sigma, bridge)
-        return out if out.ndim else float(out)
-
-    def deriv(self, sigma):
-        sigma = np.asarray(sigma, dtype=float)
-        s = np.clip(sigma - (self.m - 1.0), 0.0, 2.0)
-        d = s**3 / 4.0 - 0.75 * s**2 + 1.0
-        out = np.where(sigma <= self.m - 1.0, 1.0, np.where(s >= 2.0, 0.0, d))
-        return out if out.ndim else float(out)
-
-    def second_deriv(self, sigma):
-        sigma = np.asarray(sigma, dtype=float)
-        s = np.clip(sigma - (self.m - 1.0), 0.0, 2.0)
-        d2 = 0.75 * s**2 - 1.5 * s
-        out = np.where((sigma <= self.m - 1.0) | (s >= 2.0), 0.0, d2)
-        return out if out.ndim else float(out)
-
-    def knot_mismatch(self):
-        """One-sided second-derivative gaps at the two knots."""
-        left = self.second_deriv(np.nextafter(self.m - 1.0, np.inf)) - 0.0
-        right = self.second_deriv(np.nextafter(self.m + 1.0, -np.inf)) - 0.0
-        return abs(left), abs(right)
-
-    def self_check(self, samples=4001):
-        """Dense-sampling verification of the derivative bounds."""
-        sigma = np.linspace(0.0, self.m + 3.0, samples)
-        tp = self.deriv(sigma)
-        tpp = self.second_deriv(sigma)
-        if not (np.all(tp >= 0.0) and np.all(tp <= 1.0)):
-            raise ContractViolationError("T' leaves [0, 1]")
-        if not (np.all(tpp >= -1.0) and np.all(tpp <= 0.0)):
-            raise ContractViolationError("T'' leaves [-1, 0]")
-        vals = self(sigma)
-        if np.any(np.diff(vals) < -1e-15) or np.any(vals > self.m + 1e-12):
-            raise ContractViolationError("T_m not monotone or exceeds its plateau")
-        return True
-
-
-def apply_truncation(sigma, m):
-    """Evaluate ``(T_m, T_m', T_m'')`` at ``sigma``."""
-    tm = TruncationFn(m)
-    return tm(sigma), tm.deriv(sigma), tm.second_deriv(sigma)

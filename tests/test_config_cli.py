@@ -13,6 +13,7 @@ from fragdiff.config import (
     load_config,
     make_grid,
     make_initial_condition,
+    make_kernel_set,
     reference_scenario_dict,
 )
 from fragdiff.errors import ConfigError, ContractViolationError
@@ -183,13 +184,25 @@ class TestSimulateCommand:
         rc = cli.main(["simulate", "--config", cfg_path, "--out", str(out), "--quiet"])
         assert rc == 0
         for name in ("config.json", "monitors.csv", "summary.json",
-                     "fields_final.csv", "checkpoint.csv"):
+                     "fields_final.csv"):
             assert (out / name).exists(), name
+        assert not (out / "checkpoint.csv").exists()
         doc = json.loads((out / "summary.json").read_text())
         assert doc["all_pass"] is True
         assert doc["run"]["aborted"] is False
         assert doc["run"]["steps"] == 10
         assert doc["config"]["kernel"]["n"] == 8
+        # fields_final.csv is the checkpoint: it restores the terminal state
+        grid, F, t, echo = fd.checkpoint_load(out / "fields_final.csv")
+        assert grid.shape == (16,)
+        assert t == doc["final"]["t"] == doc["run"]["final_t"]
+        assert echo is None
+        cfg = SimConfig.from_dict(json.loads((out / "config.json").read_text()))
+        traj = fd.run_simulation(
+            grid, make_kernel_set(cfg.kernel), make_initial_condition(cfg.ic, grid, 8),
+            fd.StepperConfig(dt=cfg.stepper.dt, t_end=cfg.stepper.t_end),
+            eps=cfg.eps, cadence=cfg.monitors.cadence)
+        np.testing.assert_array_equal(F, traj.terminal)
 
     def test_zero_duration(self, tmp_path):
         cfg_path = write_cfg(tmp_path, small_doc(stepper={"t_end": 0.0}))
@@ -206,7 +219,7 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(out1), "--quiet"]) == 0
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(out2), "--quiet"]) == 0
         for name in ("monitors.csv", "summary.json", "fields_final.csv",
-                     "checkpoint.csv", "config.json"):
+                     "config.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_missing_config_flag(self):
@@ -381,6 +394,33 @@ class TestSweepCommand:
             for key in ("axis", "value", "exit_code", "mass_final",
                         "l1_diff_prev", "order_est"):
                 assert a[key] == b[key], key
+
+    def test_cfl_violation_exit_code(self, tmp_path, monkeypatch):
+        # the same exit code as simulate: a CFL breach is a config error
+        monkeypatch.delenv("FRAGDIFF_THREADS", raising=False)
+        doc = small_doc(grid={"cells": [32]},
+                        stepper={"scheme": "rk4_explicit", "dt": 0.01})
+        cfg_path = write_cfg(tmp_path, doc)
+        assert cli.main(["simulate", "--config", cfg_path, "--out",
+                         str(tmp_path / "run"), "--quiet"]) == 2
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--config", cfg_path, "--axis", "eps",
+                       "--values", "0.02,0.01", "--out", str(out), "--quiet"])
+        assert rc == 2
+        with open(out / "sweep.csv", newline="") as fh:
+            assert [r["exit_code"] for r in csv.DictReader(fh)] == ["2", "2"]
+
+    def test_contract_violation_exit_code(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ContractViolationError("weighted null sum breached")
+
+        monkeypatch.delenv("FRAGDIFF_THREADS", raising=False)
+        monkeypatch.setattr(cli.stepmod, "run_simulation", broken)
+        cfg_path = write_cfg(tmp_path, small_doc())
+        rc = cli.main(["sweep", "--config", cfg_path, "--axis", "eps",
+                       "--values", "0.02,0.01", "--out", str(tmp_path / "s"),
+                       "--quiet"])
+        assert rc == 1
 
     def test_grid_axis_requires_1d(self, tmp_path):
         doc = small_doc(grid={"cells": [8, 8], "lengths": [1.0, 1.0]})

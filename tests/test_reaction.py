@@ -14,8 +14,6 @@ import pytest
 import fragdiff as fd
 from fragdiff.errors import ContractViolationError, DomainError
 from fragdiff.reaction import (
-    TruncationFn,
-    apply_truncation,
     check_quasipositivity,
     dump_q_csv,
     q_field,
@@ -124,23 +122,29 @@ def test_quasipositivity_requires_vanishing_species():
         check_quasipositivity([1.0] * 6, ks, 0.0, 2)
 
 
+def naive_q_regularized(f, ks, eps):
+    return naive_q(f, ks) / (1.0 + eps * math.fsum(ks.c_mid * f * f))
+
+
+def assert_columns_match_oracle(F, ks):
+    """Every cell of a ``q_field`` evaluation matches the pointwise oracle."""
+    for eps in (0.0, 0.1):
+        QF = q_field(F, ks, eps)
+        assert QF.shape == F.shape
+        cols = F.reshape(ks.n, -1)
+        for x, got in enumerate(QF.reshape(ks.n, -1).T):
+            want = naive_q_regularized(cols[:, x], ks, eps)
+            # the oracle cancels neutral pairs in floating point
+            atol = 1e-14 * float(cols[:, x].max()) ** 2
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+
+
 def test_field_path_matches_point_path():
     rng = np.random.default_rng(16)
-    n, m = 12, 7
-    for family in ("uniform", "cr"):
-        ks = (
-            fd.power_law_uniform(n, 4.0, 0.5)
-            if family == "uniform"
-            else fd.cheng_redner_uniform(n, 4.0, 0.5)
-        )
-        F = rng.uniform(0.0, 2.0, size=(n, m))
-        for eps in (0.0, 0.1):
-            QF = q_field(F, ks, eps)
-            assert QF.shape == (n, m)
-            for x in range(m):
-                np.testing.assert_allclose(
-                    QF[:, x], q_regularized(F[:, x], ks, eps), rtol=1e-12, atol=1e-18
-                )
+    n = 12
+    for ks in (fd.power_law_uniform(n, 4.0, 0.5), fd.cheng_redner_uniform(n, 4.0, 0.5)):
+        for spatial in ((7,), (3, 4)):
+            assert_columns_match_oracle(rng.uniform(0.0, 2.0, size=(n,) + spatial), ks)
 
 
 def test_field_path_matches_point_path_table(tmp_path):
@@ -162,12 +166,43 @@ def test_field_path_matches_point_path_table(tmp_path):
             fh.write(f"{i},1.0\n")
     ks = fd.from_tables(tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "d.csv")
     rng = np.random.default_rng(17)
-    F = rng.uniform(0.0, 1.0, size=(n, 6))
-    QF = q_field(F, ks, 0.1)
-    for x in range(6):
-        np.testing.assert_allclose(
-            QF[:, x], q_regularized(F[:, x], ks, 0.1), rtol=1e-12, atol=1e-18
-        )
+    for spatial in ((6,), (2, 3)):
+        assert_columns_match_oracle(rng.uniform(0.0, 1.0, size=(n,) + spatial), ks)
+
+
+def fsum_q_uniform(f, n, lam):
+    """Uniform-family operator from explicit loops, each sum exactly rounded.
+
+    Pairs of total size <= 3 re-emit their colliders and are left out of
+    gain and loss alike.
+    """
+    gains = [[] for _ in range(n)]
+    losses = [[] for _ in range(n)]
+    for p in range(1, n + 1):
+        for q in range(1, n + 1 - p):
+            if p + q <= 3:
+                continue
+            rate = float(p * q) ** (-lam) * f[p - 1] * f[q - 1]
+            for k in range(1, p + q):
+                gains[k - 1].append(rate / (p + q - 1))
+            losses[p - 1].append(rate)
+    return np.array([math.fsum(gains[i]) - math.fsum(losses[i]) for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [8, 17, 32])
+def test_field_uniform_loss_has_no_cancellation(n):
+    # f_1 dominates every partial sum of g = w*f here; a loss formed as a
+    # difference of prefix sums of g loses ~1e-13 relative accuracy
+    ks = fd.power_law_uniform(n, 6.0, 0.5)
+    F = np.stack([np.ones(n), np.full(n, 3.0), np.linspace(3.0, 0.1, n)], axis=1)
+    QF = q_field(F, ks)
+    sizes = np.arange(1, n + 1, dtype=float)
+    for x in range(3):
+        want = fsum_q_uniform(F[:, x], n, 6.0)
+        rel = float(np.max(np.abs(QF[:, x] - want))) / float(np.max(np.abs(want)))
+        assert rel <= 1e-14, (x, rel)
+        null = abs(math.fsum(sizes * QF[:, x]))
+        assert null <= 1e-12 * math.fsum(np.abs(sizes * QF[:, x])), x
 
 
 def test_field_2d_shape():
@@ -222,50 +257,3 @@ def test_dump_q_csv_round_trip(tmp_path):
         assert float(row["gain"]) - float(row["loss"]) == pytest.approx(
             q[i] * float(row["denominator"]), rel=1e-13, abs=1e-300
         )
-
-
-class TestTruncationFn:
-    def test_identity_then_plateau(self):
-        tm = TruncationFn(10.0)
-        x = np.array([0.0, 4.2, 9.0])
-        np.testing.assert_array_equal(tm(x), x)
-        assert tm(11.0) == 10.0
-        assert tm(25.0) == 10.0
-
-    def test_knot_values_and_slopes(self):
-        tm = TruncationFn(6.0)
-        assert tm(5.0) == 5.0
-        assert tm(7.0) == 6.0
-        assert tm.deriv(5.0) == 1.0
-        assert tm.deriv(7.0) == 0.0
-        assert tm.second_deriv(5.0) == 0.0
-        assert tm.second_deriv(7.0) == 0.0
-
-    def test_derivative_bounds(self):
-        for m in (1.0, 3.5, 12.0):
-            assert TruncationFn(m).self_check()
-
-    def test_finite_differences(self):
-        tm = TruncationFn(8.0)
-        h = 1e-6
-        for s in (7.3, 7.9, 8.4, 8.9):
-            fd_d = (tm(s + h) - tm(s - h)) / (2.0 * h)
-            assert fd_d == pytest.approx(tm.deriv(s), abs=1e-8)
-            # wider step for the second difference: roundoff scales as h**-2
-            h2 = 1e-4
-            fd_d2 = (tm(s + h2) - 2.0 * tm(s) + tm(s - h2)) / h2**2
-            assert fd_d2 == pytest.approx(tm.second_deriv(s), abs=1e-5)
-
-    def test_knot_mismatch_zero(self):
-        left, right = TruncationFn(5.0).knot_mismatch()
-        assert left <= 1e-12 and right <= 1e-12
-
-    def test_apply_truncation(self):
-        vals, d1, d2 = apply_truncation(np.array([1.0, 9.5, 20.0]), 10.0)
-        assert vals[0] == 1.0 and vals[2] == 10.0
-        assert d1[0] == 1.0 and d1[2] == 0.0
-        assert d2[0] == 0.0
-
-    def test_rejects_nonpositive_level(self):
-        with pytest.raises(DomainError):
-            TruncationFn(0.0)
