@@ -25,10 +25,8 @@ IC_PROFILES = ("constant", "cosine", "gaussian_bump")
 KERNEL_FAMILIES = ("power_law_uniform", "cheng_redner_uniform", "table")
 
 
-def _section(doc, key, required=True):
+def _section(doc, key):
     if key not in doc:
-        if required:
-            raise ConfigError(f"missing config section {key!r}")
         return {}
     val = doc[key]
     if not isinstance(val, dict):
@@ -243,11 +241,11 @@ class SimConfig:
             raise ConfigError("config root must be a JSON object")
         _reject_unknown(doc, "config", cls.TOP_KEYS)
         return cls(
-            kernel=KernelConfig.from_dict(_section(doc, "kernel", required=False)),
-            grid=GridConfig.from_dict(_section(doc, "grid", required=False)),
-            ic=ICConfig.from_dict(_section(doc, "ic", required=False)),
-            stepper=StepperSection.from_dict(_section(doc, "stepper", required=False)),
-            monitors=MonitorsConfig.from_dict(_section(doc, "monitors", required=False)),
+            kernel=KernelConfig.from_dict(_section(doc, "kernel")),
+            grid=GridConfig.from_dict(_section(doc, "grid")),
+            ic=ICConfig.from_dict(_section(doc, "ic")),
+            stepper=StepperSection.from_dict(_section(doc, "stepper")),
+            monitors=MonitorsConfig.from_dict(_section(doc, "monitors")),
             eps=_pull(doc, "config", "eps", float, 0.0, lambda v: 0 <= v < 1),
             output_dir=_pull(doc, "config", "output_dir", str, None),
         )
@@ -255,9 +253,6 @@ class SimConfig:
     def to_dict(self):
         doc = asdict(self)
         return doc
-
-    def round_trip(self):
-        return SimConfig.from_dict(json.loads(json.dumps(self.to_dict())))
 
 
 def load_config(path):

@@ -89,14 +89,35 @@ def collision_rate(i, j, lam):
     return float(i * j) ** (-lam)
 
 
+def _uniform_counts(i, j, k):
+    """Uniform breakage counts ``2/(i+j-1)`` for ``k < i+j``, else 0.
+
+    Like every family's count function (``KernelSet._b_fn``), it broadcasts
+    over integer index arrays; the scalar views, the gain and loss tables,
+    the validator and the summability audit all read it.
+    """
+    s = np.add(i, j)
+    return np.where(k < s, 2.0 / (s - 1), 0.0)
+
+
+def _cheng_redner_counts(i, j, k):
+    """Cheng-Redner counts: each collider shatters its own mass (broadcasts)."""
+
+    def side(size):
+        plateau = np.where(k < size, 2.0 / np.maximum(size - 1, 1), 0.0)
+        return np.where(size == 1, np.where(k == 1, 1.0, 0.0), plateau)
+
+    return side(i) + side(j)
+
+
+def _count_at(counts, i, j, k):
+    """Checked scalar view of a broadcasting count function."""
+    return float(counts(_check_index("i", i), _check_index("j", j), _check_index("k", k)))
+
+
 def breakage_count(i, j, k):
     """Uniform breakage count: ``2/(i+j-1)`` for ``1 <= k <= i+j-1``, else 0."""
-    i = _check_index("i", i)
-    j = _check_index("j", j)
-    k = _check_index("k", k)
-    if k >= i + j:
-        return 0.0
-    return 2.0 / (i + j - 1)
+    return _count_at(_uniform_counts, i, j, k)
 
 
 def cheng_redner_count(i, j, k):
@@ -108,18 +129,7 @@ def cheng_redner_count(i, j, k):
     keeps ``sum_k k b^k_ij = i + j`` valid for every pair, at the cost of
     deviating from the strict sub-collider redistribution rule at size 1.
     """
-    i = _check_index("i", i)
-    j = _check_index("j", j)
-    k = _check_index("k", k)
-
-    def side(size):
-        if size == 1:
-            return 1.0 if k == 1 else 0.0
-        if k <= size - 1:
-            return 2.0 / (size - 1)
-        return 0.0
-
-    return side(i) + side(j)
+    return _count_at(_cheng_redner_counts, i, j, k)
 
 
 def diffusion_coeff(i, alpha):
@@ -178,19 +188,6 @@ def reg_weight(j, lam, tol=1e-10):
     return Enclosure(w * z.lo, w * z.hi, z.truncation)
 
 
-def _neutral_column(bcol, p, q):
-    """True when a breakage column re-emits exactly the colliding pair.
-
-    Such collisions contribute identically zero to every component of the
-    fragmentation operator and are skipped by the evaluators, which keeps
-    the weighted null sum exact even near machine precision.
-    """
-    want = np.zeros(p + q - 1)
-    want[p - 1] += 1.0
-    want[q - 1] += 1.0
-    return bcol.shape[0] == p + q - 1 and bool(np.all(bcol == want))
-
-
 @dataclass
 class KernelSet:
     """One concrete choice of collision/breakage/diffusion coefficients.
@@ -246,7 +243,7 @@ class KernelSet:
             c_lo=w * z.lo,
             c_hi=w * z.hi,
             _a_fn=lambda i, j: collision_rate(i, j, lam),
-            _b_fn=breakage_count,
+            _b_fn=_uniform_counts,
             sep_weights=w,
             uniform_breakage=True,
             notes=notes,
@@ -256,7 +253,7 @@ class KernelSet:
     def cheng_redner_uniform(cls, n, lam, alpha, reg_tol=1e-10, profile="weaker"):
         base = cls.power_law_uniform(n, lam, alpha, reg_tol=reg_tol, profile=profile)
         base.family = "cheng_redner_uniform"
-        base._b_fn = cheng_redner_count
+        base._b_fn = _cheng_redner_counts
         base.uniform_breakage = False
         base.notes.append(
             "size-1 colliders pass through unchanged (the strict sub-collider "
@@ -311,9 +308,8 @@ class KernelSet:
             return float(a_mat[i - 1, j - 1]) if i <= n and j <= n else 0.0
 
         def b_fn(i, j, k):
-            if i <= n and j <= n and k <= kmax:
-                return float(b_tab[k - 1, i - 1, j - 1])
-            return 0.0
+            entry = b_tab[np.minimum(k, kmax) - 1, np.minimum(i, n) - 1, np.minimum(j, n) - 1]
+            return np.where((i <= n) & (j <= n) & (k <= kmax), entry, 0.0)
 
         c = np.array([fsum(a_mat[:, j]) for j in range(n)])
         ks = cls(
@@ -338,7 +334,7 @@ class KernelSet:
 
     def b(self, i, j, k):
         """Breakage count of size-``k`` fragments from an ``(i, j)`` collision."""
-        return self._b_fn(_check_index("i", i), _check_index("j", j), _check_index("k", k))
+        return _count_at(self._b_fn, i, j, k)
 
     def d_of(self, i):
         i = _check_index("i", i)
@@ -352,58 +348,45 @@ class KernelSet:
 
     def a_matrix(self):
         if self._a_mat is None:
-            if self.sep_weights is not None:
-                self._a_mat = np.outer(self.sep_weights, self.sep_weights)
-            else:
-                n = self.n
-                self._a_mat = np.array(
-                    [[self._a_fn(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-                )
+            self._a_mat = np.outer(self.sep_weights, self.sep_weights)
         return self._a_mat
-
-    def b_column(self, p, q):
-        """Fragment counts ``b^k_pq`` for ``k = 1..p+q-1`` as an array."""
-        if self.uniform_breakage:
-            return np.full(p + q - 1, 2.0 / (p + q - 1))
-        return np.array([self._b_fn(p, q, k) for k in range(1, p + q)])
-
-    def neutral_pair(self, p, q):
-        """True when an ``(p, q)`` collision re-emits exactly ``{p, q}``."""
-        if self.uniform_breakage:
-            return p + q <= 3
-        return _neutral_column(self.b_column(p, q), p, q)
 
     def gain_tensor(self):
         """Dense ``B[i-1, p-1, q-1] = b^i_pq * a_pq`` masked to ``p+q <= n``.
 
         Neutral pairs are zeroed; their exact cancellation against the loss
         term is applied analytically instead (see :mod:`fragdiff.reaction`).
+        Only fragments ``i < p+q`` enter the operator, so table entries
+        beyond that support are ignored here (the validator reports them).
         """
         if self._gain_tensor is None:
             n = self.n
-            B = np.zeros((n, n, n))
-            amat = self.a_matrix()
-            for p in range(1, n + 1):
-                for q in range(1, n + 1 - p):
-                    if self.neutral_pair(p, q):
-                        continue
-                    col = self.b_column(p, q)
-                    top = min(n, p + q - 1)
-                    B[:top, p - 1, q - 1] = col[:top] * amat[p - 1, q - 1]
+            k, p, q = np.ogrid[1:n + 1, 1:n + 1, 1:n + 1]
+            B = self._b_fn(p, q, k)
+            B[k >= p + q] = 0.0
+            B *= self.loss_matrix()
             self._gain_tensor = B
         return self._gain_tensor
 
     def loss_matrix(self):
-        """Dense ``M[i-1, j-1] = a_ij`` masked to ``i+j <= n``, neutral pairs zeroed."""
+        """Dense ``M[p-1, q-1] = a_pq`` masked to ``p+q <= n``, neutral pairs zeroed.
+
+        A pair is neutral when its collision re-emits exactly ``{p, q}``,
+        ``b^k_pq = [k=p] + [k=q]`` for every ``k < p+q``; it contributes
+        zero to every ``Q_i`` identically, and the evaluators skip it.  The
+        test runs one ``p`` at a time, so memory stays ``O(n^2)``.
+        """
         if self._loss_matrix is None:
             n = self.n
             M = self.a_matrix().copy()
             i1 = np.arange(1, n + 1)
             M[i1[:, None] + i1[None, :] > n] = 0.0
-            for p in range(1, n + 1):
-                for q in range(1, n + 1 - p):
-                    if self.neutral_pair(p, q):
-                        M[p - 1, q - 1] = 0.0
+            k = i1[None, : n - 1]
+            for p in range(1, n):
+                q = np.arange(1, n + 1 - p)[:, None]
+                want = 1.0 * (k == p) + (k == q)
+                match = (self._b_fn(p, q, k) == want) | (k >= p + q)
+                M[p - 1, q[match.all(axis=1), 0] - 1] = 0.0
             self._loss_matrix = M
         return self._loss_matrix
 
@@ -471,19 +454,25 @@ def validate_kernel_set(ks, i_max=None, exact_limit=64, rel_tol=1e-12):
     pairs = 0
     exact_pairs = 0
     for i in range(1, i_max + 1):
-        for j in range(i, i_max + 1):
+        # one (j, k) block per row: j = i..i_max, k up to the widest support + 2
+        jv = np.arange(i, i_max + 1)[:, None]
+        k = np.arange(1, i + i_max + 3)[None, :]
+        col = ks._b_fn(i, jv, k)
+        inside = k < i + jv
+        asym = np.any((col != ks._b_fn(jv, i, k)) & inside, axis=1)
+        negative = np.any((col < 0) & inside, axis=1)
+        beyond = (col != 0.0) & ~inside & (k < i + jv + 3)
+        first_beyond = k[0, np.argmax(beyond, axis=1)]
+        weighted = k * col
+        for r, j in enumerate(range(i, i_max + 1)):
             s = i + j
-            col = ks.b_column(i, j)
-            col_t = ks.b_column(j, i)
-            if not np.array_equal(col, col_t):
+            if asym[r]:
                 failures.append(f"b^k_{{{i},{j}}} != b^k_{{{j},{i}}}")
-            if np.any(col < 0):
+            if negative[r]:
                 failures.append(f"b^k_{{{i},{j}}} has negative entries")
-            for k in range(s, s + 3):
-                if ks._b_fn(i, j, k) != 0.0:
-                    failures.append(f"b^{k}_{{{i},{j}}} nonzero beyond support")
-                    break
-            total = fsum(np.arange(1, s, dtype=float) * col)
+            if beyond[r].any():
+                failures.append(f"b^{first_beyond[r]}_{{{i},{j}}} nonzero beyond support")
+            total = fsum(weighted[r, : s - 1])
             resid = abs(total - s) / s
             worst = max(worst, resid)
             if resid > rel_tol:

@@ -28,26 +28,30 @@ def _species_integrals(grid, F):
     return np.array([gridmod.integrate(grid, F[i]) for i in range(F.shape[0])])
 
 
+def _mass_above(ints, M):
+    """``sum_{i>M} i * ints[i-1]`` from precomputed species integrals."""
+    if M < 0:
+        raise DomainError("tail level must be nonnegative")
+    return math.fsum(float((i + 1) * ints[i]) for i in range(M, len(ints)))
+
+
+def _particles(ints):
+    return math.fsum(float(v) for v in ints)
+
+
 def total_mass(grid, F):
     """Weighted mass  sum_i i * integral(f_i)."""
-    ints = _species_integrals(grid, F)
-    return math.fsum(float((i + 1) * ints[i]) for i in range(F.shape[0]))
+    return _mass_above(_species_integrals(grid, F), 0)
 
 
 def moment0(grid, F):
     """Total particle number  sum_i integral(f_i)."""
-    return math.fsum(float(v) for v in _species_integrals(grid, F))
+    return _particles(_species_integrals(grid, F))
 
 
 def tail_mass(grid, F, M):
     """Mass carried by sizes above ``M``: sum_{i>M} i * integral(f_i)."""
-    n = F.shape[0]
-    if M < 0:
-        raise DomainError("tail level must be nonnegative")
-    if M >= n:
-        return 0.0
-    ints = _species_integrals(grid, F)
-    return math.fsum(float((i + 1) * ints[i]) for i in range(M, n))
+    return _mass_above(_species_integrals(grid, F), M)
 
 
 def tail_envelope_exponential(M):
@@ -216,14 +220,14 @@ def compute_monitors(traj, ks, eps=0.0, tail_levels=(8, 16, 24),
     against the analytic exponential envelope.
     """
     grid = traj.grid
-    n = traj.fields[0].shape[0]
     tail_levels = tuple(int(M) for M in tail_levels)
 
-    mass = [total_mass(grid, F) for F in traj.fields]
-    mom0 = [moment0(grid, F) for F in traj.fields]
+    ints = [_species_integrals(grid, F) for F in traj.fields]
+    mass = [_mass_above(v, 0) for v in ints]
+    mom0 = [_particles(v) for v in ints]
     minv = [float(np.min(F)) for F in traj.fields]
     maxv = [float(np.max(F)) for F in traj.fields]
-    tails = {M: [tail_mass(grid, F, M) for F in traj.fields] for M in tail_levels}
+    tails = {M: [_mass_above(v, M) for v in ints] for M in tail_levels}
 
     q_samples = [reaction.q_field(F, ks, eps) for F in traj.fields]
 

@@ -36,6 +36,8 @@ QUASIPOSITIVITY_TOL = 1e-14
 
 def _checked(F, ks):
     F = np.asarray(F, dtype=float)
+    if F.ndim == 0:
+        raise DomainError("field has no species axis (got a scalar)")
     if F.shape[0] != ks.n:
         raise DomainError(f"field has {F.shape[0]} species, kernel set has {ks.n}")
     if not np.all(np.isfinite(F)):
@@ -117,9 +119,9 @@ def q_truncated(f, ks):
 def regularization_denominator(f, ks, eps):
     """``1 + eps * sum_j c_j f_j**2`` with enclosure-midpoint weights."""
     _check_eps(eps)
+    f = _point(f, ks)
     if eps == 0.0:
         return 1.0
-    f = np.asarray(f, dtype=float)
     return float(_denominator(f[:, None], ks, eps)[0])
 
 

@@ -282,24 +282,12 @@ def _audit_term1_power(ks, levels):
 
 def _audit_term1_table(ks, levels):
     n = ks.n
-    a = ks.a_matrix()
-    parts = []
+    j, k, i = np.ogrid[1:n + 1, 1:n + 1, 1:n + 1]
+    a = ks.a_matrix()[:, :, None]
+    b = ks._b_fn(j, k, i)
     sqrt_d = np.sqrt(ks.d)
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            if a[j - 1, k - 1] == 0.0:
-                continue
-            bcol = ks.b_column(j, k)
-            imax = min(j + k - 1, n)
-            for i in range(1, imax + 1):
-                b = bcol[i - 1]
-                if b == 0.0:
-                    continue
-                parts.append(
-                    math.sqrt(b * a[j - 1, k - 1])
-                    / (math.sqrt(float(k * j)) * sqrt_d[i - 1] * sqrt_d[j - 1])
-                )
-    total = math.fsum(parts)
+    terms = np.sqrt(b * a) / (np.sqrt(k * j) * sqrt_d[i - 1] * sqrt_d[j - 1])
+    total = math.fsum(terms[(i < j + k) & (a != 0.0) & (b != 0.0)])
     pad = 4.0 * np.finfo(float).eps * max(total, 1.0)
     return ConditionReport(
         "A4_term1", CONVERGES, total, total + pad,

@@ -48,7 +48,7 @@ class TestConfigParsing:
         assert cfg.kernel.n == 32
         assert cfg.kernel.lam == 4.0
         assert cfg.eps == 0.01
-        assert cfg.round_trip() == cfg
+        assert SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_defaults(self):
         cfg = SimConfig.from_dict({})

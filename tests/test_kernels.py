@@ -39,6 +39,16 @@ def test_breakage_count_plateau_and_support():
     assert fd.breakage_count(2, 2, 4) == 0.0
     assert fd.breakage_count(1, 1, 1) == 2.0
     assert fd.breakage_count(1, 1, 2) == 0.0
+    assert type(fd.breakage_count(2, 2, 1)) is float
+
+
+def test_breakage_counts_reject_bad_indices():
+    ks = fd.cheng_redner_uniform(8, 4.0, 0.0)
+    for count in (fd.breakage_count, fd.cheng_redner_count, ks.b):
+        with pytest.raises(DomainError):
+            count(0, 1, 1)
+        with pytest.raises(DomainError):
+            count(1, 1, 1.0)
 
 
 def test_breakage_mass_exact_rational():
@@ -130,15 +140,19 @@ def test_power_law_warns_outside_family():
 
 
 def test_neutral_pairs():
+    # a neutral pair collides at a nonzero rate but its loss entry is zeroed
     ks = fd.power_law_uniform(8, 4.0, 0.0)
-    assert ks.neutral_pair(1, 1)
-    assert ks.neutral_pair(1, 2)
-    assert ks.neutral_pair(2, 1)
-    assert not ks.neutral_pair(2, 2)
+    M = ks.loss_matrix()
+    assert np.all(ks.a_matrix()[:2, :2] > 0.0)
+    assert M[0, 0] == 0.0
+    assert M[0, 1] == 0.0
+    assert M[1, 0] == 0.0
+    assert M[1, 1] != 0.0
     cr = fd.cheng_redner_uniform(8, 4.0, 0.0)
-    assert cr.neutral_pair(1, 1)
-    assert not cr.neutral_pair(1, 2)  # the size-2 side shatters into monomers
-    assert not cr.neutral_pair(2, 2)
+    M = cr.loss_matrix()
+    assert M[0, 0] == 0.0
+    assert M[0, 1] != 0.0  # the size-2 side shatters into monomers
+    assert M[1, 1] != 0.0
 
 
 def test_gain_tensor_mask_and_neutral_zeroing():
@@ -169,7 +183,7 @@ def test_validate_cheng_redner():
     assert rep.ok, rep.failures
 
 
-def _write_tables(tmp_path, n=4, break_row=None):
+def _write_tables(tmp_path, n=4, break_row=None, extra=()):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     d = tmp_path / "d.csv"
@@ -187,6 +201,8 @@ def _write_tables(tmp_path, n=4, break_row=None):
                     if break_row == (i, j, k):
                         val *= 1.5
                     fh.write(f"{i},{j},{k},{val}\n")
+        for i, j, k, val in extra:
+            fh.write(f"{i},{j},{k},{val}\n")
     with open(d, "w") as fh:
         fh.write("i,d\n")
         for i in range(1, n + 1):
@@ -220,3 +236,68 @@ def test_table_missing_d_row(tmp_path):
         fh.write("i,d\n1,1.0\n3,0.5\n")
     with pytest.raises(DomainError):
         fd.from_tables(a, b, d)
+
+
+def _tables_by_pair(ks):
+    """Per-pair reference loops for ``gain_tensor`` and ``loss_matrix``."""
+    n = ks.n
+    a = ks.a_matrix()
+    B = np.zeros((n, n, n))
+    M = np.zeros((n, n))
+    for p in range(1, n + 1):
+        for q in range(1, n + 1 - p):
+            col = [ks.b(p, q, k) for k in range(1, p + q)]
+            if col == [float(k == p) + float(k == q) for k in range(1, p + q)]:
+                continue  # neutral pair
+            M[p - 1, q - 1] = a[p - 1, q - 1]
+            for k in range(1, p + q):
+                B[k - 1, p - 1, q - 1] = col[k - 1] * a[p - 1, q - 1]
+    return B, M
+
+
+@pytest.mark.parametrize("family", ["uniform", "cheng_redner", "table", "table_neutral",
+                                    "table_beyond_support"])
+def test_tables_match_per_pair_loops(tmp_path, family):
+    if family == "uniform":
+        ks = fd.power_law_uniform(13, 4.0, 0.5)
+    elif family == "cheng_redner":
+        ks = fd.cheng_redner_uniform(13, 4.0, 1.0)
+    else:
+        extra = {
+            "table": [],
+            # later rows override: (1, 3) re-emits {1, 3} and (2, 2) re-emits {2, 2}
+            "table_neutral": [(1, 3, 1, 1.0), (1, 3, 2, 0.0), (1, 3, 3, 1.0),
+                              (3, 1, 1, 1.0), (3, 1, 2, 0.0), (3, 1, 3, 1.0),
+                              (2, 2, 1, 0.0), (2, 2, 2, 2.0), (2, 2, 3, 0.0)],
+            "table_beyond_support": [(2, 3, 5, 0.25), (1, 4, 7, 0.5)],
+        }[family]
+        a, b, d = _write_tables(tmp_path, n=7, extra=extra)
+        ks = fd.from_tables(a, b, d)
+    B, M = _tables_by_pair(ks)
+    if family == "table_neutral":
+        assert M[0, 2] == M[2, 0] == M[1, 1] == 0.0
+    np.testing.assert_array_equal(ks.loss_matrix(), M)
+    np.testing.assert_array_equal(ks.gain_tensor(), B)
+
+
+def test_table_support_violation_names_first_k(tmp_path):
+    extra = [(2, 3, 5, 0.25), (1, 1, 3, 0.5), (1, 1, 4, 0.5)]
+    a, b, d = _write_tables(tmp_path, extra=extra)
+    rep = fd.validate_kernel_set(fd.from_tables(a, b, d))
+    assert not rep.ok
+    assert rep.failures == ["b^3_{1,1} nonzero beyond support",
+                            "b^5_{2,3} nonzero beyond support"]
+    assert rep.pairs_checked == 10
+    assert rep.max_mass_residual == 0.0
+
+
+def test_table_validation_stops_after_20_failures(tmp_path):
+    n = 8
+    extra = [(i, j, i + j, 0.5) for i in range(1, n + 1) for j in range(i, n + 1)]
+    a, b, d = _write_tables(tmp_path, n=n, extra=extra)
+    rep = fd.validate_kernel_set(fd.from_tables(a, b, d))
+    assert not rep.ok
+    assert rep.pairs_checked == 21  # (1,1)..(1,8), (2,2)..(2,8), (3,3)..(3,8)
+    assert len(rep.failures) == 22
+    assert rep.failures[20] == "b^11_{3,8} nonzero beyond support"
+    assert rep.failures[-1] == "... further failures suppressed"

@@ -238,6 +238,13 @@ def test_input_validation():
         q_truncated([1.0, 1.0], ks)
     with pytest.raises(DomainError):
         q_truncated([1.0, np.nan, 0.0, 0.0], ks)
+    with pytest.raises(DomainError):
+        q_field(1.0, ks)
+    for eps in (0.0, 0.1):
+        with pytest.raises(DomainError):
+            regularization_denominator([1.0, np.nan, 0.0, 0.0], ks, eps)
+        with pytest.raises(DomainError):
+            regularization_denominator([1.0, 1.0], ks, eps)
 
 
 def test_dump_q_csv_round_trip(tmp_path):
