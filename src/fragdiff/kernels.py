@@ -194,8 +194,8 @@ class KernelSet:
 
     Instances are built through the factory classmethods and precompute the
     dense tables the reaction evaluators need: the collision matrix, the
-    diffusion vector, the regularization-weight enclosures, and (for
-    non-uniform breakage) the gain tensor.
+    diffusion vector, the regularization-weight enclosures, and for
+    tables the gain tensor.
     """
 
     family: str

@@ -34,6 +34,7 @@ contract is rejected and retried with half the step size.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,7 @@ CLIP_TO_ZERO = "clip_to_zero"
 SCHEMES = ("rk4_explicit", "imex_euler")
 
 _RESIDUAL_TOL = 1e-12
+_MAX_FACTOR_SETS = 8
 
 
 @dataclass
@@ -133,12 +135,15 @@ class DiffusionSolver:
     block-diagonal M-matrix ``I - dt * kron(diag(d per line), L_axis)``,
     factorized once per step size in natural order without pivoting.
     A 2D solve is an x sweep followed by a y sweep (Lie splitting).
+    The factors of the ``_MAX_FACTOR_SETS`` most recently used step sizes
+    are cached; factorization is deterministic, so an evicted step size
+    refactorizes to the same solves.
     """
 
     def __init__(self, grid, ks):
         self.grid = grid
         self.ks = ks
-        self._factors = {}
+        self._factors = OrderedDict()
 
     def _factorize(self, dt):
         factors = []
@@ -163,8 +168,12 @@ class DiffusionSolver:
         Raises :class:`LinearSolveError` when, for some species, the
         residual exceeds ``1e-12 * max(1, max|stage_i|)``.
         """
-        if dt not in self._factors:
+        if dt in self._factors:
+            self._factors.move_to_end(dt)
+        else:
             self._factors[dt] = self._factorize(dt)
+            if len(self._factors) > _MAX_FACTOR_SETS:
+                self._factors.popitem(last=False)
         A, lu = self._factors[dt][axis]
         lines = np.moveaxis(stage, axis + 1, -1)
         b = np.ascontiguousarray(lines, dtype=float).reshape(-1)

@@ -14,6 +14,7 @@ import pytest
 import fragdiff as fd
 from fragdiff.errors import ContractViolationError, DomainError
 from fragdiff.reaction import (
+    _gain_loss,
     check_quasipositivity,
     dump_q_csv,
     q_field,
@@ -203,6 +204,86 @@ def test_field_uniform_loss_has_no_cancellation(n):
         assert rel <= 1e-14, (x, rel)
         null = abs(math.fsum(sizes * QF[:, x]))
         assert null <= 1e-12 * math.fsum(np.abs(sizes * QF[:, x])), x
+
+
+def dense_q_field(F, ks, eps):
+    """Operator from the dense gain tensor and loss matrix, any family."""
+    G = F.reshape(ks.n, -1)
+    gain = 0.5 * np.einsum("ipq,pm,qm->im", ks.gain_tensor(), G, G, optimize=True)
+    loss = G * (ks.loss_matrix() @ G)
+    denom = 1.0 + eps * np.einsum("j,jm,jm->m", ks.c_mid, G, G)
+    return ((gain - loss) / denom).reshape(F.shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 64, 128])
+def test_field_cheng_redner_matches_dense_tensor(n):
+    rng = np.random.default_rng(18 + n)
+    ks = fd.cheng_redner_uniform(n, 4.0, 0.25)
+    for spatial in ((7,), (3, 4)):
+        F = rng.uniform(0.0, 2.0, size=(n,) + spatial)
+        for eps in (0.0, 0.1):
+            got = q_field(F, ks, eps).reshape(n, -1)
+            want = dense_q_field(F, ks, eps).reshape(n, -1)
+            # columns that vanish (every collision neutral) must vanish exactly
+            tol = 1e-14 * np.abs(want).max(axis=0)
+            assert np.all(np.abs(got - want) <= tol), (spatial, eps)
+
+
+def fsum_gain_loss_cheng_redner(f, n, lam):
+    """Cheng-Redner gain and loss from explicit loops, each sum exactly rounded.
+
+    A size-``s`` collider with ``s >= 2`` leaves ``2/(s-1)`` fragments of
+    every size below ``s``; a size-1 collider passes through.  The neutral
+    pair (1,1) is left out of gain and loss alike.
+    """
+    gains = [[] for _ in range(n)]
+    losses = [[] for _ in range(n)]
+    for p in range(1, n + 1):
+        for q in range(1, n + 1 - p):
+            if p == q == 1:
+                continue
+            rate = float(p * q) ** (-lam) * f[p - 1] * f[q - 1]
+            for s in (p, q):
+                if s == 1:
+                    gains[0].append(0.5 * rate)
+                for k in range(1, s):
+                    gains[k - 1].append(rate / (s - 1))
+            losses[p - 1].append(rate)
+    return (np.array([math.fsum(x) for x in gains]),
+            np.array([math.fsum(x) for x in losses]))
+
+
+@pytest.mark.parametrize("n", [8, 17, 32, 64])
+def test_field_cheng_redner_has_no_cancellation(n):
+    # f_1 dominates every partial sum of g = w*f here; a partner sum T_1
+    # formed as a prefix sum minus g_1 loses relative accuracy
+    ks = fd.cheng_redner_uniform(n, 6.0, 0.5)
+    F = np.stack([np.ones(n), np.full(n, 3.0), np.linspace(3.0, 0.1, n)], axis=1)
+    QF = q_field(F, ks)
+    gain, loss = _gain_loss(F, ks)
+    sizes = np.arange(1, n + 1, dtype=float)
+    for x in range(3):
+        want_gain, want_loss = fsum_gain_loss_cheng_redner(F[:, x], n, 6.0)
+        want_q = want_gain - want_loss
+        for got, want in ((gain[:, x], want_gain), (loss[:, x], want_loss),
+                          (QF[:, x], want_q)):
+            rel = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+            assert rel <= 1e-14, (x, rel)
+        null = abs(math.fsum(sizes * QF[:, x]))
+        assert null <= 1e-12 * math.fsum(np.abs(sizes * QF[:, x])), x
+
+
+@pytest.mark.parametrize("n", [3, 16, 64])
+def test_quasipositivity_cheng_redner(n):
+    rng = np.random.default_rng(19 + n)
+    ks = fd.cheng_redner_uniform(n, 4.0, 0.5)
+    for eps in (0.0, 0.1):
+        for i in range(1, n + 1):
+            f = rng.uniform(0.0, 5.0, size=n)
+            f[i - 1] = 0.0
+            q_i, gain_i = check_quasipositivity(f, ks, eps, i)
+            assert q_i >= 0.0
+            assert gain_i >= 0.0
 
 
 def test_field_2d_shape():

@@ -19,6 +19,7 @@ from fragdiff.grid import (
     stencil_eigenvalue,
 )
 from fragdiff.stepper import (
+    _MAX_FACTOR_SETS,
     DiffusionSolver,
     StepperConfig,
     cfl_limit,
@@ -196,6 +197,16 @@ class TestDiffusionSolver:
         assert len(solver._factors) == 1
         solver.solve(np.ones((1, 16)), 2e-3)
         assert len(solver._factors) == 2
+        # least recently used step sizes are evicted; 2e-3 stays in use
+        stage = np.cos(np.pi * g.centers())[None, :] + 2.0
+        first = solver.solve(stage, 1e-3)
+        for k in range(3, 3 * _MAX_FACTOR_SETS):
+            solver.solve(stage, 2e-3)
+            solver.solve(stage, k * 1e-3)
+            assert len(solver._factors) <= _MAX_FACTOR_SETS
+            assert 2e-3 in solver._factors
+        assert 1e-3 not in solver._factors
+        np.testing.assert_array_equal(solver.solve(stage, 1e-3), first)
 
     def test_constant_passthrough(self):
         # row sums of I - dt*d*L are 1, so constants are fixed points
