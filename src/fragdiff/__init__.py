@@ -42,7 +42,6 @@ from .grid import (
     make_grid_1d,
     make_grid_2d,
     read_species_csv,
-    spectral_heat_solve_1d,
     stencil_eigenvalue,
     write_species_csv,
 )

@@ -7,11 +7,7 @@ ghost-cell reflection, which makes every cosine mode
     v_c = cos(k pi (c + 1/2) h / L)
 
 an exact eigenvector with eigenvalue ``-(2/h^2)(1 - cos(k pi h / L))`` and
-gives exact row-sum (mass) conservation.  The same cosine basis backs an
-independent spectral reference solver for the pure heat equation, used to
-cross-check the stencil/stepping path: the DCT-II coefficients of the
-initial data are damped by ``exp(-d (k pi / L)**2 t)`` and transformed
-back.
+gives exact row-sum (mass) conservation.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from dataclasses import dataclass
 from math import fsum
 
 import numpy as np
-import scipy.fft
 
 from .errors import DomainError
 
@@ -178,29 +173,6 @@ def gradient_sq_integral(grid, u, mask=None):
     return fsum(total_terms)
 
 
-def spectral_heat_solve_1d(grid, u0, d, t):
-    """Evolve ``u_t = d u_xx`` with Neumann data via the cosine transform.
-
-    The DCT-II coefficients of ``u0`` are damped by the continuous-operator
-    factors ``exp(-d (k pi / L)**2 t)``; ``t = 0`` returns ``u0`` up to
-    rounding.  This path shares no code with the stencil steppers and is
-    used as an independent oracle.
-    """
-    if grid.dim != 1:
-        raise DomainError("spectral reference solver is 1D only")
-    if t < 0:
-        raise DomainError("t must be >= 0")
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != grid.shape:
-        raise DomainError("values shape does not match grid")
-    L = grid.lengths[0]
-    m = grid.shape[0]
-    coeff = scipy.fft.dct(u0, type=2, norm="ortho")
-    k = np.arange(m)
-    coeff *= np.exp(-d * (k * np.pi / L) ** 2 * t)
-    return scipy.fft.idct(coeff, type=2, norm="ortho")
-
-
 # -- CSV snapshots ---------------------------------------------------------
 
 
@@ -220,13 +192,9 @@ def write_species_csv(path, grid, values, metadata=None):
             fh.write(f"# {key}={val}\n")
         coords = ["x", "y"][: grid.dim]
         fh.write(",".join(coords + [f"f_{i}" for i in range(1, n + 1)]) + "\n")
-        mesh = grid.meshgrid()
-        flat_coords = [ax.ravel() for ax in (mesh if grid.dim > 1 else mesh)]
-        flat_vals = values.reshape(n, -1)
-        for c in range(grid.ncells):
-            row = [repr(float(fc[c])) for fc in flat_coords]
-            row += [repr(float(flat_vals[i, c])) for i in range(n)]
-            fh.write(",".join(row) + "\n")
+        columns = [ax.ravel() for ax in grid.meshgrid()] + list(values.reshape(n, -1))
+        for row in np.stack(columns, axis=1).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_species_csv(path):

@@ -15,7 +15,8 @@ The built-in power-law family is
 
 for which the regularization weights ``c_j = sum_i a_ij = j**-lam * Z(lam)``
 (with ``Z`` the power series ``sum i**-lam``) admit certified interval
-enclosures via monotone integral tail bounds.  A uniform Cheng-Redner
+enclosures: a short partial sum plus an Euler-Maclaurin tail whose remainder
+is bracketed by its first omitted term.  A uniform Cheng-Redner
 variant redistributes each collider's own mass over sizes strictly below
 it; its size-1 collider case is handled by a pass-through convention (see
 ``cheng_redner_count``).  Arbitrary tabulated kernels can be loaded from
@@ -58,7 +59,6 @@ class Enclosure:
 
     lo: float
     hi: float
-    truncation: int
 
     @property
     def mid(self) -> float:
@@ -70,6 +70,15 @@ class Enclosure:
 
     def __contains__(self, x: float) -> bool:
         return self.lo <= x <= self.hi
+
+    def __mul__(self, other):
+        """Product of two nonnegative enclosures, rounded outward.
+
+        Each end is one correctly rounded product, within half a float of
+        the exact one, so one ``nextafter`` step makes it a directed bound.
+        """
+        return Enclosure(math.nextafter(self.lo * other.lo, -math.inf),
+                         math.nextafter(self.hi * other.hi, math.inf))
 
 
 def _check_index(name, value):
@@ -140,35 +149,99 @@ def diffusion_coeff(i, alpha):
     return float(i) ** (-alpha)
 
 
-def power_series_enclosure(s, tol=1e-10, max_terms=1 << 26):
-    """Certified enclosure of ``sum_{i>=1} i**-s``.
+_EM_N = 32
+"""Partial-sum length of :func:`power_series_enclosure`, a power of two so
+that ``N**(-s-m) = N**-s * 2**(-5m)`` is exact."""
+_EM_COEFFS = tuple(
+    float(Fraction(*b) / math.factorial(2 * k))
+    for k, b in enumerate(((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
+                           (-691, 2730), (7, 6)), start=1)
+)
+"""``B_2k / (2k)!`` for ``k = 1..7``, each correctly rounded; the last one
+bounds the remainder."""
 
-    The tail beyond the partial sum is bracketed with monotone/convex
-    integral bounds: for the decreasing convex integrand,
 
-        int_{N+1}^inf x**-s dx  <=  sum_{i>N} i**-s  <=  int_{N+1/2}^inf x**-s dx.
+def power_series_enclosure(s, tol=1e-10):
+    """Certified enclosure of ``sum_{i>=1} i**-s`` (the zeta function at ``s > 1``).
 
-    ``N`` is doubled until the bracket width drops below ``tol``.  Raises
-    :class:`DivergentSeriesError` for ``s <= 1``.
+    Euler-Maclaurin summation with ``N = 32`` and ``K = 6`` gives
+
+        Z(s) = sum_{i<N} i**-s + N**(1-s)/(s-1) + N**-s/2
+               + sum_{k=1}^{K} T_k + R_K,
+        T_k = B_2k/(2k)! * s(s+1)...(s+2k-2) * N**(-s-2k+1).
+
+    ``x**-s`` is completely monotone (every even derivative is positive),
+    so the remainder has the sign of the first omitted term and is bounded
+    by it: ``R_K`` lies between 0 and ``T_{K+1}`` (Olver, *Asymptotics and
+    Special Functions*, ch. 8; Johansson 2015, Numer. Algorithms 69, treats
+    the Hurwitz zeta function the same way).  ``T_7`` is below 1e-22 for
+    every ``s > 1``, so the width is set by rounding alone.
+
+    Rounding pad, with ``u = eps/2`` the unit roundoff, correctly rounded
+    ``+ - * /`` and a faithful ``pow`` (error below one ulp, at most
+    ``2u`` relative; glibc's is within 0.52 ulp):
+
+    * the partial sum: ``N-1`` powers (``2u`` each) and one correctly
+      rounded ``fsum`` (``u``): ``3u`` of its value;
+    * ``p = N**-s``: one ``pow``, ``2u``; ``N*p`` and ``p/2`` are exact;
+      the integral term adds ``s-1`` and one division: ``4u``;
+    * ``T_k``: ``p``, one product for ``T_1``'s ``s*p``, four roundings
+      per further rising-factorial step (two sums, two products; the
+      divisions by ``N`` are exact), the rounded coefficient and the last
+      product: ``(4k+1)u``, at most ``29u`` for ``k <= 7``.
+
+    The pad ``eps*(2*partial + 3*(integral + N**-s/2) + 16*sum|T_k|)``
+    covers these first-order bounds with room for the second-order terms
+    and for the rounding of the pad itself.  Underflow (``s`` above about
+    200) adds absolute errors near ``2**-1074``, far below the pad, which is
+    at least ``2 eps`` since the partial sum is at least 1.  The bracket's
+    ends are then summed exactly by ``fsum`` and moved one float outward,
+    which makes the final rounding directed.
+
+    ``tol`` is a postcondition on the width, checked once: a width above it
+    raises :class:`FragdiffError` (for the default 1e-10 that happens only
+    for ``s - 1`` below about 1.6e-5, where the value exceeds 6e4 and the
+    pad alone is wider).  Raises :class:`DivergentSeriesError` for
+    ``s <= 1`` and :class:`DomainError` for a non-finite ``s``.
     """
+    s = float(s)
+    if not math.isfinite(s):
+        raise DomainError(f"series exponent must be finite, got {s}")
     if s <= 1.0:
         raise DivergentSeriesError(f"sum i**-s diverges for s={s} <= 1")
-    n = 64
-    partial = fsum(np.arange(1, n + 1, dtype=float) ** (-s))
-    while True:
-        tail_lo = (n + 1.0) ** (1.0 - s) / (s - 1.0)
-        tail_hi = (n + 0.5) ** (1.0 - s) / (s - 1.0)
-        pad = 4.0 * _EPS * partial
-        lo, hi = partial + tail_lo - pad, partial + tail_hi + pad
-        if hi - lo <= tol:
-            return Enclosure(lo, hi, n)
-        if n >= max_terms:
-            raise FragdiffError(
-                f"enclosure of sum i**-{s} did not reach width {tol:g} "
-                f"within {max_terms} terms (width {hi - lo:g})"
-            )
-        partial += fsum(np.arange(n + 1, 2 * n + 1, dtype=float) ** (-s))
-        n *= 2
+    N = _EM_N
+    partial = fsum(float(i) ** -s for i in range(1, N))
+    p = float(N) ** -s
+    integral = N * p / (s - 1.0)
+    r = s * p / N  # s(s+1)...(s+2k-2) * N**(-s-2k+1), for k = 1
+    terms = []
+    for k, coeff in enumerate(_EM_COEFFS, start=1):
+        if k > 1:
+            r = r * (s + (2 * k - 3)) / N * (s + (2 * k - 2)) / N
+        terms.append(coeff * r)
+    *body, omitted = terms
+    half = 0.5 * p
+    pad = _EPS * (2.0 * partial + 3.0 * (integral + half) + 16.0 * fsum(map(abs, terms)))
+    value = [partial, integral, half, *body]
+    lo = math.nextafter(fsum(value + [min(omitted, 0.0), -pad]), -math.inf)
+    hi = math.nextafter(fsum(value + [max(omitted, 0.0), pad]), math.inf)
+    if hi - lo > tol:
+        raise FragdiffError(
+            f"enclosure of sum i**-{s} has width {hi - lo:g} above tol {tol:g}"
+        )
+    return Enclosure(lo, hi)
+
+
+def _scaled(w, z):
+    """Outward-rounded ``[lo, hi]`` of ``W * z`` for a weight ``w = pow(...)``.
+
+    A faithful ``pow`` leaves the exact weight ``W`` within one float of
+    ``w``; each product is one more correct rounding.  One ``nextafter``
+    for each keeps both ends directed.  Broadcasts over arrays ``w >= 0``.
+    """
+    lo = np.nextafter(np.nextafter(w, -np.inf) * z.lo, -np.inf)
+    hi = np.nextafter(np.nextafter(w, np.inf) * z.hi, np.inf)
+    return lo, hi
 
 
 def reg_weight(j, lam, tol=1e-10):
@@ -176,16 +249,15 @@ def reg_weight(j, lam, tol=1e-10):
 
     For the power-law family the column sum factorizes,
     ``c_j = j**-lam * sum_i i**-lam``, so a single series enclosure serves
-    every ``j`` (scaling by ``j**-lam <= 1`` cannot widen it).
+    every ``j``.
     """
     j = _check_index("j", j)
     if lam <= 1.0:
         raise DivergentSeriesError(
             f"regularization weight c_{j} diverges for lam={lam} <= 1"
         )
-    z = power_series_enclosure(lam, tol)
-    w = float(j) ** (-lam)
-    return Enclosure(w * z.lo, w * z.hi, z.truncation)
+    lo, hi = _scaled(float(j) ** (-lam), power_series_enclosure(lam, tol))
+    return Enclosure(float(lo), float(hi))
 
 
 @dataclass
@@ -232,16 +304,16 @@ class KernelSet:
                 warnings.warn(msg, stacklevel=2)
                 notes.append(msg)
         i1 = np.arange(1, n + 1, dtype=float)
-        z = power_series_enclosure(lam, reg_tol)
         w = i1 ** (-lam)
+        c_lo, c_hi = _scaled(w, power_series_enclosure(lam, reg_tol))
         return cls(
             family="power_law_uniform",
             n=n,
             lam=float(lam),
             alpha=float(alpha),
             d=i1 ** (-alpha),
-            c_lo=w * z.lo,
-            c_hi=w * z.hi,
+            c_lo=c_lo,
+            c_hi=c_hi,
             _a_fn=lambda i, j: collision_rate(i, j, lam),
             _b_fn=_uniform_counts,
             sep_weights=w,

@@ -8,12 +8,20 @@ the kernel triple ``(a, b, d)``:
 * ``A4_term2``: sum_{i,j} sqrt(a_{ij}) / sqrt(i j d_i d_j)
 
 The auditor reports three-valued verdicts with explicit bounds instead of
-booleans: ``CONVERGES`` comes with a certified enclosure (exact partial
-sum plus a majorized tail), ``DIVERGES`` with a proven minorant, and
-everything else is ``INCONCLUSIVE`` together with the partial-sum growth
-trend.  Borderline parameter pairs are genuinely delicate — for the
-power-law family with ``lam = 2*alpha + 2`` the first A4 sum trends
-logarithmically and no verdict is claimed either way.
+booleans: ``CONVERGES`` comes with a certified enclosure, ``DIVERGES``
+with a proven minorant, and everything else is ``INCONCLUSIVE`` together
+with the partial-sum growth trend.  Borderline parameter pairs are
+genuinely delicate — for the power-law family with ``lam = 2*alpha + 2``
+the first A4 sum trends logarithmically and no verdict is claimed either
+way.
+
+For the power-law families, A1 and ``A4_term2`` factorize into power
+series ``Z(s) = sum i**-s``.  Each is enclosed by a partial sum plus an
+Euler-Maclaurin remainder bracket (see
+:func:`fragdiff.kernels.power_series_enclosure`), and their products are
+rounded outward.  ``A4_term1``'s upper bound is its partial sum plus a
+majorant tail over ``max(j, k) > N``: integral tail bounds times such
+enclosures.
 """
 
 from __future__ import annotations
@@ -115,13 +123,11 @@ def _audit_a1_power(lam, levels):
             % (1.0 - lam)
         )
         return ConditionReport("A1", DIVERGES, partials[-1], None, trunc, note)
-    z1 = power_series_enclosure(lam - 1.0)
-    z2 = power_series_enclosure(lam)
-    lo = 2.0 * z1.lo * z2.lo
-    hi = 2.0 * z1.hi * z2.hi
+    z = power_series_enclosure(lam - 1.0) * power_series_enclosure(lam)
     return ConditionReport(
-        "A1", CONVERGES, lo, hi, trunc,
-        "factorizes into two power series; tails enclosed by integral brackets",
+        "A1", CONVERGES, 2.0 * z.lo, 2.0 * z.hi, trunc,
+        "factorizes into two power series; each enclosed by a partial sum "
+        "plus an Euler-Maclaurin remainder bracket",
     )
 
 
@@ -150,8 +156,9 @@ def _audit_term2_power(lam, alpha, levels):
         note = "factor exponent -(lam+1-alpha)/2 = %.4g >= -1: diverges" % (-s)
         return ConditionReport("A4_term2", DIVERGES, partials[-1], None, trunc, note)
     z = power_series_enclosure(s)
+    z2 = z * z
     return ConditionReport(
-        "A4_term2", CONVERGES, z.lo * z.lo, z.hi * z.hi, trunc,
+        "A4_term2", CONVERGES, z2.lo, z2.hi, trunc,
         "equals (sum i**(-(lam+1-alpha)/2))**2",
     )
 

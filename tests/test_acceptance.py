@@ -25,6 +25,7 @@ from fragdiff.config import (
     make_kernel_set,
     reference_scenario_dict,
 )
+from oracles import spectral_heat_solve_1d
 
 
 def _certify(num, ok, detail):
@@ -260,7 +261,7 @@ def _pure_diffusion_error(m):
     F0 = (1.0 + 0.5 * np.cos(np.pi * x))[None, :]
     cfg = fd.StepperConfig(scheme="imex_euler", dt=1e-5, t_end=0.1)
     traj = fd.run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10_000)
-    exact = fd.spectral_heat_solve_1d(grid, F0[0], 1.0, 0.1)
+    exact = spectral_heat_solve_1d(grid, F0[0], 1.0, 0.1)
     return float(np.max(np.abs(traj.terminal[0] - exact)))
 
 

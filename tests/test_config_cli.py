@@ -347,6 +347,26 @@ class TestAuditCommand:
         assert verdicts["A4_term1"] == "INCONCLUSIVE"
         assert verdicts["A1"] == "CONVERGES"
 
+    def test_weaker_profile_near_one_exponent_certifies(self, tmp_path):
+        # lam=4, alpha=0.95 lies in the weaker profile; A4 term 1's majorant
+        # exponents are u = 1.05 and v = 1.525, so it converges
+        doc = small_doc(kernel={"n": 32, "lam": 4.0, "alpha": 0.95, "profile": "weaker"})
+        out = tmp_path / "audit095"
+        rc = cli.main(["audit", "--config", write_cfg(tmp_path, doc), "--out", str(out),
+                       "--quiet"])
+        assert rc == 0
+        doc = json.loads((out / "audit.json").read_text())
+        term1 = next(c for c in doc["summability"]["conditions"]
+                     if c["condition"] == "A4_term1")
+        assert term1["verdict"] == "CONVERGES"
+        assert math.isfinite(term1["upper"]) and term1["upper"] >= term1["lower"]
+
+    def test_unreachable_reg_tol_fails_at_once(self, tmp_path, capsys):
+        doc = small_doc(kernel={"reg_tol": 1e-20})
+        rc = cli.main(["audit", "--config", write_cfg(tmp_path, doc), "--quiet"])
+        assert rc == 2
+        assert "above tol 1e-20" in capsys.readouterr().err
+
     def test_stdout_json(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, self._doc(4.0, 0.0))
         rc = cli.main(["audit", "--config", cfg_path])

@@ -14,10 +14,10 @@ from fragdiff.grid import (
     make_grid_1d,
     make_grid_2d,
     read_species_csv,
-    spectral_heat_solve_1d,
     stencil_eigenvalue,
     write_species_csv,
 )
+from oracles import spectral_heat_solve_1d
 
 
 class TestGridSpec:
@@ -187,6 +187,30 @@ def test_species_csv_round_trip_2d(tmp_path):
     assert g2 == g
     assert np.array_equal(vals, vals2)
     assert meta == {"species": "2"}
+
+
+def _per_cell_csv(grid, values):
+    """Reference writer: one ``repr`` per cell, cells in row-major order."""
+    n = values.shape[0]
+    lines = [f"# grid_shape={','.join(str(m) for m in grid.shape)}",
+             f"# grid_lengths={','.join(repr(L) for L in grid.lengths)}",
+             f"# species={n}",
+             ",".join(["x", "y"][: grid.dim] + [f"f_{i}" for i in range(1, n + 1)])]
+    for cell in np.ndindex(*grid.shape):
+        row = [repr(float(grid.centers(a)[c])) for a, c in enumerate(cell)]
+        row += [repr(float(values[(i,) + cell])) for i in range(n)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid", [make_grid_1d(7, 0.3), make_grid_2d(4, 5, 1.0, 0.7)])
+def test_species_csv_matches_per_cell_writer(tmp_path, grid):
+    awkward = [5e-324, 0.1, 1e300, 0.0, 1.0 / 3.0, -0.0, 2.5e-310, 123456789.125]
+    n = 3
+    vals = np.resize(np.array(awkward), n * grid.ncells).reshape((n,) + grid.shape)
+    p = tmp_path / "fields.csv"
+    write_species_csv(p, grid, vals)
+    assert p.read_bytes() == _per_cell_csv(grid, vals).encode()
 
 
 def test_species_csv_missing_metadata(tmp_path):

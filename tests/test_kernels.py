@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta
 
 import fragdiff as fd
-from fragdiff.errors import DomainError, DivergentSeriesError
+from fragdiff.errors import DomainError, DivergentSeriesError, FragdiffError
 
 
 def test_collision_rate_values():
@@ -99,6 +100,52 @@ def test_power_series_enclosure_divergence():
         fd.power_series_enclosure(0.5)
 
 
+ZETA_GRID = (1.001, 1.01, 1.05, 1.1, 1.25, 1.5, 1.75, 2.0, 2.5, 2.75, 3.3, 4.0,
+             5.0, 6.5, 8.0)
+
+
+def _zeta40(s):
+    """mpmath's zeta at the exact double ``s``, to 40 digits (test-only oracle)."""
+    with mpmath.workdps(40):
+        return mpmath.zeta(mpmath.mpf(s))
+
+
+@pytest.mark.parametrize("s", ZETA_GRID)
+def test_power_series_enclosure_contains_mpmath_zeta(s):
+    e = fd.power_series_enclosure(s)
+    z = _zeta40(s)
+    assert mpmath.mpf(e.lo) <= z <= mpmath.mpf(e.hi), (s, e, z)
+    assert e.width <= 1e-12 * float(z)
+
+
+@pytest.mark.parametrize("s", (1.001, 1.5, 2.75, 8.0, 20.0))
+def test_euler_maclaurin_remainder_is_bracketed_by_next_term(s):
+    # the fact the enclosure rests on, in exact arithmetic: after K Bernoulli
+    # terms the remainder lies between 0 and the (K+1)-th term, for every K
+    with mpmath.workdps(120):
+        bern = [mpmath.bernoulli(2 * k) for k in range(1, 8)]
+        s_, N = mpmath.mpf(s), mpmath.mpf(32)
+        approx = (mpmath.fsum(mpmath.mpf(i) ** -s_ for i in range(1, 32))
+                  + N ** (1 - s_) / (s_ - 1) + N ** -s_ / 2)
+        z = mpmath.zeta(s_)
+        for k, b in enumerate(bern, start=1):
+            term = b / mpmath.factorial(2 * k) * mpmath.rf(s_, 2 * k - 1) * N ** (-s_ - 2 * k + 1)
+            assert 0 <= (z - approx) / term <= 1, (s, k)
+            approx += term
+
+
+def test_power_series_enclosure_tol_is_a_postcondition():
+    # the width is fixed by N and K; a tolerance below it fails at once
+    with pytest.raises(FragdiffError, match="above tol"):
+        fd.power_series_enclosure(4.0, tol=1e-20)
+    with pytest.raises(FragdiffError, match="above tol"):
+        fd.power_law_uniform(8, 4.0, 0.5, reg_tol=1e-20)
+    with pytest.raises(DomainError):
+        fd.power_series_enclosure(float("nan"))
+    with pytest.raises(DomainError):
+        fd.power_series_enclosure(float("inf"))
+
+
 def test_enclosure_helpers():
     e = fd.power_series_enclosure(4.0)
     assert e.lo < e.mid < e.hi
@@ -112,6 +159,19 @@ def test_reg_weight_scaling():
     e2 = fd.reg_weight(2, 4.0)
     assert math.pi ** 4 / 90.0 in e1
     assert e2.lo == pytest.approx(e1.lo / 16.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("lam", (1.05, 1.5, 2.0, 3.7, 4.0, 5.0, 7.5))
+def test_reg_weights_contain_mpmath_values(lam):
+    ks = fd.power_law_uniform(64, lam, 0.5, profile="stronger")
+    z = _zeta40(lam)
+    with mpmath.workdps(40):
+        for j in (1, 2, 3, 7, 64, 1000):
+            exact = mpmath.mpf(j) ** -mpmath.mpf(lam) * z
+            e = fd.reg_weight(j, lam)
+            assert mpmath.mpf(e.lo) <= exact <= mpmath.mpf(e.hi), (lam, j, e)
+            if j <= ks.n:
+                assert mpmath.mpf(ks.c_lo[j - 1]) <= exact <= mpmath.mpf(ks.c_hi[j - 1])
 
 
 def test_power_law_factory_fields():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -38,6 +39,22 @@ class TestSeriesVerdicts:
         assert c.verdict == CONVERGES
         ref = float(zeta(2.5)) ** 2
         assert c.lower <= ref <= c.upper
+
+    @pytest.mark.parametrize("lam", (2.05, 2.5, 3.0, 4.0, 5.0, 7.0))
+    def test_power_enclosures_contain_mpmath_values(self, lam):
+        # A1 = 2 zeta(lam-1) zeta(lam); A4 term 2 = zeta(s)^2, s = (lam+1-alpha)/2
+        alpha = 0.5
+        rep = audit_summability(fd.power_law_uniform(4, lam, alpha, profile="stronger"),
+                                truncation_levels=(10, 20))
+        a1, t2 = _by_name(rep, "A1"), _by_name(rep, "A4_term2")
+        assert a1.verdict == t2.verdict == CONVERGES
+        with mpmath.workdps(40):
+            s = (mpmath.mpf(lam) + 1 - mpmath.mpf(alpha)) / 2
+            exact_a1 = 2 * mpmath.zeta(mpmath.mpf(lam) - 1) * mpmath.zeta(mpmath.mpf(lam))
+            exact_t2 = mpmath.zeta(s) ** 2
+            assert mpmath.mpf(a1.lower) <= exact_a1 <= mpmath.mpf(a1.upper)
+            assert mpmath.mpf(t2.lower) <= exact_t2 <= mpmath.mpf(t2.upper)
+        assert a1.upper - a1.lower <= 1e-12 * a1.upper
 
     def test_diverges_for_slow_decay(self):
         rep = audit_summability(
