@@ -113,13 +113,18 @@ def _reflect_second_diff(u, axis):
 
 
 def laplacian_neumann(grid, u):
-    """Apply the reflected-ghost Laplacian stencil to cell values ``u``."""
+    """Apply the reflected-ghost Laplacian stencil to cell values ``u``.
+
+    ``u`` is one field of shape ``grid.shape`` or a species stack of shape
+    ``(n, *grid.shape)``; the stencil acts on the trailing grid axes.
+    """
     u = np.asarray(u, dtype=float)
-    if u.shape != grid.shape:
+    lead = u.ndim - grid.dim
+    if lead not in (0, 1) or u.shape[lead:] != grid.shape:
         raise DomainError(f"values shape {u.shape} does not match grid {grid.shape}")
     out = np.zeros_like(u)
     for axis, hh in enumerate(grid.h):
-        out += _reflect_second_diff(u, axis) / (hh * hh)
+        out += _reflect_second_diff(u, lead + axis) / (hh * hh)
     return out
 
 

@@ -25,7 +25,10 @@ TAIL_ENVELOPE_FACTOR = 2.0
 
 
 def _species_integrals(grid, F):
-    return np.array([gridmod.integrate(grid, F[i]) for i in range(F.shape[0])])
+    """Per-species :func:`fragdiff.grid.integrate`, summing Python floats."""
+    F = np.asarray(F, dtype=float)
+    vol = grid.cell_volume
+    return np.array([vol * math.fsum(row) for row in F.reshape(F.shape[0], -1).tolist()])
 
 
 def _mass_above(ints, M):

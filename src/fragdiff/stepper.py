@@ -15,12 +15,16 @@ so the 2D step carries an extra local error of order ``dt**2`` and stays
 first order in ``dt`` overall, like IMEX Euler itself.  In 1D there is
 one sweep and no splitting.
 
-Every sweep solves all lines of all species at once: one block-diagonal
-M-matrix per axis, factorized once per step size with a no-pivot sparse
-LU in natural ordering.  The triangular substitutions then involve only
-nonnegative updates, so each sweep maps nonnegative stages to
-nonnegative states exactly, also in floating point, and conserves mass
-because every column of its matrix sums to one.  The residual of every sweep is verified per
+Every sweep solves all lines of all species at once.  Per axis there is
+one block-diagonal M-matrix with one ``m x m`` block per species (``m``
+cells along the axis), factorized once per step size with a no-pivot
+sparse LU in natural ordering.  Every grid line of a species shares that
+species' block, so the lines are the columns of one multi-right-hand-side
+solve and the factor storage is ``O(n * m)``, independent of the number
+of lines.  The triangular substitutions involve only nonnegative
+updates, so each sweep maps nonnegative stages to nonnegative states
+exactly, also in floating point, and conserves mass because every column
+of its matrix sums to one.  The residual of every sweep is verified per
 species against a 1e-12 contract; there is no iterative refinement,
 whose correction could carry either sign.
 
@@ -131,13 +135,16 @@ def _neumann_stencil(m, h):
 class DiffusionSolver:
     """Batched no-pivot line solver for ``I - dt * d_i * Lap_h``.
 
-    Per axis, every grid line of every species is one block of a single
-    block-diagonal M-matrix ``I - dt * kron(diag(d per line), L_axis)``,
-    factorized once per step size in natural order without pivoting.
-    A 2D solve is an x sweep followed by a y sweep (Lie splitting).
-    The factors of the ``_MAX_FACTOR_SETS`` most recently used step sizes
-    are cached; factorization is deterministic, so an evicted step size
-    refactorizes to the same solves.
+    Per axis, one block-diagonal M-matrix ``I - dt * kron(diag(d), L_axis)``
+    holds one block per species and is factorized once per step size in
+    natural order without pivoting.  A sweep solves every grid line of a
+    species as one column of a multi-right-hand-side solve.  The stage is
+    laid out as ``(n * m, lines per species)``: a reshape without copy for
+    the first axis (in 1D there is one line per species), one transposing
+    copy for the second.  A 2D solve is an x sweep followed by a y sweep
+    (Lie splitting).  The factors of the ``_MAX_FACTOR_SETS`` most
+    recently used step sizes are cached; factorization is deterministic,
+    so an evicted step size refactorizes to the same solves.
     """
 
     def __init__(self, grid, ks):
@@ -148,11 +155,10 @@ class DiffusionSolver:
     def _factorize(self, dt):
         factors = []
         for axis, m in enumerate(self.grid.shape):
-            lines = np.repeat(self.ks.d, self.grid.ncells // m)
             A = (
-                scipy.sparse.identity(lines.size * m, format="csc")
+                scipy.sparse.identity(self.ks.n * m, format="csc")
                 - scipy.sparse.kron(
-                    scipy.sparse.diags(dt * lines),
+                    scipy.sparse.diags(dt * self.ks.d),
                     _neumann_stencil(m, self.grid.h[axis]),
                 )
             ).tocsc()
@@ -165,8 +171,9 @@ class DiffusionSolver:
     def sweep(self, stage, dt, axis):
         """Solve ``(I - dt * d_i * L_axis) x_i = stage_i`` along every line of ``axis``.
 
-        Raises :class:`LinearSolveError` when, for some species, the
-        residual exceeds ``1e-12 * max(1, max|stage_i|)``.
+        Returns a C-contiguous ``(n, *shape)`` stack.  Raises
+        :class:`LinearSolveError` when, for some species, the residual
+        exceeds ``1e-12 * max(1, max|stage_i|)``.
         """
         if dt in self._factors:
             self._factors.move_to_end(dt)
@@ -175,10 +182,10 @@ class DiffusionSolver:
             if len(self._factors) > _MAX_FACTOR_SETS:
                 self._factors.popitem(last=False)
         A, lu = self._factors[dt][axis]
-        lines = np.moveaxis(stage, axis + 1, -1)
-        b = np.ascontiguousarray(lines, dtype=float).reshape(-1)
-        x = lu.solve(b)
         n = stage.shape[0]
+        lines = np.moveaxis(stage, axis + 1, 1)
+        b = lines.reshape(n * lines.shape[1], -1)
+        x = lu.solve(b)
         resid = np.max(np.abs(A @ x - b).reshape(n, -1), axis=1)
         bound = _RESIDUAL_TOL * np.maximum(1.0, np.max(np.abs(b).reshape(n, -1), axis=1))
         if np.any(resid > bound):
@@ -187,7 +194,7 @@ class DiffusionSolver:
                 f"implicit solve residual {resid[worst]:g} above contract "
                 f"{bound[worst]:g} (species {worst + 1}, axis {axis}, dt={dt:g})"
             )
-        return np.moveaxis(x.reshape(lines.shape), -1, axis + 1)
+        return np.ascontiguousarray(np.moveaxis(x.reshape(lines.shape), 1, axis + 1))
 
     def solve(self, stage, dt):
         """Apply every axis sweep in turn; each one verifies its residual."""
@@ -231,8 +238,7 @@ def step_rk4(grid, ks, F, dt, eps, policy, state=None):
                 state.clip_events += 1
                 state.clipped_mass += clipped
             Y = np.maximum(Y, 0.0)
-        lap = np.stack([gridmod.laplacian_neumann(grid, Y[i]) for i in range(ks.n)])
-        return d_col * lap + reaction.q_field(Y, ks, eps)
+        return d_col * gridmod.laplacian_neumann(grid, Y) + reaction.q_field(Y, ks, eps)
 
     k1 = rhs(F)
     k2 = rhs(F + 0.5 * dt * k1)

@@ -204,48 +204,54 @@ def _term1_partial_uniform(lam, alpha, N):
     return math.fsum(M.ravel())
 
 
-def _term1_partial_cr(lam, alpha, N):
-    """Exact partial sum for the shatter-both-colliders breakage family.
+def _term1_partials_cr(lam, alpha, levels):
+    """Exact partial sums at each square truncation level, for the
+    shatter-both-colliders breakage family.
 
     b^i_{jk} is piecewise constant in i (two plateaus plus the monomer
     pass-through spike), so the inner sum reduces to at most three
-    cumulative-power segment differences per pair.
+    cumulative-power segment differences per pair.  Each row ``j`` of
+    terms is built once, at the largest level; a term does not depend on
+    the level (``np.cumsum`` is sequential), so level ``N`` sums the
+    first ``N`` terms of each of the first ``N`` rows, then the row
+    totals.
     """
+    N = max(levels)
     P = _cum_power(alpha, 2 * N - 1)
-    total = []
+    totals = [[] for _ in levels]
     kv = np.arange(1, N + 1)
     kf = kv.astype(float)
     base = kf ** (-0.5 * (lam + 1.0))
+    c = np.where(kv > 1, 2.0 / np.maximum(kf - 1.0, 1.0), 0.0)  # plateau 2/(k-1)
+    # a monomer collider: one plateau, plus the pass-through monomer at i = 1
+    edge = np.sqrt(c + 1.0) + np.sqrt(c) * (P[kv - 1] - P[1])
     for j in range(1, N + 1):
         jf = float(j)
         jcol = jf ** (-0.5 * lam) * jf ** (0.5 * (alpha - 1.0))
         if j == 1:
-            inner = np.empty(N)
-            for idx, k in enumerate(kv):
-                if k == 1:
-                    inner[idx] = math.sqrt(2.0)  # both monomers re-emitted
-                else:
-                    ck = 2.0 / (k - 1.0)
-                    # i = 1 carries the pass-through monomer on top of ck
-                    inner[idx] = math.sqrt(ck + 1.0) + math.sqrt(ck) * (P[k - 1] - P[1])
+            inner = edge.copy()
+            inner[0] = math.sqrt(2.0)  # both monomers re-emitted
         else:
-            cj = 2.0 / (j - 1.0)
-            ck = np.where(kv > 1, 2.0 / np.maximum(kf - 1.0, 1.0), 0.0)
+            cj = c[j - 1]
             m1 = np.minimum(j, kv)
             m2 = np.maximum(j, kv)
-            chigh = np.where(kv > j, ck, cj)
-            inner = np.sqrt(cj + ck) * P[m1 - 1] + np.sqrt(chigh) * (P[m2 - 1] - P[m1 - 1])
-            # k = 1: only the j-side plateau, plus the monomer spike at i = 1
-            inner[0] = math.sqrt(cj + 1.0) + math.sqrt(cj) * (P[j - 1] - P[1])
-        total.append(math.fsum(jcol * base * inner))
-    return math.fsum(total)
+            chigh = np.where(kv > j, c, cj)
+            inner = np.sqrt(cj + c) * P[m1 - 1] + np.sqrt(chigh) * (P[m2 - 1] - P[m1 - 1])
+            inner[0] = edge[j - 1]
+        row = (jcol * base * inner).tolist()
+        for total, level in zip(totals, levels):
+            if j <= level:
+                total.append(math.fsum(row[:level]))
+    return [math.fsum(total) for total in totals]
 
 
 def _audit_term1_power(ks, levels):
     lam, alpha = ks.lam, ks.alpha
     uniform = ks.uniform_breakage
-    partial_fn = _term1_partial_uniform if uniform else _term1_partial_cr
-    partials = [partial_fn(lam, alpha, N) for N in levels]
+    if uniform:
+        partials = [_term1_partial_uniform(lam, alpha, N) for N in levels]
+    else:
+        partials = _term1_partials_cr(lam, alpha, levels)
     trunc = {"levels": list(levels), "partials": partials}
     Nmax = max(levels)
 

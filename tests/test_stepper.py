@@ -55,6 +55,36 @@ def test_rk4_refuses_unstable_step():
         step_rk4(g, ks, F, dt_bad, 0.0, "clip_to_zero")
 
 
+def _rk4_per_species(grid, ks, F, dt, eps):
+    """Reference RK4 step on nonnegative data: the Laplacian is applied
+    species by species."""
+    d_col = ks.d.reshape((ks.n,) + (1,) * grid.dim)
+
+    def rhs(Y):
+        lap = np.stack([laplacian_neumann(grid, Y[i]) for i in range(ks.n)])
+        return d_col * lap + fd.q_field(Y, ks, eps)
+
+    k1 = rhs(F)
+    k2 = rhs(F + 0.5 * dt * k1)
+    k3 = rhs(F + 0.5 * dt * k2)
+    k4 = rhs(F + dt * k3)
+    return F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize(
+    "grid", [make_grid_1d(24, 1.5), make_grid_2d(9, 14, 1.0, 1.5)], ids=["1D", "2D"],
+)
+def test_rk4_step_matches_per_species_laplacian(grid):
+    rng = np.random.default_rng(28)
+    ks = fd.power_law_uniform(5, 4.0, 0.5)
+    F = rng.uniform(0.5, 1.5, size=(5,) + grid.shape)
+    dt = 0.5 * cfl_limit(grid, ks)
+    np.testing.assert_array_equal(
+        step_rk4(grid, ks, F, dt, 0.01, "reject_and_halve"),
+        _rk4_per_species(grid, ks, F, dt, 0.01),
+    )
+
+
 def test_stepper_config_validation():
     with pytest.raises(DomainError):
         StepperConfig(scheme="leapfrog")
@@ -114,6 +144,26 @@ def _per_species_splu(grid, ks, stage, dt):
     return out
 
 
+def _per_line_splu(grid, ks, stage, dt):
+    """Reference split solve: an x sweep, then a y sweep, in which every
+    grid line of every species gets its own natural-order, no-pivot
+    ``splu`` of ``I - dt * d_i * L_axis`` and a single right-hand side."""
+    out = np.array(stage, dtype=float)
+    for axis, (m, h) in enumerate(zip(grid.shape, grid.h)):
+        main = np.full(m, -2.0)
+        main[0] = main[-1] = -1.0
+        off = np.ones(m - 1)
+        lap = (scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)).tocsc()
+        eye = scipy.sparse.identity(m, format="csc")
+        for i, d in enumerate(ks.d):
+            lines = np.moveaxis(out[i], axis, -1)  # a view: writes land in out
+            for idx in np.ndindex(lines.shape[:-1]):
+                A = (eye - (dt * float(d)) * lap).tocsc()
+                lu = scipy.sparse.linalg.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+                lines[idx] = lu.solve(np.ascontiguousarray(lines[idx]))
+    return out
+
+
 def _line_residual(grid, axis, d_dt, x, b):
     """``max|x - dt*d*L_axis x - b|`` with ``L_axis`` applied line by line
     through the public 1D stencil."""
@@ -164,6 +214,35 @@ class TestDiffusionSolver:
             np.testing.assert_array_equal(
                 solver.solve(stage, dt), _per_species_splu(g, ks, stage, dt)
             )
+
+    @pytest.mark.parametrize("shape", [(8, 12), (37, 53)], ids=["8x12", "37x53"])
+    def test_2d_matches_per_line_splu(self, shape):
+        # every line of a species shares that species' block, so the
+        # multi-right-hand-side sweep does the same arithmetic as one
+        # factorization and one solve per line
+        rng = np.random.default_rng(27)
+        g = make_grid_2d(*shape, 1.0, 1.5)
+        ks = fd.power_law_uniform(3, 4.0, 0.5)
+        solver = DiffusionSolver(g, ks)
+        for dt in (1e-4, 1e-3, 0.05, 0.5):
+            stage = rng.uniform(0.0, 2.0, size=(3,) + g.shape)
+            out = solver.solve(stage, dt)
+            assert out.flags.c_contiguous
+            np.testing.assert_array_equal(out, _per_line_splu(g, ks, stage, dt))
+
+    @pytest.mark.parametrize(
+        "grid", [make_grid_1d(48), make_grid_2d(8, 12), make_grid_2d(37, 53)],
+        ids=["48", "8x12", "37x53"],
+    )
+    def test_factor_storage_per_species(self, grid):
+        # one tridiagonal block per species and axis, shared by all lines:
+        # the factors of an axis with m cells hold at most 4 * n * m entries
+        ks = fd.power_law_uniform(5, 4.0, 0.5)
+        solver = DiffusionSolver(grid, ks)
+        out = solver.solve(np.ones((5,) + grid.shape), 1e-3)
+        assert out.flags.c_contiguous
+        for (_, lu), m in zip(solver._factors[1e-3], grid.shape):
+            assert lu.L.nnz + lu.U.nnz <= 4 * ks.n * m
 
     def test_nonnegative_exactly(self):
         # no-pivot LU of an M-matrix: nonnegative input gives nonnegative

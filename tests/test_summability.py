@@ -11,7 +11,7 @@ from fragdiff.summability import (
     CONVERGES,
     DIVERGES,
     INCONCLUSIVE,
-    _term1_partial_cr,
+    _term1_partials_cr,
     _term1_partial_uniform,
     audit_summability,
     check_initial_data,
@@ -119,10 +119,12 @@ def test_term1_partial_uniform_matches_naive():
 
 
 def test_term1_partial_cr_matches_naive():
+    # every level is summed from the terms built once at the largest one
     for lam, alpha in [(4.0, 0.0), (4.0, 0.5), (5.0, 1.0)]:
-        fast = _term1_partial_cr(lam, alpha, 30)
-        slow = _term1_naive(lam, alpha, 30, fd.cheng_redner_count)
-        assert fast == pytest.approx(slow, rel=1e-13), (lam, alpha)
+        fast = _term1_partials_cr(lam, alpha, [7, 30])
+        for N, got in zip([7, 30], fast):
+            slow = _term1_naive(lam, alpha, N, fd.cheng_redner_count)
+            assert got == pytest.approx(slow, rel=1e-13), (lam, alpha, N)
 
 
 def test_cr_term1_certifies_alpha_zero():
