@@ -73,6 +73,7 @@ from .stepper import (
     step_rk4,
 )
 from .monitors import (
+    MonitorAccumulator,
     MonitorReport,
     compute_monitors,
     duality_functional,

@@ -102,10 +102,16 @@ def _run_single(cfg, outdir, quiet):
         negativity_policy=cfg.stepper.negativity_policy, dt_min=cfg.stepper.dt_min,
     )
 
+    # the monitors fold each sample in as it is taken: no field is stored
+    monitors = monmod.MonitorAccumulator(
+        grid, ks, eps=cfg.eps, tail_levels=cfg.monitors.tail_levels,
+        energy_specs=[tuple(sp) for sp in cfg.monitors.energy_specs],
+        envelope_family=cfg.monitors.envelope_family,
+    )
     aborted = None
     try:
         traj = stepmod.run_simulation(grid, ks, F0, scfg, eps=cfg.eps,
-                                      cadence=cfg.monitors.cadence)
+                                      cadence=cfg.monitors.cadence, sample=monitors.add)
     except NumericalAbortError as exc:
         traj = getattr(exc, "trajectory", None)
         aborted = exc
@@ -113,11 +119,7 @@ def _run_single(cfg, outdir, quiet):
             print(f"numerical abort with no recoverable state: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
 
-    report = monmod.compute_monitors(
-        traj, ks, eps=cfg.eps, tail_levels=cfg.monitors.tail_levels,
-        energy_specs=[tuple(sp) for sp in cfg.monitors.energy_specs],
-        envelope_family=cfg.monitors.envelope_family,
-    )
+    report = monitors.report()
     monmod.write_monitors_csv(out / "monitors.csv", report)
 
     state = traj.state

@@ -1,16 +1,23 @@
 """Trajectory functionals: mass, moments, tails, duality, budgets, energy.
 
-Every time integral is a trapezoidal quadrature on the stored sample
-cadence, so each reported quantity is a discretization of the
-corresponding exact-time functional; tolerances on the checks absorb the
-quadrature error.  All species reductions use compensated summation.
+Every monitor is a fold over samples.  :class:`MonitorAccumulator` takes
+one sample ``(t, F, Q)`` at a time, the state and its reaction term, and
+keeps only scalars and per-species vectors, so a run is monitored while
+it is taken and no sampled field is stored.  :func:`compute_monitors`
+folds the same accumulator over a stored trajectory.
+
+Every time integral is a trapezoidal quadrature on the sample cadence,
+accumulated in sample order, so each reported quantity is a
+discretization of the corresponding exact-time functional; tolerances on
+the checks absorb the quadrature error.  All species reductions use
+compensated summation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,54 +90,11 @@ class DualityReport:
     series: list[float]
 
 
-def duality_functional(traj, ks):
-    """Quadrature of  integral (sum i d_i f_i)(sum i f_i) dx  against the
-    reference bound  R = (sup_i d_i) * ||sum i f_i(0)||_L2**2."""
-    grid = traj.grid
-    n = traj.fields[0].shape[0]
-    i1 = np.arange(1, n + 1, dtype=float)
-    wid = (i1 * ks.d).reshape((n,) + (1,) * grid.dim)
-    wi = i1.reshape((n,) + (1,) * grid.dim)
-
-    vals = []
-    for F in traj.fields:
-        u = np.sum(wid * F, axis=0)
-        v = np.sum(wi * F, axis=0)
-        vals.append(gridmod.integrate(grid, u * v))
-    series = _trapezoid_cumulative(traj.times, vals)
-
-    rho0 = np.sum(wi * traj.fields[0], axis=0)
-    R = float(np.max(ks.d)) * gridmod.integrate(grid, rho0 * rho0)
-    D = series[-1]
-    ratio = 0.0 if D == 0.0 else (math.inf if R == 0.0 else D / R)
-    return DualityReport(D=D, R=R, ratio=ratio, series=series)
-
-
 @dataclass
 class BudgetReport:
     total: float
     series: list[float]
     per_species: np.ndarray
-
-
-def reaction_budget(traj, ks, eps, q_samples=None):
-    """Accumulated weighted reaction throughput sum_i ||Q_i / d_i||_L1."""
-    grid = traj.grid
-    n = traj.fields[0].shape[0]
-    inv_d = 1.0 / ks.d
-    if q_samples is None:
-        q_samples = [reaction.q_field(F, ks, eps) for F in traj.fields]
-    per_t = []
-    for Q in q_samples:
-        per_t.append(np.array([
-            inv_d[i] * gridmod.integrate(grid, np.abs(Q[i])) for i in range(n)
-        ]))
-    series = _trapezoid_cumulative(traj.times, [math.fsum(map(float, v)) for v in per_t])
-    per_species = np.zeros(n)
-    for k in range(1, len(traj.times)):
-        dt = traj.times[k] - traj.times[k - 1]
-        per_species += 0.5 * dt * (per_t[k] + per_t[k - 1])
-    return BudgetReport(total=series[-1], series=series, per_species=per_species)
 
 
 @dataclass
@@ -143,55 +107,11 @@ class EnergyReport:
     slack_series: list[float]
 
 
-def truncation_energy_check(traj, ks, species, level, eps, q_samples=None):
-    """Level-truncated energy inequality for one species.
-
-    LHS is ``d_i`` times the quadrature of the masked Dirichlet energy
-    (a face counts only when both adjacent cells sit within the level, a
-    conservative under-approximation); RHS is
-    ``level * (||Q_i||_L1((0,t)xOmega) + ||f_i(0)||_L1)``.
-    """
-    grid = traj.grid
-    i0 = species - 1
-    if not 1 <= species <= traj.fields[0].shape[0]:
-        raise DomainError(f"species {species} out of range")
-    if level <= 0:
-        raise DomainError("truncation level must be positive")
-    d_i = float(ks.d[i0])
-    if q_samples is None:
-        q_samples = [reaction.q_field(F, ks, eps) for F in traj.fields]
-
-    grads = []
-    qnorm = []
-    for F, Q in zip(traj.fields, q_samples):
-        u = F[i0]
-        mask = np.abs(u) <= level
-        grads.append(d_i * gridmod.gradient_sq_integral(grid, u, mask=mask))
-        qnorm.append(gridmod.integrate(grid, np.abs(Q[i0])))
-
-    lhs_series = _trapezoid_cumulative(traj.times, grads)
-    q_l1_series = _trapezoid_cumulative(traj.times, qnorm)
-    f0_l1 = gridmod.integrate(grid, traj.fields[0][i0])
-    slack_series = [
-        level * (q_l1_series[k] + f0_l1) - lhs_series[k]
-        for k in range(len(lhs_series))
-    ]
-    lhs = lhs_series[-1]
-    rhs = level * (q_l1_series[-1] + f0_l1)
-    return EnergyReport(species=species, level=float(level), lhs=lhs, rhs=rhs,
-                        slack=rhs - lhs, slack_series=slack_series)
-
-
 @dataclass
 class LinfReport:
     sup: float
     eps: float
     ratio: float  # sup / (1/eps) = sup * eps; zero when eps == 0
-
-
-def linf_bound_check(traj, eps):
-    sup = max(float(np.max(F)) if F.size else 0.0 for F in traj.fields)
-    return LinfReport(sup=sup, eps=eps, ratio=sup * eps)
 
 
 @dataclass
@@ -213,95 +133,223 @@ class MonitorReport:
         return all(entry["pass"] for entry in self.invariants.values())
 
 
-def compute_monitors(traj, ks, eps=0.0, tail_levels=(8, 16, 24),
-                     energy_specs=(), envelope_family=None,
-                     mass_rel_tol=MASS_REL_TOL):
-    """Evaluate every monitor over a trajectory and audit the invariants.
+class MonitorAccumulator:
+    """Every monitor as a fold over samples.
 
-    ``energy_specs`` is a sequence of ``(species, level)`` pairs;
+    ``add(t, F, Q)`` takes the state ``F`` at time ``t`` with
+    ``Q = q_field(F, ks, eps)`` and keeps only scalars and per-species
+    vectors of it: the species integrals, min and max, and the duality,
+    budget and energy integrands.  ``report()`` forms the time series and
+    audits the invariants over the samples added so far.
+
+    * Duality: quadrature of ``integral (sum i d_i f_i)(sum i f_i) dx``
+      against ``R = (sup_i d_i) * ||sum i f_i(0)||_L2**2``.
+    * Budget: accumulated weighted reaction throughput
+      ``sum_i ||Q_i / d_i||_L1``, in total and per species.
+    * Energy, for each ``(species, level)`` of ``energy_specs``: the
+      level-truncated energy inequality.  LHS is ``d_i`` times the
+      quadrature of the masked Dirichlet energy (a face counts only when
+      both adjacent cells sit within the level, a conservative
+      under-approximation); RHS is
+      ``level * (||Q_i||_L1((0,t)xOmega) + ||f_i(0)||_L1)``.
+    * L-infinity: the largest sampled value against ``1/eps``.
+
     ``envelope_family="exponential"`` additionally compares final tails
     against the analytic exponential envelope.
     """
-    grid = traj.grid
-    tail_levels = tuple(int(M) for M in tail_levels)
 
-    ints = [_species_integrals(grid, F) for F in traj.fields]
-    mass = [_mass_above(v, 0) for v in ints]
-    mom0 = [_particles(v) for v in ints]
-    minv = [float(np.min(F)) for F in traj.fields]
-    maxv = [float(np.max(F)) for F in traj.fields]
-    tails = {M: [_mass_above(v, M) for v in ints] for M in tail_levels}
+    def __init__(self, grid, ks, eps=0.0, tail_levels=(8, 16, 24),
+                 energy_specs=(), envelope_family=None, mass_rel_tol=MASS_REL_TOL):
+        self.energy_specs = []
+        for species, level in energy_specs:
+            if not 1 <= species <= ks.n:
+                raise DomainError(f"species {species} out of range")
+            if level <= 0:
+                raise DomainError("truncation level must be positive")
+            self.energy_specs.append((species, float(level)))
+        self.grid = grid
+        self.eps = eps
+        self.tail_levels = tuple(int(M) for M in tail_levels)
+        self.envelope_family = envelope_family
+        self.mass_rel_tol = mass_rel_tol
+        i1 = np.arange(1, ks.n + 1, dtype=float)
+        shape = (ks.n,) + (1,) * grid.dim
+        self._wid = (i1 * ks.d).reshape(shape)
+        self._wi = i1.reshape(shape)
+        self.ks = ks
+        self._inv_d = 1.0 / ks.d
+        self.times = []
+        self._ints = []
+        self._minv = []
+        self._maxv = []
+        self._dual = []
+        self._per_t = []
+        self._grads = [[] for _ in self.energy_specs]
+        self._qnorm = [[] for _ in self.energy_specs]
+        self._R = None
 
-    q_samples = [reaction.q_field(F, ks, eps) for F in traj.fields]
+    def add(self, t, F, Q):
+        grid = self.grid
+        ints = _species_integrals(grid, F)
+        q_ints = _species_integrals(grid, np.abs(Q))
+        self.times.append(t)
+        self._ints.append(ints)
+        self._minv.append(float(np.min(F)))
+        self._maxv.append(float(np.max(F)))
+        v = np.sum(self._wi * F, axis=0)
+        self._dual.append(gridmod.integrate(grid, np.sum(self._wid * F, axis=0) * v))
+        if self._R is None:
+            self._R = float(np.max(self.ks.d)) * gridmod.integrate(grid, v * v)
+        self._per_t.append(self._inv_d * q_ints)
+        for (species, level), grads, qnorm in zip(self.energy_specs, self._grads, self._qnorm):
+            u = F[species - 1]
+            grads.append(float(self.ks.d[species - 1])
+                         * gridmod.gradient_sq_integral(grid, u, mask=np.abs(u) <= level))
+            qnorm.append(float(q_ints[species - 1]))
 
-    dual = duality_functional(traj, ks)
-    budget = reaction_budget(traj, ks, eps, q_samples=q_samples)
-    energy = [
-        truncation_energy_check(traj, ks, sp, lvl, eps, q_samples=q_samples)
-        for sp, lvl in energy_specs
-    ]
-    linf = linf_bound_check(traj, eps)
+    def report(self):
+        if not self.times:
+            raise DomainError("no samples to report")
+        times = list(self.times)
+        ints = self._ints
+        mass = [_mass_above(v, 0) for v in ints]
+        mom0 = [_particles(v) for v in ints]
+        tails = {M: [_mass_above(v, M) for v in ints] for M in self.tail_levels}
 
-    invariants = {}
+        series = _trapezoid_cumulative(times, self._dual)
+        D, R = series[-1], self._R
+        dual = DualityReport(D=D, R=R, series=series,
+                             ratio=0.0 if D == 0.0 else (math.inf if R == 0.0 else D / R))
 
-    drift = max(abs(m - mass[0]) for m in mass)
-    tol = mass_rel_tol * max(1.0, abs(mass[0]))
-    invariants["mass_conservation"] = {
-        "pass": bool(drift <= tol), "value": drift, "tolerance": tol,
-        "detail": "max |M(t) - M(0)| over the sampled trajectory",
-    }
+        per_t = self._per_t
+        series = _trapezoid_cumulative(times, [math.fsum(map(float, v)) for v in per_t])
+        per_species = np.zeros(self.ks.n)
+        for k in range(1, len(times)):
+            dt = times[k] - times[k - 1]
+            per_species += 0.5 * dt * (per_t[k] + per_t[k - 1])
+        budget = BudgetReport(total=series[-1], series=series, per_species=per_species)
 
-    worst_dec = min(
-        (mom0[k + 1] - mom0[k] for k in range(len(mom0) - 1)), default=0.0
-    )
-    tol0 = MOMENT0_REL_TOL * max(1.0, abs(mom0[0]))
-    invariants["moment0_nondecreasing"] = {
-        "pass": bool(worst_dec >= -tol0), "value": worst_dec, "tolerance": tol0,
-        "detail": "most negative increment of the particle count",
-    }
+        energy = []
+        for (species, level), grads, qnorm in zip(self.energy_specs, self._grads, self._qnorm):
+            lhs_series = _trapezoid_cumulative(times, grads)
+            q_l1_series = _trapezoid_cumulative(times, qnorm)
+            f0_l1 = float(ints[0][species - 1])
+            slack_series = [level * (q + f0_l1) - lhs for q, lhs in zip(q_l1_series, lhs_series)]
+            lhs, rhs = lhs_series[-1], level * (q_l1_series[-1] + f0_l1)
+            energy.append(EnergyReport(species=species, level=level, lhs=lhs, rhs=rhs,
+                                       slack=rhs - lhs, slack_series=slack_series))
 
-    monotone = True
-    for k in range(len(traj.times)):
-        vals = [tails[M][k] for M in tail_levels]
-        if any(vals[a] < vals[a + 1] - 1e-15 * max(1.0, abs(vals[a]))
-               for a in range(len(vals) - 1)):
-            monotone = False
-    invariants["tail_monotone_in_level"] = {
-        "pass": bool(monotone), "value": monotone, "tolerance": 0.0,
-        "detail": "tail mass nonincreasing in the tail level at every sample",
-    }
+        sup = max(self._maxv)
+        linf = LinfReport(sup=sup, eps=self.eps, ratio=sup * self.eps)
 
-    if envelope_family == "exponential":
-        worst = 0.0
-        ok = True
-        for M in tail_levels:
-            env = TAIL_ENVELOPE_FACTOR * tail_envelope_exponential(M)
-            final = tails[M][-1]
-            worst = max(worst, final - env)
-            if final > env:
-                ok = False
-        invariants["tail_envelope"] = {
-            "pass": bool(ok), "value": worst, "tolerance": 0.0,
-            "detail": f"final tails vs {TAIL_ENVELOPE_FACTOR} x analytic exponential envelope",
+        invariants = {}
+
+        drift = max(abs(m - mass[0]) for m in mass)
+        tol = self.mass_rel_tol * max(1.0, abs(mass[0]))
+        invariants["mass_conservation"] = {
+            "pass": bool(drift <= tol), "value": drift, "tolerance": tol,
+            "detail": "max |M(t) - M(0)| over the sampled trajectory",
         }
 
-    for rep in energy:
-        tol_e = ENERGY_SLACK_REL_TOL * max(abs(rep.rhs), 1e-300)
-        invariants[f"energy_slack@({rep.species},{rep.level:g})"] = {
-            "pass": bool(rep.slack >= -tol_e), "value": rep.slack, "tolerance": tol_e,
-            "detail": "RHS - LHS of the level-truncated energy inequality",
+        worst_dec = min(
+            (mom0[k + 1] - mom0[k] for k in range(len(mom0) - 1)), default=0.0
+        )
+        tol0 = MOMENT0_REL_TOL * max(1.0, abs(mom0[0]))
+        invariants["moment0_nondecreasing"] = {
+            "pass": bool(worst_dec >= -tol0), "value": worst_dec, "tolerance": tol0,
+            "detail": "most negative increment of the particle count",
         }
 
-    nonneg = min(minv)
-    invariants["nonnegativity"] = {
-        "pass": bool(nonneg >= -1e-12), "value": nonneg, "tolerance": 1e-12,
-        "detail": "minimum field value over the sampled trajectory",
-    }
+        monotone = True
+        for k in range(len(times)):
+            vals = [tails[M][k] for M in self.tail_levels]
+            if any(vals[a] < vals[a + 1] - 1e-15 * max(1.0, abs(vals[a]))
+                   for a in range(len(vals) - 1)):
+                monotone = False
+        invariants["tail_monotone_in_level"] = {
+            "pass": bool(monotone), "value": monotone, "tolerance": 0.0,
+            "detail": "tail mass nonincreasing in the tail level at every sample",
+        }
 
-    return MonitorReport(times=list(traj.times), mass=mass, moment0=mom0,
-                         minval=minv, maxval=maxv, tails=tails, duality=dual,
-                         budget=budget, energy=energy, linf=linf,
-                         invariants=invariants)
+        if self.envelope_family == "exponential":
+            worst = 0.0
+            ok = True
+            for M in self.tail_levels:
+                env = TAIL_ENVELOPE_FACTOR * tail_envelope_exponential(M)
+                final = tails[M][-1]
+                worst = max(worst, final - env)
+                if final > env:
+                    ok = False
+            invariants["tail_envelope"] = {
+                "pass": bool(ok), "value": worst, "tolerance": 0.0,
+                "detail": f"final tails vs {TAIL_ENVELOPE_FACTOR} x analytic exponential envelope",
+            }
+
+        for rep in energy:
+            tol_e = ENERGY_SLACK_REL_TOL * max(abs(rep.rhs), 1e-300)
+            invariants[f"energy_slack@({rep.species},{rep.level:g})"] = {
+                "pass": bool(rep.slack >= -tol_e), "value": rep.slack, "tolerance": tol_e,
+                "detail": "RHS - LHS of the level-truncated energy inequality",
+            }
+
+        nonneg = min(self._minv)
+        invariants["nonnegativity"] = {
+            "pass": bool(nonneg >= -1e-12), "value": nonneg, "tolerance": 1e-12,
+            "detail": "minimum field value over the sampled trajectory",
+        }
+
+        return MonitorReport(times=times, mass=mass, moment0=mom0, minval=list(self._minv),
+                             maxval=list(self._maxv), tails=tails, duality=dual,
+                             budget=budget, energy=energy, linf=linf, invariants=invariants)
+
+
+def _fold(traj, ks, eps, q_samples=None, **options):
+    """Fold a :class:`MonitorAccumulator` over a stored trajectory.
+
+    ``q_samples`` defaults to one ``q_field`` per stored state, evaluated
+    as the fold reaches it.
+    """
+    acc = MonitorAccumulator(traj.grid, ks, eps=eps, **options)
+    if q_samples is None:
+        q_samples = (reaction.q_field(F, ks, eps) for F in traj.fields)
+    for t, F, Q in zip(traj.times, traj.fields, q_samples):
+        acc.add(t, F, Q)
+    return acc.report()
+
+
+def compute_monitors(traj, ks, eps=0.0, tail_levels=(8, 16, 24),
+                     energy_specs=(), envelope_family=None,
+                     mass_rel_tol=MASS_REL_TOL):
+    """Evaluate every monitor over a stored trajectory and audit the invariants.
+
+    The same fold as a run streamed into a :class:`MonitorAccumulator`,
+    so both give bitwise equal reports.
+    """
+    return _fold(traj, ks, eps, tail_levels=tail_levels, energy_specs=energy_specs,
+                 envelope_family=envelope_family, mass_rel_tol=mass_rel_tol)
+
+
+def duality_functional(traj, ks):
+    """The duality monitor of :class:`MonitorAccumulator` over a stored trajectory."""
+    return _fold(traj, ks, 0.0, tail_levels=()).duality
+
+
+def reaction_budget(traj, ks, eps, q_samples=None):
+    """The reaction budget of :class:`MonitorAccumulator` over a stored trajectory."""
+    return _fold(traj, ks, eps, q_samples, tail_levels=()).budget
+
+
+def truncation_energy_check(traj, ks, species, level, eps, q_samples=None):
+    """One level-truncated energy inequality over a stored trajectory; see
+    :class:`MonitorAccumulator`."""
+    return _fold(traj, ks, eps, q_samples, tail_levels=(),
+                 energy_specs=[(species, level)]).energy[0]
+
+
+def linf_bound_check(traj, eps):
+    """Largest stored value against ``1/eps``."""
+    sup = max(float(np.max(F)) for F in traj.fields)
+    return LinfReport(sup=sup, eps=eps, ratio=sup * eps)
 
 
 # -- persistence -----------------------------------------------------------

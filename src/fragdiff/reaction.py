@@ -89,16 +89,16 @@ def _gain_loss(G2, ks):
         return _gain_loss_cheng_redner(G2, ks.sep_weights)
     if ks.uniform_breakage and ks.sep_weights is not None:
         g = ks.sep_weights[:, None] * G2
-        S = np.zeros((n + 2, G2.shape[1]))
-        for j in range(4, n + 1):
-            S[j] = np.einsum("km,km->m", g[: j - 1], g[j - 2 :: -1])
-        W = np.zeros_like(S)
+        # gain_i = sum_{j >= max(i+1, 4)} S_j/(j-1): a suffix sum over j,
+        # accumulated in place from j = n down, row j-1 holding gain_{j-1}
+        gain = np.zeros(G2.shape)
+        for j in range(n, 3, -1):
+            row = gain[j - 2]
+            np.einsum("km,km->m", g[: j - 1], g[j - 2 :: -1], out=row)
+            row /= j - 1.0
+            row += gain[j - 1]
         if n >= 4:
-            W[4 : n + 1] = S[4 : n + 1] / (np.arange(4, n + 1) - 1.0)[:, None]
-        # gain_i = sum_{j >= max(i+1, 4)} S_j/(j-1): suffix sums over j
-        suffix = np.zeros_like(W)
-        suffix[: n + 1] = np.cumsum(W[n::-1], axis=0)[::-1]
-        gain = suffix[np.minimum(np.maximum(np.arange(2, n + 2), 4), n + 1)]
+            gain[:2] = gain[2]
     else:
         gain = 0.5 * np.einsum("ipq,pm,qm->im", ks.gain_tensor(), G2, G2, optimize=True)
     loss = G2 * (ks.loss_matrix() @ G2)
@@ -145,11 +145,11 @@ def q_field(F, ks, eps=0.0):
     """
     F = _checked(F, ks)
     G2 = F.reshape(ks.n, -1)
-    gain, loss = _gain_loss(G2, ks)
-    Q = gain - loss
+    Q, loss = _gain_loss(G2, ks)
+    Q -= loss
     if eps:
         _check_eps(eps)
-        Q = Q / _denominator(G2, ks, eps)
+        Q /= _denominator(G2, ks, eps)
     return Q.reshape(F.shape)
 
 

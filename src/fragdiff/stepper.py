@@ -91,31 +91,29 @@ class SimState:
 
 @dataclass
 class Trajectory:
-    """Sampled states of one run: ``fields[k]`` is the stack at ``times[k]``."""
+    """Sample times and terminal state of one run.
+
+    ``terminal`` is the last state :func:`run_simulation` reached (the
+    last accepted state of an aborted run).  ``fields[k]`` is the stack at
+    ``times[k]`` when the run stores its samples, which is what
+    :func:`run_simulation` does by default; a run streamed into another
+    sampler leaves ``fields`` empty.
+    """
 
     grid: gridmod.GridSpec
     eps: float
     times: list[float] = field(default_factory=list)
     fields: list[np.ndarray] = field(default_factory=list)
     state: SimState = field(default_factory=SimState)
+    terminal: np.ndarray | None = None
 
-    @property
-    def terminal(self):
-        return self.fields[-1]
+    def store(self, t, F, Q):
+        """The default sampler: keep a copy of every sampled state."""
+        self.fields.append(F.copy())
 
 
 class _StepRejected(Exception):
     pass
-
-
-def _abort_with_state(message, t, step_index, traj, F):
-    """Abort error carrying the partial trajectory so callers can flush it."""
-    if traj.times[-1] != t:
-        traj.times.append(t)
-        traj.fields.append(F.copy())
-    exc = NumericalAbortError(message, t=t, step_index=step_index)
-    exc.trajectory = traj
-    return exc
 
 
 def cfl_limit(grid, ks):
@@ -210,26 +208,32 @@ def _negate_mass(grid, F):
     return -float(np.sum(i1[(slice(None),) + (None,) * (F.ndim - 1)] * neg)) * grid.cell_volume
 
 
-def step_imex(grid, ks, F, dt, eps, solver):
-    """One IMEX Euler step; returns the candidate state (no policy applied)."""
-    Q = reaction.q_field(F, ks, eps)
-    stage = F + dt * Q
-    return solver.solve(stage, dt)
+def step_imex(grid, ks, F, dt, eps, solver, Q=None):
+    """One IMEX Euler step; returns the candidate state (no policy applied).
+
+    ``Q`` is ``reaction.q_field(F, ks, eps)`` when the caller has it.  No
+    name holds the stage, so it is freed once the first sweep has read it.
+    """
+    if Q is None:
+        Q = reaction.q_field(F, ks, eps)
+    return solver.solve(F + dt * Q, dt)
 
 
-def step_rk4(grid, ks, F, dt, eps, policy, state=None):
+def step_rk4(grid, ks, F, dt, eps, policy, state=None, Q=None):
     """One classical RK4 step on the full right-hand side.
 
-    Raises :class:`CflViolationError` when ``dt`` exceeds the diffusion
-    stability limit, and :class:`_StepRejected` (internal) when a stage
-    turns negative under the rejecting policy.
+    ``Q`` is ``reaction.q_field(F, ks, eps)`` when the caller has it; the
+    first stage then reuses it.  Raises :class:`CflViolationError` when
+    ``dt`` exceeds the diffusion stability limit, and
+    :class:`_StepRejected` (internal) when a stage turns negative under the
+    rejecting policy.
     """
     limit = cfl_limit(grid, ks)
     if dt > limit:
         raise CflViolationError(dt, limit)
     d_col = ks.d.reshape((ks.n,) + (1,) * grid.dim)
 
-    def rhs(Y):
+    def rhs(Y, QY=None):
         if np.min(Y) < 0.0:
             if policy == REJECT_AND_HALVE:
                 raise _StepRejected
@@ -238,49 +242,75 @@ def step_rk4(grid, ks, F, dt, eps, policy, state=None):
                 state.clip_events += 1
                 state.clipped_mass += clipped
             Y = np.maximum(Y, 0.0)
-        return d_col * gridmod.laplacian_neumann(grid, Y) + reaction.q_field(Y, ks, eps)
+        if QY is None:
+            QY = reaction.q_field(Y, ks, eps)
+        return d_col * gridmod.laplacian_neumann(grid, Y) + QY
 
-    k1 = rhs(F)
+    k1 = rhs(F, Q)
     k2 = rhs(F + 0.5 * dt * k1)
     k3 = rhs(F + 0.5 * dt * k2)
     k4 = rhs(F + dt * k3)
     return F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0):
+def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
     """Integrate from ``t0`` to ``cfg.t_end`` and sample every ``cadence`` steps.
 
-    The trajectory always contains the initial and the final state.  The
-    loop is fully deterministic: fixed reduction orders, no threading, and
-    a rejected step always retries with exactly half the step size.
+    A sample calls ``sample(t, F, Q)`` with the state ``F`` at time ``t``
+    and ``Q = reaction.q_field(F, ks, eps)``; neither array is modified
+    later.  The initial and the final state are always sampled.  The
+    default sampler, :meth:`Trajectory.store`, keeps a copy of every
+    sampled state in the returned trajectory; the trajectory always
+    records the sample times and the terminal state.
+
+    ``Q`` is evaluated once per accepted state and shared by every step
+    attempted from it, halved retries included, and by its sample.  When
+    the run aborts, the last accepted state is sampled before
+    :class:`NumericalAbortError` is raised; the error carries the
+    trajectory as ``exc.trajectory``.
+
+    The loop is fully deterministic: fixed reduction orders, no threading,
+    and a rejected step always retries with exactly half the step size.
     """
     F = np.array(F0, dtype=float, copy=True)
     if np.any(F < 0):
         raise DomainError("initial data contains negative entries")
     traj = Trajectory(grid=grid, eps=eps)
+    if sample is None:
+        sample = traj.store
     state = traj.state
     state.t = t0
     solver = DiffusionSolver(grid, ks) if cfg.scheme == "imex_euler" else None
-    traj.times.append(t0)
-    traj.fields.append(F.copy())
+
+    def take(t, F, Q):
+        traj.times.append(t)
+        sample(t, F, Q)
+
+    def abort(message, t, F, Q):
+        if traj.times[-1] != t:
+            take(t, F, Q)
+        traj.terminal = F
+        exc = NumericalAbortError(message, t=t, step_index=state.step_index)
+        exc.trajectory = traj
+        return exc
 
     t = t0
+    Q = reaction.q_field(F, ks, eps)
+    take(t, F, Q)
     guard = 1e-12 * max(1.0, abs(cfg.t_end))
     while t < cfg.t_end - guard:
         dt_try = min(cfg.dt, cfg.t_end - t)
         while True:
             try:
                 if cfg.scheme == "imex_euler":
-                    cand = step_imex(grid, ks, F, dt_try, eps, solver)
+                    cand = step_imex(grid, ks, F, dt_try, eps, solver, Q)
                 else:
-                    cand = step_rk4(grid, ks, F, dt_try, eps, cfg.negativity_policy, state)
+                    cand = step_rk4(grid, ks, F, dt_try, eps, cfg.negativity_policy,
+                                    state, Q)
             except (_StepRejected, LinearSolveError):
                 cand = None
             if cand is not None and not np.all(np.isfinite(cand)):
-                raise _abort_with_state(
-                    f"non-finite state at t={t:g} (dt={dt_try:g})",
-                    t, state.step_index, traj, F,
-                )
+                raise abort(f"non-finite state at t={t:g} (dt={dt_try:g})", t, F, Q)
             if cand is not None and np.min(cand) < 0.0:
                 if cfg.negativity_policy == CLIP_TO_ZERO:
                     state.clip_events += 1
@@ -293,23 +323,20 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0):
             state.rejected_steps += 1
             dt_try *= 0.5
             if dt_try < cfg.dt_min:
-                raise _abort_with_state(
-                    f"step size fell below dt_min={cfg.dt_min:g} at t={t:g}",
-                    t, state.step_index, traj, F,
-                )
-        F = cand
+                raise abort(f"step size fell below dt_min={cfg.dt_min:g} at t={t:g}",
+                            t, F, Q)
+        F, Q = cand, None  # the old state's Q goes before the new one is formed
+        Q = reaction.q_field(F, ks, eps)
         t += dt_try
         state.t = t
         state.last_dt = dt_try
         state.step_index += 1
         if state.step_index % cadence == 0 and t < cfg.t_end - guard:
-            traj.times.append(t)
-            traj.fields.append(F.copy())
+            take(t, F, Q)
 
     if traj.times[-1] != t:
-        traj.times.append(t)
-        traj.fields.append(F.copy())
-    state.t = t
+        take(t, F, Q)
+    traj.terminal = F
     return traj
 
 

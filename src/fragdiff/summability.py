@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -189,19 +190,25 @@ def _cum_power(alpha, smax):
     return np.cumsum(p)
 
 
-def _term1_partial_uniform(lam, alpha, N):
-    """Exact partial sum over j,k <= N for the size-symmetric breakage family.
+def _term1_partials_uniform(lam, alpha, levels):
+    """Exact partial sums over j,k <= N at each truncation level ``N``, for
+    the size-symmetric breakage family.
 
     With b^i_{jk} = 2/(j+k-1) the inner i-sum collapses onto the cumulative
-    power sums P, leaving a dense (N, N) evaluation.
+    power sums P, leaving a dense (N, N) evaluation.  The matrix is built
+    once, at the largest level; an entry does not depend on the level
+    (``np.cumsum`` is sequential), and ``fsum`` is exact, so level ``N``
+    sums the leading ``N x N`` block.
     """
+    N = max(levels)
     P = _cum_power(alpha, 2 * N - 1)
     jv = np.arange(1, N + 1, dtype=float)
     jcol = jv ** (0.5 * (alpha - lam - 1.0))
     krow = jv ** (-0.5 * (lam + 1.0))
     S = np.arange(1, N + 1)[:, None] + np.arange(1, N + 1)[None, :] - 1
-    M = math.sqrt(2.0) * jcol[:, None] * krow[None, :] * P[S] / np.sqrt(S)
-    return math.fsum(M.ravel())
+    rows = (math.sqrt(2.0) * jcol[:, None] * krow[None, :] * P[S] / np.sqrt(S)).tolist()
+    return [math.fsum(chain.from_iterable(row[:level] for row in rows[:level]))
+            for level in levels]
 
 
 def _term1_partials_cr(lam, alpha, levels):
@@ -249,7 +256,7 @@ def _audit_term1_power(ks, levels):
     lam, alpha = ks.lam, ks.alpha
     uniform = ks.uniform_breakage
     if uniform:
-        partials = [_term1_partial_uniform(lam, alpha, N) for N in levels]
+        partials = _term1_partials_uniform(lam, alpha, levels)
     else:
         partials = _term1_partials_cr(lam, alpha, levels)
     trunc = {"levels": list(levels), "partials": partials}

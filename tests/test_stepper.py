@@ -386,6 +386,24 @@ def test_failed_solve_contract_halves_step(policy):
     assert np.min(traj.terminal) >= 0.0
 
 
+def test_halved_retries_reuse_the_states_q(monkeypatch):
+    # one q_field per accepted state, shared by every attempt from it
+    g, ks, F0 = _uncertifiable_setup()
+    calls = []
+    real = fd.reaction.q_field
+
+    def counted(F, ks, eps=0.0):
+        calls.append(None)
+        return real(F, ks, eps)
+
+    monkeypatch.setattr(fd.reaction, "q_field", counted)
+    cfg = StepperConfig(scheme="imex_euler", dt=37.5, t_end=37.5)
+    traj = run_simulation(g, ks, F0, cfg, cadence=1)
+    assert traj.state.rejected_steps >= 6
+    assert len(calls) == traj.state.step_index + 1
+    assert len(traj.fields) == len(traj.times) == traj.state.step_index + 1
+
+
 def test_failed_solve_contract_aborts_below_dt_min():
     g, ks, F0 = _uncertifiable_setup()
     cfg = StepperConfig(scheme="imex_euler", dt=37.5, t_end=100.0, dt_min=1.0)

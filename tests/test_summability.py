@@ -12,7 +12,7 @@ from fragdiff.summability import (
     DIVERGES,
     INCONCLUSIVE,
     _term1_partials_cr,
-    _term1_partial_uniform,
+    _term1_partials_uniform,
     audit_summability,
     check_initial_data,
 )
@@ -112,10 +112,12 @@ def _term1_naive(lam, alpha, N, count):
 
 
 def test_term1_partial_uniform_matches_naive():
+    # every level is summed from the matrix built once at the largest one
     for lam, alpha in [(4.0, 0.5), (4.0, 1.0), (5.0, 0.25)]:
-        fast = _term1_partial_uniform(lam, alpha, 30)
-        slow = _term1_naive(lam, alpha, 30, fd.breakage_count)
-        assert fast == pytest.approx(slow, rel=1e-13), (lam, alpha)
+        fast = _term1_partials_uniform(lam, alpha, [7, 30])
+        for N, got in zip([7, 30], fast):
+            slow = _term1_naive(lam, alpha, N, fd.breakage_count)
+            assert got == pytest.approx(slow, rel=1e-13), (lam, alpha, N)
 
 
 def test_term1_partial_cr_matches_naive():
