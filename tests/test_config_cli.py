@@ -109,6 +109,105 @@ class TestConfigParsing:
             load_config(bad)
 
 
+def _key(key, default, valid, parsed, wrong_types, out_of_range, base=None):
+    """One row of the per-key table: the default, a valid value and what it
+    parses to, values of a wrong JSON type, and out-of-range values.  ``base``
+    is a document the key is set in (for keys that need a companion key)."""
+    return pytest.param(key, default, valid, parsed, wrong_types, out_of_range, base,
+                        id=key)
+
+
+NAN = float("nan")  # JSON documents may hold NaN, and json.load reads it
+_CUSTOM = {"ic": {"allow_custom": True, "path": "ic.csv"}}
+
+KEY_TABLE = [
+    _key("kernel.family", "power_law_uniform", "cheng_redner_uniform",
+         "cheng_redner_uniform", [1, True, None, ["table"]], ["gaussian"]),
+    _key("kernel.n", 32, 8, 8, [4.5, 8.0, "8", True, None], [0, -1]),
+    _key("kernel.lam", 4.0, 5, 5.0, ["4", True, None, [4.0]], [0, -1.0, NAN]),
+    _key("kernel.alpha", 0.5, 1, 1.0, ["0.5", False], [-0.5, NAN]),
+    _key("kernel.profile", "weaker", "stronger", "stronger", [1, True], ["weak"]),
+    _key("kernel.reg_tol", 1e-10, 1e-8, 1e-8, ["1e-8", True], [0, 1, -1e-10, 1.5, NAN]),
+    _key("kernel.a_table", None, "a.csv", "a.csv", [1, True, ["a.csv"]], []),
+    _key("kernel.b_table", None, "b.csv", "b.csv", [1, True, ["b.csv"]], []),
+    _key("kernel.d_table", None, "d.csv", "d.csv", [1, True, ["d.csv"]], []),
+    _key("grid.cells", [128], [8, 6], [8, 6], ["8", 8, {"x": 8}, None, [8.0], [True]],
+         [[2], [], [4, 4, 4]]),
+    _key("grid.lengths", [1.0], [2], [2.0], ["1", 1.0, [True], ["1"]],
+         [[0], [-1.0], [NAN], [1.0, 1.0]]),
+    _key("ic.family", "exponential", "custom_csv", "custom_csv", [1, True, None],
+         ["gaussian"], base=_CUSTOM),
+    _key("ic.gamma", 1.0, 2, 2.0, ["1", True, None], [0, -1, NAN]),
+    _key("ic.amplitude", 1.0, 0, 0.0, ["1", True, None], [-1e-3, NAN]),
+    _key("ic.profile", "constant", "gaussian_bump", "gaussian_bump", [1, True],
+         ["square"]),
+    _key("ic.depth", 0.5, 0, 0.0, ["0.5", True], [1, 1.5, -0.1, NAN]),
+    _key("ic.center", None, [0.25], [0.25], ["0.5", 0.5, {"x": 0.5}], []),
+    _key("ic.width", 0.1, 0.2, 0.2, ["0.1", True], [0, -0.1, NAN]),
+    _key("ic.path", None, "ic.csv", "ic.csv", [1, True], []),
+    _key("ic.allow_custom", False, True, True, [1, 0, "true", None], []),
+    _key("stepper.scheme", "imex_euler", "rk4_explicit", "rk4_explicit", [1, True],
+         ["verlet"]),
+    _key("stepper.dt", 1e-3, 0.01, 0.01, ["1e-3", True, None], [0, -1e-3, NAN]),
+    _key("stepper.t_end", 1.0, 0, 0.0, ["1", True], [-1, NAN]),
+    _key("stepper.negativity_policy", "reject_and_halve", "clip_to_zero",
+         "clip_to_zero", [1, True], ["ignore"]),
+    _key("stepper.dt_min", 1e-9, 1e-6, 1e-6, ["1e-9", True], [0, -1e-9, NAN]),
+    _key("monitors.cadence", 10, 5, 5, [5.0, "5", True, None], [0, -1]),
+    _key("monitors.tail_levels", [8, 16, 24], [0, 4], [0, 4],
+         ["8", 8, [8.0], [True]], [[-1], [8, 4]]),
+    _key("monitors.energy_specs", [], [[1, 2]], [[1, 2.0]],
+         ["x", [1, 2], [[1.5, 1.0]], [[True, 1.0]], [[1, "1"]], [[1]]], []),
+    _key("monitors.envelope_family", None, "exponential", "exponential", [1, True],
+         ["gaussian"]),
+    _key("eps", 0.0, 0, 0.0, ["0.01", True, None], [1, -0.01, NAN]),
+    _key("output_dir", None, "out", "out", [1, True], []),
+]
+
+
+def _doc_with(key, value, base=None):
+    doc = json.loads(json.dumps(base or {}))
+    *sections, name = key.split(".")
+    target = doc
+    for sec in sections:
+        target = target.setdefault(sec, {})
+    target[name] = value
+    return doc
+
+
+def _value_of(cfg, key):
+    for part in key.split("."):
+        cfg = getattr(cfg, part)
+    return cfg
+
+
+@pytest.mark.parametrize("key,default,valid,parsed,wrong_types,out_of_range,base",
+                         KEY_TABLE)
+def test_every_config_key(key, default, valid, parsed, wrong_types, out_of_range, base):
+    # json.dumps tells 2 from 2.0, so the parsed types are checked too
+    assert json.dumps(_value_of(SimConfig(), key)) == json.dumps(default)
+    assert json.dumps(_value_of(SimConfig.from_dict({}), key)) == json.dumps(default)
+    cfg = SimConfig.from_dict(_doc_with(key, valid, base))
+    assert json.dumps(_value_of(cfg, key)) == json.dumps(parsed)
+    assert SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    if default is None:  # an explicit null is the default
+        assert _value_of(SimConfig.from_dict(_doc_with(key, None)), key) is None
+    for bad in wrong_types + out_of_range:
+        with pytest.raises(ConfigError):
+            SimConfig.from_dict(_doc_with(key, bad, base))
+
+
+def test_key_table_covers_every_key():
+    keys = set()
+    for sec, section in SimConfig().to_dict().items():
+        if isinstance(section, dict):
+            keys |= {f"{sec}.{name}" for name in section}
+        else:
+            keys.add(sec)
+    assert len(keys) == 31
+    assert {row.values[0] for row in KEY_TABLE} == keys
+
+
 class TestInitialConditionBuilders:
     def test_cosine_profile_formula(self):
         cfg = SimConfig.from_dict(small_doc())
