@@ -97,11 +97,6 @@ def _run_single(cfg, outdir, quiet):
         if not 1 <= sp <= cfg.kernel.n:
             raise ConfigError(f"monitors.energy_specs: species {sp} outside 1..{cfg.kernel.n}")
 
-    scfg = stepmod.StepperConfig(
-        scheme=cfg.stepper.scheme, dt=cfg.stepper.dt, t_end=cfg.stepper.t_end,
-        negativity_policy=cfg.stepper.negativity_policy, dt_min=cfg.stepper.dt_min,
-    )
-
     # the monitors fold each sample in as it is taken: no field is stored
     monitors = monmod.MonitorAccumulator(
         grid, ks, eps=cfg.eps, tail_levels=cfg.monitors.tail_levels,
@@ -110,7 +105,7 @@ def _run_single(cfg, outdir, quiet):
     )
     aborted = None
     try:
-        traj = stepmod.run_simulation(grid, ks, F0, scfg, eps=cfg.eps,
+        traj = stepmod.run_simulation(grid, ks, F0, cfg.stepper, eps=cfg.eps,
                                       cadence=cfg.monitors.cadence, sample=monitors.add)
     except NumericalAbortError as exc:
         traj = getattr(exc, "trajectory", None)

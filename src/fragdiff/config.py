@@ -2,224 +2,164 @@
 
 A config document is a single JSON object with sections ``kernel``,
 ``grid``, ``ic``, ``stepper``, ``monitors`` plus top-level ``eps`` and
-``output_dir``.  Parsing is fail-closed: unknown keys, missing
-required keys, and out-of-range values all raise :class:`ConfigError` —
-a silently ignored typo in a kernel exponent would invalidate every
-certificate the run produces.
+``output_dir``.  Every key is optional.  Each section is a dataclass, and
+each of its fields states all there is to know about one key: its name,
+its JSON type (the annotation; an int is accepted where a float is
+expected), its default, and its range check.  One loop, :func:`_parse`,
+builds every section from those fields; rules that tie keys together live
+in the sections' ``__post_init__``.  Parsing is fail-closed: unknown keys,
+values of the wrong type and out-of-range values all raise
+:class:`ConfigError` — a silently ignored typo in a kernel exponent would
+invalidate every certificate the run produces.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from . import grid as gridmod
 from . import kernels
-from .errors import ConfigError
-from .stepper import SCHEMES, REJECT_AND_HALVE, CLIP_TO_ZERO
+from .errors import ConfigError, DomainError
+from .stepper import StepperConfig
 
 IC_FAMILIES = ("exponential", "custom_csv")
 IC_PROFILES = ("constant", "cosine", "gaussian_bump")
 KERNEL_FAMILIES = ("power_law_uniform", "cheng_redner_uniform", "table")
 
 
-def _section(doc, key):
-    if key not in doc:
-        return {}
-    val = doc[key]
-    if not isinstance(val, dict):
-        raise ConfigError(f"config section {key!r} must be an object")
-    return val
+def _key(default, check=None, rule=""):
+    """The field of one config key: its default, and the range check
+    ``check(value)`` that ``rule`` states for the error message."""
+    meta = {"check": check, "rule": rule}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
 
 
-def _pull(d, section, key, typ, default=..., check=None, what=""):
-    if key not in d:
-        if default is ...:
-            raise ConfigError(f"{section}: missing required key {key!r}")
-        return default
-    v = d[key]
-    if v is None and default is None:
-        return None  # explicit null is fine wherever the default is null
-    if typ is float and isinstance(v, int) and not isinstance(v, bool):
-        v = float(v)
-    if typ is not None and not isinstance(v, typ) or isinstance(v, bool) and typ is not bool:
-        raise ConfigError(f"{section}.{key}: expected {what or typ}, got {v!r}")
-    if check is not None and not check(v):
-        raise ConfigError(f"{section}.{key}: invalid value {v!r}")
-    return v
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _reject_unknown(d, section, allowed):
-    extra = set(d) - set(allowed)
-    if extra:
-        raise ConfigError(f"{section}: unknown keys {sorted(extra)}")
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _json_type(hint):
+    """The JSON value type of a field annotation: ``list[int] | None`` -> list."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    return typing.get_origin(hint) or hint
+
+
+def _parse(cls, section, d):
+    """Build the config dataclass ``cls`` from the JSON object ``d``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section}: expected a JSON object, got {d!r}")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"{section}: unknown keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name not in d:
+            continue
+        v, typ = d[f.name], _json_type(hints[f.name])
+        if v is None and f.default is None:
+            values[f.name] = None  # an explicit null is fine wherever the default is null
+            continue
+        if is_dataclass(typ):
+            v = _parse(typ, f.name, v)
+        elif typ is float and _is_int(v):
+            v = float(v)
+        if not isinstance(v, typ) or isinstance(v, bool) and typ is not bool:
+            raise ConfigError(f"{section}.{f.name}: expected {typ.__name__}, got {v!r}")
+        check = f.metadata.get("check")
+        if check is not None and not check(v):
+            rule = f.metadata["rule"]
+            raise ConfigError(f"{section}.{f.name}: invalid value {v!r}"
+                              + (f" ({rule})" if rule else ""))
+        values[f.name] = v
+    try:
+        return cls(**values)
+    except DomainError as exc:  # a section that checks its own ranges
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 @dataclass
 class KernelConfig:
-    family: str = "power_law_uniform"
-    n: int = 32
-    lam: float = 4.0
-    alpha: float = 0.5
-    profile: str = "weaker"
-    reg_tol: float = 1e-10
+    family: str = _key("power_law_uniform", lambda v: v in KERNEL_FAMILIES)
+    n: int = _key(32, lambda v: v >= 1)
+    lam: float = _key(4.0, lambda v: v > 0)
+    alpha: float = _key(0.5, lambda v: v >= 0)
+    profile: str = _key("weaker", lambda v: v in ("weaker", "stronger"))
+    reg_tol: float = _key(1e-10, lambda v: 0 < v < 1)
     a_table: str | None = None
     b_table: str | None = None
     d_table: str | None = None
 
-    KEYS = ("family", "n", "lam", "alpha", "profile", "reg_tol",
-            "a_table", "b_table", "d_table")
-
-    @classmethod
-    def from_dict(cls, d):
-        _reject_unknown(d, "kernel", cls.KEYS)
-        kc = cls(
-            family=_pull(d, "kernel", "family", str, "power_law_uniform",
-                         lambda v: v in KERNEL_FAMILIES, "kernel family name"),
-            n=_pull(d, "kernel", "n", int, 32, lambda v: v >= 1),
-            lam=_pull(d, "kernel", "lam", float, 4.0, lambda v: v > 0),
-            alpha=_pull(d, "kernel", "alpha", float, 0.5, lambda v: v >= 0),
-            profile=_pull(d, "kernel", "profile", str, "weaker",
-                          lambda v: v in ("weaker", "stronger")),
-            reg_tol=_pull(d, "kernel", "reg_tol", float, 1e-10, lambda v: 0 < v < 1),
-            a_table=_pull(d, "kernel", "a_table", str, None),
-            b_table=_pull(d, "kernel", "b_table", str, None),
-            d_table=_pull(d, "kernel", "d_table", str, None),
-        )
-        if kc.family == "table":
+    def __post_init__(self):
+        if self.family == "table":
             for name in ("a_table", "b_table", "d_table"):
-                if getattr(kc, name) is None:
+                if getattr(self, name) is None:
                     raise ConfigError(f"kernel: family 'table' requires {name}")
-        return kc
 
 
 @dataclass
 class GridConfig:
-    cells: list[int] = field(default_factory=lambda: [128])
-    lengths: list[float] = field(default_factory=lambda: [1.0])
+    cells: list[int] = _key([128], lambda v: len(v) in (1, 2)
+                            and all(_is_int(c) and c >= 4 for c in v),
+                            "1 or 2 axes, each an int >= 4")
+    lengths: list[float] | None = _key(None, lambda v: all(_is_number(x) and x > 0 for x in v),
+                                       "positive numbers, one per axis")
 
-    KEYS = ("cells", "lengths")
-
-    @classmethod
-    def from_dict(cls, d):
-        _reject_unknown(d, "grid", cls.KEYS)
-        cells = _pull(d, "grid", "cells", list, [128])
-        lengths = _pull(d, "grid", "lengths", list, None)
-        if lengths is None:
-            lengths = [1.0] * len(cells)
-        if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 4 for c in cells):
-            raise ConfigError("grid.cells: each entry must be an int >= 4")
-        if len(lengths) != len(cells) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0 for x in lengths
-        ):
+    def __post_init__(self):
+        if self.lengths is None:
+            self.lengths = [1.0] * len(self.cells)
+        if len(self.lengths) != len(self.cells):
             raise ConfigError("grid.lengths: positive numbers, one per axis")
-        if len(cells) not in (1, 2):
-            raise ConfigError("grid: only 1 or 2 spatial axes supported")
-        return cls(cells=list(cells), lengths=[float(x) for x in lengths])
+        self.lengths = [float(x) for x in self.lengths]
 
 
 @dataclass
 class ICConfig:
-    family: str = "exponential"
-    gamma: float = 1.0
-    amplitude: float = 1.0
-    profile: str = "constant"
-    depth: float = 0.5
+    family: str = _key("exponential", lambda v: v in IC_FAMILIES)
+    gamma: float = _key(1.0, lambda v: v > 0)
+    amplitude: float = _key(1.0, lambda v: v >= 0)
+    profile: str = _key("constant", lambda v: v in IC_PROFILES)
+    depth: float = _key(0.5, lambda v: 0 <= v < 1)
     center: list[float] | None = None
-    width: float = 0.1
+    width: float = _key(0.1, lambda v: v > 0)
     path: str | None = None
     allow_custom: bool = False
 
-    KEYS = ("family", "gamma", "amplitude", "profile", "depth", "center",
-            "width", "path", "allow_custom")
-
-    @classmethod
-    def from_dict(cls, d):
-        _reject_unknown(d, "ic", cls.KEYS)
-        ic = cls(
-            family=_pull(d, "ic", "family", str, "exponential",
-                         lambda v: v in IC_FAMILIES),
-            gamma=_pull(d, "ic", "gamma", float, 1.0, lambda v: v > 0),
-            amplitude=_pull(d, "ic", "amplitude", float, 1.0, lambda v: v >= 0),
-            profile=_pull(d, "ic", "profile", str, "constant",
-                          lambda v: v in IC_PROFILES),
-            depth=_pull(d, "ic", "depth", float, 0.5, lambda v: 0 <= v < 1),
-            center=_pull(d, "ic", "center", list, None),
-            width=_pull(d, "ic", "width", float, 0.1, lambda v: v > 0),
-            path=_pull(d, "ic", "path", str, None),
-            allow_custom=_pull(d, "ic", "allow_custom", bool, False),
-        )
-        if ic.family == "custom_csv":
-            if not ic.allow_custom:
+    def __post_init__(self):
+        if self.family == "custom_csv":
+            if not self.allow_custom:
                 raise ConfigError(
                     "ic: custom_csv data requires allow_custom=true "
                     "(admissibility is then checked numerically only)"
                 )
-            if ic.path is None:
+            if self.path is None:
                 raise ConfigError("ic: custom_csv requires a path")
-        return ic
-
-
-@dataclass
-class StepperSection:
-    scheme: str = "imex_euler"
-    dt: float = 1e-3
-    t_end: float = 1.0
-    negativity_policy: str = REJECT_AND_HALVE
-    dt_min: float = 1e-9
-
-    KEYS = ("scheme", "dt", "t_end", "negativity_policy", "dt_min")
-
-    @classmethod
-    def from_dict(cls, d):
-        _reject_unknown(d, "stepper", cls.KEYS)
-        return cls(
-            scheme=_pull(d, "stepper", "scheme", str, "imex_euler",
-                         lambda v: v in SCHEMES),
-            dt=_pull(d, "stepper", "dt", float, 1e-3, lambda v: v > 0),
-            t_end=_pull(d, "stepper", "t_end", float, 1.0, lambda v: v >= 0),
-            negativity_policy=_pull(d, "stepper", "negativity_policy", str,
-                                    REJECT_AND_HALVE,
-                                    lambda v: v in (REJECT_AND_HALVE, CLIP_TO_ZERO)),
-            dt_min=_pull(d, "stepper", "dt_min", float, 1e-9, lambda v: v > 0),
-        )
 
 
 @dataclass
 class MonitorsConfig:
-    cadence: int = 10
-    tail_levels: list[int] = field(default_factory=lambda: [8, 16, 24])
-    energy_specs: list[list] = field(default_factory=list)
-    envelope_family: str | None = None
+    cadence: int = _key(10, lambda v: v >= 1)
+    tail_levels: list[int] = _key([8, 16, 24], lambda v: all(_is_int(M) and M >= 0 for M in v)
+                                  and v == sorted(v), "increasing nonnegative ints")
+    energy_specs: list[list] = _key([], lambda v: all(
+        isinstance(s, list) and len(s) == 2 and _is_int(s[0])
+        and isinstance(s[1], (int, float)) for s in v), "entries are [species, level]")
+    envelope_family: str | None = _key(None, lambda v: v in ("exponential",))
 
-    KEYS = ("cadence", "tail_levels", "energy_specs", "envelope_family")
-
-    @classmethod
-    def from_dict(cls, d):
-        _reject_unknown(d, "monitors", cls.KEYS)
-        mc = cls(
-            cadence=_pull(d, "monitors", "cadence", int, 10, lambda v: v >= 1),
-            tail_levels=_pull(d, "monitors", "tail_levels", list, [8, 16, 24]),
-            energy_specs=_pull(d, "monitors", "energy_specs", list, []),
-            envelope_family=_pull(d, "monitors", "envelope_family", str, None,
-                                  lambda v: v in ("exponential",)),
-        )
-        if not all(isinstance(M, int) and not isinstance(M, bool) and M >= 0
-                   for M in mc.tail_levels):
-            raise ConfigError("monitors.tail_levels: nonnegative ints")
-        if sorted(mc.tail_levels) != list(mc.tail_levels):
-            raise ConfigError("monitors.tail_levels: must be increasing")
-        specs = []
-        for item in mc.energy_specs:
-            if (not isinstance(item, list) or len(item) != 2
-                    or not isinstance(item[0], int) or isinstance(item[0], bool)
-                    or not isinstance(item[1], (int, float))):
-                raise ConfigError("monitors.energy_specs: entries are [species, level]")
-            specs.append([item[0], float(item[1])])
-        mc.energy_specs = specs
-        return mc
+    def __post_init__(self):
+        self.energy_specs = [[sp, float(level)] for sp, level in self.energy_specs]
 
 
 @dataclass
@@ -227,32 +167,17 @@ class SimConfig:
     kernel: KernelConfig = field(default_factory=KernelConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     ic: ICConfig = field(default_factory=ICConfig)
-    stepper: StepperSection = field(default_factory=StepperSection)
+    stepper: StepperConfig = field(default_factory=StepperConfig)
     monitors: MonitorsConfig = field(default_factory=MonitorsConfig)
-    eps: float = 0.0
+    eps: float = _key(0.0, lambda v: 0 <= v < 1)
     output_dir: str | None = None
-
-    TOP_KEYS = ("kernel", "grid", "ic", "stepper", "monitors", "eps",
-                "output_dir")
 
     @classmethod
     def from_dict(cls, doc):
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be a JSON object")
-        _reject_unknown(doc, "config", cls.TOP_KEYS)
-        return cls(
-            kernel=KernelConfig.from_dict(_section(doc, "kernel")),
-            grid=GridConfig.from_dict(_section(doc, "grid")),
-            ic=ICConfig.from_dict(_section(doc, "ic")),
-            stepper=StepperSection.from_dict(_section(doc, "stepper")),
-            monitors=MonitorsConfig.from_dict(_section(doc, "monitors")),
-            eps=_pull(doc, "config", "eps", float, 0.0, lambda v: 0 <= v < 1),
-            output_dir=_pull(doc, "config", "output_dir", str, None),
-        )
+        return _parse(cls, "config", doc)
 
     def to_dict(self):
-        doc = asdict(self)
-        return doc
+        return asdict(self)
 
 
 def load_config(path):

@@ -75,7 +75,7 @@ class StepperConfig:
             raise DomainError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.negativity_policy not in (REJECT_AND_HALVE, CLIP_TO_ZERO):
             raise DomainError(f"unknown negativity policy {self.negativity_policy!r}")
-        if self.dt <= 0 or self.t_end < 0 or self.dt_min <= 0:
+        if not (self.dt > 0 and self.t_end >= 0 and self.dt_min > 0):  # NaN fails too
             raise DomainError("dt and dt_min must be positive, t_end nonnegative")
 
 
