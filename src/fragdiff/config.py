@@ -132,7 +132,8 @@ class ICConfig:
     amplitude: float = _key(1.0, lambda v: v >= 0)
     profile: str = _key("constant", lambda v: v in IC_PROFILES)
     depth: float = _key(0.5, lambda v: 0 <= v < 1)
-    center: list[float] | None = None
+    center: list[float] | None = _key(None, lambda v: all(_is_number(x) for x in v),
+                                      "numbers, one per grid axis")
     width: float = _key(0.1, lambda v: v > 0)
     path: str | None = None
     allow_custom: bool = False
@@ -154,8 +155,8 @@ class MonitorsConfig:
     tail_levels: list[int] = _key([8, 16, 24], lambda v: all(_is_int(M) and M >= 0 for M in v)
                                   and v == sorted(v), "increasing nonnegative ints")
     energy_specs: list[list] = _key([], lambda v: all(
-        isinstance(s, list) and len(s) == 2 and _is_int(s[0])
-        and isinstance(s[1], (int, float)) for s in v), "entries are [species, level]")
+        isinstance(s, list) and len(s) == 2 and _is_int(s[0]) and _is_number(s[1])
+        and s[1] > 0 for s in v), "entries are [species, level], level > 0")
     envelope_family: str | None = _key(None, lambda v: v in ("exponential",))
 
     def __post_init__(self):
@@ -171,6 +172,14 @@ class SimConfig:
     monitors: MonitorsConfig = field(default_factory=MonitorsConfig)
     eps: float = _key(0.0, lambda v: 0 <= v < 1)
     output_dir: str | None = None
+
+    def __post_init__(self):
+        if self.ic.center is not None and len(self.ic.center) != len(self.grid.cells):
+            raise ConfigError("ic.center: numbers, one per grid axis")
+        for sp, _level in self.monitors.energy_specs:
+            if not 1 <= sp <= self.kernel.n:
+                raise ConfigError(
+                    f"monitors.energy_specs: species {sp} outside 1..{self.kernel.n}")
 
     @classmethod
     def from_dict(cls, doc):
@@ -223,8 +232,6 @@ def _profile_values(ic, grid):
     center = ic.center
     if center is None:
         center = [0.5 * L for L in grid.lengths]
-    if len(center) != grid.dim:
-        raise ConfigError("ic.center: one coordinate per axis")
     r2 = np.zeros(grid.shape)
     for ax, x in enumerate(axes):
         r2 = r2 + (x - float(center[ax])) ** 2

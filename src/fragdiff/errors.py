@@ -40,12 +40,17 @@ class CflViolationError(FragdiffError):
 
 
 class NumericalAbortError(FragdiffError):
-    """The time integration produced non-finite values or ran out of step-size budget."""
+    """The time integration produced non-finite values or ran out of step-size budget.
 
-    def __init__(self, message, t=None, step_index=None):
+    ``trajectory`` is the run up to its last accepted state, when the
+    integration that raised the error had one to give.
+    """
+
+    def __init__(self, message, t=None, step_index=None, trajectory=None):
         super().__init__(message)
         self.t = t
         self.step_index = step_index
+        self.trajectory = trajectory
 
 
 class LinearSolveError(FragdiffError):

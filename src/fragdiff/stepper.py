@@ -290,9 +290,8 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         if traj.times[-1] != t:
             take(t, F, Q)
         traj.terminal = F
-        exc = NumericalAbortError(message, t=t, step_index=state.step_index)
-        exc.trajectory = traj
-        return exc
+        return NumericalAbortError(message, t=t, step_index=state.step_index,
+                                   trajectory=traj)
 
     t = t0
     Q = reaction.q_field(F, ks, eps)

@@ -142,7 +142,8 @@ KEY_TABLE = [
     _key("ic.profile", "constant", "gaussian_bump", "gaussian_bump", [1, True],
          ["square"]),
     _key("ic.depth", 0.5, 0, 0.0, ["0.5", True], [1, 1.5, -0.1, NAN]),
-    _key("ic.center", None, [0.25], [0.25], ["0.5", 0.5, {"x": 0.5}], []),
+    _key("ic.center", None, [0.25], [0.25], ["0.5", 0.5, {"x": 0.5}, ["a"], [True]],
+         [[], [0.25, 0.25]]),
     _key("ic.width", 0.1, 0.2, 0.2, ["0.1", True], [0, -0.1, NAN]),
     _key("ic.path", None, "ic.csv", "ic.csv", [1, True], []),
     _key("ic.allow_custom", False, True, True, [1, 0, "true", None], []),
@@ -157,7 +158,8 @@ KEY_TABLE = [
     _key("monitors.tail_levels", [8, 16, 24], [0, 4], [0, 4],
          ["8", 8, [8.0], [True]], [[-1], [8, 4]]),
     _key("monitors.energy_specs", [], [[1, 2]], [[1, 2.0]],
-         ["x", [1, 2], [[1.5, 1.0]], [[True, 1.0]], [[1, "1"]], [[1]]], []),
+         ["x", [1, 2], [[1.5, 1.0]], [[True, 1.0]], [[1, "1"]], [[1, True]], [[1]]],
+         [[[1, 0]], [[1, -1.0]], [[1, NAN]], [[0, 1.0]], [[33, 1.0]]]),
     _key("monitors.envelope_family", None, "exponential", "exponential", [1, True],
          ["gaussian"]),
     _key("eps", 0.0, 0, 0.0, ["0.01", True, None], [1, -0.01, NAN]),
@@ -341,6 +343,26 @@ class TestSimulateCommand:
         doc = small_doc(monitors={"energy_specs": [[9, 1.0]]})
         cfg_path = write_cfg(tmp_path, doc)
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("ic,monitors", [
+        ({"profile": "gaussian_bump", "center": ["a"]}, {}),
+        ({"profile": "gaussian_bump", "center": [True]}, {}),
+        ({"profile": "gaussian_bump", "center": [0.5, 0.5]}, {}),
+        ({}, {"energy_specs": [[1, 0]]}),
+        ({}, {"energy_specs": [[1, True]]}),
+        ({}, {"energy_specs": [[9, 1.0]]}),
+    ], ids=["center-str", "center-bool", "center-2-axes", "level-0", "level-bool",
+            "species-9-of-8"])
+    def test_bad_value_refused_before_the_run(self, tmp_path, capsys, ic, monitors):
+        doc = small_doc(ic=ic, monitors=monitors)
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        key = "ic.center" if ic else "monitors.energy_specs"
+        assert err.startswith(f"config error: {key}"), err
+        assert "Traceback" not in err
+        assert not out.exists()  # nothing was written
 
     def test_abort_writes_partial_outputs(self, tmp_path):
         # custom data with a fast-decaying species and an oversized step:
