@@ -298,7 +298,9 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
     take(t, F, Q)
     guard = 1e-12 * max(1.0, abs(cfg.t_end))
     while t < cfg.t_end - guard:
-        dt_try = min(cfg.dt, cfg.t_end - t)
+        # a remainder within rounding of dt is a full step: no second factor set
+        remaining = cfg.t_end - t
+        dt_try = cfg.dt if remaining >= cfg.dt - guard else remaining
         while True:
             try:
                 if cfg.scheme == "imex_euler":
@@ -327,6 +329,8 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         F, Q = cand, None  # the old state's Q goes before the new one is formed
         Q = reaction.q_field(F, ks, eps)
         t += dt_try
+        if t >= cfg.t_end - guard:
+            t = cfg.t_end  # the last step
         state.t = t
         state.last_dt = dt_try
         state.step_index += 1

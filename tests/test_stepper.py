@@ -449,6 +449,26 @@ def test_sampling_times():
     assert len(traj.fields) == len(traj.times)
 
 
+def test_last_step_within_rounding_of_dt_reuses_its_factor(monkeypatch):
+    # 49 steps of 1e-3 leave 0.0009999999999999662 of t_end = 0.05: the
+    # last step is still dt, so one factor set serves the whole run
+    calls = []
+    real = DiffusionSolver._factorize
+
+    def counted(self, dt):
+        calls.append(dt)
+        return real(self, dt)
+
+    monkeypatch.setattr(DiffusionSolver, "_factorize", counted)
+    g = make_grid_1d(16)
+    ks = fd.power_law_uniform(4, 4.0, 0.5)
+    cfg = StepperConfig(scheme="imex_euler", dt=1e-3, t_end=0.05)
+    traj = run_simulation(g, ks, np.ones((4, 16)), cfg, eps=0.01)
+    assert calls == [1e-3]
+    assert traj.state.step_index == 50
+    assert traj.times[-1] == traj.state.t == 0.05
+
+
 def test_zero_duration_run():
     g = make_grid_1d(16)
     traj = run_simulation(g, pure_diffusion_kernel(), np.ones((1, 16)),
