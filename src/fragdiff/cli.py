@@ -4,7 +4,8 @@ Exit codes are part of the contract:
 
 * 0 — success, every checked invariant passed / every series certified
 * 1 — an invariant failed, a series diverges, or a kernel table is invalid
-* 2 — configuration error (bad file, unknown keys, missing inputs)
+* 2 — configuration error (bad file, unknown keys, values of the wrong type
+  or out of range, missing inputs)
 * 3 — numerical abort (step-size collapse, non-finite state)
 * 4 — audit inconclusive (no certificate either way)
 

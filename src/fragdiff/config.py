@@ -51,7 +51,7 @@ def _is_number(v):
 
 def _json_type(hint):
     """The JSON value type of a field annotation: ``list[int] | None`` -> list."""
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+    if typing.get_origin(hint) is types.UnionType:
         (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
     return typing.get_origin(hint) or hint
 

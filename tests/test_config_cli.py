@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,14 @@ def test_key_table_covers_every_key():
             keys.add(sec)
     assert len(keys) == 31
     assert {row.values[0] for row in KEY_TABLE} == keys
+
+
+def test_readme_configs_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        SimConfig.from_dict(json.loads(block))
 
 
 class TestInitialConditionBuilders:
