@@ -42,8 +42,8 @@ class CflViolationError(FragdiffError):
 class NumericalAbortError(FragdiffError):
     """The time integration produced non-finite values or ran out of step-size budget.
 
-    ``trajectory`` is the run up to its last accepted state, when the
-    integration that raised the error had one to give.
+    ``trajectory`` is the run up to its last accepted state; ``run_simulation``
+    always sets it.
     """
 
     def __init__(self, message, t=None, step_index=None, trajectory=None):

@@ -330,7 +330,7 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         Q = reaction.q_field(F, ks, eps)
         t += dt_try
         if t >= cfg.t_end - guard:
-            t = cfg.t_end  # the last step
+            t = cfg.t_end  # the last step ends at t_end exactly
         state.t = t
         state.last_dt = dt_try
         state.step_index += 1
