@@ -4,12 +4,22 @@
 equation with Neumann data.  The reflected-ghost stencil has the same
 cosine modes as exact eigenvectors (``fragdiff.grid``), so the DCT-II path
 cross-checks the stencil steppers without reusing them.
+
+``validate_kernel_set_by_pair`` is the per-pair form of the kernel
+validator: every check of every pair in one Python pass, ``fsum`` over
+numpy scalars, and a fresh ``Fraction`` sum for every exact pair.  It is
+kept verbatim as the reference that ``fragdiff.validate_kernel_set`` must
+match report for report, floats and messages included.
 """
+
+from fractions import Fraction
+from math import fsum
 
 import numpy as np
 import scipy.fft
 
-from fragdiff.errors import DomainError
+from fragdiff.errors import DomainError, FragdiffError
+from fragdiff.kernels import ValidationReport
 
 
 def spectral_heat_solve_1d(grid, u0, d, t):
@@ -33,3 +43,84 @@ def spectral_heat_solve_1d(grid, u0, d, t):
     k = np.arange(m)
     coeff *= np.exp(-d * (k * np.pi / L) ** 2 * t)
     return scipy.fft.idct(coeff, type=2, norm="ortho")
+
+
+def validate_kernel_set_by_pair(ks, i_max=None, exact_limit=64, rel_tol=1e-12):
+    """Check the structural identities of a kernel set.
+
+    Verifies symmetry and nonnegativity of ``a`` and ``b``, positivity of
+    ``d``, the support condition ``b^k_ij = 0`` for ``k >= i+j``, and local
+    mass conservation ``sum_k k b^k_ij = i+j``.  Mass conservation is checked
+    in exact rational arithmetic for ``i + j <= exact_limit`` (built-in
+    families only) and in floating point with relative tolerance ``rel_tol``
+    for all ``i, j <= i_max``.
+    """
+    if i_max is None:
+        i_max = ks.n
+    failures = []
+    notes = list(ks.notes)
+
+    if np.any(ks.d <= 0) or not np.all(np.isfinite(ks.d)):
+        failures.append("diffusion coefficients must be positive and finite")
+
+    # a-symmetry / nonnegativity on the stored range
+    amat = ks.a_matrix()
+    if not np.array_equal(amat, amat.T):
+        failures.append("collision rates are not symmetric")
+    if np.any(amat < 0):
+        failures.append("collision rates contain negative entries")
+
+    worst = 0.0
+    pairs = 0
+    exact_pairs = 0
+    for i in range(1, i_max + 1):
+        # one (j, k) block per row: j = i..i_max, k up to the widest support + 2
+        jv = np.arange(i, i_max + 1)[:, None]
+        k = np.arange(1, i + i_max + 3)[None, :]
+        col = ks._b_fn(i, jv, k)
+        inside = k < i + jv
+        asym = np.any((col != ks._b_fn(jv, i, k)) & inside, axis=1)
+        negative = np.any((col < 0) & inside, axis=1)
+        beyond = (col != 0.0) & ~inside & (k < i + jv + 3)
+        first_beyond = k[0, np.argmax(beyond, axis=1)]
+        weighted = k * col
+        for r, j in enumerate(range(i, i_max + 1)):
+            s = i + j
+            if asym[r]:
+                failures.append(f"b^k_{{{i},{j}}} != b^k_{{{j},{i}}}")
+            if negative[r]:
+                failures.append(f"b^k_{{{i},{j}}} has negative entries")
+            if beyond[r].any():
+                failures.append(f"b^{first_beyond[r]}_{{{i},{j}}} nonzero beyond support")
+            total = fsum(weighted[r, : s - 1])
+            resid = abs(total - s) / s
+            worst = max(worst, resid)
+            if resid > rel_tol:
+                failures.append(
+                    f"mass conservation off at ({i},{j}): sum k b^k = {total!r} != {s}"
+                )
+            pairs += 1
+            if s <= exact_limit and ks.family != "table":
+                if not _exact_mass_ok_by_pair(ks, i, j):
+                    failures.append(f"exact mass conservation fails at ({i},{j})")
+                exact_pairs += 1
+            if len(failures) > 20:
+                failures.append("... further failures suppressed")
+                return ValidationReport(False, worst, pairs, exact_pairs, failures, notes)
+
+    return ValidationReport(not failures, worst, pairs, exact_pairs, failures, notes)
+
+
+def _exact_mass_ok_by_pair(ks, i, j):
+    """Local mass conservation in exact rational arithmetic."""
+    s = i + j
+    if ks.uniform_breakage:
+        total = Fraction(2, s - 1) * sum(range(1, s))
+        return total == s
+    if ks.family == "cheng_redner_uniform":
+        def side(size):
+            if size == 1:
+                return Fraction(1)
+            return Fraction(2, size - 1) * sum(range(1, size))
+        return side(i) + side(j) == s
+    raise FragdiffError(f"no exact rational form for family {ks.family!r}")

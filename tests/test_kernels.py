@@ -361,3 +361,89 @@ def test_table_validation_stops_after_20_failures(tmp_path):
     assert len(rep.failures) == 22
     assert rep.failures[20] == "b^11_{3,8} nonzero beyond support"
     assert rep.failures[-1] == "... further failures suppressed"
+
+
+# -- the validator against its per-pair reference ----------------------------
+
+
+def _with_counts(ks, fault):
+    """``ks`` with ``fault(i, j, k, counts)`` as its breakage counts."""
+    base = ks._b_fn
+    ks._b_fn = lambda i, j, k: fault(np.asarray(i), np.asarray(j), np.asarray(k), base(i, j, k))
+    return ks
+
+
+FAULTS = {
+    # b^1_{2,5} > b^1_{5,2}: asymmetric, and off in mass at (2, 5)
+    "asymmetric": lambda i, j, k, b: b + np.where((i == 2) & (j == 5) & (k == 1), 1e-3, 0.0),
+    "negative": lambda i, j, k, b: np.where((i + j == 7) & (k == 2), -b, b),
+    "beyond_support": lambda i, j, k, b: b + np.where((k == i + j + i % 3) & (j % 5 == 0),
+                                                      0.5, 0.0),
+    "mass_off": lambda i, j, k, b: b * np.where(i * j % 4 == 3, 1.0 + 3e-12, 1.0),
+    # NaN != NaN reads as asymmetric; a NaN mass residual is never above tolerance
+    "nan": lambda i, j, k, b: np.where((i + j == 7) & (k == 3), np.nan, b),
+    # every pair fails twice, so the report stops mid-row
+    "everything_negative": lambda i, j, k, b: -b,
+}
+
+
+def _validator_cases():
+    pl, cr = fd.power_law_uniform, fd.cheng_redner_uniform
+    for n in (1, 2, 3, 5, 17, 64):
+        yield f"uniform-n{n}", lambda n=n: pl(n, 4.0, 0.5), {}
+        yield f"cr-n{n}", lambda n=n: cr(n, 5.0, 0.5), {}
+    yield "uniform-imax-beyond-n", lambda: pl(5, 4.0, 0.5), {"i_max": 11}
+    yield "cr-imax-beyond-n", lambda: cr(5, 4.0, 0.5), {"i_max": 11}
+    yield "uniform-exact-limit-10", lambda: pl(17, 4.0, 0.5), {"exact_limit": 10}
+    yield "cr-exact-limit-10", lambda: cr(17, 4.0, 0.5), {"exact_limit": 10}
+    yield "uniform-rel-tol-0", lambda: pl(40, 4.0, 0.5), {"rel_tol": 0.0}
+    yield "cr-rel-tol-0", lambda: cr(40, 4.0, 0.5), {"rel_tol": 0.0}
+    for name, fault in FAULTS.items():
+        yield f"uniform-{name}", lambda f=fault: _with_counts(pl(12, 4.0, 0.5), f), {}
+        yield f"cr-{name}", lambda f=fault: _with_counts(cr(12, 4.0, 0.5), f), {}
+
+
+TABLE_CASES = {
+    "plain": {},
+    "broken_mass": {"break_row": (2, 2, 3)},
+    "beyond_support": {"extra": [(2, 3, 5, 0.25), (1, 1, 3, 0.5), (1, 1, 4, 0.5)]},
+    "asymmetric_beyond": {"n": 7, "extra": [(2, 3, 5, 0.25), (1, 4, 7, 0.5), (3, 1, 2, 0.1)]},
+    "over_20_failures": {"n": 8, "extra": [(i, j, i + j, 0.5) for i in range(1, 9)
+                                           for j in range(i, 9)]},
+}
+
+
+@pytest.mark.parametrize("name,make,kwargs", list(_validator_cases()),
+                         ids=[c[0] for c in _validator_cases()])
+def test_validator_matches_per_pair_reference(name, make, kwargs):
+    from oracles import validate_kernel_set_by_pair
+
+    rep = fd.validate_kernel_set(make(), **kwargs)
+    assert repr(rep) == repr(validate_kernel_set_by_pair(make(), **kwargs))
+    if "everything" in name:
+        assert rep.failures[-1] == "... further failures suppressed"
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_table_validator_matches_per_pair_reference(tmp_path, name):
+    from oracles import validate_kernel_set_by_pair
+
+    ks = fd.from_tables(*_write_tables(tmp_path, **TABLE_CASES[name]))
+    for kwargs in ({}, {"i_max": ks.n + 2, "rel_tol": 0.0}):
+        rep = fd.validate_kernel_set(ks, **kwargs)
+        assert repr(rep) == repr(validate_kernel_set_by_pair(ks, **kwargs))
+
+
+def test_validator_memory_stays_quadratic():
+    # an n**3 float tensor at n=128 would take 16.8 MB; a row block takes 0.26 MB
+    import tracemalloc
+
+    ks = fd.cheng_redner_uniform(128, 5.0, 0.5)
+    tracemalloc.start()
+    try:
+        rep = fd.validate_kernel_set(ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.pairs_checked == 8256
+    assert peak < 4 * 2**20, peak
