@@ -8,7 +8,8 @@ its JSON type (the annotation; an int is accepted where a float is
 expected), its default, and its range check.  One loop, :func:`_parse`,
 builds every section from those fields; rules that tie keys together live
 in the sections' ``__post_init__``.  Parsing is fail-closed: unknown keys,
-values of the wrong type and out-of-range values all raise
+values of the wrong type, non-finite numbers (``NaN``, ``Infinity``,
+anywhere in a value) and out-of-range values all raise
 :class:`ConfigError` — a silently ignored typo in a kernel exponent would
 invalidate every certificate the run produces.
 """
@@ -16,6 +17,7 @@ invalidate every certificate the run produces.
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -49,6 +51,22 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _finite(v):
+    """Whether every number in ``v``, nested lists included, is finite.
+
+    ``json.load`` reads ``NaN``, ``Infinity`` and ``-Infinity`` (and
+    ``1e400`` as infinity); an int too large for a float counts as infinite.
+    """
+    if isinstance(v, list):
+        return all(map(_finite, v))
+    if not _is_number(v):
+        return True
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _json_type(hint):
     """The JSON value type of a field annotation: ``list[int] | None`` -> list."""
     if typing.get_origin(hint) is types.UnionType:
@@ -74,6 +92,8 @@ def _parse(cls, section, d):
             continue
         if is_dataclass(typ):
             v = _parse(typ, f.name, v)
+        elif not _finite(v):
+            raise ConfigError(f"{section}.{f.name}: invalid value {v!r} (numbers must be finite)")
         elif typ is float and _is_int(v):
             v = float(v)
         if not isinstance(v, typ) or isinstance(v, bool) and typ is not bool:

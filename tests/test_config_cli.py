@@ -119,51 +119,54 @@ def _key(key, default, valid, parsed, wrong_types, out_of_range, base=None):
 
 
 NAN = float("nan")  # JSON documents may hold NaN, and json.load reads it
+INF = float("inf")  # likewise Infinity, -Infinity, and 1e400 as infinity
+NON_FINITE = [INF, -INF]  # with NAN, rejected for every float key
 _CUSTOM = {"ic": {"allow_custom": True, "path": "ic.csv"}}
 
 KEY_TABLE = [
     _key("kernel.family", "power_law_uniform", "cheng_redner_uniform",
          "cheng_redner_uniform", [1, True, None, ["table"]], ["gaussian"]),
     _key("kernel.n", 32, 8, 8, [4.5, 8.0, "8", True, None], [0, -1]),
-    _key("kernel.lam", 4.0, 5, 5.0, ["4", True, None, [4.0]], [0, -1.0, NAN]),
-    _key("kernel.alpha", 0.5, 1, 1.0, ["0.5", False], [-0.5, NAN]),
+    _key("kernel.lam", 4.0, 5, 5.0, ["4", True, None, [4.0]], [0, -1.0, NAN, *NON_FINITE, 10**400]),
+    _key("kernel.alpha", 0.5, 1, 1.0, ["0.5", False], [-0.5, NAN, *NON_FINITE]),
     _key("kernel.profile", "weaker", "stronger", "stronger", [1, True], ["weak"]),
-    _key("kernel.reg_tol", 1e-10, 1e-8, 1e-8, ["1e-8", True], [0, 1, -1e-10, 1.5, NAN]),
+    _key("kernel.reg_tol", 1e-10, 1e-8, 1e-8, ["1e-8", True], [0, 1, -1e-10, 1.5, NAN, *NON_FINITE]),
     _key("kernel.a_table", None, "a.csv", "a.csv", [1, True, ["a.csv"]], []),
     _key("kernel.b_table", None, "b.csv", "b.csv", [1, True, ["b.csv"]], []),
     _key("kernel.d_table", None, "d.csv", "d.csv", [1, True, ["d.csv"]], []),
     _key("grid.cells", [128], [8, 6], [8, 6], ["8", 8, {"x": 8}, None, [8.0], [True]],
          [[2], [], [4, 4, 4]]),
     _key("grid.lengths", [1.0], [2], [2.0], ["1", 1.0, [True], ["1"]],
-         [[0], [-1.0], [NAN], [1.0, 1.0]]),
+         [[0], [-1.0], [NAN], [1.0, 1.0], [INF], [-INF], [10**400]]),
     _key("ic.family", "exponential", "custom_csv", "custom_csv", [1, True, None],
          ["gaussian"], base=_CUSTOM),
-    _key("ic.gamma", 1.0, 2, 2.0, ["1", True, None], [0, -1, NAN]),
-    _key("ic.amplitude", 1.0, 0, 0.0, ["1", True, None], [-1e-3, NAN]),
+    _key("ic.gamma", 1.0, 2, 2.0, ["1", True, None], [0, -1, NAN, *NON_FINITE]),
+    _key("ic.amplitude", 1.0, 0, 0.0, ["1", True, None], [-1e-3, NAN, *NON_FINITE]),
     _key("ic.profile", "constant", "gaussian_bump", "gaussian_bump", [1, True],
          ["square"]),
-    _key("ic.depth", 0.5, 0, 0.0, ["0.5", True], [1, 1.5, -0.1, NAN]),
+    _key("ic.depth", 0.5, 0, 0.0, ["0.5", True], [1, 1.5, -0.1, NAN, *NON_FINITE]),
     _key("ic.center", None, [0.25], [0.25], ["0.5", 0.5, {"x": 0.5}, ["a"], [True]],
-         [[], [0.25, 0.25]]),
-    _key("ic.width", 0.1, 0.2, 0.2, ["0.1", True], [0, -0.1, NAN]),
+         [[], [0.25, 0.25], [NAN], [INF], [-INF], [10**400]]),
+    _key("ic.width", 0.1, 0.2, 0.2, ["0.1", True], [0, -0.1, NAN, *NON_FINITE]),
     _key("ic.path", None, "ic.csv", "ic.csv", [1, True], []),
     _key("ic.allow_custom", False, True, True, [1, 0, "true", None], []),
     _key("stepper.scheme", "imex_euler", "rk4_explicit", "rk4_explicit", [1, True],
          ["verlet"]),
-    _key("stepper.dt", 1e-3, 0.01, 0.01, ["1e-3", True, None], [0, -1e-3, NAN]),
-    _key("stepper.t_end", 1.0, 0, 0.0, ["1", True], [-1, NAN]),
+    _key("stepper.dt", 1e-3, 0.01, 0.01, ["1e-3", True, None], [0, -1e-3, NAN, *NON_FINITE]),
+    _key("stepper.t_end", 1.0, 0, 0.0, ["1", True], [-1, NAN, *NON_FINITE]),
     _key("stepper.negativity_policy", "reject_and_halve", "clip_to_zero",
          "clip_to_zero", [1, True], ["ignore"]),
-    _key("stepper.dt_min", 1e-9, 1e-6, 1e-6, ["1e-9", True], [0, -1e-9, NAN]),
+    _key("stepper.dt_min", 1e-9, 1e-6, 1e-6, ["1e-9", True], [0, -1e-9, NAN, *NON_FINITE]),
     _key("monitors.cadence", 10, 5, 5, [5.0, "5", True, None], [0, -1]),
     _key("monitors.tail_levels", [8, 16, 24], [0, 4], [0, 4],
          ["8", 8, [8.0], [True]], [[-1], [8, 4]]),
     _key("monitors.energy_specs", [], [[1, 2]], [[1, 2.0]],
          ["x", [1, 2], [[1.5, 1.0]], [[True, 1.0]], [[1, "1"]], [[1, True]], [[1]]],
-         [[[1, 0]], [[1, -1.0]], [[1, NAN]], [[0, 1.0]], [[33, 1.0]]]),
+         [[[1, 0]], [[1, -1.0]], [[1, NAN]], [[0, 1.0]], [[33, 1.0]], [[1, INF]],
+          [[1, -INF]]]),
     _key("monitors.envelope_family", None, "exponential", "exponential", [1, True],
          ["gaussian"]),
-    _key("eps", 0.0, 0, 0.0, ["0.01", True, None], [1, -0.01, NAN]),
+    _key("eps", 0.0, 0, 0.0, ["0.01", True, None], [1, -0.01, NAN, *NON_FINITE]),
     _key("output_dir", None, "out", "out", [1, True], []),
 ]
 
@@ -371,6 +374,26 @@ class TestSimulateCommand:
         key = "ic.center" if ic else "monitors.energy_specs"
         assert err.startswith(f"config error: {key}"), err
         assert "Traceback" not in err
+        assert not out.exists()  # nothing was written
+
+    @pytest.mark.parametrize("key,over", [pytest.param(key, over, id=key) for key, over in [
+        ("stepper.t_end", {"stepper": {"t_end": INF}}),
+        ("kernel.alpha", {"kernel": {"alpha": INF}}),
+        ("kernel.lam", {"kernel": {"lam": 10**400}}),
+        ("grid.lengths", {"grid": {"lengths": [-INF]}}),
+        ("ic.center", {"ic": {"profile": "gaussian_bump", "center": [NAN]}}),
+        ("monitors.energy_specs", {"monitors": {"energy_specs": [[1, INF]]}}),
+        ("config.eps", {"eps": NAN}),
+    ]])
+    def test_non_finite_number_refused_before_the_run(self, tmp_path, capsys, key, over):
+        # json.dumps writes Infinity, -Infinity and NaN, which json.load reads back
+        cfg_path = write_cfg(tmp_path, small_doc(**over))
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", cfg_path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: {key}: invalid value"), err
+        assert "must be finite" in err and "Traceback" not in err
         assert not out.exists()  # nothing was written
 
     def test_abort_writes_partial_outputs(self, tmp_path):
