@@ -41,6 +41,7 @@ DIVERGES = "DIVERGES"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 DEFAULT_LEVELS = (50, 100, 200, 400)
+_CR_ROW_BLOCK = 32  # rows of A4 term-1 terms built at once (Cheng-Redner)
 
 
 @dataclass(frozen=True)
@@ -218,9 +219,10 @@ def _term1_partials_cr(lam, alpha, levels):
     b^i_{jk} is piecewise constant in i (two plateaus plus the monomer
     pass-through spike), so the inner sum reduces to at most three
     cumulative-power segment differences per pair.  Each row ``j`` of
-    terms is built once, at the largest level; a term does not depend on
-    the level (``np.cumsum`` is sequential), so level ``N`` sums the
-    first ``N`` terms of each of the first ``N`` rows, then the row
+    terms is built once, at the largest level, in blocks of
+    ``_CR_ROW_BLOCK`` rows so that memory stays ``O(N)``; a term does not
+    depend on the level (``np.cumsum`` is sequential), so level ``N`` sums
+    the first ``N`` terms of each of the first ``N`` rows, then the row
     totals.
     """
     N = max(levels)
@@ -232,23 +234,27 @@ def _term1_partials_cr(lam, alpha, levels):
     c = np.where(kv > 1, 2.0 / np.maximum(kf - 1.0, 1.0), 0.0)  # plateau 2/(k-1)
     # a monomer collider: one plateau, plus the pass-through monomer at i = 1
     edge = np.sqrt(c + 1.0) + np.sqrt(c) * (P[kv - 1] - P[1])
-    for j in range(1, N + 1):
-        jf = float(j)
-        jcol = jf ** (-0.5 * lam) * jf ** (0.5 * (alpha - 1.0))
-        if j == 1:
-            inner = edge.copy()
-            inner[0] = math.sqrt(2.0)  # both monomers re-emitted
-        else:
-            cj = c[j - 1]
-            m1 = np.minimum(j, kv)
-            m2 = np.maximum(j, kv)
-            chigh = np.where(kv > j, c, cj)
-            inner = np.sqrt(cj + c) * P[m1 - 1] + np.sqrt(chigh) * (P[m2 - 1] - P[m1 - 1])
-            inner[0] = edge[j - 1]
-        row = (jcol * base * inner).tolist()
-        for total, level in zip(totals, levels):
-            if j <= level:
-                total.append(math.fsum(row[:level]))
+    for first in range(1, N + 1, _CR_ROW_BLOCK):
+        js = range(first, min(first + _CR_ROW_BLOCK, N + 1))
+        j = np.array(js)[:, None]
+        # scalar pow per row: numpy's vectorized pow need not round like libm's
+        jcol = np.array([float(jj) ** (-0.5 * lam) * float(jj) ** (0.5 * (alpha - 1.0))
+                         for jj in js])
+        cj = c[j - 1]
+        m1 = np.minimum(j, kv)
+        m2 = np.maximum(j, kv)
+        chigh = np.where(kv > j, c, cj)
+        inner = np.sqrt(cj + c) * P[m1 - 1] + np.sqrt(chigh) * (P[m2 - 1] - P[m1 - 1])
+        inner[:, 0] = edge[j[:, 0] - 1]
+        if first == 1:
+            inner[0] = edge
+            inner[0, 0] = math.sqrt(2.0)  # both monomers re-emitted
+        # fsum reads each row prefix straight from the float buffer
+        rows = (jcol[:, None] * base * inner).reshape(-1).data
+        for r, jj in enumerate(js):
+            for total, level in zip(totals, levels):
+                if jj <= level:
+                    total.append(math.fsum(rows[r * N:r * N + level]))
     return [math.fsum(total) for total in totals]
 
 

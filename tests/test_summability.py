@@ -121,10 +121,12 @@ def test_term1_partial_uniform_matches_naive():
 
 
 def test_term1_partial_cr_matches_naive():
-    # every level is summed from the terms built once at the largest one
-    for lam, alpha in [(4.0, 0.0), (4.0, 0.5), (5.0, 1.0)]:
-        fast = _term1_partials_cr(lam, alpha, [7, 30])
-        for N, got in zip([7, 30], fast):
+    # every level is summed from the terms built once at the largest one;
+    # a level above 32 spans two blocks of rows
+    for lam, alpha, levels in [(4.0, 0.0, [7, 30]), (4.0, 0.5, [7, 30, 33]),
+                               (5.0, 1.0, [7, 30])]:
+        fast = _term1_partials_cr(lam, alpha, levels)
+        for N, got in zip(levels, fast):
             slow = _term1_naive(lam, alpha, N, fd.cheng_redner_count)
             assert got == pytest.approx(slow, rel=1e-13), (lam, alpha, N)
 
