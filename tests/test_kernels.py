@@ -434,6 +434,17 @@ def test_table_validator_matches_per_pair_reference(tmp_path, name):
         assert repr(rep) == repr(validate_kernel_set_by_pair(ks, **kwargs))
 
 
+def test_validator_without_closed_form_raises_like_reference():
+    from oracles import validate_kernel_set_by_pair
+
+    for check in (fd.validate_kernel_set, validate_kernel_set_by_pair):
+        ks = fd.power_law_uniform(6, 4.0, 0.5)
+        ks.uniform_breakage = False  # no rational form left for its family name
+        with pytest.raises(FragdiffError, match="no exact rational form"):
+            check(ks)
+        assert check(ks, exact_limit=1).exact_pairs_checked == 0
+
+
 def test_validator_memory_stays_quadratic():
     # an n**3 float tensor at n=128 would take 16.8 MB; a row block takes 0.26 MB
     import tracemalloc
