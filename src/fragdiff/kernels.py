@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import fsum
-from typing import Callable
 
 import numpy as np
 
@@ -264,10 +263,14 @@ def reg_weight(j, lam, tol=1e-10):
 class KernelSet:
     """One concrete choice of collision/breakage/diffusion coefficients.
 
-    Instances are built through the factory classmethods and precompute the
-    dense tables the reaction evaluators need: the collision matrix, the
-    diffusion vector, the regularization-weight enclosures, and for
-    tables the gain tensor.
+    Instances are built through the factory classmethods.  Each holds the
+    diffusion vector, the regularization-weight enclosures, the breakage
+    counts as one broadcasting function ``_b_fn(i, j, k)``, and its neutral
+    pairs as data: the pairs ``(p, q)`` whose collision re-emits exactly
+    ``{p, q}``.  The built-in factories state that set from their closed
+    form; ``from_tables`` finds it by a per-pair scan.  The collision
+    matrix, the masked loss matrix and (tables only) the gain tensor are
+    built on first use.
     """
 
     family: str
@@ -277,10 +280,10 @@ class KernelSet:
     d: np.ndarray
     c_lo: np.ndarray
     c_hi: np.ndarray
-    _a_fn: Callable[[int, int], float]
-    _b_fn: Callable[[int, int, int], float]
+    _b_fn: object  # broadcasting count function (i, j, k) -> b^k_ij
     sep_weights: np.ndarray | None = None  # a_ij == w_i * w_j when set
     uniform_breakage: bool = False
+    neutral_pairs: tuple = ()
     notes: list[str] = field(default_factory=list)
     _a_mat: np.ndarray | None = None
     _gain_tensor: np.ndarray | None = None
@@ -314,10 +317,10 @@ class KernelSet:
             d=i1 ** (-alpha),
             c_lo=c_lo,
             c_hi=c_hi,
-            _a_fn=lambda i, j: collision_rate(i, j, lam),
             _b_fn=_uniform_counts,
             sep_weights=w,
             uniform_breakage=True,
+            neutral_pairs=((1, 1), (1, 2), (2, 1)),
             notes=notes,
         )
 
@@ -327,6 +330,7 @@ class KernelSet:
         base.family = "cheng_redner_uniform"
         base._b_fn = _cheng_redner_counts
         base.uniform_breakage = False
+        base.neutral_pairs = ((1, 1),)
         base.notes.append(
             "size-1 colliders pass through unchanged (the strict sub-collider "
             "redistribution rule is unsatisfiable at size 1)"
@@ -339,7 +343,8 @@ class KernelSet:
 
         ``a_path`` has columns ``i,j,a``;  ``b_path`` has ``i,j,k,b``;
         ``d_path`` has ``i,d``.  Missing entries default to zero (``a``,
-        ``b``) and must be present for every ``d_i``.
+        ``b``) and must be present for every ``d_i``.  Every entry must be
+        finite, ``a`` and ``b`` nonnegative and ``d`` positive.
         """
         a_rows = _read_csv_rows(a_path, 3)
         b_rows = _read_csv_rows(b_path, 4)
@@ -362,8 +367,8 @@ class KernelSet:
         a_mat = np.zeros((n, n))
         for i, j, val in a_rows:
             i, j, val = int(i), int(j), float(val)
-            if val < 0:
-                raise DomainError(f"a[{i},{j}] = {val} is negative")
+            if not (math.isfinite(val) and val >= 0):
+                raise DomainError(f"a[{i},{j}] = {val} must be finite and nonnegative")
             if i <= n and j <= n:
                 a_mat[i - 1, j - 1] = val
 
@@ -371,20 +376,26 @@ class KernelSet:
         b_tab = np.zeros((kmax, n, n))
         for i, j, k, val in b_rows:
             i, j, k, val = int(i), int(j), int(k), float(val)
-            if val < 0:
-                raise DomainError(f"b[{k};{i},{j}] = {val} is negative")
+            if not (math.isfinite(val) and val >= 0):
+                raise DomainError(f"b[{k};{i},{j}] = {val} must be finite and nonnegative")
             if i <= n and j <= n and k <= kmax:
                 b_tab[k - 1, i - 1, j - 1] = val
-
-        def a_fn(i, j):
-            return float(a_mat[i - 1, j - 1]) if i <= n and j <= n else 0.0
 
         def b_fn(i, j, k):
             entry = b_tab[np.minimum(k, kmax) - 1, np.minimum(i, n) - 1, np.minimum(j, n) - 1]
             return np.where((i <= n) & (j <= n) & (k <= kmax), entry, 0.0)
 
+        # the neutral pairs p + q <= n re-emit exactly {p, q}, b^k_pq = [k=p] + [k=q]
+        # for every k < p+q; scanned one p at a time, so memory stays O(n^2)
+        neutral = []
+        k = np.arange(1, n)[None, :]
+        for p in range(1, n):
+            q = np.arange(1, n + 1 - p)[:, None]
+            match = (b_fn(p, q, k) == 1.0 * (k == p) + (k == q)) | (k >= p + q)
+            neutral += [(p, int(x)) for x in q[match.all(axis=1), 0]]
+
         c = np.array([fsum(a_mat[:, j]) for j in range(n)])
-        ks = cls(
+        return cls(
             family="table",
             n=n,
             lam=None,
@@ -392,17 +403,19 @@ class KernelSet:
             d=d,
             c_lo=c.copy(),
             c_hi=c.copy(),
-            _a_fn=a_fn,
             _b_fn=b_fn,
+            neutral_pairs=tuple(neutral),
+            _a_mat=a_mat,
         )
-        ks._a_mat = a_mat
-        return ks
 
     # -- accessors ---------------------------------------------------------
 
     def a(self, i, j):
-        """Collision rate for the (1-based) pair ``(i, j)``."""
-        return self._a_fn(_check_index("i", i), _check_index("j", j))
+        """Collision rate for the (1-based) pair ``(i, j)``, both at most ``n``."""
+        i, j = _check_index("i", i), _check_index("j", j)
+        if max(i, j) > self.n:
+            raise DomainError(f"pair ({i},{j}) exceeds truncation size n={self.n}")
+        return float(self.a_matrix()[i - 1, j - 1])
 
     def b(self, i, j, k):
         """Breakage count of size-``k`` fragments from an ``(i, j)`` collision."""
@@ -443,22 +456,17 @@ class KernelSet:
     def loss_matrix(self):
         """Dense ``M[p-1, q-1] = a_pq`` masked to ``p+q <= n``, neutral pairs zeroed.
 
-        A pair is neutral when its collision re-emits exactly ``{p, q}``,
-        ``b^k_pq = [k=p] + [k=q]`` for every ``k < p+q``; it contributes
-        zero to every ``Q_i`` identically, and the evaluators skip it.  The
-        test runs one ``p`` at a time, so memory stays ``O(n^2)``.
+        A neutral pair (``neutral_pairs``) contributes zero to every ``Q_i``
+        identically, so the evaluators skip it.  Building ``M`` is
+        ``O(n^2)``: it reads no breakage count.
         """
         if self._loss_matrix is None:
             n = self.n
-            M = self.a_matrix().copy()
             i1 = np.arange(1, n + 1)
-            M[i1[:, None] + i1[None, :] > n] = 0.0
-            k = i1[None, : n - 1]
-            for p in range(1, n):
-                q = np.arange(1, n + 1 - p)[:, None]
-                want = 1.0 * (k == p) + (k == q)
-                match = (self._b_fn(p, q, k) == want) | (k >= p + q)
-                M[p - 1, q[match.all(axis=1), 0] - 1] = 0.0
+            M = np.where(i1[:, None] + i1[None, :] <= n, self.a_matrix(), 0.0)
+            for p, q in self.neutral_pairs:
+                if p + q <= n:
+                    M[p - 1, q - 1] = 0.0
             self._loss_matrix = M
         return self._loss_matrix
 

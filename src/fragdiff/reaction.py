@@ -24,9 +24,11 @@ only cancellation left is the final ``gain - loss``.
 
 There is one evaluator, :func:`q_field`, over stacked fields
 ``(n, *spatial)``; the single-point functions are views of it on one cell.
-Its gain and loss take one path per kernel structure: the uniform family
-uses pair sums, the Cheng-Redner family prefix and suffix sums (O(n) per
-cell, no tables), and tabulated kernels contract the dense gain tensor.
+Its loss is one product with the masked loss matrix of
+:meth:`KernelSet.loss_matrix` for every family.  Its gain takes one path
+per kernel structure: the uniform family uses pair sums, the Cheng-Redner
+family suffix sums over the loss rows (O(n) per cell, no tables), and
+tabulated kernels contract the dense gain tensor.
 """
 
 from __future__ import annotations
@@ -72,22 +74,30 @@ def _denominator(G2, ks, eps):
 def _gain_loss(G2, ks):
     """Gain and loss terms of the truncated operator, each ``(n, ncells)``.
 
-    Both are sums of nonnegative terms, one path per kernel structure:
+    The loss ``f_i * sum_j M_ij f_j`` is one product with the masked loss
+    matrix for every family.  The gain takes one path per kernel structure:
 
-    * uniform family (``a_ij = w_i w_j``, uniform breakage): gain from pair
-      sums ``S_j = sum_k g_{j-k} g_k`` with ``g = w * f``, distributed with
+    * uniform family (``a_ij = w_i w_j``, uniform breakage): pair sums
+      ``S_j = sum_k g_{j-k} g_k`` with ``g = w * f``, distributed with
       weight ``2/(j-1)`` through suffix sums over ``j``;
-    * Cheng-Redner family: prefix and suffix sums over colliders, see
-      :func:`_gain_loss_cheng_redner`; no kernel table is read;
+    * Cheng-Redner family: a collider ``p >= 2`` leaves ``2/(p-1)``
+      fragments of every size below it and a monomer passes through, so
+      ``gain_i = sum_{p > i} 2/(p-1) loss_p + [i = 1] loss_1``, a suffix
+      sum over the loss rows (O(n) per cell, no tables).  ``sum_i i gain_i
+      = sum_p p loss_p`` holds term by term;
     * tables: the dense gain tensor contraction.
 
-    Every family except Cheng-Redner takes its loss ``f_i * sum_j M_ij f_j``
-    from the masked loss matrix.
+    Both are sums of nonnegative terms.
     """
     n = ks.n
+    loss = G2 * (ks.loss_matrix() @ G2)
     if ks.family == "cheng_redner_uniform":
-        return _gain_loss_cheng_redner(G2, ks.sep_weights)
-    if ks.uniform_breakage and ks.sep_weights is not None:
+        # V_p = 2/(p-1) loss_p for p = 2..n; gain_i = sum_{p >= i+1} V_p for i < n
+        V = loss[1:] * (2.0 / np.arange(1.0, n))[:, None]
+        gain = np.zeros_like(loss)
+        gain[: n - 1] = np.cumsum(V[::-1], axis=0)[::-1]
+        gain[0] += loss[0]
+    elif ks.uniform_breakage and ks.sep_weights is not None:
         g = ks.sep_weights[:, None] * G2
         # gain_i = sum_{j >= max(i+1, 4)} S_j/(j-1): a suffix sum over j,
         # accumulated in place from j = n down, row j-1 holding gain_{j-1}
@@ -101,38 +111,7 @@ def _gain_loss(G2, ks):
             gain[:2] = gain[2]
     else:
         gain = 0.5 * np.einsum("ipq,pm,qm->im", ks.gain_tensor(), G2, G2, optimize=True)
-    loss = G2 * (ks.loss_matrix() @ G2)
     return gain, loss
-
-
-def _gain_loss_cheng_redner(G2, w):
-    """Cheng-Redner gain and loss from collider sums, each ``(n, ncells)``.
-
-    With ``a_pq = w_p w_q``, ``g = w * f`` and counts
-    ``b^k_pq = side_p(k) + side_q(k)``, a collider ``p`` meets the partners
-    ``q <= n - p``, except that the neutral pair (1,1) is left out:
-
-        T_p = sum_{q=1}^{n-p} g_q  (p >= 2),    T_1 = sum_{q=2}^{n-1} g_q,
-        U_p = g_p T_p,
-        loss_p = U_p,
-        gain_i = sum_{p > i, p >= 2} 2/(p-1) U_p + [i = 1] U_1.
-
-    ``T_1`` is summed directly: as a prefix sum minus ``g_1``, which
-    dominates, it would cancel.  ``sum_i i gain_i = sum_p p U_p`` holds
-    term by term, so the weighted null sum is exact up to rounding.
-    """
-    n = G2.shape[0]
-    g = w[:, None] * G2
-    T = np.zeros_like(g)
-    T[1 : n - 1] = np.cumsum(g[: max(n - 2, 0)], axis=0)[::-1]
-    T[0] = g[1 : n - 1].sum(axis=0)
-    U = g * T
-    # V_p = 2/(p-1) U_p for p = 2..n; gain_i = sum_{p >= i+1} V_p for i < n
-    V = U[1:] * (2.0 / np.arange(1.0, n))[:, None]
-    gain = np.zeros_like(g)
-    gain[: n - 1] = np.cumsum(V[::-1], axis=0)[::-1]
-    gain[0] += U[0]
-    return gain, U
 
 
 def q_field(F, ks, eps=0.0):

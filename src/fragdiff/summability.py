@@ -307,13 +307,24 @@ def _audit_term1_power(ks, levels):
 
 
 def _audit_term1_table(ks, levels):
+    """The finite term-1 sum of a kernel table, one exactly rounded ``fsum``.
+
+    The terms are built one row ``j`` at a time, as a ``(k, i)`` block, so
+    memory stays ``O(n^2)``; ``fsum`` reads each block's kept terms from
+    its float buffer as the sum goes.
+    """
     n = ks.n
-    j, k, i = np.ogrid[1:n + 1, 1:n + 1, 1:n + 1]
-    a = ks.a_matrix()[:, :, None]
-    b = ks._b_fn(j, k, i)
+    k, i = np.ogrid[1:n + 1, 1:n + 1]
+    a = ks.a_matrix()
     sqrt_d = np.sqrt(ks.d)
-    terms = np.sqrt(b * a) / (np.sqrt(k * j) * sqrt_d[i - 1] * sqrt_d[j - 1])
-    total = math.fsum(terms[(i < j + k) & (a != 0.0) & (b != 0.0)])
+
+    def row_terms(j):
+        b = ks._b_fn(j, k, i)
+        a_j = a[j - 1][:, None]
+        terms = np.sqrt(b * a_j) / (np.sqrt(k * j) * sqrt_d[i - 1] * sqrt_d[j - 1])
+        return terms[(i < j + k) & (a_j != 0.0) & (b != 0.0)].data
+
+    total = math.fsum(chain.from_iterable(map(row_terms, range(1, n + 1))))
     pad = 4.0 * np.finfo(float).eps * max(total, 1.0)
     return ConditionReport(
         "A4_term1", CONVERGES, total, total + pad,

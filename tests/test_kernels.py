@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -318,10 +319,10 @@ def _tables_by_pair(ks):
 @pytest.mark.parametrize("family", ["uniform", "cheng_redner", "table", "table_neutral",
                                     "table_beyond_support"])
 def test_tables_match_per_pair_loops(tmp_path, family):
-    if family == "uniform":
-        ks = fd.power_law_uniform(13, 4.0, 0.5)
-    elif family == "cheng_redner":
-        ks = fd.cheng_redner_uniform(13, 4.0, 1.0)
+    if family in ("uniform", "cheng_redner"):
+        # the per-pair reference checks each built-in family's declared neutral set
+        make = fd.power_law_uniform if family == "uniform" else fd.cheng_redner_uniform
+        kernel_sets = [make(n, 4.0, 0.5) for n in (1, 2, 3, 4, 13, 40)]
     else:
         extra = {
             "table": [],
@@ -331,13 +332,69 @@ def test_tables_match_per_pair_loops(tmp_path, family):
                               (2, 2, 1, 0.0), (2, 2, 2, 2.0), (2, 2, 3, 0.0)],
             "table_beyond_support": [(2, 3, 5, 0.25), (1, 4, 7, 0.5)],
         }[family]
-        a, b, d = _write_tables(tmp_path, n=7, extra=extra)
-        ks = fd.from_tables(a, b, d)
-    B, M = _tables_by_pair(ks)
-    if family == "table_neutral":
-        assert M[0, 2] == M[2, 0] == M[1, 1] == 0.0
-    np.testing.assert_array_equal(ks.loss_matrix(), M)
-    np.testing.assert_array_equal(ks.gain_tensor(), B)
+        kernel_sets = [fd.from_tables(*_write_tables(tmp_path, n=7, extra=extra))]
+    for ks in kernel_sets:
+        B, M = _tables_by_pair(ks)
+        if family == "table_neutral":
+            assert M[0, 2] == M[2, 0] == M[1, 1] == 0.0
+        np.testing.assert_array_equal(ks.loss_matrix(), M, err_msg=f"n={ks.n}")
+        np.testing.assert_array_equal(ks.gain_tensor(), B, err_msg=f"n={ks.n}")
+
+
+@pytest.mark.parametrize("make", [fd.power_law_uniform, fd.cheng_redner_uniform])
+def test_builtin_loss_matrix_reads_no_counts(make):
+    # the built-in families declare their neutral pairs; nothing is scanned
+    ks = make(16, 4.0, 0.5)
+
+    def counts(i, j, k):
+        raise AssertionError("loss_matrix read the breakage counts")
+
+    ks._b_fn = counts
+    np.testing.assert_array_equal(ks.loss_matrix(), _tables_by_pair(make(16, 4.0, 0.5))[1])
+
+
+@pytest.mark.parametrize("family", ["uniform", "cheng_redner", "table"])
+def test_collision_rate_accessor_reads_the_matrix(tmp_path, family):
+    if family == "table":
+        ks = fd.from_tables(*_write_tables(tmp_path, n=5))
+    else:
+        make = fd.power_law_uniform if family == "uniform" else fd.cheng_redner_uniform
+        ks = make(5, 4.0, 0.5)
+    for i in range(1, 6):
+        for j in range(1, 6):
+            assert ks.a(i, j) == ks.a_matrix()[i - 1, j - 1]
+            assert type(ks.a(i, j)) is float
+    for i, j in ((6, 1), (1, 6), (9, 9)):
+        with pytest.raises(DomainError, match="exceeds truncation size"):
+            ks.a(i, j)
+    with pytest.raises(DomainError):
+        ks.a(0, 1)
+
+
+@pytest.mark.parametrize("where", ["a", "b"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_table_rejects_non_finite_entries(tmp_path, where, value):
+    a, b, d = _write_tables(tmp_path)
+    with open(a if where == "a" else b, "a") as fh:
+        fh.write(f"2,3,{value}\n" if where == "a" else f"2,3,1,{value}\n")
+    with pytest.raises(DomainError, match="must be finite and nonnegative"):
+        fd.from_tables(a, b, d)
+
+
+def test_table_with_non_finite_entry_exits_2(tmp_path, capsys):
+    from fragdiff import cli
+
+    a, b, d = _write_tables(tmp_path)
+    with open(b, "a") as fh:
+        fh.write("2,2,1,nan\n")
+    doc = {"kernel": {"family": "table", "n": 4, "a_table": str(a), "b_table": str(b),
+                      "d_table": str(d)}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert cli.main(["audit", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_table_support_violation_names_first_k(tmp_path):

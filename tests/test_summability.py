@@ -138,9 +138,8 @@ def test_cr_term1_certifies_alpha_zero():
     assert _by_name(rep, "A4_term1").verdict == INCONCLUSIVE
 
 
-def test_table_family_finite_sums(tmp_path):
-    # a finite table is a finite sum: every condition must certify
-    n = 6
+def _plateau_table(tmp_path, n):
+    """A table of ``a_ij = (ij)**-2``, ``b^k_ij = 2/(i+j-1)`` and ``d_i = 1/i``."""
     with open(tmp_path / "a.csv", "w") as fh:
         fh.write("i,j,a\n")
         for i in range(1, n + 1):
@@ -156,7 +155,13 @@ def test_table_family_finite_sums(tmp_path):
         fh.write("i,d\n")
         for i in range(1, n + 1):
             fh.write(f"{i},{1.0 / i}\n")
-    ks = fd.from_tables(tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "d.csv")
+    return fd.from_tables(tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "d.csv")
+
+
+def test_table_family_finite_sums(tmp_path):
+    # a finite table is a finite sum: every condition must certify
+    n = 6
+    ks = _plateau_table(tmp_path, n)
     rep = audit_summability(ks)
     assert rep.worst_verdict == CONVERGES
     # brute force the first condition over the table
@@ -171,6 +176,23 @@ def test_table_family_finite_sums(tmp_path):
     t1 = _by_name(rep, "A4_term1")
     assert t1.lower == pytest.approx(brute_t1, rel=1e-12)
     assert t1.upper >= t1.lower
+
+
+def test_table_audit_memory_stays_quadratic(tmp_path):
+    # one n**3 float array at n=40 takes 0.5 MB; one (k, i) row block 12.8 kB
+    import tracemalloc
+
+    n = 40
+    ks = _plateau_table(tmp_path, n)
+    ks.a_matrix()
+    tracemalloc.start()
+    try:
+        rep = audit_summability(ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.worst_verdict == CONVERGES
+    assert peak < n**3 * 8 / 2, peak
 
 
 def _term1_naive_table(ks):
