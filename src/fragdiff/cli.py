@@ -86,14 +86,18 @@ def _write_json(path, doc):
 
 
 def _run_single(cfg, outdir, quiet):
-    """Execute one configured run, writing all artifacts into ``outdir``."""
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", cfg.to_dict())
+    """Execute one configured run, writing all artifacts into ``outdir``.
 
+    Nothing is written before the kernel set, the grid and the initial
+    condition are built, so a rejected kernel table leaves ``outdir`` alone.
+    """
     ks = cfgmod.make_kernel_set(cfg.kernel)
     grid = cfgmod.make_grid(cfg.grid)
     F0 = cfgmod.make_initial_condition(cfg.ic, grid, cfg.kernel.n)
+
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "config.json", cfg.to_dict())
 
     # the monitors fold each sample in as it is taken: no field is stored
     monitors = monmod.MonitorAccumulator(

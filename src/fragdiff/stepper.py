@@ -16,16 +16,19 @@ first order in ``dt`` overall, like IMEX Euler itself.  In 1D there is
 one sweep and no splitting.
 
 Every sweep solves all lines of all species at once.  Per axis there is
-one block-diagonal M-matrix with one ``m x m`` block per species (``m``
-cells along the axis), factorized once per step size with a no-pivot
-sparse LU in natural ordering.  Every grid line of a species shares that
-species' block, so the lines are the columns of one multi-right-hand-side
-solve and the factor storage is ``O(n * m)``, independent of the number
-of lines.  The triangular substitutions involve only nonnegative
-updates, so each sweep maps nonnegative stages to nonnegative states
-exactly, also in floating point, and conserves mass because every column
-of its matrix sums to one.  The residual of every sweep is verified per
-species against a 1e-12 contract; there is no iterative refinement,
+one symmetric tridiagonal M-matrix block of ``m x m`` per species (``m``
+cells along the axis).  The blocks, concatenated with zero couplings, are
+factorized once per step size as ``L D L^T`` (LAPACK ``dpttrf``, which
+never pivots).  Every factor is certified: all pivots positive, all
+multipliers ``<= 0``.  Then the substitutions of ``dpttrs`` add only
+nonnegative terms, so each sweep maps nonnegative stages to nonnegative
+states exactly, also in floating point, and it conserves mass because
+every column of its matrix sums to one.  Every grid line of a species
+shares that species' block, so the lines are right-hand sides of one
+solve and the factor storage is ``2 * n * m - 1`` numbers, independent
+of the number of lines.  The residual of every sweep is verified per
+species against a 1e-12 contract, with the matrix applied from its
+stored diagonals, not from the factor; there is no iterative refinement,
 whose correction could carry either sign.
 
 Negativity policies: ``reject_and_halve`` retries a failed step with half
@@ -38,12 +41,12 @@ contract is rejected and retried with half the step size.
 from __future__ import annotations
 
 import json
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import grid as gridmod
 from . import reaction
@@ -122,56 +125,89 @@ def cfl_limit(grid, ks):
     return hmin * hmin / (2.0 * grid.dim * float(np.max(ks.d)))
 
 
-def _neumann_stencil(m, h):
-    """1D reflected-ghost second difference, one axis of :func:`fragdiff.grid.laplacian_neumann`."""
-    main = np.full(m, -2.0)
-    main[0] = main[-1] = -1.0
-    off = np.ones(m - 1)
-    return scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)
+def _ldl_factor(diag, off):
+    """Certified LDL^T factor ``(d, l)`` of the symmetric tridiagonal matrix
+    with diagonal ``diag`` and off-diagonal ``off`` (LAPACK ``dpttrf``).
+
+    The certificate: every pivot ``d`` is positive and every multiplier
+    ``l`` is ``<= 0``.  Then both substitutions of ``dpttrs``,
+    ``y_i = b_i - l_{i-1} y_{i-1}`` and ``x_i = y_i / d_i - l_i x_{i+1}``,
+    add only nonnegative terms to nonnegative data.  Raises
+    :class:`LinearSolveError` when the factor fails it.
+    """
+    d, l, info = dpttrf(diag, off)
+    if info != 0 or not (np.all(d > 0.0) and np.all(l <= 0.0)):
+        raise LinearSolveError(
+            f"tridiagonal factor fails its sign certificate (dpttrf info={info})"
+        )
+    return d, l
+
+
+def _residual(diag, off, x, b, r, t):
+    """``|A x - b|`` into ``r``, with ``A`` applied along the last axis from
+    its diagonal ``diag`` and off-diagonal ``off``, which broadcast against
+    ``x`` and ``x[..., 1:]``.  ``t`` is scratch of the shape of
+    ``x[..., 1:]``; it may share memory with ``b``, which is read first."""
+    np.multiply(diag, x, out=r)
+    r -= b
+    np.multiply(off, x[..., 1:], out=t)
+    r[..., :-1] += t
+    np.multiply(off, x[..., :-1], out=t)
+    r[..., 1:] += t
+    return np.abs(r, out=r)
 
 
 class DiffusionSolver:
-    """Batched no-pivot line solver for ``I - dt * d_i * Lap_h``.
+    """Batched certified line solver for ``I - dt * d_i * Lap_h``.
 
-    Per axis, one block-diagonal M-matrix ``I - dt * kron(diag(d), L_axis)``
-    holds one block per species and is factorized once per step size in
-    natural order without pivoting.  A sweep solves every grid line of a
-    species as one column of a multi-right-hand-side solve.  The stage is
-    laid out as ``(n * m, lines per species)``: a reshape without copy for
-    the first axis (in 1D there is one line per species), one transposing
-    copy for the second.  A 2D solve is an x sweep followed by a y sweep
-    (Lie splitting).  The factors of the ``_MAX_FACTOR_SETS`` most
-    recently used step sizes are cached; factorization is deterministic,
-    so an evicted step size refactorizes to the same solves.
+    Per axis, ``I - dt * d_i * L_axis`` is one symmetric tridiagonal
+    M-matrix block per species.  The blocks are concatenated, with zero
+    couplings between species, into one system of ``n * m`` unknowns,
+    which is factorized once per step size as ``L D L^T`` (LAPACK
+    ``dpttrf``, no pivoting by construction).  Every factor is checked
+    against the sign certificate of :func:`_ldl_factor`, so a sweep maps
+    nonnegative stages to nonnegative states exactly.  A sweep solves
+    every grid line of a species as one right-hand side of ``dpttrs``.
+    Along the first axis one call covers all species, with the stage
+    copied into the columns of an ``(n * m, lines per species)`` array (in
+    1D there is one line per species).  Along the second axis one
+    in-place call per species solves the transposed lines of one C-order
+    copy of the stage.  A 2D solve is an x sweep followed by a y sweep
+    (Lie splitting).  Every sweep checks its residual in two stage-sized
+    work arrays that the solver keeps, so a sweep allocates only its
+    result.  The factors of the ``_MAX_FACTOR_SETS`` most recently used
+    step sizes are cached; factorization is deterministic, so an evicted
+    step size refactorizes to the same solves.
     """
 
     def __init__(self, grid, ks):
         self.grid = grid
         self.ks = ks
         self._factors = OrderedDict()
+        # reused by every sweep: the staged right-hand side (later the
+        # residual's scratch) and the residual
+        self._work = np.empty((2, ks.n * math.prod(grid.shape)))
 
     def _factorize(self, dt):
+        """Per axis: ``(diag, off, d, l)``, the operator's ``(n, m)`` diagonal
+        and ``(n, m - 1)`` off-diagonal, and the certified factor of their
+        concatenation."""
         factors = []
-        for axis, m in enumerate(self.grid.shape):
-            A = (
-                scipy.sparse.identity(self.ks.n * m, format="csc")
-                - scipy.sparse.kron(
-                    scipy.sparse.diags(dt * self.ks.d),
-                    _neumann_stencil(m, self.grid.h[axis]),
-                )
-            ).tocsc()
-            lu = scipy.sparse.linalg.splu(
-                A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-            )
-            factors.append((A, lu))
+        for m, h in zip(self.grid.shape, self.grid.h):
+            c = (dt / (h * h)) * self.ks.d[:, None]
+            diag = np.repeat(1.0 + 2.0 * c, m, axis=1)
+            diag[:, [0, -1]] = 1.0 + c  # reflected ghost cells
+            off = np.repeat(-c, m - 1, axis=1)
+            e = np.pad(off, ((0, 0), (0, 1))).ravel()[:-1]  # zero between species
+            factors.append((diag, off) + _ldl_factor(diag.ravel(), e))
         return factors
 
     def sweep(self, stage, dt, axis):
         """Solve ``(I - dt * d_i * L_axis) x_i = stage_i`` along every line of ``axis``.
 
-        Returns a C-contiguous ``(n, *shape)`` stack.  Raises
-        :class:`LinearSolveError` when, for some species, the residual
-        exceeds ``1e-12 * max(1, max|stage_i|)``.
+        Returns an ``(n, *shape)`` stack, C-contiguous when ``axis`` is the
+        last axis.  Raises :class:`LinearSolveError` when, for some
+        species, the residual exceeds ``1e-12 * max(1, max|stage_i|)``.
         """
         if dt in self._factors:
             self._factors.move_to_end(dt)
@@ -179,20 +215,37 @@ class DiffusionSolver:
             self._factors[dt] = self._factorize(dt)
             if len(self._factors) > _MAX_FACTOR_SETS:
                 self._factors.popitem(last=False)
-        A, lu = self._factors[dt][axis]
-        n = stage.shape[0]
-        lines = np.moveaxis(stage, axis + 1, 1)
-        b = lines.reshape(n * lines.shape[1], -1)
-        x = lu.solve(b)
-        resid = np.max(np.abs(A @ x - b).reshape(n, -1), axis=1)
-        bound = _RESIDUAL_TOL * np.maximum(1.0, np.max(np.abs(b).reshape(n, -1), axis=1))
+        diag, off, d, l = self._factors[dt][axis]
+        n, m = diag.shape
+        b, r = (w[:stage.size] for w in self._work)
+        if axis == 0:
+            # every line of every species is a column of one solve;
+            # b and x are laid out (lines, n, m)
+            b = b.reshape(-1, n, m)
+            np.copyto(b, stage.reshape(n, m, -1).transpose(2, 0, 1))
+            x = dpttrs(d, l, b.reshape(-1, n * m).T)[0]
+            out = x.reshape(stage.shape)
+            x, axes = x.T.reshape(b.shape), (0, 2)
+        else:
+            # the lines of species s are the columns of x[s].T, solved in place
+            b = b.reshape(stage.shape)
+            np.copyto(b, stage)
+            out = x = b.copy()
+            for s in range(n):
+                dpttrs(d[s * m:(s + 1) * m], l[s * m:(s + 1) * m - 1], x[s].T,
+                       overwrite_b=1)
+            diag, off, axes = diag[:, None], off[:, None], (1, 2)
+        r = r.reshape(x.shape)
+        t = self._work[0, :x.size // m * (m - 1)].reshape(x.shape[:-1] + (m - 1,))
+        bound = _RESIDUAL_TOL * np.maximum(1.0, np.max(np.abs(b, out=r), axis=axes))
+        resid = np.max(_residual(diag, off, x, b, r, t), axis=axes)
         if np.any(resid > bound):
             worst = int(np.argmax(resid / bound))
             raise LinearSolveError(
                 f"implicit solve residual {resid[worst]:g} above contract "
                 f"{bound[worst]:g} (species {worst + 1}, axis {axis}, dt={dt:g})"
             )
-        return np.ascontiguousarray(np.moveaxis(x.reshape(lines.shape), 1, axis + 1))
+        return out
 
     def solve(self, stage, dt):
         """Apply every axis sweep in turn; each one verifies its residual."""

@@ -397,6 +397,23 @@ def test_table_with_non_finite_entry_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_table_without_every_d_row_simulates_nothing(tmp_path, capsys):
+    # the kernel set is built before any artifact is written, so a rejected
+    # table leaves no config.json behind
+    from fragdiff import cli
+
+    a, b, d = _write_tables(tmp_path)
+    d.write_text("i,d\n1,1.0\n2,0.5\n4,0.25\n")
+    doc = {"kernel": {"family": "table", "n": 4, "a_table": str(a), "b_table": str(b),
+                      "d_table": str(d)}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "need one d_i row" in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+
+
 def test_table_support_violation_names_first_k(tmp_path):
     extra = [(2, 3, 5, 0.25), (1, 1, 3, 0.5), (1, 1, 4, 0.5)]
     a, b, d = _write_tables(tmp_path, extra=extra)

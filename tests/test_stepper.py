@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse
-import scipy.sparse.linalg
 
 import fragdiff as fd
 from fragdiff.errors import (
@@ -20,6 +18,7 @@ from fragdiff.grid import (
 )
 from fragdiff.stepper import (
     _MAX_FACTOR_SETS,
+    _ldl_factor,
     DiffusionSolver,
     StepperConfig,
     cfl_limit,
@@ -127,40 +126,42 @@ def test_imex_first_order_in_time():
     assert 1.7 < e1 / e2 < 2.4
 
 
-def _per_species_splu(grid, ks, stage, dt):
-    """Reference 1D solve: one natural-order, no-pivot ``splu`` of
-    ``I - dt * d_i * Lap_h`` per species."""
-    m, h = grid.shape[0], grid.h[0]
-    main = np.full(m, -2.0)
-    main[0] = main[-1] = -1.0
-    off = np.ones(m - 1)
-    lap = (scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)).tocsc()
-    eye = scipy.sparse.identity(m, format="csc")
-    out = np.empty_like(stage)
-    for i, d in enumerate(ks.d):
-        A = (eye - (dt * float(d)) * lap).tocsc()
-        lu = scipy.sparse.linalg.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-        out[i] = lu.solve(stage[i])
-    return out
+def _ldl_reference(diag, off, rhs):
+    """Textbook LDL^T solve of one symmetric tridiagonal system in plain
+    Python floats: the factor ``l_i = e_i / d_i``, ``d_{i+1} -= l_i * e_i``,
+    then ``y_i -= l_{i-1} * y_{i-1}`` and ``x_i = y_i / d_i - l_i * x_{i+1}``."""
+    d = [float(v) for v in diag]
+    l = []
+    for i, e in enumerate(off):
+        l.append(e / d[i])
+        d[i + 1] -= l[i] * e
+    y = [float(v) for v in rhs]
+    for i in range(1, len(y)):
+        y[i] -= l[i - 1] * y[i - 1]
+    x = y[:]
+    x[-1] = y[-1] / d[-1]
+    for i in range(len(y) - 2, -1, -1):
+        x[i] = y[i] / d[i] - l[i] * x[i + 1]
+    return x
 
 
-def _per_line_splu(grid, ks, stage, dt):
-    """Reference split solve: an x sweep, then a y sweep, in which every
-    grid line of every species gets its own natural-order, no-pivot
-    ``splu`` of ``I - dt * d_i * L_axis`` and a single right-hand side."""
+def _line_operator(m, h, dt, d):
+    """Diagonal and off-diagonal of ``I - dt * d * L`` on one line of ``m``
+    cells, ``L`` the reflected-ghost second difference."""
+    c = (dt / (h * h)) * float(d)
+    return [1.0 + c] + [1.0 + 2.0 * c] * (m - 2) + [1.0 + c], [-c] * (m - 1)
+
+
+def _per_line_ldl(grid, ks, stage, dt):
+    """Reference solve: one sweep per axis, in which every grid line of every
+    species is solved on its own by :func:`_ldl_reference`."""
     out = np.array(stage, dtype=float)
     for axis, (m, h) in enumerate(zip(grid.shape, grid.h)):
-        main = np.full(m, -2.0)
-        main[0] = main[-1] = -1.0
-        off = np.ones(m - 1)
-        lap = (scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)).tocsc()
-        eye = scipy.sparse.identity(m, format="csc")
         for i, d in enumerate(ks.d):
+            diag, off = _line_operator(m, h, dt, d)
             lines = np.moveaxis(out[i], axis, -1)  # a view: writes land in out
             for idx in np.ndindex(lines.shape[:-1]):
-                A = (eye - (dt * float(d)) * lap).tocsc()
-                lu = scipy.sparse.linalg.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-                lines[idx] = lu.solve(np.ascontiguousarray(lines[idx]))
+                lines[idx] = _ldl_reference(diag, off, lines[idx])
     return out
 
 
@@ -202,9 +203,9 @@ class TestDiffusionSolver:
                     resid = _line_residual(g, axis, dt * ks.d[i], x, b)
                     assert resid <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
-    def test_batched_matches_per_species_splu(self):
+    def test_batched_matches_per_species_ldl(self):
         # the blocks are decoupled, so the batched factorization does the
-        # same arithmetic as one factorization per species
+        # same arithmetic as one textbook LDL^T per species
         rng = np.random.default_rng(26)
         g = make_grid_1d(48, 1.5)
         ks = fd.power_law_uniform(5, 4.0, 0.5)
@@ -212,14 +213,14 @@ class TestDiffusionSolver:
         for dt in (1e-4, 1e-3, 0.05, 0.5, 2.0):
             stage = rng.uniform(0.0, 2.0, size=(5,) + g.shape)
             np.testing.assert_array_equal(
-                solver.solve(stage, dt), _per_species_splu(g, ks, stage, dt)
+                solver.solve(stage, dt), _per_line_ldl(g, ks, stage, dt)
             )
 
     @pytest.mark.parametrize("shape", [(8, 12), (37, 53)], ids=["8x12", "37x53"])
-    def test_2d_matches_per_line_splu(self, shape):
+    def test_2d_matches_per_line_ldl(self, shape):
         # every line of a species shares that species' block, so the
-        # multi-right-hand-side sweep does the same arithmetic as one
-        # factorization and one solve per line
+        # multi-right-hand-side sweeps do the same arithmetic as one
+        # textbook LDL^T solve per line
         rng = np.random.default_rng(27)
         g = make_grid_2d(*shape, 1.0, 1.5)
         ks = fd.power_law_uniform(3, 4.0, 0.5)
@@ -228,7 +229,25 @@ class TestDiffusionSolver:
             stage = rng.uniform(0.0, 2.0, size=(3,) + g.shape)
             out = solver.solve(stage, dt)
             assert out.flags.c_contiguous
-            np.testing.assert_array_equal(out, _per_line_splu(g, ks, stage, dt))
+            np.testing.assert_array_equal(out, _per_line_ldl(g, ks, stage, dt))
+
+    def test_matches_dense_solve(self):
+        # against a dense LU of I - dt*d_i*L with L taken from the public
+        # stencil: A is a diagonally dominant M-matrix with unit row sums,
+        # so ||A^-1||_inf <= 1 and the two solutions differ by at most the
+        # sum of their residuals, each within the 1e-12 contract
+        rng = np.random.default_rng(29)
+        g = make_grid_1d(48, 1.5)
+        ks = fd.power_law_uniform(5, 4.0, 0.5)
+        solver = DiffusionSolver(g, ks)
+        lap = np.stack([laplacian_neumann(g, e) for e in np.eye(48)], axis=1)
+        for dt in (1e-4, 1e-3, 0.05, 0.5, 2.0):
+            stage = rng.uniform(0.0, 2.0, size=(5,) + g.shape)
+            out = solver.solve(stage, dt)
+            for i in range(5):
+                dense = np.linalg.solve(np.eye(48) - dt * ks.d[i] * lap, stage[i])
+                tol = 2e-12 * max(1.0, np.max(np.abs(stage[i])))
+                assert np.max(np.abs(out[i] - dense)) <= tol
 
     @pytest.mark.parametrize(
         "grid", [make_grid_1d(48), make_grid_2d(8, 12), make_grid_2d(37, 53)],
@@ -236,13 +255,26 @@ class TestDiffusionSolver:
     )
     def test_factor_storage_per_species(self, grid):
         # one tridiagonal block per species and axis, shared by all lines:
-        # the factors of an axis with m cells hold at most 4 * n * m entries
+        # the LDL^T factor of an axis with m cells holds 2 * n * m - 1
+        # numbers, and it carries the sign certificate (the pivots of these
+        # unit-row-sum M-matrices are even >= 1)
         ks = fd.power_law_uniform(5, 4.0, 0.5)
         solver = DiffusionSolver(grid, ks)
         out = solver.solve(np.ones((5,) + grid.shape), 1e-3)
         assert out.flags.c_contiguous
-        for (_, lu), m in zip(solver._factors[1e-3], grid.shape):
-            assert lu.L.nnz + lu.U.nnz <= 4 * ks.n * m
+        for (_, _, d, l), m in zip(solver._factors[1e-3], grid.shape):
+            assert d.size + l.size == 2 * ks.n * m - 1
+            assert np.all(d >= 1.0) and np.all(l <= 0.0)
+
+    def test_sign_certificate(self):
+        # a positive multiplier would let the substitutions subtract, and a
+        # nonpositive pivot means no LDL^T factor: both are refused
+        d, l = _ldl_factor(np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0]))
+        np.testing.assert_array_equal(l, [-0.5, -1.0 / 1.5])
+        with pytest.raises(fd.LinearSolveError):
+            _ldl_factor(np.array([2.0, 2.0]), np.array([1.0]))
+        with pytest.raises(fd.LinearSolveError):
+            _ldl_factor(np.array([1.0, 1.0]), np.array([-2.0]))
 
     def test_nonnegative_exactly(self):
         # no-pivot LU of an M-matrix: nonnegative input gives nonnegative
