@@ -7,11 +7,20 @@ also confirms that the neutral-pair exclusion is an exact identity.
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fragdiff as fd
+from fragdiff import reaction
+from fragdiff.config import (
+    SimConfig,
+    make_grid,
+    make_initial_condition,
+    make_kernel_set,
+    reference_scenario_dict,
+)
 from fragdiff.errors import ContractViolationError, DomainError
 from fragdiff.reaction import (
     _gain_loss,
@@ -193,17 +202,110 @@ def fsum_q_uniform(f, n, lam):
 @pytest.mark.parametrize("n", [8, 17, 32])
 def test_field_uniform_loss_has_no_cancellation(n):
     # f_1 dominates every partial sum of g = w*f here; a loss formed as a
-    # difference of prefix sums of g loses ~1e-13 relative accuracy
+    # difference of prefix sums of g loses ~1e-13 relative accuracy.  The
+    # three columns are also tiled wider than the product path's size
+    # bound, so the per-j loop path meets the oracle too
     ks = fd.power_law_uniform(n, 6.0, 0.5)
     F = np.stack([np.ones(n), np.full(n, 3.0), np.linspace(3.0, 0.1, n)], axis=1)
-    QF = q_field(F, ks)
+    wide = np.tile(F, (1, reaction.PAIR_PRODUCT_MAX_SIZE // (3 * n) + 1))
+    assert wide.size > reaction.PAIR_PRODUCT_MAX_SIZE
+    wants = [fsum_q_uniform(F[:, x], n, 6.0) for x in range(3)]
     sizes = np.arange(1, n + 1, dtype=float)
-    for x in range(3):
-        want = fsum_q_uniform(F[:, x], n, 6.0)
-        rel = float(np.max(np.abs(QF[:, x] - want))) / float(np.max(np.abs(want)))
-        assert rel <= 1e-14, (x, rel)
-        null = abs(math.fsum(sizes * QF[:, x]))
-        assert null <= 1e-12 * math.fsum(np.abs(sizes * QF[:, x])), x
+    for field in (F, wide):
+        QF = q_field(field, ks)
+        for x in range(field.shape[1]):
+            want = wants[x % 3]
+            rel = float(np.max(np.abs(QF[:, x] - want))) / float(np.max(np.abs(want)))
+            assert rel <= 1e-14, (field.shape, x, rel)
+            null = abs(math.fsum(sizes * QF[:, x]))
+            assert null <= 1e-12 * math.fsum(np.abs(sizes * QF[:, x])), (field.shape, x)
+
+
+def _on_path(monkeypatch, path, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the uniform gain forced onto one path."""
+    limit = {"product": 10**18, "loop": -1}[path]
+    monkeypatch.setattr(reaction, "PAIR_PRODUCT_MAX_SIZE", limit)
+    return fn(*args, **kwargs)
+
+
+def _grid_shape(cells):
+    """The most nearly square 2D shape with ``cells`` cells."""
+    rows = max(d for d in range(1, math.isqrt(cells) + 1) if cells % d == 0)
+    return rows, cells // rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 32, 64])
+def test_uniform_gain_paths_bitwise_equal(n, monkeypatch):
+    # the product path accumulates each pair sum S_j over k = 1 .. j-1 in
+    # the loop's order, so gain, loss and Q agree bit for bit, on both
+    # sides of the size bound and on 1D and 2D field shapes
+    ks = fd.power_law_uniform(n, 4.0, 0.5)
+    bound = reaction.PAIR_PRODUCT_MAX_SIZE // n
+    rng = np.random.default_rng(30 + n)
+    for cells in (1, bound, bound + 1):
+        for spatial in ((cells,), _grid_shape(cells)):
+            shape = (n,) + spatial
+            F = rng.uniform(0.0, 2.0, size=shape) * (rng.random(shape) < 0.7)
+            F.reshape(n, -1)[:, 0] = 0.0
+            F[n // 2] = 0.0
+            G2 = F.reshape(n, -1)
+            prod_gain, prod_loss = _on_path(monkeypatch, "product", _gain_loss, G2, ks)
+            loop_gain, loop_loss = _on_path(monkeypatch, "loop", _gain_loss, G2, ks)
+            np.testing.assert_array_equal(prod_gain, loop_gain)
+            np.testing.assert_array_equal(prod_loss, loop_loss)
+            for eps in (0.0, 0.1):
+                np.testing.assert_array_equal(
+                    _on_path(monkeypatch, "product", q_field, F, ks, eps),
+                    _on_path(monkeypatch, "loop", q_field, F, ks, eps),
+                )
+
+
+def test_uniform_gain_product_holds_no_cube():
+    # the Toeplitz view of the pair sums is read in place: the product
+    # path allocates a few (n, cells) arrays, never an n^2 * cells one
+    n = 64
+    cells = reaction.PAIR_PRODUCT_MAX_SIZE // n
+    ks = fd.power_law_uniform(n, 4.0, 0.5)
+    G2 = np.random.default_rng(40).uniform(0.0, 2.0, size=(n, cells))
+    ks.loss_matrix()
+    tracemalloc.start()
+    try:
+        _gain_loss(G2, ks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cube = n * n * cells * 8
+    assert peak < cube // 4, (peak, cube)
+
+
+def test_uniform_run_is_the_same_on_either_gain_path(monkeypatch):
+    # a grid sweep changes the cell count across the size bound; the path
+    # the gain takes must not show in any sampled state, its Q or the
+    # terminal state
+    doc = reference_scenario_dict()
+    doc["stepper"]["t_end"] = 0.02
+    cfg = SimConfig.from_dict(doc)
+    grid, ks = make_grid(cfg.grid), make_kernel_set(cfg.kernel)
+    F0 = make_initial_condition(cfg.ic, grid, cfg.kernel.n)
+
+    def run(path):
+        samples = []
+
+        def sample(t, F, Q):
+            samples.append((t, F.copy(), Q.copy()))
+
+        traj = _on_path(monkeypatch, path, fd.run_simulation, grid, ks, F0,
+                        cfg.stepper, eps=cfg.eps, cadence=3, sample=sample)
+        return samples, traj.terminal
+
+    prod_samples, prod_terminal = run("product")
+    loop_samples, loop_terminal = run("loop")
+    assert len(prod_samples) == len(loop_samples) > 4
+    for (t_p, F_p, Q_p), (t_l, F_l, Q_l) in zip(prod_samples, loop_samples):
+        assert t_p == t_l
+        np.testing.assert_array_equal(F_p, F_l)
+        np.testing.assert_array_equal(Q_p, Q_l)
+    np.testing.assert_array_equal(prod_terminal, loop_terminal)
 
 
 def dense_q_field(F, ks, eps):
