@@ -47,10 +47,7 @@ from .grid import (
 )
 from .reaction import (
     check_quasipositivity,
-    dump_q_csv,
     q_field,
-    q_regularized,
-    q_truncated,
     regularization_denominator,
 )
 from .summability import (
@@ -69,21 +66,16 @@ from .stepper import (
     checkpoint_load,
     checkpoint_save,
     run_simulation,
-    step_imex,
     step_rk4,
 )
 from .monitors import (
     MonitorAccumulator,
     MonitorReport,
     compute_monitors,
-    duality_functional,
-    linf_bound_check,
     moment0,
-    reaction_budget,
     tail_envelope_exponential,
     tail_mass,
     total_mass,
-    truncation_energy_check,
     write_monitors_csv,
     write_summary_json,
 )

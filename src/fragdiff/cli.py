@@ -128,8 +128,7 @@ def _run_single(cfg, outdir, quiet):
         },
     }
     monmod.write_summary_json(out / "summary.json", report, extra=extra)
-    gridmod.write_species_csv(out / "fields_final.csv", grid, traj.terminal,
-                              metadata={"t": repr(traj.times[-1])})
+    stepmod.checkpoint_save(out / "fields_final.csv", grid, traj.terminal, traj.times[-1])
 
     for name, entry in report.invariants.items():
         _say(quiet, f"[{'PASS' if entry['pass'] else 'FAIL'}] {name}: "
@@ -240,12 +239,8 @@ def _sweep_worker(packed):
 def _l1_between(grid, a, b):
     """Species-summed L1 distance; species counts may differ (zero padding)."""
     n = max(a.shape[0], b.shape[0])
-    total = []
-    for i in range(n):
-        ai = a[i] if i < a.shape[0] else np.zeros(grid.shape)
-        bi = b[i] if i < b.shape[0] else np.zeros(grid.shape)
-        total.append(gridmod.integrate(grid, np.abs(ai - bi)))
-    return math.fsum(total)
+    a, b = (np.concatenate([F, np.zeros((n - F.shape[0],) + grid.shape)]) for F in (a, b))
+    return math.fsum(gridmod.species_integrals(grid, np.abs(a - b)))
 
 
 def _restrict_1d(values, factor):
@@ -387,7 +382,7 @@ def _plot_datasets(rundir):
     if fields_path.exists():
         grid, F, _ = gridmod.read_species_csv(fields_path)
         sizes = np.arange(1, F.shape[0] + 1, dtype=float)
-        spectrum = np.array([gridmod.integrate(grid, F[i]) for i in range(F.shape[0])])
+        spectrum = gridmod.species_integrals(grid, F)
         sets["spectrum_final"] = (("size", sizes), [("integral", spectrum)])
     else:
         sets["spectrum_final"] = (("size", np.array([1.0])), [("integral", np.array([0.0]))])

@@ -259,13 +259,16 @@ def _profile_values(ic, grid):
 
 
 def make_initial_condition(ic, grid, n):
-    """Species stack  f_i(x) = amplitude * exp(-gamma*i) * profile(x)."""
+    """Species stack  f_i(x) = amplitude * exp(-gamma*i) * profile(x), or the
+    stored ``custom_csv`` field, which must be finite and nonnegative."""
     if ic.family == "custom_csv":
         g2, values, _ = gridmod.read_species_csv(ic.path)
         if g2.shape != grid.shape or values.shape[0] != n:
             raise ConfigError(
                 "ic.path: stored field does not match the configured grid/size count"
             )
+        if not (np.all(np.isfinite(values)) and np.all(values >= 0.0)):
+            raise ConfigError("ic.path: stored field must be finite and nonnegative")
         return values
     prof = _profile_values(ic, grid)
     weights = ic.amplitude * np.exp(-ic.gamma * np.arange(1, n + 1))

@@ -142,6 +142,18 @@ def integrate(grid, u):
     return grid.cell_volume * fsum(u.ravel())
 
 
+def species_integrals(grid, F):
+    """:func:`integrate` of every species row of the stack ``F``, as an array.
+
+    ``fsum`` is exactly rounded, so each entry has the bits of
+    ``integrate(grid, F[i])``.  Each row is summed as Python floats, one
+    row at a time, so only one row's float objects are alive at once.
+    """
+    F = np.asarray(F, dtype=float)
+    vol = grid.cell_volume
+    return np.array([vol * fsum(row.tolist()) for row in F.reshape(F.shape[0], -1)])
+
+
 def gradient_sq_integral(grid, u, mask=None):
     """Face-difference approximation of ``int |grad u|^2``.
 

@@ -421,12 +421,6 @@ class KernelSet:
         """Breakage count of size-``k`` fragments from an ``(i, j)`` collision."""
         return _count_at(self._b_fn, i, j, k)
 
-    def d_of(self, i):
-        i = _check_index("i", i)
-        if i > self.n:
-            raise DomainError(f"i={i} exceeds truncation size n={self.n}")
-        return float(self.d[i - 1])
-
     @property
     def c_mid(self):
         return 0.5 * (self.c_lo + self.c_hi)

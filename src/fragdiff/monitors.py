@@ -31,13 +31,6 @@ ENERGY_SLACK_REL_TOL = 1e-3
 TAIL_ENVELOPE_FACTOR = 2.0
 
 
-def _species_integrals(grid, F):
-    """Per-species :func:`fragdiff.grid.integrate`, summing Python floats."""
-    F = np.asarray(F, dtype=float)
-    vol = grid.cell_volume
-    return np.array([vol * math.fsum(row) for row in F.reshape(F.shape[0], -1).tolist()])
-
-
 def _mass_above(ints, M):
     """``sum_{i>M} i * ints[i-1]`` from precomputed species integrals."""
     if M < 0:
@@ -51,17 +44,17 @@ def _particles(ints):
 
 def total_mass(grid, F):
     """Weighted mass  sum_i i * integral(f_i)."""
-    return _mass_above(_species_integrals(grid, F), 0)
+    return _mass_above(gridmod.species_integrals(grid, F), 0)
 
 
 def moment0(grid, F):
     """Total particle number  sum_i integral(f_i)."""
-    return _particles(_species_integrals(grid, F))
+    return _particles(gridmod.species_integrals(grid, F))
 
 
 def tail_mass(grid, F, M):
     """Mass carried by sizes above ``M``: sum_{i>M} i * integral(f_i)."""
-    return _mass_above(_species_integrals(grid, F), M)
+    return _mass_above(gridmod.species_integrals(grid, F), M)
 
 
 def tail_envelope_exponential(M):
@@ -190,8 +183,8 @@ class MonitorAccumulator:
 
     def add(self, t, F, Q):
         grid = self.grid
-        ints = _species_integrals(grid, F)
-        q_ints = _species_integrals(grid, np.abs(Q))
+        ints = gridmod.species_integrals(grid, F)
+        q_ints = gridmod.species_integrals(grid, np.abs(Q))
         self.times.append(t)
         self._ints.append(ints)
         self._minv.append(float(np.min(F)))
@@ -303,53 +296,22 @@ class MonitorAccumulator:
                              budget=budget, energy=energy, linf=linf, invariants=invariants)
 
 
-def _fold(traj, ks, eps, q_samples=None, **options):
-    """Fold a :class:`MonitorAccumulator` over a stored trajectory.
-
-    ``q_samples`` defaults to one ``q_field`` per stored state, evaluated
-    as the fold reaches it.
-    """
-    acc = MonitorAccumulator(traj.grid, ks, eps=eps, **options)
-    if q_samples is None:
-        q_samples = (reaction.q_field(F, ks, eps) for F in traj.fields)
-    for t, F, Q in zip(traj.times, traj.fields, q_samples):
-        acc.add(t, F, Q)
-    return acc.report()
-
-
 def compute_monitors(traj, ks, eps=0.0, tail_levels=(8, 16, 24),
                      energy_specs=(), envelope_family=None,
                      mass_rel_tol=MASS_REL_TOL):
     """Evaluate every monitor over a stored trajectory and audit the invariants.
 
-    The same fold as a run streamed into a :class:`MonitorAccumulator`,
-    so both give bitwise equal reports.
+    Folds a :class:`MonitorAccumulator` over the stored states, with one
+    ``q_field`` per state evaluated as the fold reaches it: the same fold
+    as a run streamed into the accumulator, so both give bitwise equal
+    reports.
     """
-    return _fold(traj, ks, eps, tail_levels=tail_levels, energy_specs=energy_specs,
-                 envelope_family=envelope_family, mass_rel_tol=mass_rel_tol)
-
-
-def duality_functional(traj, ks):
-    """The duality monitor of :class:`MonitorAccumulator` over a stored trajectory."""
-    return _fold(traj, ks, 0.0, tail_levels=()).duality
-
-
-def reaction_budget(traj, ks, eps, q_samples=None):
-    """The reaction budget of :class:`MonitorAccumulator` over a stored trajectory."""
-    return _fold(traj, ks, eps, q_samples, tail_levels=()).budget
-
-
-def truncation_energy_check(traj, ks, species, level, eps, q_samples=None):
-    """One level-truncated energy inequality over a stored trajectory; see
-    :class:`MonitorAccumulator`."""
-    return _fold(traj, ks, eps, q_samples, tail_levels=(),
-                 energy_specs=[(species, level)]).energy[0]
-
-
-def linf_bound_check(traj, eps):
-    """Largest stored value against ``1/eps``."""
-    sup = max(float(np.max(F)) for F in traj.fields)
-    return LinfReport(sup=sup, eps=eps, ratio=sup * eps)
+    acc = MonitorAccumulator(traj.grid, ks, eps=eps, tail_levels=tail_levels,
+                             energy_specs=energy_specs, envelope_family=envelope_family,
+                             mass_rel_tol=mass_rel_tol)
+    for t, F in zip(traj.times, traj.fields):
+        acc.add(t, F, reaction.q_field(F, ks, eps))
+    return acc.report()
 
 
 # -- persistence -----------------------------------------------------------
@@ -376,8 +338,9 @@ def write_monitors_csv(path, report):
             w.writerow(row)
 
 
-def summary_dict(report):
-    return {
+def write_summary_json(path, report, extra=None):
+    """Deterministic (sorted, fixed-indent) JSON summary of a run."""
+    doc = {
         "final": {
             "t": report.times[-1],
             "mass": report.mass[-1],
@@ -398,11 +361,6 @@ def summary_dict(report):
         "invariants": report.invariants,
         "all_pass": report.all_pass,
     }
-
-
-def write_summary_json(path, report, extra=None):
-    """Deterministic (sorted, fixed-indent) JSON summary of a run."""
-    doc = summary_dict(report)
     if extra:
         doc.update(extra)
     with open(path, "w", newline="\n") as fh:

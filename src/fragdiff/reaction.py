@@ -23,7 +23,7 @@ exact zeros.  Gain and loss are each sums of nonnegative terms, so the
 only cancellation left is the final ``gain - loss``.
 
 There is one evaluator, :func:`q_field`, over stacked fields
-``(n, *spatial)``; the single-point functions are views of it on one cell.
+``(n, *spatial)``; a species vector ``(n,)`` is the field of one point.
 Its loss is one product with the masked loss matrix of
 :meth:`KernelSet.loss_matrix` for every family.  Its gain takes one path
 per kernel structure: the uniform family uses pair sums, the Cheng-Redner
@@ -182,11 +182,6 @@ def q_field(F, ks, eps=0.0):
     return Q.reshape(F.shape)
 
 
-def q_truncated(f, ks):
-    """Truncated fragmentation operator at a single spatial point."""
-    return q_field(_point(f, ks), ks)
-
-
 def regularization_denominator(f, ks, eps):
     """``1 + eps * sum_j c_j f_j**2`` with enclosure-midpoint weights."""
     _check_eps(eps)
@@ -194,15 +189,6 @@ def regularization_denominator(f, ks, eps):
     if eps == 0.0:
         return 1.0
     return float(_denominator(f[:, None], ks, eps)[0])
-
-
-def q_regularized(f, ks, eps):
-    """Regularized operator ``Q_i / (1 + eps sum_j c_j f_j^2)``.
-
-    At ``eps = 0`` the denominator is exactly 1.0 and the result is
-    bit-identical to :func:`q_truncated`.
-    """
-    return q_field(_point(f, ks), ks, eps)
 
 
 def check_quasipositivity(f, ks, eps, i):
@@ -226,16 +212,3 @@ def check_quasipositivity(f, ks, eps, i):
             f"quasipositivity violated at i={i}: Q_i={q_i!r}, gain={gain_i!r}"
         )
     return q_i, gain_i
-
-
-def dump_q_csv(path, f, ks, eps=0.0):
-    """Write per-species gain/loss/denominator/Q diagnostics as CSV."""
-    f = _point(f, ks)
-    gain, loss = _gain_loss(f[:, None], ks)
-    denom = regularization_denominator(f, ks, eps)
-    with open(path, "w") as fh:
-        fh.write("i,gain,loss,denominator,Q\n")
-        for i in range(ks.n):
-            g, l = float(gain[i, 0]), float(loss[i, 0])
-            q = (g - l) / denom
-            fh.write(f"{i+1},{g!r},{l!r},{float(denom)!r},{q!r}\n")

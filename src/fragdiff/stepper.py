@@ -86,7 +86,6 @@ class StepperConfig:
 class SimState:
     t: float = 0.0
     step_index: int = 0
-    last_dt: float = 0.0
     rejected_steps: int = 0
     clip_events: int = 0
     clipped_mass: float = 0.0
@@ -104,7 +103,6 @@ class Trajectory:
     """
 
     grid: gridmod.GridSpec
-    eps: float
     times: list[float] = field(default_factory=list)
     fields: list[np.ndarray] = field(default_factory=list)
     state: SimState = field(default_factory=SimState)
@@ -261,17 +259,6 @@ def _negate_mass(grid, F):
     return -float(np.sum(i1[(slice(None),) + (None,) * (F.ndim - 1)] * neg)) * grid.cell_volume
 
 
-def step_imex(grid, ks, F, dt, eps, solver, Q=None):
-    """One IMEX Euler step; returns the candidate state (no policy applied).
-
-    ``Q`` is ``reaction.q_field(F, ks, eps)`` when the caller has it.  No
-    name holds the stage, so it is freed once the first sweep has read it.
-    """
-    if Q is None:
-        Q = reaction.q_field(F, ks, eps)
-    return solver.solve(F + dt * Q, dt)
-
-
 def step_rk4(grid, ks, F, dt, eps, policy, state=None, Q=None):
     """One classical RK4 step on the full right-hand side.
 
@@ -328,7 +315,7 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
     F = np.array(F0, dtype=float, copy=True)
     if np.any(F < 0):
         raise DomainError("initial data contains negative entries")
-    traj = Trajectory(grid=grid, eps=eps)
+    traj = Trajectory(grid=grid)
     if sample is None:
         sample = traj.store
     state = traj.state
@@ -357,7 +344,8 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         while True:
             try:
                 if cfg.scheme == "imex_euler":
-                    cand = step_imex(grid, ks, F, dt_try, eps, solver, Q)
+                    # no name holds the stage, so the first sweep frees it
+                    cand = solver.solve(F + dt_try * Q, dt_try)
                 else:
                     cand = step_rk4(grid, ks, F, dt_try, eps, cfg.negativity_policy,
                                     state, Q)
@@ -385,7 +373,6 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         if t >= cfg.t_end - guard:
             t = cfg.t_end  # the last step ends at t_end exactly
         state.t = t
-        state.last_dt = dt_try
         state.step_index += 1
         if state.step_index % cadence == 0 and t < cfg.t_end - guard:
             take(t, F, Q)

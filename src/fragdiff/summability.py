@@ -394,7 +394,7 @@ def check_initial_data(fld, ks):
         raise DomainError("initial data must be nonnegative")
     n = F.shape[0]
 
-    norms = np.array([gridmod.integrate(grid, F[i]) for i in range(n)])
+    norms = gridmod.species_integrals(grid, F)
     terms = np.sqrt(norms) / np.sqrt(ks.d)
     partial = math.fsum(terms)
 

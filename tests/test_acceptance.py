@@ -94,7 +94,7 @@ def test_criterion_01_weighted_null_sum():
         ks = kernel_cache[key]
         f = rng.uniform(0.0, 10.0, size=n)
         f[rng.random(n) < 0.2] = 0.0
-        q = fd.q_regularized(f, ks, eps)
+        q = fd.q_field(f, ks, eps)
         i1 = np.arange(1, n + 1, dtype=float)
         resid = abs(fsum(i1 * q))
         budget = 1e-12 * fsum(np.abs(i1 * q)) + 1e-300
@@ -141,7 +141,7 @@ def test_criterion_02_independent_oracle():
         ks = fd.KernelSet.power_law_uniform(n, lam, 0.5, profile="stronger")
         f = rng.uniform(0.0, 3.0, size=n)
         f[rng.random(n) < 0.25] = 0.0
-        q = fd.q_truncated(f, ks)
+        q = fd.q_field(f, ks)
         ref = _oracle_q(f, n, lam)
         scale = max(float(np.max(np.abs(ref))), 1e-300)
         err = float(np.max(np.abs(q - ref))) / scale
@@ -149,7 +149,7 @@ def test_criterion_02_independent_oracle():
         assert err <= 1e-14, (n, lam, err)
 
     ks4 = fd.KernelSet.power_law_uniform(4, 4.0, 0.5, profile="stronger")
-    hand = fd.q_truncated(np.array([1.0, 1.0, 0.0, 0.0]), ks4)
+    hand = fd.q_field(np.array([1.0, 1.0, 0.0, 0.0]), ks4)
     expect = np.array([1.0 / 768.0, -1.0 / 384.0, 1.0 / 768.0, 0.0])
     hand_err = float(np.max(np.abs(hand - expect)))
     elapsed = time.perf_counter() - t0
@@ -279,8 +279,8 @@ def test_criterion_07_heat_benchmark():
 
 
 def test_criterion_08_duality_stability(reference_runs):
-    reports = {n: fd.duality_functional(reference_runs(n=n)["traj"],
-                                        reference_runs(n=n)["ks"])
+    reports = {n: fd.compute_monitors(reference_runs(n=n)["traj"], reference_runs(n=n)["ks"],
+                                      eps=0.01).duality
                for n in (16, 32, 64)}
     finite = all(math.isfinite(r.D) and r.D > 0 for r in reports.values())
     rel = abs(reports[32].D - reports[64].D) / reports[64].D
@@ -299,13 +299,8 @@ def test_criterion_08_duality_stability(reference_runs):
 def test_criterion_09_energy_inequality(reference_runs):
     run = reference_runs()
     traj, ks = run["traj"], run["ks"]
-    q_samples = [fd.q_field(F, ks, 0.01) for F in traj.fields]
-    checks = []
-    for species in (1, 2):
-        for level in (0.5, 1.0):
-            rep = fd.truncation_energy_check(traj, ks, species, level, 0.01,
-                                             q_samples=q_samples)
-            checks.append(rep)
+    specs = [(species, level) for species in (1, 2) for level in (0.5, 1.0)]
+    checks = fd.compute_monitors(traj, ks, eps=0.01, energy_specs=specs).energy
     worst = min(r.slack / (1e-3 * r.rhs) for r in checks)
     ok = all(r.slack >= -1e-3 * r.rhs for r in checks)
     _certify(9, ok,

@@ -290,6 +290,28 @@ def test_thread_cap(monkeypatch, capsys):
     assert "FRAGDIFF_THREADS" in capsys.readouterr().err
 
 
+def _bad_custom_doc(tmp_path, bad):
+    """An 8-cell, n=3 custom initial field that holds one ``bad`` value."""
+    data = np.ones((3, 8))
+    data[1, 2] = bad
+    ic_path = tmp_path / "ic.csv"
+    write_species_csv(ic_path, fd.make_grid_1d(8), data)
+    return small_doc(kernel={"n": 3}, grid={"cells": [8]},
+                     ic={"family": "custom_csv", "path": str(ic_path), "allow_custom": True})
+
+
+@pytest.mark.parametrize("bad", [-1.0, INF, NAN], ids=["negative", "inf", "nan"])
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_bad_custom_data_refused_before_anything_is_written(tmp_path, capsys, command, bad):
+    out = tmp_path / "o"
+    cfg_path = write_cfg(tmp_path, _bad_custom_doc(tmp_path, bad))
+    rc = cli.main([command, "--config", cfg_path, "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ic.path: stored field must be finite"), err
+    assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_artifacts_and_exit(self, tmp_path):
         cfg_path = write_cfg(tmp_path, small_doc())

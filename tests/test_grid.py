@@ -14,6 +14,7 @@ from fragdiff.grid import (
     make_grid_1d,
     make_grid_2d,
     read_species_csv,
+    species_integrals,
     stencil_eigenvalue,
     write_species_csv,
 )
@@ -98,6 +99,16 @@ def test_laplacian_annihilates_constants_and_conserves():
 def test_integrate_constant():
     g = make_grid_2d(5, 7, 2.0, 3.0)
     assert integrate(g, np.full(g.shape, 2.0)) == pytest.approx(12.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("grid", [make_grid_1d(37, 1.3), make_grid_2d(6, 9, 0.7, 2.0)],
+                         ids=["1D", "2D"])
+def test_species_integrals_are_integrate_per_row(grid):
+    F = np.random.default_rng(5).uniform(0.0, 3.0, size=(7,) + grid.shape)
+    F[3] = 0.0
+    got = species_integrals(grid, F)
+    assert got.shape == (7,)
+    assert got.tolist() == [integrate(grid, F[i]) for i in range(7)]
 
 
 def test_gradient_sq_exact_for_linear():

@@ -278,7 +278,7 @@ def test_table_family_round_trip(tmp_path):
     assert ks.n == 4
     assert ks.a(2, 3) == pytest.approx(1.0 / 6.0)
     assert ks.b(2, 2, 3) == pytest.approx(2.0 / 3.0)
-    assert ks.d_of(4) == 0.25
+    assert ks.d[3] == 0.25
     rep = fd.validate_kernel_set(ks)
     assert rep.ok, rep.failures
 

@@ -9,14 +9,10 @@ from fragdiff.errors import DomainError
 from fragdiff.grid import gradient_sq_integral, integrate, make_grid_1d
 from fragdiff.monitors import (
     compute_monitors,
-    duality_functional,
-    linf_bound_check,
     moment0,
-    reaction_budget,
     tail_envelope_exponential,
     tail_mass,
     total_mass,
-    truncation_energy_check,
     write_monitors_csv,
     write_summary_json,
 )
@@ -27,8 +23,8 @@ def constant_fields(grid, values):
     return np.array([np.full(grid.shape, v) for v in values])
 
 
-def synthetic_traj(grid, times, fields, eps=0.0):
-    return Trajectory(grid=grid, eps=eps, times=list(times),
+def synthetic_traj(grid, times, fields):
+    return Trajectory(grid=grid, times=list(times),
                       fields=[np.asarray(F, dtype=float) for F in fields])
 
 
@@ -68,7 +64,7 @@ def test_duality_closed_form():
     c = 2.0
     fields = [constant_fields(g, [c])] * 3
     traj = synthetic_traj(g, [0.0, 0.25, 0.5], fields)
-    rep = duality_functional(traj, ks)
+    rep = compute_monitors(traj, ks).duality
     assert rep.D == 2.0
     assert rep.R == 4.0
     assert rep.ratio == 0.5
@@ -79,7 +75,7 @@ def test_duality_zero_initial_data():
     g = make_grid_1d(16)
     ks = fd.power_law_uniform(2, 4.0, 0.5)
     traj = synthetic_traj(g, [0.0, 1.0], [np.zeros((2, 16))] * 2)
-    rep = duality_functional(traj, ks)
+    rep = compute_monitors(traj, ks).duality
     assert rep.D == 0.0 and rep.ratio == 0.0
 
 
@@ -87,7 +83,7 @@ def test_budget_zero_without_collisions():
     g = make_grid_1d(16)
     ks = fd.power_law_uniform(1, 4.0, 0.0)
     traj = synthetic_traj(g, [0.0, 0.5, 1.0], [constant_fields(g, [1.0])] * 3)
-    rep = reaction_budget(traj, ks, 0.0)
+    rep = compute_monitors(traj, ks).budget
     assert rep.total == 0.0
     assert rep.series == [0.0, 0.0, 0.0]
     assert np.all(rep.per_species == 0.0)
@@ -99,7 +95,7 @@ def test_budget_nondecreasing_on_real_run():
     F0 = constant_fields(g, [math.exp(-i) for i in range(1, 9)])
     traj = run_simulation(g, ks, F0, StepperConfig(dt=1e-3, t_end=0.02), eps=0.01,
                           cadence=2)
-    rep = reaction_budget(traj, ks, 0.01)
+    rep = compute_monitors(traj, ks, eps=0.01).budget
     assert rep.total > 0.0
     assert all(b - a >= 0.0 for a, b in zip(rep.series, rep.series[1:]))
     assert rep.total == pytest.approx(math.fsum(map(float, rep.per_species)), rel=1e-12)
@@ -111,7 +107,7 @@ def test_energy_fully_masked_constant():
     g = make_grid_1d(16)
     ks = fd.power_law_uniform(1, 4.0, 0.0)
     traj = synthetic_traj(g, [0.0, 1.0], [constant_fields(g, [2.0])] * 2)
-    rep = truncation_energy_check(traj, ks, 1, 1.0, 0.0)
+    (rep,) = compute_monitors(traj, ks, energy_specs=[(1, 1.0)]).energy
     assert rep.lhs == 0.0
     assert rep.rhs == pytest.approx(1.0 * (0.0 + 2.0), rel=1e-15)
     assert rep.slack == rep.rhs
@@ -131,7 +127,7 @@ def test_energy_wiring_against_manual_quadrature():
     ]
     traj = synthetic_traj(g, times, fields)
     level = 10.0  # far above the range: no masking
-    rep = truncation_energy_check(traj, ks, 1, level, 0.0)
+    (rep,) = compute_monitors(traj, ks, energy_specs=[(1, level)]).energy
     grads = [gradient_sq_integral(g, F[0]) for F in fields]
     lhs_manual = float(ks.d[0]) * np.trapezoid(grads, times)
     assert rep.lhs == pytest.approx(lhs_manual, rel=1e-12)
@@ -139,7 +135,7 @@ def test_energy_wiring_against_manual_quadrature():
     assert rep.slack >= 0.0
 
     # a level inside the range masks crests and can only shrink the LHS
-    rep_low = truncation_energy_check(traj, ks, 1, 1.2, 0.0)
+    (rep_low,) = compute_monitors(traj, ks, energy_specs=[(1, 1.2)]).energy
     assert rep_low.lhs < rep.lhs
 
 
@@ -148,19 +144,20 @@ def test_energy_input_validation():
     ks = fd.power_law_uniform(2, 4.0, 0.5)
     traj = synthetic_traj(g, [0.0, 1.0], [np.ones((2, 16))] * 2)
     with pytest.raises(DomainError):
-        truncation_energy_check(traj, ks, 3, 1.0, 0.0)
+        compute_monitors(traj, ks, energy_specs=[(3, 1.0)])
     with pytest.raises(DomainError):
-        truncation_energy_check(traj, ks, 1, 0.0, 0.0)
+        compute_monitors(traj, ks, energy_specs=[(1, 0.0)])
 
 
 def test_linf_report():
     g = make_grid_1d(16)
+    ks = fd.power_law_uniform(2, 4.0, 0.5)
     F = constant_fields(g, [1.0, 3.7])
     traj = synthetic_traj(g, [0.0, 1.0], [F, 0.5 * F])
-    rep = linf_bound_check(traj, 0.01)
+    rep = compute_monitors(traj, ks, eps=0.01).linf
     assert rep.sup == 3.7
     assert rep.ratio == pytest.approx(0.037)
-    assert linf_bound_check(traj, 0.0).ratio == 0.0
+    assert compute_monitors(traj, ks).linf.ratio == 0.0
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,6 @@ attempt to cancel neutral pairs analytically, so agreement with the library
 also confirms that the neutral-pair exclusion is an exact identity.
 """
 
-import csv
 import math
 import tracemalloc
 
@@ -25,10 +24,7 @@ from fragdiff.errors import ContractViolationError, DomainError
 from fragdiff.reaction import (
     _gain_loss,
     check_quasipositivity,
-    dump_q_csv,
     q_field,
-    q_regularized,
-    q_truncated,
     regularization_denominator,
 )
 
@@ -48,7 +44,7 @@ def naive_q(f, ks):
 
 def test_hand_worked_case():
     ks = fd.power_law_uniform(4, 4.0, 0.5)
-    q = q_truncated([1.0, 1.0, 0.0, 0.0], ks)
+    q = q_field([1.0, 1.0, 0.0, 0.0], ks)
     # only the (2,2) collision is active: each fragment size gets
     # (1/2)(2/3)(1/256), species 2 additionally loses a22 f2^2 = 1/256
     expect = np.array([1.0 / 768.0, -1.0 / 384.0, 1.0 / 768.0, 0.0])
@@ -66,7 +62,7 @@ def test_matches_naive_oracle_uniform():
                 # point, leaving noise at the collision-term scale
                 atol = 1e-14 * float(f.max()) ** 2
                 np.testing.assert_allclose(
-                    q_truncated(f, ks), naive_q(f, ks), rtol=1e-12, atol=atol
+                    q_field(f, ks), naive_q(f, ks), rtol=1e-12, atol=atol
                 )
 
 
@@ -76,7 +72,7 @@ def test_matches_naive_oracle_cheng_redner():
         ks = fd.cheng_redner_uniform(n, 4.0, 0.25)
         for _ in range(6):
             f = rng.uniform(0.0, 2.0, size=n)
-            got = q_truncated(f, ks)
+            got = q_field(f, ks)
             want = naive_q(f, ks)
             scale = np.abs(want).max() + 1e-30
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * scale)
@@ -90,7 +86,7 @@ def test_mass_null_sum():
     for _ in range(25):
         f = rng.uniform(0.0, 3.0, size=16)
         for kernel in (ks, cr):
-            q = q_truncated(f, kernel)
+            q = q_field(f, kernel)
             activity = float(np.abs(q).sum()) + 1e-30
             assert abs(float(sizes @ q)) <= 1e-13 * activity
 
@@ -102,13 +98,13 @@ def test_small_systems_identically_zero():
         ks = fd.power_law_uniform(n, 4.0, 0.5)
         for _ in range(5):
             f = rng.uniform(0.0, 5.0, size=n)
-            assert np.array_equal(q_truncated(f, ks), np.zeros(n))
+            assert np.array_equal(q_field(f, ks), np.zeros(n))
 
 
 def test_cheng_redner_n3_active():
     # CR treats (1,2) as active (the dimer shatters), unlike uniform breakage
     ks = fd.cheng_redner_uniform(3, 4.0, 0.0)
-    q = q_truncated([1.0, 1.0, 0.0], ks)
+    q = q_field([1.0, 1.0, 0.0], ks)
     assert np.any(q != 0.0)
     assert abs(q[0] + 2.0 * q[1] + 3.0 * q[2]) <= 1e-15
 
@@ -398,8 +394,8 @@ def test_regularization_identity_at_zero_eps():
     ks = fd.power_law_uniform(8, 4.0, 0.5)
     f = np.linspace(0.1, 1.0, 8)
     assert regularization_denominator(f, ks, 0.0) == 1.0
-    q0 = q_truncated(f, ks)
-    qr = q_regularized(f, ks, 0.0)
+    q0 = q_field(f, ks)
+    qr = q_field(f, ks, 0.0)
     assert np.array_equal(q0, qr)
 
 
@@ -416,11 +412,11 @@ def test_regularization_denominator_value():
 def test_input_validation():
     ks = fd.power_law_uniform(4, 4.0, 0.5)
     with pytest.raises(ContractViolationError):
-        q_truncated([1.0, -0.1, 0.0, 0.0], ks)
+        q_field([1.0, -0.1, 0.0, 0.0], ks)
     with pytest.raises(DomainError):
-        q_truncated([1.0, 1.0], ks)
+        q_field([1.0, 1.0], ks)
     with pytest.raises(DomainError):
-        q_truncated([1.0, np.nan, 0.0, 0.0], ks)
+        q_field([1.0, np.nan, 0.0, 0.0], ks)
     with pytest.raises(DomainError):
         q_field(1.0, ks)
     for eps in (0.0, 0.1):
@@ -429,21 +425,3 @@ def test_input_validation():
         with pytest.raises(DomainError):
             regularization_denominator([1.0, 1.0], ks, eps)
 
-
-def test_dump_q_csv_round_trip(tmp_path):
-    ks = fd.power_law_uniform(6, 4.0, 0.5)
-    f = np.linspace(1.0, 0.1, 6)
-    path = tmp_path / "q.csv"
-    dump_q_csv(path, f, ks, eps=0.1)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 6
-    assert list(rows[0]) == ["i", "gain", "loss", "denominator", "Q"]
-    q = q_regularized(f, ks, 0.1)
-    for i, row in enumerate(rows):
-        assert int(row["i"]) == i + 1
-        # repr round-trip: the file reproduces the doubles exactly
-        assert float(row["Q"]) == q[i]
-        assert float(row["gain"]) - float(row["loss"]) == pytest.approx(
-            q[i] * float(row["denominator"]), rel=1e-13, abs=1e-300
-        )

@@ -205,7 +205,7 @@ def _term1_naive_table(ks):
                 b = ks.b(j, k, i)
                 if b == 0.0 or a == 0.0 or i > n:
                     continue
-                total += math.sqrt(b * a) / math.sqrt(k * j * ks.d_of(i) * ks.d_of(j))
+                total += math.sqrt(b * a) / math.sqrt(k * j * ks.d[i - 1] * ks.d[j - 1])
     return total
 
 
