@@ -22,20 +22,14 @@ from .kernels import (
     Enclosure,
     KernelSet,
     ValidationReport,
-    breakage_count,
-    cheng_redner_count,
     cheng_redner_uniform,
-    collision_rate,
-    diffusion_coeff,
     from_tables,
     power_law_uniform,
     power_series_enclosure,
-    reg_weight,
     validate_kernel_set,
 )
 from .grid import (
     GridSpec,
-    SizeSpectrumField,
     gradient_sq_integral,
     integrate,
     laplacian_neumann,

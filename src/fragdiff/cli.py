@@ -165,7 +165,7 @@ def cmd_audit(args):
     rep = audit_summability(ks, profile=cfg.kernel.profile)
     grid = cfgmod.make_grid(cfg.grid)
     F0 = cfgmod.make_initial_condition(cfg.ic, grid, cfg.kernel.n)
-    adm = check_initial_data(gridmod.SizeSpectrumField(grid, F0), ks)
+    adm = check_initial_data(grid, F0, ks)
 
     doc = {
         "summability": rep.to_json_dict(),

@@ -224,13 +224,23 @@ def load_config(path):
 
 
 def make_kernel_set(kc):
+    """The configured kernel set; an unreadable or malformed table file is a
+    :class:`ConfigError` naming its key and path."""
     if kc.family == "power_law_uniform":
         return kernels.power_law_uniform(kc.n, kc.lam, kc.alpha,
                                          reg_tol=kc.reg_tol, profile=kc.profile)
     if kc.family == "cheng_redner_uniform":
         return kernels.cheng_redner_uniform(kc.n, kc.lam, kc.alpha,
                                             reg_tol=kc.reg_tol, profile=kc.profile)
-    return kernels.from_tables(kc.a_table, kc.b_table, kc.d_table, n=kc.n)
+    tables = {"kernel.a_table": kc.a_table, "kernel.b_table": kc.b_table,
+              "kernel.d_table": kc.d_table}
+    try:
+        return kernels.from_tables(*tables.values(), n=kc.n)
+    except (OSError, ValueError) as exc:
+        # an OS error names its file; a bad number could sit in any table
+        keys = [k for k, path in tables.items() if path == getattr(exc, "filename", None)]
+        where = ", ".join(f"{k} ({tables[k]})" for k in keys or tables)
+        raise ConfigError(f"{where}: cannot read kernel table: {exc}") from exc
 
 
 def make_grid(gc):
@@ -260,9 +270,13 @@ def _profile_values(ic, grid):
 
 def make_initial_condition(ic, grid, n):
     """Species stack  f_i(x) = amplitude * exp(-gamma*i) * profile(x), or the
-    stored ``custom_csv`` field, which must be finite and nonnegative."""
+    stored ``custom_csv`` field, which must be readable, finite and
+    nonnegative (else :class:`ConfigError`)."""
     if ic.family == "custom_csv":
-        g2, values, _ = gridmod.read_species_csv(ic.path)
+        try:
+            g2, values, _ = gridmod.read_species_csv(ic.path)
+        except (OSError, ValueError, DomainError) as exc:
+            raise ConfigError(f"ic.path ({ic.path}): cannot read stored field: {exc}") from exc
         if g2.shape != grid.shape or values.shape[0] != n:
             raise ConfigError(
                 "ic.path: stored field does not match the configured grid/size count"

@@ -76,27 +76,6 @@ def make_grid_2d(mx, my, lx=1.0, ly=1.0):
     return GridSpec(shape=(mx, my), lengths=(float(lx), float(ly)))
 
 
-@dataclass
-class SizeSpectrumField:
-    """A stack of species densities ``f_i`` on one grid, shape ``(n, *grid.shape)``."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[1:] != self.grid.shape:
-            raise DomainError(
-                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("field contains non-finite entries")
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-
 def _reflect_second_diff(u, axis):
     """Second difference along one axis with reflected (Neumann) ghosts."""
     um = np.roll(u, 1, axis=axis)
@@ -239,6 +218,8 @@ def read_species_csv(path):
             rows.append([float(tok) for tok in line.split(",")])
     if shape is None or lengths is None:
         raise DomainError(f"{path}: missing grid metadata headers")
+    if not rows:
+        raise DomainError(f"{path}: no data rows")
     grid = GridSpec(shape=shape, lengths=lengths)
     data = np.asarray(rows)
     n = data.shape[1] - grid.dim

@@ -19,8 +19,13 @@ enclosures: a short partial sum plus an Euler-Maclaurin tail whose remainder
 is bracketed by its first omitted term.  A uniform Cheng-Redner
 variant redistributes each collider's own mass over sizes strictly below
 it; its size-1 collider case is handled by a pass-through convention (see
-``cheng_redner_count``).  Arbitrary tabulated kernels can be loaded from
+``_cheng_redner_counts``).  Arbitrary tabulated kernels can be loaded from
 CSV files.
+
+Every coefficient has one definition, held by a :class:`KernelSet`: the
+arrays ``d``, ``c_lo``/``c_hi`` and ``a_matrix()`` and the count function
+behind ``b``.  The solver, the monitors and the audits read those, and so
+do the scalar accessors ``a(i, j)`` and ``b(i, j, k)``.
 """
 
 from __future__ import annotations
@@ -40,12 +45,7 @@ __all__ = [
     "Enclosure",
     "KernelSet",
     "ValidationReport",
-    "breakage_count",
-    "cheng_redner_count",
-    "collision_rate",
-    "diffusion_coeff",
     "power_series_enclosure",
-    "reg_weight",
     "validate_kernel_set",
 ]
 
@@ -88,48 +88,19 @@ def _check_index(name, value):
     return int(value)
 
 
-def collision_rate(i, j, lam):
-    """Power-law collision rate ``(i*j)**-lam`` for sizes ``i``, ``j``."""
-    i = _check_index("i", i)
-    j = _check_index("j", j)
-    if lam < 0:
-        raise DomainError(f"lam must be >= 0, got {lam}")
-    return float(i * j) ** (-lam)
-
-
 def _uniform_counts(i, j, k):
     """Uniform breakage counts ``2/(i+j-1)`` for ``k < i+j``, else 0.
 
     Like every family's count function (``KernelSet._b_fn``), it broadcasts
-    over integer index arrays; the scalar views, the gain and loss tables,
-    the validator and the summability audit all read it.
+    over integer index arrays; the scalar view ``KernelSet.b``, the gain
+    tensor, the validator and the summability audit all read it.
     """
     s = np.add(i, j)
     return np.where(k < s, 2.0 / (s - 1), 0.0)
 
 
 def _cheng_redner_counts(i, j, k):
-    """Cheng-Redner counts: each collider shatters its own mass (broadcasts)."""
-
-    def side(size):
-        plateau = np.where(k < size, 2.0 / np.maximum(size - 1, 1), 0.0)
-        return np.where(size == 1, np.where(k == 1, 1.0, 0.0), plateau)
-
-    return side(i) + side(j)
-
-
-def _count_at(counts, i, j, k):
-    """Checked scalar view of a broadcasting count function."""
-    return float(counts(_check_index("i", i), _check_index("j", j), _check_index("k", k)))
-
-
-def breakage_count(i, j, k):
-    """Uniform breakage count: ``2/(i+j-1)`` for ``1 <= k <= i+j-1``, else 0."""
-    return _count_at(_uniform_counts, i, j, k)
-
-
-def cheng_redner_count(i, j, k):
-    """Uniform no-mass-transfer breakage: each collider shatters its own mass.
+    """Cheng-Redner counts: each collider shatters its own mass (broadcasts).
 
     A size-``i`` collider with ``i >= 2`` redistributes uniformly over sizes
     ``1..i-1`` (``2/(i-1)`` fragments each); a size-1 collider cannot break
@@ -137,15 +108,12 @@ def cheng_redner_count(i, j, k):
     keeps ``sum_k k b^k_ij = i + j`` valid for every pair, at the cost of
     deviating from the strict sub-collider redistribution rule at size 1.
     """
-    return _count_at(_cheng_redner_counts, i, j, k)
 
+    def side(size):
+        plateau = np.where(k < size, 2.0 / np.maximum(size - 1, 1), 0.0)
+        return np.where(size == 1, np.where(k == 1, 1.0, 0.0), plateau)
 
-def diffusion_coeff(i, alpha):
-    """Size-dependent diffusion coefficient ``i**-alpha``."""
-    i = _check_index("i", i)
-    if alpha < 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
-    return float(i) ** (-alpha)
+    return side(i) + side(j)
 
 
 _EM_N = 32
@@ -243,22 +211,6 @@ def _scaled(w, z):
     return lo, hi
 
 
-def reg_weight(j, lam, tol=1e-10):
-    """Certified enclosure of the regularization weight ``c_j = sum_i a_ij``.
-
-    For the power-law family the column sum factorizes,
-    ``c_j = j**-lam * sum_i i**-lam``, so a single series enclosure serves
-    every ``j``.
-    """
-    j = _check_index("j", j)
-    if lam <= 1.0:
-        raise DivergentSeriesError(
-            f"regularization weight c_{j} diverges for lam={lam} <= 1"
-        )
-    lo, hi = _scaled(float(j) ** (-lam), power_series_enclosure(lam, tol))
-    return Enclosure(float(lo), float(hi))
-
-
 @dataclass
 class KernelSet:
     """One concrete choice of collision/breakage/diffusion coefficients.
@@ -282,7 +234,6 @@ class KernelSet:
     c_hi: np.ndarray
     _b_fn: object  # broadcasting count function (i, j, k) -> b^k_ij
     sep_weights: np.ndarray | None = None  # a_ij == w_i * w_j when set
-    uniform_breakage: bool = False
     neutral_pairs: tuple = ()
     notes: list[str] = field(default_factory=list)
     _a_mat: np.ndarray | None = None
@@ -319,7 +270,6 @@ class KernelSet:
             c_hi=c_hi,
             _b_fn=_uniform_counts,
             sep_weights=w,
-            uniform_breakage=True,
             neutral_pairs=((1, 1), (1, 2), (2, 1)),
             notes=notes,
         )
@@ -329,7 +279,6 @@ class KernelSet:
         base = cls.power_law_uniform(n, lam, alpha, reg_tol=reg_tol, profile=profile)
         base.family = "cheng_redner_uniform"
         base._b_fn = _cheng_redner_counts
-        base.uniform_breakage = False
         base.neutral_pairs = ((1, 1),)
         base.notes.append(
             "size-1 colliders pass through unchanged (the strict sub-collider "
@@ -419,7 +368,8 @@ class KernelSet:
 
     def b(self, i, j, k):
         """Breakage count of size-``k`` fragments from an ``(i, j)`` collision."""
-        return _count_at(self._b_fn, i, j, k)
+        i, j, k = _check_index("i", i), _check_index("j", j), _check_index("k", k)
+        return float(self._b_fn(i, j, k))
 
     @property
     def c_mid(self):
@@ -586,7 +536,7 @@ def _exact_mass_check(ks):
             memo[size] = Fraction(2, size - 1) * sum(range(1, size))
         return memo[size]
 
-    if ks.uniform_breakage:
+    if ks.family == "power_law_uniform":
         return lambda i, j: plateau_mass(i + j) == i + j
     if ks.family == "cheng_redner_uniform":
         memo[1] = Fraction(1)  # a monomer passes through

@@ -147,7 +147,7 @@ def _gain_loss(G2, ks):
         gain = np.zeros_like(loss)
         gain[: n - 1] = np.cumsum(V[::-1], axis=0)[::-1]
         gain[0] += loss[0]
-    elif ks.uniform_breakage and ks.sep_weights is not None:
+    elif ks.family == "power_law_uniform":
         g = ks.sep_weights[:, None] * G2
         gain = np.zeros(G2.shape)
         if n >= 4:

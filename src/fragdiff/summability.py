@@ -260,7 +260,7 @@ def _term1_partials_cr(lam, alpha, levels):
 
 def _audit_term1_power(ks, levels):
     lam, alpha = ks.lam, ks.alpha
-    uniform = ks.uniform_breakage
+    uniform = ks.family == "power_law_uniform"
     if uniform:
         partials = _term1_partials_uniform(lam, alpha, levels)
     else:
@@ -379,7 +379,7 @@ class AdmissibilityReport:
         }
 
 
-def check_initial_data(fld, ks):
+def check_initial_data(grid, F, ks):
     """Admissibility of initial data: sum_i d_i^{-1/2} ||f_i||_L1^{1/2} and
     the L2 norm of the weighted density sum_i i f_i.
 
@@ -387,9 +387,16 @@ def check_initial_data(fld, ks):
     sizes plus a decay-fit tail estimate: the trailing terms are fit against
     both a geometric and a power-law model and the better fit decides the
     finite/infinite judgment for the underlying analytic family.
+
+    ``F`` is the species stack on ``grid``, shape ``(ks.n, *grid.shape)``;
+    it must be finite and nonnegative.
     """
-    grid = fld.grid
-    F = fld.values
+    F = np.asarray(F, dtype=float)
+    if F.shape != (ks.n, *grid.shape):
+        raise DomainError(f"field shape {F.shape} does not match (n, *grid) = "
+                          f"{(ks.n, *grid.shape)}")
+    if not np.all(np.isfinite(F)):
+        raise DomainError("field contains non-finite entries")
     if np.min(F) < 0:
         raise DomainError("initial data must be nonnegative")
     n = F.shape[0]

@@ -114,7 +114,7 @@ def validate_kernel_set_by_pair(ks, i_max=None, exact_limit=64, rel_tol=1e-12):
 def _exact_mass_ok_by_pair(ks, i, j):
     """Local mass conservation in exact rational arithmetic."""
     s = i + j
-    if ks.uniform_breakage:
+    if ks.family == "power_law_uniform":
         total = Fraction(2, s - 1) * sum(range(1, s))
         return total == s
     if ks.family == "cheng_redner_uniform":

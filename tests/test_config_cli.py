@@ -312,6 +312,53 @@ def test_bad_custom_data_refused_before_anything_is_written(tmp_path, capsys, co
     assert not out.exists()
 
 
+def _unreadable_input_doc(tmp_path, case):
+    """A config whose ``ic.path`` or ``kernel.d_table`` file cannot be read."""
+    if case == "missing_table":
+        (tmp_path / "a.csv").write_text("i,j,a\n1,1,1.0\n")
+        (tmp_path / "b.csv").write_text("i,j,k,b\n1,1,1,2.0\n")
+        return small_doc(kernel={"family": "table", "n": 1, "a_table": str(tmp_path / "a.csv"),
+                                 "b_table": str(tmp_path / "b.csv"),
+                                 "d_table": str(tmp_path / "d.csv")})
+    ic_path = tmp_path / "ic.csv"
+    if case != "missing_ic":
+        write_species_csv(ic_path, fd.make_grid_1d(8), np.ones((3, 8)))
+        lines = ic_path.read_text().splitlines()
+        header = [k for k, line in enumerate(lines) if not line.startswith("#")][0]
+        if case == "abc_token":
+            x, _, *rest = lines[header + 1].split(",")
+            lines[header + 1] = ",".join([x, "abc", *rest])
+        else:  # headers only
+            del lines[header + 1:]
+        ic_path.write_text("\n".join(lines) + "\n")
+    return small_doc(kernel={"n": 3}, grid={"cells": [8]},
+                     ic={"family": "custom_csv", "path": str(ic_path), "allow_custom": True})
+
+
+@pytest.mark.parametrize("case, key", [("missing_ic", "ic.path"), ("abc_token", "ic.path"),
+                                       ("no_rows", "ic.path"), ("missing_table", "kernel.d_table")])
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_unreadable_input_file_is_a_config_error(tmp_path, capsys, command, case, key):
+    out = tmp_path / "o"
+    cfg_path = write_cfg(tmp_path, _unreadable_input_doc(tmp_path, case))
+    rc = cli.main([command, "--config", cfg_path, "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config error: {key} ("), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unreadable_input_file_fails_each_sweep_point(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg_path = write_cfg(tmp_path, _unreadable_input_doc(tmp_path, "missing_ic"))
+    rc = cli.main(["sweep", "--config", cfg_path, "--axis", "eps", "--values", "0.01,0.02",
+                   "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err.count("config error in ") == 2
+    assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
+
+
 class TestSimulateCommand:
     def test_artifacts_and_exit(self, tmp_path):
         cfg_path = write_cfg(tmp_path, small_doc())

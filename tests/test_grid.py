@@ -7,7 +7,6 @@ import fragdiff as fd
 from fragdiff.errors import DomainError
 from fragdiff.grid import (
     GridSpec,
-    SizeSpectrumField,
     gradient_sq_integral,
     integrate,
     laplacian_neumann,
@@ -232,10 +231,13 @@ def test_species_csv_missing_metadata(tmp_path):
 
 
 def test_field_validation():
+    # the admissibility check takes a species stack that fits its grid and size count
     g = make_grid_1d(8)
+    ks = fd.power_law_uniform(4, 4.0, 0.5)
     with pytest.raises(DomainError):
-        SizeSpectrumField(g, np.zeros((2, 7)))
+        fd.check_initial_data(g, np.zeros((4, 7)), ks)
     with pytest.raises(DomainError):
-        SizeSpectrumField(g, np.array([[np.inf] * 8]))
-    fld = SizeSpectrumField(g, np.ones((4, 8)))
-    assert fld.n == 4
+        fd.check_initial_data(g, np.zeros((2, 8)), ks)
+    with pytest.raises(DomainError):
+        fd.check_initial_data(g, np.array([[np.inf] * 8] * 4), ks)
+    assert fd.check_initial_data(g, np.ones((4, 8)), ks).partial > 0.0

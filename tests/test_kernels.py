@@ -12,41 +12,48 @@ from fragdiff.errors import DomainError, DivergentSeriesError, FragdiffError
 
 
 def test_collision_rate_values():
-    assert fd.collision_rate(1, 1, 4.0) == 1.0
-    assert fd.collision_rate(2, 3, 4.0) == 6.0 ** -4
-    assert fd.collision_rate(5, 2, 0.0) == 1.0
+    ks = fd.power_law_uniform(8, 4.0, 0.5)
+    assert ks.a(1, 1) == 1.0
+    assert ks.a(2, 3) == 6.0 ** -4
+    # the rates are products w_i w_j, and each factor 2**-lam is exact
+    assert fd.power_law_uniform(8, 2.0, 0.5, profile="stronger").a(5, 2) == 10.0 ** -2
 
 
 def test_collision_rate_symmetry():
+    # a set has lam > 1: its weights sum_i a_ij diverge below that
     rng = np.random.default_rng(7)
     for _ in range(50):
         i, j = rng.integers(1, 200, size=2)
-        lam = float(rng.uniform(0.0, 6.0))
-        assert fd.collision_rate(int(i), int(j), lam) == fd.collision_rate(int(j), int(i), lam)
+        lam = float(rng.uniform(1.0, 6.0))
+        ks = fd.power_law_uniform(200, lam, 0.5, profile="stronger")
+        assert ks.a(int(i), int(j)) == ks.a(int(j), int(i))
+        assert np.array_equal(ks.a_matrix(), ks.a_matrix().T)
 
 
 def test_collision_rate_rejects_bad_indices():
+    ks = fd.power_law_uniform(8, 4.0, 0.5)
     with pytest.raises(DomainError):
-        fd.collision_rate(0, 1, 4.0)
+        ks.a(0, 1)
     with pytest.raises(DomainError):
-        fd.collision_rate(1, -3, 4.0)
+        ks.a(1, -3)
     with pytest.raises(DomainError):
-        fd.collision_rate(1.5, 1, 4.0)
+        ks.a(1.5, 1)
 
 
 def test_breakage_count_plateau_and_support():
     # every admissible fragment size gets the same count 2/(i+j-1)
-    assert fd.breakage_count(2, 2, 1) == 2.0 / 3.0
-    assert fd.breakage_count(2, 2, 3) == 2.0 / 3.0
-    assert fd.breakage_count(2, 2, 4) == 0.0
-    assert fd.breakage_count(1, 1, 1) == 2.0
-    assert fd.breakage_count(1, 1, 2) == 0.0
-    assert type(fd.breakage_count(2, 2, 1)) is float
+    ks = fd.power_law_uniform(4, 4.0, 0.5)
+    assert ks.b(2, 2, 1) == 2.0 / 3.0
+    assert ks.b(2, 2, 3) == 2.0 / 3.0
+    assert ks.b(2, 2, 4) == 0.0
+    assert ks.b(1, 1, 1) == 2.0
+    assert ks.b(1, 1, 2) == 0.0
+    assert type(ks.b(2, 2, 1)) is float
 
 
 def test_breakage_counts_reject_bad_indices():
-    ks = fd.cheng_redner_uniform(8, 4.0, 0.0)
-    for count in (fd.breakage_count, fd.cheng_redner_count, ks.b):
+    for make in (fd.power_law_uniform, fd.cheng_redner_uniform):
+        count = make(8, 4.0, 0.0).b
         with pytest.raises(DomainError):
             count(0, 1, 1)
         with pytest.raises(DomainError):
@@ -64,26 +71,28 @@ def test_breakage_mass_exact_rational():
 
 def test_cheng_redner_counts():
     # each collider shatters into its own fragments; monomers pass through
-    assert fd.cheng_redner_count(3, 2, 1) == 1.0 + 2.0  # 2/(3-1) + 2/(2-1)
-    assert fd.cheng_redner_count(3, 2, 2) == 1.0  # only the size-3 side reaches k=2
-    assert fd.cheng_redner_count(3, 2, 3) == 0.0
-    assert fd.cheng_redner_count(1, 1, 1) == 2.0
-    assert fd.cheng_redner_count(1, 4, 1) == 1.0 + 2.0 / 3.0
+    ks = fd.cheng_redner_uniform(4, 4.0, 0.5)
+    assert ks.b(3, 2, 1) == 1.0 + 2.0  # 2/(3-1) + 2/(2-1)
+    assert ks.b(3, 2, 2) == 1.0  # only the size-3 side reaches k=2
+    assert ks.b(3, 2, 3) == 0.0
+    assert ks.b(1, 1, 1) == 2.0
+    assert ks.b(1, 4, 1) == 1.0 + 2.0 / 3.0
 
 
 def test_cheng_redner_mass_exact():
+    ks = fd.cheng_redner_uniform(32, 4.0, 0.5)
     for i in range(1, 33):
         for j in range(1, 33):
             total = Fraction(0)
             for k in range(1, i + j):
-                total += Fraction(fd.cheng_redner_count(i, j, k)).limit_denominator(10**9) * k
+                total += Fraction(ks.b(i, j, k)).limit_denominator(10**9) * k
             assert total == i + j, (i, j)
 
 
 def test_diffusion_coeff():
-    assert fd.diffusion_coeff(1, 0.7) == 1.0
-    assert fd.diffusion_coeff(16, 0.5) == 0.25
-    assert fd.diffusion_coeff(8, 0.0) == 1.0
+    assert fd.power_law_uniform(16, 4.0, 0.7).d[1 - 1] == 1.0
+    assert fd.power_law_uniform(16, 4.0, 0.5).d[16 - 1] == 0.25
+    assert fd.power_law_uniform(16, 4.0, 0.0).d[8 - 1] == 1.0
 
 
 def test_power_series_enclosure_contains_reference_values():
@@ -156,29 +165,27 @@ def test_enclosure_helpers():
 
 def test_reg_weight_scaling():
     # c_j = j^-lam * sum_i i^-lam
-    e1 = fd.reg_weight(1, 4.0)
-    e2 = fd.reg_weight(2, 4.0)
+    ks = fd.power_law_uniform(2, 4.0, 0.5)
+    e1, e2 = (fd.Enclosure(ks.c_lo[j - 1], ks.c_hi[j - 1]) for j in (1, 2))
     assert math.pi ** 4 / 90.0 in e1
     assert e2.lo == pytest.approx(e1.lo / 16.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("lam", (1.05, 1.5, 2.0, 3.7, 4.0, 5.0, 7.5))
 def test_reg_weights_contain_mpmath_values(lam):
-    ks = fd.power_law_uniform(64, lam, 0.5, profile="stronger")
+    ks = fd.power_law_uniform(1000, lam, 0.5, profile="stronger")
     z = _zeta40(lam)
     with mpmath.workdps(40):
         for j in (1, 2, 3, 7, 64, 1000):
             exact = mpmath.mpf(j) ** -mpmath.mpf(lam) * z
-            e = fd.reg_weight(j, lam)
-            assert mpmath.mpf(e.lo) <= exact <= mpmath.mpf(e.hi), (lam, j, e)
-            if j <= ks.n:
-                assert mpmath.mpf(ks.c_lo[j - 1]) <= exact <= mpmath.mpf(ks.c_hi[j - 1])
+            lo, hi = ks.c_lo[j - 1], ks.c_hi[j - 1]
+            assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi), (lam, j, lo, hi)
 
 
 def test_power_law_factory_fields():
     ks = fd.power_law_uniform(16, 4.0, 0.5)
     assert ks.n == 16
-    assert ks.uniform_breakage
+    assert ks.family == "power_law_uniform"
     assert ks.d[0] == 1.0
     assert ks.d[3] == 0.5
     assert ks.a(2, 3) == 6.0 ** -4
@@ -227,7 +234,7 @@ def test_gain_tensor_mask_and_neutral_zeroing():
     assert np.all(B[:, 0, 0] == 0.0)
     assert np.all(B[:, 0, 1] == 0.0)
     # an active pair carries b * a
-    assert B[0, 1, 2] == pytest.approx(fd.breakage_count(2, 3, 1) * ks.a(2, 3), rel=1e-15)
+    assert B[0, 1, 2] == pytest.approx(ks.b(2, 3, 1) * ks.a(2, 3), rel=1e-15)
     M = ks.loss_matrix()
     assert M[0, 0] == 0.0 and M[1, 1] != 0.0
     assert M[5, 5] == 0.0
@@ -513,7 +520,7 @@ def test_validator_without_closed_form_raises_like_reference():
 
     for check in (fd.validate_kernel_set, validate_kernel_set_by_pair):
         ks = fd.power_law_uniform(6, 4.0, 0.5)
-        ks.uniform_breakage = False  # no rational form left for its family name
+        ks.family = "unnamed"  # a family with no rational form
         with pytest.raises(FragdiffError, match="no exact rational form"):
             check(ks)
         assert check(ks, exact_limit=1).exact_pairs_checked == 0

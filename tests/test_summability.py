@@ -116,7 +116,7 @@ def test_term1_partial_uniform_matches_naive():
     for lam, alpha in [(4.0, 0.5), (4.0, 1.0), (5.0, 0.25)]:
         fast = _term1_partials_uniform(lam, alpha, [7, 30])
         for N, got in zip([7, 30], fast):
-            slow = _term1_naive(lam, alpha, N, fd.breakage_count)
+            slow = _term1_naive(lam, alpha, N, fd.power_law_uniform(N, lam, alpha).b)
             assert got == pytest.approx(slow, rel=1e-13), (lam, alpha, N)
 
 
@@ -127,7 +127,7 @@ def test_term1_partial_cr_matches_naive():
                                (5.0, 1.0, [7, 30])]:
         fast = _term1_partials_cr(lam, alpha, levels)
         for N, got in zip(levels, fast):
-            slow = _term1_naive(lam, alpha, N, fd.cheng_redner_count)
+            slow = _term1_naive(lam, alpha, N, fd.cheng_redner_uniform(N, lam, alpha).b)
             assert got == pytest.approx(slow, rel=1e-13), (lam, alpha, N)
 
 
@@ -224,14 +224,14 @@ def test_json_layout():
 def _monomial_field(values, m=16):
     grid = fd.make_grid_1d(m)
     data = [np.full(m, v) for v in values]
-    return fd.SizeSpectrumField(grid, np.array(data))
+    return grid, np.array(data)
 
 
 def test_exponential_ic_admissible():
     # sum sqrt(i) e^{-i/2}: frozen by summing 10^6 terms offline
     ks = fd.power_law_uniform(32, 4.0, 1.0)
     fld = _monomial_field([math.exp(-i) for i in range(1, 33)])
-    rep = check_initial_data(fld, ks)
+    rep = check_initial_data(*fld, ks)
     assert rep.judgment == "finite"
     assert rep.decay_model == "geometric"
     est = rep.partial + rep.tail_estimate
@@ -240,7 +240,7 @@ def test_exponential_ic_admissible():
 
 def test_zero_field_is_trivially_admissible():
     ks = fd.power_law_uniform(8, 4.0, 0.5)
-    rep = check_initial_data(_monomial_field([0.0] * 8), ks)
+    rep = check_initial_data(*_monomial_field([0.0] * 8), ks)
     assert rep.judgment == "finite"
     assert rep.decay_model == "zero"
     assert rep.weighted_sum == 0.0
@@ -248,7 +248,7 @@ def test_zero_field_is_trivially_admissible():
 
 def test_power_tail_inadmissible():
     ks = fd.power_law_uniform(48, 4.0, 1.0)
-    rep = check_initial_data(_monomial_field([i ** -2.0 for i in range(1, 49)]), ks)
+    rep = check_initial_data(*_monomial_field([i ** -2.0 for i in range(1, 49)]), ks)
     # terms i^{1/2} * i^{-1} = i^{-1/2}: a divergent power tail
     assert rep.judgment == "infinite"
     assert rep.decay_model == "power"
@@ -256,11 +256,11 @@ def test_power_tail_inadmissible():
 
 def test_fast_power_tail_admissible():
     ks = fd.power_law_uniform(48, 4.0, 1.0)
-    rep = check_initial_data(_monomial_field([i ** -8.0 for i in range(1, 49)]), ks)
+    rep = check_initial_data(*_monomial_field([i ** -8.0 for i in range(1, 49)]), ks)
     assert rep.judgment == "finite"
 
 
 def test_negative_ic_rejected():
     ks = fd.power_law_uniform(8, 4.0, 0.5)
     with pytest.raises(DomainError):
-        check_initial_data(_monomial_field([1.0, -1e-3] + [0.0] * 6), ks)
+        check_initial_data(*_monomial_field([1.0, -1e-3] + [0.0] * 6), ks)
