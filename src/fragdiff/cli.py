@@ -39,7 +39,7 @@ from .errors import (
     NumericalAbortError,
 )
 from .kernels import validate_kernel_set
-from .summability import CONVERGES, DIVERGES, INCONCLUSIVE, audit_summability, check_initial_data
+from .summability import DIVERGES, INCONCLUSIVE, audit_summability, check_initial_data
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1

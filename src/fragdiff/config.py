@@ -236,9 +236,10 @@ def make_kernel_set(kc):
               "kernel.d_table": kc.d_table}
     try:
         return kernels.from_tables(*tables.values(), n=kc.n)
-    except (OSError, ValueError) as exc:
-        # an OS error names its file; a bad number could sit in any table
-        keys = [k for k, path in tables.items() if path == getattr(exc, "filename", None)]
+    except (OSError, ValueError, DomainError) as exc:
+        # an OS error names its file, and from_tables' own errors start with its path
+        keys = [k for k, path in tables.items()
+                if path == getattr(exc, "filename", None) or str(exc).startswith(f"{path}: ")]
         where = ", ".join(f"{k} ({tables[k]})" for k in keys or tables)
         raise ConfigError(f"{where}: cannot read kernel table: {exc}") from exc
 

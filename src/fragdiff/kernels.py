@@ -293,40 +293,40 @@ class KernelSet:
         ``a_path`` has columns ``i,j,a``;  ``b_path`` has ``i,j,k,b``;
         ``d_path`` has ``i,d``.  Missing entries default to zero (``a``,
         ``b``) and must be present for every ``d_i``.  Every entry must be
-        finite, ``a`` and ``b`` nonnegative and ``d`` positive.
+        finite, ``a`` and ``b`` nonnegative and ``d`` positive.  A file that
+        breaks these rules raises :class:`DomainError` with a message that
+        starts with its path.
         """
         a_rows = _read_csv_rows(a_path, 3)
         b_rows = _read_csv_rows(b_path, 4)
         d_rows = _read_csv_rows(d_path, 2)
-        sizes = [int(r[0]) for r in d_rows]
+        sizes = [r[0] for r in d_rows]
         n_table = max(sizes)
         if n is None:
             n = n_table
         if sorted(sizes) != list(range(1, n_table + 1)):
             raise DomainError(f"{d_path}: need one d_i row for each i = 1..{n_table}")
         if n > n_table:
-            raise DomainError(f"requested n={n} exceeds table size {n_table}")
+            raise DomainError(f"{d_path}: requested n={n} exceeds table size {n_table}")
         d = np.zeros(n)
         for i, val in d_rows:
-            if int(i) <= n:
-                d[int(i) - 1] = float(val)
+            if i <= n:
+                d[i - 1] = val
         if np.any(d <= 0) or not np.all(np.isfinite(d)):
-            raise DomainError("diffusion coefficients must be positive and finite")
+            raise DomainError(f"{d_path}: diffusion coefficients must be positive and finite")
 
         a_mat = np.zeros((n, n))
         for i, j, val in a_rows:
-            i, j, val = int(i), int(j), float(val)
             if not (math.isfinite(val) and val >= 0):
-                raise DomainError(f"a[{i},{j}] = {val} must be finite and nonnegative")
+                raise DomainError(f"{a_path}: a[{i},{j}] = {val} must be finite and nonnegative")
             if i <= n and j <= n:
                 a_mat[i - 1, j - 1] = val
 
         kmax = 2 * n - 1
         b_tab = np.zeros((kmax, n, n))
         for i, j, k, val in b_rows:
-            i, j, k, val = int(i), int(j), int(k), float(val)
             if not (math.isfinite(val) and val >= 0):
-                raise DomainError(f"b[{k};{i},{j}] = {val} must be finite and nonnegative")
+                raise DomainError(f"{b_path}: b[{k};{i},{j}] = {val} must be finite and nonnegative")
             if i <= n and j <= n and k <= kmax:
                 b_tab[k - 1, i - 1, j - 1] = val
 
@@ -416,6 +416,8 @@ class KernelSet:
 
 
 def _read_csv_rows(path, width):
+    """The data rows of a table file with ``width`` columns, as ``width - 1``
+    sizes (integers from 1) followed by one float."""
     rows = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -425,7 +427,12 @@ def _read_csv_rows(path, width):
                 continue  # header line
             if len(row) != width:
                 raise DomainError(f"{path}: expected {width} columns, got {row!r}")
-            rows.append(row)
+            try:
+                rows.append([int(cell) for cell in row[:-1]] + [float(row[-1])])
+            except ValueError as exc:
+                raise DomainError(f"{path}: row {row!r}: {exc}") from exc
+            if min(rows[-1][:-1]) < 1:
+                raise DomainError(f"{path}: row {row!r}: sizes start at 1")
     if not rows:
         raise DomainError(f"{path}: no data rows")
     return rows

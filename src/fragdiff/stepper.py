@@ -36,17 +36,24 @@ the step size (flooring at ``dt_min``); ``clip_to_zero`` clamps negative
 entries and accounts for every clip event and the total clipped mass.
 Under either policy a step whose implicit solve misses the residual
 contract is rejected and retried with half the step size.
+
+``dpttrf`` and ``dpttrs`` are loaded from the file of scipy's compiled
+LAPACK extension, so importing fragdiff does not import ``scipy.linalg``;
+where no such file is found they come from ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+import scipy
 
 from . import grid as gridmod
 from . import reaction
@@ -63,6 +70,26 @@ SCHEMES = ("rk4_explicit", "imex_euler")
 
 _RESIDUAL_TOL = 1e-12
 _MAX_FACTOR_SETS = 8
+
+
+def _load_lapack_pt():
+    """LAPACK's ``(dpttrf, dpttrs)``, taken from scipy's ``_flapack``
+    extension loaded by path, so that ``scipy.linalg/__init__`` (more than
+    half of fragdiff's import time) never runs, else from
+    ``scipy.linalg.lapack``.  Both give the same binary routines."""
+    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(linalg_dir, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            return flapack.dpttrf, flapack.dpttrs
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    return dpttrf, dpttrs
+
+
+dpttrf, dpttrs = _load_lapack_pt()
 
 
 @dataclass

@@ -11,7 +11,6 @@ import json
 import math
 import time
 from math import fsum
-from pathlib import Path
 
 import numpy as np
 import pytest

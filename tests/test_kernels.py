@@ -421,6 +421,28 @@ def test_table_without_every_d_row_simulates_nothing(tmp_path, capsys):
     assert not (out / "config.json").exists()
 
 
+@pytest.mark.parametrize("where, line", [("b", "2,2,1,abc\n"), ("a", "2,3,nan\n"),
+                                         ("a", "0,2,7.0\n"), ("d", "5,0.2,1\n")],
+                         ids=["abc_in_b", "nan_in_a", "size_0_in_a", "three_columns_in_d"])
+def test_table_content_error_names_only_its_key(tmp_path, capsys, where, line):
+    from fragdiff import cli
+
+    paths = dict(zip("abd", _write_tables(tmp_path)))
+    with open(paths[where], "a") as fh:
+        fh.write(line)
+    doc = {"kernel": {"family": "table", "n": 4,
+                      **{f"{k}_table": str(p) for k, p in paths.items()}}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: kernel.{where}_table ({paths[where]}): "), err
+    assert [k for k in "abd" if f"kernel.{k}_table" in err] == [where], err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_table_support_violation_names_first_k(tmp_path):
     extra = [(2, 3, 5, 0.25), (1, 1, 3, 0.5), (1, 1, 4, 0.5)]
     a, b, d = _write_tables(tmp_path, extra=extra)

@@ -1,9 +1,15 @@
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fragdiff as fd
+from fragdiff import stepper
 from fragdiff.errors import (
     CflViolationError,
     DomainError,
@@ -325,6 +331,49 @@ class TestDiffusionSolver:
         solver = DiffusionSolver(g, pure_diffusion_kernel())
         out = solver.solve(np.full((1, 32), 0.75), 0.2)
         np.testing.assert_allclose(out, 0.75, rtol=1e-13)
+
+
+def test_import_loads_lapack_without_scipy_linalg():
+    # a fresh interpreter: fails if the loader silently falls back to
+    # scipy.linalg.lapack, and checks that scipy.linalg still imports later
+    code = (
+        "import sys, fragdiff.cli\n"
+        "assert 'scipy.linalg' not in sys.modules, sorted(sys.modules)\n"
+        "import numpy as np, scipy.linalg\n"
+        "assert scipy.linalg.solve(np.eye(2), np.ones(2)).tolist() == [1.0, 1.0]\n"
+    )
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _assert_same_as_scipy_linalg(dpttrf, dpttrs):
+    """Factors and a multi-column solve of a diagonally dominant tridiagonal
+    system are bitwise equal to ``scipy.linalg.lapack``'s."""
+    from scipy.linalg import lapack
+
+    rng = np.random.default_rng(16)
+    diag, off = 2.0 + rng.random(200), -rng.random(199)
+    b = rng.standard_normal((200, 7))
+    d, l, info = dpttrf(diag, off)
+    d_ref, l_ref, info_ref = lapack.dpttrf(diag, off)
+    assert info == info_ref == 0
+    x, info = dpttrs(d, l, b)
+    x_ref, info_ref = lapack.dpttrs(d_ref, l_ref, b)
+    assert info == info_ref == 0
+    for got, ref in ((d, d_ref), (l, l_ref), (x, x_ref)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_loaded_lapack_routines_match_scipy_linalg():
+    _assert_same_as_scipy_linalg(stepper.dpttrf, stepper.dpttrs)
+
+
+def test_lapack_loader_falls_back_without_the_extension_file(monkeypatch):
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+    _assert_same_as_scipy_linalg(*stepper._load_lapack_pt())
 
 
 def test_imex_mass_conservation():
