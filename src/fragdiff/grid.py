@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import DomainError
 
+_CSV_CHUNK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -118,19 +120,19 @@ def integrate(grid, u):
     """Midpoint-rule integral of cell values over the domain (exactly
     ``cell_volume * sum`` with compensated summation)."""
     u = np.asarray(u, dtype=float)
-    return grid.cell_volume * fsum(u.ravel())
+    return grid.cell_volume * fsum(u.ravel().data)
 
 
 def species_integrals(grid, F):
     """:func:`integrate` of every species row of the stack ``F``, as an array.
 
     ``fsum`` is exactly rounded, so each entry has the bits of
-    ``integrate(grid, F[i])``.  Each row is summed as Python floats, one
-    row at a time, so only one row's float objects are alive at once.
+    ``integrate(grid, F[i])``.  ``fsum`` reads each row's buffer (its
+    ``.data`` memoryview) one float at a time, so no float list is built.
     """
     F = np.asarray(F, dtype=float)
     vol = grid.cell_volume
-    return np.array([vol * fsum(row.tolist()) for row in F.reshape(F.shape[0], -1)])
+    return np.array([vol * fsum(row.data) for row in F.reshape(F.shape[0], -1)])
 
 
 def gradient_sq_integral(grid, u, mask=None):
@@ -165,7 +167,7 @@ def gradient_sq_integral(grid, u, mask=None):
         if mask is not None:
             both = mask[tuple(sl_hi)] & mask[tuple(sl_lo)]
             sq = np.where(both, sq, 0.0)
-        total_terms.append(w * fsum(sq.ravel()))
+        total_terms.append(w * fsum(sq.ravel().data))
     return fsum(total_terms)
 
 
@@ -189,8 +191,12 @@ def write_species_csv(path, grid, values, metadata=None):
         coords = ["x", "y"][: grid.dim]
         fh.write(",".join(coords + [f"f_{i}" for i in range(1, n + 1)]) + "\n")
         columns = [ax.ravel() for ax in grid.meshgrid()] + list(values.reshape(n, -1))
-        for row in np.stack(columns, axis=1).tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        table = np.stack(columns, axis=1)
+        # converted a chunk at a time: the float objects of the whole table
+        # would outweigh the table itself several times
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            for row in table[start:start + _CSV_CHUNK_ROWS].tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_species_csv(path):

@@ -42,7 +42,6 @@ the same order and give the same bits.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractViolationError, DomainError
 
@@ -62,12 +61,13 @@ def _checked(F, ks):
         raise DomainError("field has no species axis (got a scalar)")
     if F.shape[0] != ks.n:
         raise DomainError(f"field has {F.shape[0]} species, kernel set has {ks.n}")
-    if not np.all(np.isfinite(F)):
-        raise DomainError("field contains non-finite entries")
-    if np.any(F < 0):
-        raise ContractViolationError(
-            f"field contains negative entries (min {F.min():g})"
-        )
+    # two reductions decide; NaN fails both comparisons, and only a failing
+    # field pays for isfinite to name its fault
+    lo = F.min(initial=np.inf)
+    if not (lo >= 0.0 and F.max(initial=-np.inf) < np.inf):
+        if not np.all(np.isfinite(F)):
+            raise DomainError("field contains non-finite entries")
+        raise ContractViolationError(f"field contains negative entries (min {lo:g})")
     return F
 
 
@@ -108,8 +108,9 @@ def _pair_suffix_sums_product(g, gain):
     pad = np.zeros((2 * n - 4, m))
     pad[n - 4 :] = g
     s0, s1 = pad.strides
-    W = as_strided(pad[n - 2 :], shape=(n - 3, n - 1, m), strides=(s0, -s0, s1),
-                   writeable=False)
+    W = np.ndarray((n - 3, n - 1, m), buffer=pad, offset=(n - 2) * s0,
+                   strides=(s0, -s0, s1))
+    W.flags.writeable = False
     S = np.einsum("jkm,km->jm", W, g[: n - 1])
     S /= np.arange(3.0, n)[:, None]
     gain[2 : n - 1] = np.cumsum(S[::-1], axis=0)[::-1]

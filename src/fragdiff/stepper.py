@@ -193,16 +193,19 @@ class DiffusionSolver:
     against the sign certificate of :func:`_ldl_factor`, so a sweep maps
     nonnegative stages to nonnegative states exactly.  A sweep solves
     every grid line of a species as one right-hand side of ``dpttrs``.
-    Along the first axis one call covers all species, with the stage
-    copied into the columns of an ``(n * m, lines per species)`` array (in
-    1D there is one line per species).  Along the second axis one
-    in-place call per species solves the transposed lines of one C-order
-    copy of the stage.  A 2D solve is an x sweep followed by a y sweep
-    (Lie splitting).  Every sweep checks its residual in two stage-sized
-    work arrays that the solver keeps, so a sweep allocates only its
-    result.  The factors of the ``_MAX_FACTOR_SETS`` most recently used
-    step sizes are cached; factorization is deterministic, so an evicted
-    step size refactorizes to the same solves.
+    Along the first axis one call covers all species, with the stage as
+    the columns of an ``(n * m, lines per species)`` array; in 1D, one
+    line per species, the stage has that layout already and is read in
+    place, never written.  Its residual runs along the ``(lines, n * m)``
+    rows with the concatenated diagonals that ``dpttrf`` factors.  Along
+    the second axis one in-place call per species solves the transposed
+    lines of one C-order copy of the stage.  A 2D solve is an x sweep
+    followed by a y sweep (Lie splitting).  Every sweep checks its
+    residual in two stage-sized work arrays that the solver keeps, so a
+    sweep allocates only its result; a residual that is not finite fails.
+    The factors of the ``_MAX_FACTOR_SETS`` most recently used step sizes
+    are cached; factorization is deterministic, so an evicted step size
+    refactorizes to the same solves.
     """
 
     def __init__(self, grid, ks):
@@ -215,24 +218,27 @@ class DiffusionSolver:
 
     def _factorize(self, dt):
         """Per axis: ``(diag, off, d, l)``, the operator's ``(n, m)`` diagonal
-        and ``(n, m - 1)`` off-diagonal, and the certified factor of their
-        concatenation."""
+        and ``(n, m)`` off-diagonal, whose last column is the zero coupling
+        to the next species, and the certified factor of their
+        concatenation ``diag.ravel()``, ``off.ravel()[:-1]``."""
         factors = []
         for m, h in zip(self.grid.shape, self.grid.h):
             c = (dt / (h * h)) * self.ks.d[:, None]
             diag = np.repeat(1.0 + 2.0 * c, m, axis=1)
             diag[:, [0, -1]] = 1.0 + c  # reflected ghost cells
-            off = np.repeat(-c, m - 1, axis=1)
-            e = np.pad(off, ((0, 0), (0, 1))).ravel()[:-1]  # zero between species
-            factors.append((diag, off) + _ldl_factor(diag.ravel(), e))
+            off = np.zeros_like(diag)
+            off[:, :-1] = -c
+            factors.append((diag, off) + _ldl_factor(diag.ravel(), off.ravel()[:-1]))
         return factors
 
     def sweep(self, stage, dt, axis):
         """Solve ``(I - dt * d_i * L_axis) x_i = stage_i`` along every line of ``axis``.
 
         Returns an ``(n, *shape)`` stack, C-contiguous when ``axis`` is the
-        last axis.  Raises :class:`LinearSolveError` when, for some
-        species, the residual exceeds ``1e-12 * max(1, max|stage_i|)``.
+        last axis; ``stage`` is not modified.  Raises
+        :class:`LinearSolveError` when, for some species, the residual is
+        not at most ``1e-12 * max(1, max|stage_i|)`` (a NaN residual or
+        bound fails).
         """
         if dt in self._factors:
             self._factors.move_to_end(dt)
@@ -244,13 +250,17 @@ class DiffusionSolver:
         n, m = diag.shape
         b, r = (w[:stage.size] for w in self._work)
         if axis == 0:
-            # every line of every species is a column of one solve;
-            # b and x are laid out (lines, n, m)
-            b = b.reshape(-1, n, m)
-            np.copyto(b, stage.reshape(n, m, -1).transpose(2, 0, 1))
-            x = dpttrs(d, l, b.reshape(-1, n * m).T)[0]
+            # every line of every species is a column of one solve: b and
+            # x.T hold one line of all species per row, (lines, n * m)
+            if self.grid.dim == 1:
+                b = stage.reshape(1, n * m)
+            else:
+                b = b.reshape(-1, n * m)
+                np.copyto(b.reshape(-1, n, m), stage.reshape(n, m, -1).transpose(2, 0, 1))
+            x = dpttrs(d, l, b.T)[0]
             out = x.reshape(stage.shape)
-            x, axes = x.T.reshape(b.shape), (0, 2)
+            x, diag, off = x.T, diag.ravel(), off.ravel()[:-1]
+            blocks, axes = (-1, n, m), (0, 2)
         else:
             # the lines of species s are the columns of x[s].T, solved in place
             b = b.reshape(stage.shape)
@@ -259,12 +269,17 @@ class DiffusionSolver:
             for s in range(n):
                 dpttrs(d[s * m:(s + 1) * m], l[s * m:(s + 1) * m - 1], x[s].T,
                        overwrite_b=1)
-            diag, off, axes = diag[:, None], off[:, None], (1, 2)
+            diag, off = diag[:, None], off[:, None, :-1]
+            blocks, axes = x.shape, (1, 2)
+        # residuals run along the last axis of x; blocks groups them by
+        # species, which axes reduce away
         r = r.reshape(x.shape)
-        t = self._work[0, :x.size // m * (m - 1)].reshape(x.shape[:-1] + (m - 1,))
-        bound = _RESIDUAL_TOL * np.maximum(1.0, np.max(np.abs(b, out=r), axis=axes))
-        resid = np.max(_residual(diag, off, x, b, r, t), axis=axes)
-        if np.any(resid > bound):
+        k = x.shape[-1]
+        t = self._work[0, :x.size // k * (k - 1)].reshape(x.shape[:-1] + (k - 1,))
+        bound = _RESIDUAL_TOL * np.maximum(
+            1.0, np.max(np.abs(b, out=r).reshape(blocks), axis=axes))
+        resid = np.max(_residual(diag, off, x, b, r, t).reshape(blocks), axis=axes)
+        if not np.all(resid <= bound):  # a NaN residual fails too
             worst = int(np.argmax(resid / bound))
             raise LinearSolveError(
                 f"implicit solve residual {resid[worst]:g} above contract "
@@ -378,9 +393,11 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
                                     state, Q)
             except (_StepRejected, LinearSolveError):
                 cand = None
-            if cand is not None and not np.all(np.isfinite(cand)):
-                raise abort(f"non-finite state at t={t:g} (dt={dt_try:g})", t, F, Q)
-            if cand is not None and np.min(cand) < 0.0:
+            # two reductions decide; NaN fails both comparisons, and only a
+            # failing candidate pays for isfinite to name its fault
+            if cand is not None and not (cand.min() >= 0.0 and cand.max() < math.inf):
+                if not np.all(np.isfinite(cand)):
+                    raise abort(f"non-finite state at t={t:g} (dt={dt_try:g})", t, F, Q)
                 if cfg.negativity_policy == CLIP_TO_ZERO:
                     state.clip_events += 1
                     state.clipped_mass += _negate_mass(grid, cand)

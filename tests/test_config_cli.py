@@ -524,6 +524,34 @@ class TestSimulateCommand:
         assert (out / "monitors.csv").exists()
         assert (out / "fields_final.csv").exists()
 
+    def test_non_finite_stage_keeps_partial_outputs(self, tmp_path, capsys):
+        # Q overflows on data of 1e200, so every stage is non-finite: each
+        # solve misses its residual contract, and the halvings reach dt_min
+        grid = fd.make_grid_1d(16)
+        ic_path = tmp_path / "huge.csv"
+        write_species_csv(ic_path, grid, np.full((4, 16), 1e200))
+        doc = small_doc(
+            kernel={"n": 4},
+            ic={"family": "custom_csv", "path": str(ic_path), "allow_custom": True,
+                "profile": "constant", "depth": 0.0},
+            stepper={"dt": 1e-3, "t_end": 0.01, "dt_min": 2e-4},
+            monitors={"cadence": 5, "tail_levels": [2], "energy_specs": [],
+                      "envelope_family": None},
+            eps=0.0,
+        )
+        cfg_path = write_cfg(tmp_path, doc)
+        out = tmp_path / "aborted"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["simulate", "--config", cfg_path, "--out", str(out), "--quiet"])
+        assert rc == 3
+        assert "step size fell below dt_min=0.0002 at t=0" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["run"]["aborted"] is True
+        assert summary["run"]["rejected_steps"] == 3
+        assert summary["run"]["steps"] == 0
+        assert (out / "monitors.csv").exists()
+        assert (out / "fields_final.csv").exists()
+
     def test_contract_violation_exit_code(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise ContractViolationError("weighted null sum breached")

@@ -110,6 +110,34 @@ def test_species_integrals_are_integrate_per_row(grid):
     assert got.tolist() == [integrate(grid, F[i]) for i in range(7)]
 
 
+_LAYOUTS = {
+    "transposed": lambda a: np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1),
+    "fortran": np.asfortranarray,
+    "strided_slice": lambda a: np.repeat(np.repeat(a, 2, axis=1), 3, axis=2)[:, ::2, ::3],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_integrals_read_any_layout_as_the_float_list(layout):
+    # every fsum sees the same floats in the same order as the row's
+    # Python float list, so its exactly rounded sum has the same bits
+    g = make_grid_2d(6, 9, 0.7, 2.0)
+    F = np.random.default_rng(6).uniform(0.0, 3.0, size=(5,) + g.shape)
+    X = _LAYOUTS[layout](F)
+    assert np.array_equal(X, F) and not X.flags.c_contiguous
+    vol = g.cell_volume
+    flat = [X[i].ravel().tolist() for i in range(5)]
+    assert species_integrals(g, X).tolist() == [vol * math.fsum(row) for row in flat]
+    for i in range(5):
+        assert integrate(g, X[i]) == vol * math.fsum(flat[i])
+        terms = []
+        for axis, h in enumerate(g.h):
+            sq = (np.diff(X[i], axis=axis) / h) ** 2
+            w = g.lengths[axis] / (g.shape[axis] - 1) * g.h[1 - axis]
+            terms.append(w * math.fsum(sq.ravel().tolist()))
+        assert gradient_sq_integral(g, X[i]) == math.fsum(terms)
+
+
 def test_gradient_sq_exact_for_linear():
     # a uniform slope has |grad u|^2 = s^2 everywhere; the face weighting
     # makes the quadrature exact at any resolution

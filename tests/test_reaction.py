@@ -409,6 +409,27 @@ def test_regularization_denominator_value():
         regularization_denominator(f, ks, 1.0)
 
 
+@pytest.mark.parametrize("values, error, message", [
+    ([np.nan], DomainError, "field contains non-finite entries"),
+    ([np.inf], DomainError, "field contains non-finite entries"),
+    ([-np.inf], DomainError, "field contains non-finite entries"),
+    ([-0.25], ContractViolationError, "field contains negative entries (min -0.25)"),
+    ([-0.25, np.nan], DomainError, "field contains non-finite entries"),
+    ([-0.0], None, None),
+], ids=["nan", "+inf", "-inf", "negative", "negative_and_nan", "minus_zero"])
+def test_field_check_errors(values, error, message):
+    # non-finite is named before negative, and -0.0 is no negative entry
+    ks = fd.power_law_uniform(4, 4.0, 0.5)
+    F = np.ones((4, 32))
+    F[2, 7 : 7 + len(values)] = values
+    if error is None:
+        np.testing.assert_array_equal(q_field(F, ks), q_field(np.abs(F), ks))
+        return
+    with pytest.raises(error) as exc_info:
+        q_field(F, ks)
+    assert str(exc_info.value) == message
+
+
 def test_input_validation():
     ks = fd.power_law_uniform(4, 4.0, 0.5)
     with pytest.raises(ContractViolationError):

@@ -299,12 +299,34 @@ class TestDiffusionSolver:
         # at dt * d / h^2 ~ 1.5e5 the attainable residual exceeds the
         # certification threshold, so the solver must refuse, not hand
         # back an unverified state
-        g = make_grid_1d(64)
-        solver = DiffusionSolver(g, fd.power_law_uniform(4, 4.0, 0.5))
-        stage = np.ones((4,) + g.shape)
-        stage[:, ::3] = 0.0
-        with pytest.raises(fd.LinearSolveError):
+        g, ks, stage = _uncertifiable_setup()
+        solver = DiffusionSolver(g, ks)
+        with pytest.raises(fd.LinearSolveError, match=r"\(species 1, axis 0, dt=37\.5\)$"):
             solver.solve(stage, 37.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("grid", [make_grid_1d(16), make_grid_2d(8, 12)], ids=["1D", "2D"])
+    def test_non_finite_stage_refused(self, grid, value):
+        # the residual contract fails closed: a NaN residual misses it
+        solver = DiffusionSolver(grid, fd.power_law_uniform(4, 4.0, 0.5))
+        stage = np.ones((4,) + grid.shape)
+        stage[1].flat[5] = value
+        with pytest.raises(fd.LinearSolveError):
+            solver.solve(stage, 1e-3)
+
+    def test_1d_reads_the_stage_in_place(self):
+        # the solve never writes its stage, and a stage in any layout
+        # solves to the same bits
+        rng = np.random.default_rng(30)
+        g = make_grid_1d(40)
+        solver = DiffusionSolver(g, fd.power_law_uniform(5, 4.0, 0.5))
+        stage = rng.uniform(0.0, 2.0, size=(5,) + g.shape)
+        before = stage.tobytes()
+        out = solver.solve(stage, 0.05)
+        assert stage.tobytes() == before
+        assert not np.shares_memory(out, stage)
+        for view in (np.asfortranarray(stage), np.repeat(stage, 2, axis=1)[:, ::2]):
+            np.testing.assert_array_equal(solver.solve(view, 0.05), out)
 
     def test_factor_cache(self):
         g = make_grid_1d(16)
@@ -483,6 +505,37 @@ def test_halved_retries_reuse_the_states_q(monkeypatch):
     assert traj.state.rejected_steps >= 6
     assert len(calls) == traj.state.step_index + 1
     assert len(traj.fields) == len(traj.times) == traj.state.step_index + 1
+
+
+@pytest.mark.parametrize("value, message, rejected", [
+    (np.nan, "non-finite state at t=0 (dt=0.01)", 0),
+    (np.inf, "non-finite state at t=0 (dt=0.01)", 0),
+    (-np.inf, "non-finite state at t=0 (dt=0.01)", 0),
+    (-0.25, "step size fell below dt_min=0.004 at t=0", 2),
+    (-0.0, None, 0),
+], ids=["nan", "+inf", "-inf", "negative", "minus_zero"])
+def test_candidate_check(monkeypatch, value, message, rejected):
+    # every candidate is checked: non-finite aborts, negative is rejected,
+    # and -0.0 is no negative entry
+    real = stepper.DiffusionSolver.solve
+
+    def spoiled(self, stage, dt):
+        out = real(self, stage, dt)
+        out[2, 7] = value
+        return out
+
+    monkeypatch.setattr(stepper.DiffusionSolver, "solve", spoiled)
+    g = make_grid_1d(16)
+    cfg = StepperConfig(scheme="imex_euler", dt=0.01, t_end=0.02, dt_min=0.004)
+    F0 = np.ones((4,) + g.shape)
+    if message is None:
+        traj = run_simulation(g, fd.power_law_uniform(4, 4.0, 0.5), F0, cfg)
+        assert traj.state.step_index == 2 and traj.state.rejected_steps == 0
+        return
+    with pytest.raises(NumericalAbortError) as exc_info:
+        run_simulation(g, fd.power_law_uniform(4, 4.0, 0.5), F0, cfg)
+    assert str(exc_info.value) == message
+    assert exc_info.value.trajectory.state.rejected_steps == rejected
 
 
 def test_failed_solve_contract_aborts_below_dt_min():
