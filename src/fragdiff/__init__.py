@@ -9,7 +9,6 @@ asserted.
 """
 
 from .errors import (
-    CflViolationError,
     ConfigError,
     ContractViolationError,
     DivergentSeriesError,
@@ -32,7 +31,6 @@ from .grid import (
     GridSpec,
     gradient_sq_integral,
     integrate,
-    laplacian_neumann,
     make_grid_1d,
     make_grid_2d,
     read_species_csv,
@@ -56,11 +54,9 @@ from .stepper import (
     SimState,
     StepperConfig,
     Trajectory,
-    cfl_limit,
     checkpoint_load,
     checkpoint_save,
     run_simulation,
-    step_rk4,
 )
 from .monitors import (
     MonitorAccumulator,

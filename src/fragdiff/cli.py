@@ -31,7 +31,6 @@ from . import grid as gridmod
 from . import monitors as monmod
 from . import stepper as stepmod
 from .errors import (
-    CflViolationError,
     ConfigError,
     ContractViolationError,
     DivergentSeriesError,
@@ -59,7 +58,7 @@ def _exit_code(exc):
         return EXIT_NUMERICAL, "numerical abort"
     if isinstance(exc, ContractViolationError):
         return EXIT_INVARIANT, "invariant failure"
-    if isinstance(exc, (ConfigError, CflViolationError)):
+    if isinstance(exc, ConfigError):
         return EXIT_CONFIG, "config error"
     return EXIT_CONFIG, "error"
 

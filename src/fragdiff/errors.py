@@ -21,24 +21,6 @@ class ConfigError(FragdiffError):
     """Configuration input is malformed, incomplete, or contains unknown keys."""
 
 
-class CflViolationError(FragdiffError):
-    """Requested explicit time step exceeds the stability limit.
-
-    Attributes
-    ----------
-    dt_required : float
-        Largest admissible step for the current grid and diffusion coefficients.
-    """
-
-    def __init__(self, dt, dt_required):
-        super().__init__(
-            f"explicit step dt={dt:g} exceeds stability limit {dt_required:g}; "
-            f"reduce dt or switch to the implicit-diffusion scheme"
-        )
-        self.dt = dt
-        self.dt_required = dt_required
-
-
 class NumericalAbortError(FragdiffError):
     """The time integration produced non-finite values or ran out of step-size budget.
 

@@ -1,8 +1,9 @@
 """Cell-centered grids on rectangles with homogeneous Neumann boundaries.
 
 Fields are sampled at cell centers ``x_c = (c + 1/2) h``.  The discrete
-Laplacian uses the standard 3-point (1D) / 5-point (2D) stencil with
-ghost-cell reflection, which makes every cosine mode
+Laplacian of the stepper's implicit solve uses the standard 3-point (1D) /
+5-point (2D) stencil with ghost-cell reflection, which makes every cosine
+mode
 
     v_c = cos(k pi (c + 1/2) h / L)
 
@@ -76,37 +77,6 @@ def make_grid_1d(m, length=1.0):
 
 def make_grid_2d(mx, my, lx=1.0, ly=1.0):
     return GridSpec(shape=(mx, my), lengths=(float(lx), float(ly)))
-
-
-def _reflect_second_diff(u, axis):
-    """Second difference along one axis with reflected (Neumann) ghosts."""
-    um = np.roll(u, 1, axis=axis)
-    up = np.roll(u, -1, axis=axis)
-    # overwrite the wrapped slices with reflection: ghost equals edge cell,
-    # so the boundary stencil degenerates to a one-sided first difference
-    sl_first = [slice(None)] * u.ndim
-    sl_last = [slice(None)] * u.ndim
-    sl_first[axis] = 0
-    sl_last[axis] = -1
-    um[tuple(sl_first)] = u[tuple(sl_first)]
-    up[tuple(sl_last)] = u[tuple(sl_last)]
-    return um - 2.0 * u + up
-
-
-def laplacian_neumann(grid, u):
-    """Apply the reflected-ghost Laplacian stencil to cell values ``u``.
-
-    ``u`` is one field of shape ``grid.shape`` or a species stack of shape
-    ``(n, *grid.shape)``; the stencil acts on the trailing grid axes.
-    """
-    u = np.asarray(u, dtype=float)
-    lead = u.ndim - grid.dim
-    if lead not in (0, 1) or u.shape[lead:] != grid.shape:
-        raise DomainError(f"values shape {u.shape} does not match grid {grid.shape}")
-    out = np.zeros_like(u)
-    for axis, hh in enumerate(grid.h):
-        out += _reflect_second_diff(u, lead + axis) / (hh * hh)
-    return out
 
 
 def stencil_eigenvalue(grid, k, axis=0):

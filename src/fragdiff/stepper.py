@@ -1,4 +1,4 @@
-"""Time integration: explicit RK4 and IMEX (implicit diffusion) Euler.
+"""Time integration: IMEX Euler (implicit diffusion, explicit reaction).
 
 The IMEX step treats the stiff diffusion implicitly and the reaction
 explicitly:
@@ -31,11 +31,14 @@ species against a 1e-12 contract, with the matrix applied from its
 stored diagonals, not from the factor; there is no iterative refinement,
 whose correction could carry either sign.
 
-Negativity policies: ``reject_and_halve`` retries a failed step with half
-the step size (flooring at ``dt_min``); ``clip_to_zero`` clamps negative
-entries and accounts for every clip event and the total clipped mass.
-Under either policy a step whose implicit solve misses the residual
-contract is rejected and retried with half the step size.
+Negativity policies: the sweeps keep a nonnegative stage nonnegative, so
+a candidate turns negative only where the explicit reaction makes ``f*``
+negative.  ``reject_and_halve`` then retries the step with half the step
+size (flooring at ``dt_min``); ``clip_to_zero`` clamps negative entries
+and accounts for every clip event and the total clipped mass.  Under
+either policy a step whose implicit solve misses the residual contract is
+rejected and retried with half the step size, unless the state's own
+reaction term is not finite, which no smaller step can mend.
 
 ``dpttrf`` and ``dpttrs`` are loaded from the file of scipy's compiled
 LAPACK extension, so importing fragdiff does not import ``scipy.linalg``;
@@ -57,16 +60,10 @@ import scipy
 
 from . import grid as gridmod
 from . import reaction
-from .errors import (
-    CflViolationError,
-    DomainError,
-    LinearSolveError,
-    NumericalAbortError,
-)
+from .errors import DomainError, LinearSolveError, NumericalAbortError
 
 REJECT_AND_HALVE = "reject_and_halve"
 CLIP_TO_ZERO = "clip_to_zero"
-SCHEMES = ("rk4_explicit", "imex_euler")
 
 _RESIDUAL_TOL = 1e-12
 _MAX_FACTOR_SETS = 8
@@ -101,8 +98,9 @@ class StepperConfig:
     dt_min: float = 1e-9
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise DomainError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+        if self.scheme != "imex_euler":
+            why = "was removed" if self.scheme == "rk4_explicit" else "is unknown"
+            raise DomainError(f"scheme {self.scheme!r} {why}; 'imex_euler' is the only scheme")
         if self.negativity_policy not in (REJECT_AND_HALVE, CLIP_TO_ZERO):
             raise DomainError(f"unknown negativity policy {self.negativity_policy!r}")
         if not (self.dt > 0 and self.t_end >= 0 and self.dt_min > 0):  # NaN fails too
@@ -138,16 +136,6 @@ class Trajectory:
     def store(self, t, F, Q):
         """The default sampler: keep a copy of every sampled state."""
         self.fields.append(F.copy())
-
-
-class _StepRejected(Exception):
-    pass
-
-
-def cfl_limit(grid, ks):
-    """Largest explicit-diffusion step: ``h_min**2 / (2 * dim * max_i d_i)``."""
-    hmin = min(grid.h)
-    return hmin * hmin / (2.0 * grid.dim * float(np.max(ks.d)))
 
 
 def _ldl_factor(diag, off):
@@ -301,40 +289,6 @@ def _negate_mass(grid, F):
     return -float(np.sum(i1[(slice(None),) + (None,) * (F.ndim - 1)] * neg)) * grid.cell_volume
 
 
-def step_rk4(grid, ks, F, dt, eps, policy, state=None, Q=None):
-    """One classical RK4 step on the full right-hand side.
-
-    ``Q`` is ``reaction.q_field(F, ks, eps)`` when the caller has it; the
-    first stage then reuses it.  Raises :class:`CflViolationError` when
-    ``dt`` exceeds the diffusion stability limit, and
-    :class:`_StepRejected` (internal) when a stage turns negative under the
-    rejecting policy.
-    """
-    limit = cfl_limit(grid, ks)
-    if dt > limit:
-        raise CflViolationError(dt, limit)
-    d_col = ks.d.reshape((ks.n,) + (1,) * grid.dim)
-
-    def rhs(Y, QY=None):
-        if np.min(Y) < 0.0:
-            if policy == REJECT_AND_HALVE:
-                raise _StepRejected
-            clipped = _negate_mass(grid, Y)
-            if state is not None and clipped > 0.0:
-                state.clip_events += 1
-                state.clipped_mass += clipped
-            Y = np.maximum(Y, 0.0)
-        if QY is None:
-            QY = reaction.q_field(Y, ks, eps)
-        return d_col * gridmod.laplacian_neumann(grid, Y) + QY
-
-    k1 = rhs(F, Q)
-    k2 = rhs(F + 0.5 * dt * k1)
-    k3 = rhs(F + 0.5 * dt * k2)
-    k4 = rhs(F + dt * k3)
-    return F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
     """Integrate from ``t0`` to ``cfg.t_end`` and sample every ``cadence`` steps.
 
@@ -362,7 +316,7 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         sample = traj.store
     state = traj.state
     state.t = t0
-    solver = DiffusionSolver(grid, ks) if cfg.scheme == "imex_euler" else None
+    solver = DiffusionSolver(grid, ks)
 
     def take(t, F, Q):
         traj.times.append(t)
@@ -385,13 +339,13 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         dt_try = cfg.dt if remaining >= cfg.dt - guard else remaining
         while True:
             try:
-                if cfg.scheme == "imex_euler":
-                    # no name holds the stage, so the first sweep frees it
-                    cand = solver.solve(F + dt_try * Q, dt_try)
-                else:
-                    cand = step_rk4(grid, ks, F, dt_try, eps, cfg.negativity_policy,
-                                    state, Q)
-            except (_StepRejected, LinearSolveError):
+                # no name holds the stage, so the first sweep frees it
+                cand = solver.solve(F + dt_try * Q, dt_try)
+            except LinearSolveError:
+                # every attempt from this state shares its Q: if Q is not
+                # finite, no halving can help
+                if not np.all(np.isfinite(Q)):
+                    raise abort(f"non-finite reaction term at t={t:g}", t, F, Q)
                 cand = None
             # two reductions decide; NaN fails both comparisons, and only a
             # failing candidate pays for isfinite to name its fault

@@ -5,6 +5,10 @@ equation with Neumann data.  The reflected-ghost stencil has the same
 cosine modes as exact eigenvectors (``fragdiff.grid``), so the DCT-II path
 cross-checks the stencil steppers without reusing them.
 
+``laplacian_neumann`` applies the reflected-ghost stencil with ``np.roll``
+and so shares no code with the stepper, which builds the same operator as
+tridiagonal diagonals; the tests use it as the residual and stencil oracle.
+
 ``validate_kernel_set_by_pair`` is the per-pair form of the kernel
 validator: every check of every pair in one Python pass, ``fsum`` over
 numpy scalars, and a fresh ``Fraction`` sum for every exact pair.  It is
@@ -43,6 +47,37 @@ def spectral_heat_solve_1d(grid, u0, d, t):
     k = np.arange(m)
     coeff *= np.exp(-d * (k * np.pi / L) ** 2 * t)
     return scipy.fft.idct(coeff, type=2, norm="ortho")
+
+
+def _reflect_second_diff(u, axis):
+    """Second difference along one axis with reflected (Neumann) ghosts."""
+    um = np.roll(u, 1, axis=axis)
+    up = np.roll(u, -1, axis=axis)
+    # overwrite the wrapped slices with reflection: ghost equals edge cell,
+    # so the boundary stencil degenerates to a one-sided first difference
+    sl_first = [slice(None)] * u.ndim
+    sl_last = [slice(None)] * u.ndim
+    sl_first[axis] = 0
+    sl_last[axis] = -1
+    um[tuple(sl_first)] = u[tuple(sl_first)]
+    up[tuple(sl_last)] = u[tuple(sl_last)]
+    return um - 2.0 * u + up
+
+
+def laplacian_neumann(grid, u):
+    """Apply the reflected-ghost Laplacian stencil to cell values ``u``.
+
+    ``u`` is one field of shape ``grid.shape`` or a species stack of shape
+    ``(n, *grid.shape)``; the stencil acts on the trailing grid axes.
+    """
+    u = np.asarray(u, dtype=float)
+    lead = u.ndim - grid.dim
+    if lead not in (0, 1) or u.shape[lead:] != grid.shape:
+        raise DomainError(f"values shape {u.shape} does not match grid {grid.shape}")
+    out = np.zeros_like(u)
+    for axis, hh in enumerate(grid.h):
+        out += _reflect_second_diff(u, lead + axis) / (hh * hh)
+    return out
 
 
 def validate_kernel_set_by_pair(ks, i_max=None, exact_limit=64, rel_tol=1e-12):

@@ -150,8 +150,8 @@ KEY_TABLE = [
     _key("ic.width", 0.1, 0.2, 0.2, ["0.1", True], [0, -0.1, NAN, *NON_FINITE]),
     _key("ic.path", None, "ic.csv", "ic.csv", [1, True], []),
     _key("ic.allow_custom", False, True, True, [1, 0, "true", None], []),
-    _key("stepper.scheme", "imex_euler", "rk4_explicit", "rk4_explicit", [1, True],
-         ["verlet"]),
+    _key("stepper.scheme", "imex_euler", "imex_euler", "imex_euler", [1, True],
+         ["verlet", "rk4_explicit"]),
     _key("stepper.dt", 1e-3, 0.01, 0.01, ["1e-3", True, None], [0, -1e-3, NAN, *NON_FINITE]),
     _key("stepper.t_end", 1.0, 0, 0.0, ["1", True], [-1, NAN, *NON_FINITE]),
     _key("stepper.negativity_policy", "reject_and_halve", "clip_to_zero",
@@ -357,6 +357,8 @@ def test_unreadable_input_file_fails_each_sweep_point(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.count("config error in ") == 2
     assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
+    with open(out / "sweep.csv", newline="") as fh:
+        assert [r["exit_code"] for r in csv.DictReader(fh)] == ["2", "2"]
 
 
 class TestSimulateCommand:
@@ -524,9 +526,20 @@ class TestSimulateCommand:
         assert (out / "monitors.csv").exists()
         assert (out / "fields_final.csv").exists()
 
+    def test_removed_scheme_refused_before_anything_is_written(self, tmp_path, capsys):
+        doc = small_doc(stepper={"scheme": "rk4_explicit"})
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: stepper: scheme 'rk4_explicit' was removed; "
+                              "'imex_euler' is the only scheme"), err
+        assert not out.exists()
+
     def test_non_finite_stage_keeps_partial_outputs(self, tmp_path, capsys):
-        # Q overflows on data of 1e200, so every stage is non-finite: each
-        # solve misses its residual contract, and the halvings reach dt_min
+        # Q overflows on data of 1e200, so every stage is non-finite; every
+        # attempt from the state shares that Q, so the first failed solve
+        # aborts instead of halving to dt_min
         grid = fd.make_grid_1d(16)
         ic_path = tmp_path / "huge.csv"
         write_species_csv(ic_path, grid, np.full((4, 16), 1e200))
@@ -544,10 +557,10 @@ class TestSimulateCommand:
         with np.errstate(over="ignore", invalid="ignore"):
             rc = cli.main(["simulate", "--config", cfg_path, "--out", str(out), "--quiet"])
         assert rc == 3
-        assert "step size fell below dt_min=0.0002 at t=0" in capsys.readouterr().err
+        assert "non-finite reaction term at t=0" in capsys.readouterr().err
         summary = json.loads((out / "summary.json").read_text())
         assert summary["run"]["aborted"] is True
-        assert summary["run"]["rejected_steps"] == 3
+        assert summary["run"]["rejected_steps"] == 0
         assert summary["run"]["steps"] == 0
         assert (out / "monitors.csv").exists()
         assert (out / "fields_final.csv").exists()
@@ -664,21 +677,6 @@ class TestSweepCommand:
             for key in ("axis", "value", "exit_code", "mass_final",
                         "l1_diff_prev", "order_est"):
                 assert a[key] == b[key], key
-
-    def test_cfl_violation_exit_code(self, tmp_path, monkeypatch):
-        # the same exit code as simulate: a CFL breach is a config error
-        monkeypatch.delenv("FRAGDIFF_THREADS", raising=False)
-        doc = small_doc(grid={"cells": [32]},
-                        stepper={"scheme": "rk4_explicit", "dt": 0.01})
-        cfg_path = write_cfg(tmp_path, doc)
-        assert cli.main(["simulate", "--config", cfg_path, "--out",
-                         str(tmp_path / "run"), "--quiet"]) == 2
-        out = tmp_path / "sweep"
-        rc = cli.main(["sweep", "--config", cfg_path, "--axis", "eps",
-                       "--values", "0.02,0.01", "--out", str(out), "--quiet"])
-        assert rc == 2
-        with open(out / "sweep.csv", newline="") as fh:
-            assert [r["exit_code"] for r in csv.DictReader(fh)] == ["2", "2"]
 
     def test_contract_violation_exit_code(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

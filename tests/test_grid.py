@@ -9,7 +9,6 @@ from fragdiff.grid import (
     GridSpec,
     gradient_sq_integral,
     integrate,
-    laplacian_neumann,
     make_grid_1d,
     make_grid_2d,
     read_species_csv,
@@ -17,7 +16,7 @@ from fragdiff.grid import (
     stencil_eigenvalue,
     write_species_csv,
 )
-from oracles import spectral_heat_solve_1d
+from oracles import laplacian_neumann, spectral_heat_solve_1d
 
 
 class TestGridSpec:

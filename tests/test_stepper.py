@@ -10,29 +10,18 @@ import pytest
 
 import fragdiff as fd
 from fragdiff import stepper
-from fragdiff.errors import (
-    CflViolationError,
-    DomainError,
-    NumericalAbortError,
-)
-from fragdiff.grid import (
-    integrate,
-    laplacian_neumann,
-    make_grid_1d,
-    make_grid_2d,
-    stencil_eigenvalue,
-)
+from fragdiff.errors import DomainError, NumericalAbortError
+from fragdiff.grid import integrate, make_grid_1d, make_grid_2d, stencil_eigenvalue
 from fragdiff.stepper import (
     _MAX_FACTOR_SETS,
     _ldl_factor,
     DiffusionSolver,
     StepperConfig,
-    cfl_limit,
     checkpoint_load,
     checkpoint_save,
     run_simulation,
-    step_rk4,
 )
+from oracles import laplacian_neumann
 
 
 def pure_diffusion_kernel():
@@ -45,54 +34,11 @@ def weighted_mass(grid, ks, F):
     return math.fsum((i + 1) * integrate(grid, F[i]) for i in range(ks.n))
 
 
-def test_cfl_limit_formula():
-    g = make_grid_2d(10, 20, 1.0, 1.0)
-    ks = fd.power_law_uniform(4, 4.0, 0.5)
-    assert cfl_limit(g, ks) == pytest.approx(0.05**2 / (2.0 * 2 * 1.0), rel=1e-15)
-
-
-def test_rk4_refuses_unstable_step():
-    g = make_grid_1d(16)
-    ks = pure_diffusion_kernel()
-    F = np.ones((1, 16))
-    dt_bad = 1.01 * cfl_limit(g, ks)
-    with pytest.raises(CflViolationError):
-        step_rk4(g, ks, F, dt_bad, 0.0, "clip_to_zero")
-
-
-def _rk4_per_species(grid, ks, F, dt, eps):
-    """Reference RK4 step on nonnegative data: the Laplacian is applied
-    species by species."""
-    d_col = ks.d.reshape((ks.n,) + (1,) * grid.dim)
-
-    def rhs(Y):
-        lap = np.stack([laplacian_neumann(grid, Y[i]) for i in range(ks.n)])
-        return d_col * lap + fd.q_field(Y, ks, eps)
-
-    k1 = rhs(F)
-    k2 = rhs(F + 0.5 * dt * k1)
-    k3 = rhs(F + 0.5 * dt * k2)
-    k4 = rhs(F + dt * k3)
-    return F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-@pytest.mark.parametrize(
-    "grid", [make_grid_1d(24, 1.5), make_grid_2d(9, 14, 1.0, 1.5)], ids=["1D", "2D"],
-)
-def test_rk4_step_matches_per_species_laplacian(grid):
-    rng = np.random.default_rng(28)
-    ks = fd.power_law_uniform(5, 4.0, 0.5)
-    F = rng.uniform(0.5, 1.5, size=(5,) + grid.shape)
-    dt = 0.5 * cfl_limit(grid, ks)
-    np.testing.assert_array_equal(
-        step_rk4(grid, ks, F, dt, 0.01, "reject_and_halve"),
-        _rk4_per_species(grid, ks, F, dt, 0.01),
-    )
-
-
 def test_stepper_config_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="'leapfrog' is unknown"):
         StepperConfig(scheme="leapfrog")
+    with pytest.raises(DomainError, match="'rk4_explicit' was removed; 'imex_euler' is the only"):
+        StepperConfig(scheme="rk4_explicit")
     with pytest.raises(DomainError):
         StepperConfig(negativity_policy="ignore")
     with pytest.raises(DomainError):
@@ -101,33 +47,24 @@ def test_stepper_config_validation():
         StepperConfig(t_end=-1.0)
 
 
-def _heat_error(scheme, m, mode, dt, t_end):
+def _heat_error(m, mode, dt, t_end):
     """Terminal error of a pure-diffusion run against the semi-discrete
     exact solution (the cosine mode decays by the *stencil* eigenvalue)."""
     g = make_grid_1d(m)
     ks = pure_diffusion_kernel()
     x = g.centers()
     u0 = 1.0 + np.cos(mode * np.pi * x)
-    cfg = StepperConfig(scheme=scheme, dt=dt, t_end=t_end)
+    cfg = StepperConfig(dt=dt, t_end=t_end)
     traj = run_simulation(g, ks, u0[None, :], cfg)
     lam = stencil_eigenvalue(g, mode)
     exact = 1.0 + math.exp(lam * t_end) * np.cos(mode * np.pi * x)
     return float(np.max(np.abs(traj.terminal[0] - exact)))
 
 
-def test_rk4_fourth_order_in_time():
-    # dyadic step sizes divide t_end exactly, so no trailing short step
-    t_end = 1.0 / 128.0
-    e1 = _heat_error("rk4_explicit", 32, 8, 1.0 / 4096.0, t_end)
-    e2 = _heat_error("rk4_explicit", 32, 8, 1.0 / 8192.0, t_end)
-    assert e1 > 1e-9  # signal well above roundoff
-    assert 12.0 < e1 / e2 < 20.0
-
-
 def test_imex_first_order_in_time():
     t_end = 1.0 / 32.0
-    e1 = _heat_error("imex_euler", 16, 4, 1.0 / 512.0, t_end)
-    e2 = _heat_error("imex_euler", 16, 4, 1.0 / 1024.0, t_end)
+    e1 = _heat_error(16, 4, 1.0 / 512.0, t_end)
+    e2 = _heat_error(16, 4, 1.0 / 1024.0, t_end)
     assert e1 > 1e-6
     assert 1.7 < e1 / e2 < 2.4
 
@@ -411,50 +348,20 @@ def test_imex_mass_conservation():
     assert np.min(traj.terminal) >= 0.0
 
 
-def _stiff_loss_setup():
-    """Constant-in-x state whose species 3 loses mass fast enough that an
-    oversized step drives it negative: (1,3) collisions at lam = 3/2 give
-    Q_3 = -(sqrt(3)/27) f_1 f_3 ~ -1925 f_3 when f_1 = 3e4."""
-    g = make_grid_1d(16)
-    ks = fd.power_law_uniform(4, 1.5, 0.0, profile="stronger")
-    F0 = np.zeros((4, 16))
-    F0[0] = 3e4
-    F0[2] = 1.0
-    return g, ks, F0
-
-
-def test_rk4_reject_policy_recovers():
-    g, ks, F0 = _stiff_loss_setup()
-    dt = 1.9e-3
-    assert dt < cfl_limit(g, ks)
-    cfg = StepperConfig(scheme="rk4_explicit", dt=dt, t_end=4 * dt,
-                        negativity_policy="reject_and_halve")
-    traj = run_simulation(g, ks, F0, cfg)
-    assert traj.state.rejected_steps >= 1
-    assert traj.state.clip_events == 0
-    assert np.min(traj.terminal) >= 0.0
-
-
-def test_rk4_clip_policy_accounts_mass():
-    g, ks, F0 = _stiff_loss_setup()
-    dt = 1.9e-3
-    cfg = StepperConfig(scheme="rk4_explicit", dt=dt, t_end=4 * dt,
-                        negativity_policy="clip_to_zero")
-    traj = run_simulation(g, ks, F0, cfg)
-    assert traj.state.clip_events >= 1
-    assert traj.state.clipped_mass > 0.0
-    assert traj.state.rejected_steps == 0
-    assert np.min(traj.terminal) >= 0.0
-
-
-def test_imex_reject_to_abort():
-    # species 3 decays at rate ~19.25: the dt = 0.2 and dt = 0.1 stages
-    # both go negative, and the next halving undercuts dt_min
+def _fast_decay_setup():
+    """Constant-in-x state whose species 3 decays at rate ~19.25, so the
+    dt = 0.2 and dt = 0.1 stages both go negative and dt = 0.05 does not."""
     g = make_grid_1d(16)
     ks = fd.power_law_uniform(4, 1.5, 0.0, profile="stronger")
     F0 = np.zeros((4, 16))
     F0[0] = 300.0
     F0[2] = 1.0
+    return g, ks, F0
+
+
+def test_imex_reject_to_abort():
+    # the next halving after dt = 0.1 undercuts dt_min
+    g, ks, F0 = _fast_decay_setup()
     cfg = StepperConfig(scheme="imex_euler", dt=0.2, t_end=100.0,
                         negativity_policy="reject_and_halve", dt_min=0.06)
     with pytest.raises(NumericalAbortError) as exc_info:
@@ -538,6 +445,22 @@ def test_candidate_check(monkeypatch, value, message, rejected):
     assert exc_info.value.trajectory.state.rejected_steps == rejected
 
 
+def test_non_finite_reaction_term_aborts_without_halving():
+    # Q overflows on data of 1e200, and every attempt from the state shares
+    # that Q: the first failed solve names it instead of halving to dt_min
+    g = make_grid_1d(16)
+    F0 = np.full((4,) + g.shape, 1e200)
+    cfg = StepperConfig(dt=1e-3, t_end=0.01, dt_min=2e-4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalAbortError) as exc_info:
+            run_simulation(g, fd.power_law_uniform(4, 4.0, 0.5), F0, cfg)
+    assert str(exc_info.value) == "non-finite reaction term at t=0"
+    traj = exc_info.value.trajectory
+    assert traj.state.rejected_steps == 0
+    assert traj.times == [0.0]
+    np.testing.assert_array_equal(traj.terminal, F0)
+
+
 def test_failed_solve_contract_aborts_below_dt_min():
     g, ks, F0 = _uncertifiable_setup()
     cfg = StepperConfig(scheme="imex_euler", dt=37.5, t_end=100.0, dt_min=1.0)
@@ -549,12 +472,18 @@ def test_failed_solve_contract_aborts_below_dt_min():
     np.testing.assert_array_equal(traj.terminal, F0)
 
 
+def test_imex_reject_policy_recovers():
+    g, ks, F0 = _fast_decay_setup()
+    cfg = StepperConfig(dt=0.2, t_end=0.8, negativity_policy="reject_and_halve")
+    traj = run_simulation(g, ks, F0, cfg)
+    assert traj.state.rejected_steps >= 2
+    assert traj.state.clip_events == 0
+    assert traj.state.t == pytest.approx(0.8)
+    assert np.min(traj.terminal) >= 0.0
+
+
 def test_imex_clip_policy_continues():
-    g = make_grid_1d(16)
-    ks = fd.power_law_uniform(4, 1.5, 0.0, profile="stronger")
-    F0 = np.zeros((4, 16))
-    F0[0] = 300.0
-    F0[2] = 1.0
+    g, ks, F0 = _fast_decay_setup()
     cfg = StepperConfig(scheme="imex_euler", dt=0.2, t_end=0.8,
                         negativity_policy="clip_to_zero")
     traj = run_simulation(g, ks, F0, cfg)
