@@ -77,8 +77,7 @@ def _thread_cap():
 
 def _write_json(path, doc):
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(monmod.json_text(doc) + "\n")
 
 
 # -- simulate --------------------------------------------------------------
@@ -104,30 +103,33 @@ def _run_single(cfg, outdir, quiet):
         energy_specs=[tuple(sp) for sp in cfg.monitors.energy_specs],
         envelope_family=cfg.monitors.envelope_family,
     )
-    aborted = None
-    try:
-        traj = stepmod.run_simulation(grid, ks, F0, cfg.stepper, eps=cfg.eps,
-                                      cadence=cfg.monitors.cadence, sample=monitors.add)
-    except NumericalAbortError as exc:
-        traj, aborted = exc.trajectory, exc
+    # data that overflow end in a numerical abort that names the fault;
+    # numpy's warnings on stderr would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        aborted = None
+        try:
+            traj = stepmod.run_simulation(grid, ks, F0, cfg.stepper, eps=cfg.eps,
+                                          cadence=cfg.monitors.cadence, sample=monitors.add)
+        except NumericalAbortError as exc:
+            traj, aborted = exc.trajectory, exc
 
-    report = monitors.report()
-    monmod.write_monitors_csv(out / "monitors.csv", report)
+        report = monitors.report()
+        monmod.write_monitors_csv(out / "monitors.csv", report)
 
-    state = traj.state
-    extra = {
-        "config": cfg.to_dict(),
-        "run": {
-            "steps": state.step_index,
-            "rejected_steps": state.rejected_steps,
-            "clip_events": state.clip_events,
-            "clipped_mass": state.clipped_mass,
-            "final_t": state.t,
-            "aborted": bool(aborted),
-        },
-    }
-    monmod.write_summary_json(out / "summary.json", report, extra=extra)
-    stepmod.checkpoint_save(out / "fields_final.csv", grid, traj.terminal, traj.times[-1])
+        state = traj.state
+        extra = {
+            "config": cfg.to_dict(),
+            "run": {
+                "steps": state.step_index,
+                "rejected_steps": state.rejected_steps,
+                "clip_events": state.clip_events,
+                "clipped_mass": state.clipped_mass,
+                "final_t": state.t,
+                "aborted": bool(aborted),
+            },
+        }
+        monmod.write_summary_json(out / "summary.json", report, extra=extra)
+        stepmod.checkpoint_save(out / "fields_final.csv", grid, traj.terminal, traj.times[-1])
 
     for name, entry in report.invariants.items():
         _say(quiet, f"[{'PASS' if entry['pass'] else 'FAIL'}] {name}: "
@@ -157,7 +159,7 @@ def cmd_audit(args):
         ks = cfgmod.make_kernel_set(cfg.kernel)
     except DivergentSeriesError as exc:
         doc = {"error": str(exc), "verdict": DIVERGES}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(monmod.json_text(doc))
         return EXIT_INVARIANT
 
     vr = validate_kernel_set(ks)
@@ -176,9 +178,8 @@ def cmd_audit(args):
         },
         "initial_data": adm.to_json_dict(),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if not args.quiet:
-        print(text)
+        print(monmod.json_text(doc))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -364,5 +364,22 @@ def write_summary_json(path, report, extra=None):
     if extra:
         doc.update(extra)
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(doc) + "\n")
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(val) for val in obj]
+    return obj
+
+
+def json_text(doc):
+    """``doc`` as fragdiff writes every JSON document: sorted keys, an
+    indent of 2, and ``null`` for each non-finite float, which strict JSON
+    cannot hold (a monitor of a run that overflowed is ``inf``).  Encoding
+    with ``allow_nan=False`` makes a value this misses raise."""
+    return json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False)

@@ -41,8 +41,9 @@ rejected and retried with half the step size, unless the state's own
 reaction term is not finite, which no smaller step can mend.
 
 ``dpttrf`` and ``dpttrs`` are loaded from the file of scipy's compiled
-LAPACK extension, so importing fragdiff does not import ``scipy.linalg``;
-where no such file is found they come from ``scipy.linalg.lapack``.
+LAPACK extension, found without importing ``scipy``, so importing fragdiff
+runs neither ``scipy`` nor ``scipy.linalg``; where no such file is found
+they come from ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import grid as gridmod
 from . import reaction
@@ -71,17 +71,20 @@ _MAX_FACTOR_SETS = 8
 
 def _load_lapack_pt():
     """LAPACK's ``(dpttrf, dpttrs)``, taken from scipy's ``_flapack``
-    extension loaded by path, so that ``scipy.linalg/__init__`` (more than
-    half of fragdiff's import time) never runs, else from
-    ``scipy.linalg.lapack``.  Both give the same binary routines."""
-    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(linalg_dir, "_flapack" + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
-            flapack = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(flapack)
-            return flapack.dpttrf, flapack.dpttrs
+    extension loaded by path, so that neither ``scipy/__init__`` nor
+    ``scipy.linalg/__init__`` (more than half of fragdiff's import time)
+    runs, else from ``scipy.linalg.lapack``.  Both give the same binary
+    routines."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        linalg_dir = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(linalg_dir, "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+                flapack = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(flapack)
+                return flapack.dpttrf, flapack.dpttrs
     from scipy.linalg.lapack import dpttrf, dpttrs
     return dpttrf, dpttrs
 

@@ -554,11 +554,16 @@ class TestSimulateCommand:
         )
         cfg_path = write_cfg(tmp_path, doc)
         out = tmp_path / "aborted"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = cli.main(["simulate", "--config", cfg_path, "--out", str(out), "--quiet"])
+        rc = cli.main(["simulate", "--config", cfg_path, "--out", str(out), "--quiet"])
         assert rc == 3
-        assert "non-finite reaction term at t=0" in capsys.readouterr().err
-        summary = json.loads((out / "summary.json").read_text())
+        err = capsys.readouterr().err
+        assert "non-finite reaction term at t=0" in err
+        assert "RuntimeWarning" not in err
+
+        def strict(token):
+            raise ValueError(f"summary.json holds {token}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=strict)
         assert summary["run"]["aborted"] is True
         assert summary["run"]["rejected_steps"] == 0
         assert summary["run"]["steps"] == 0

@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 import fragdiff as fd
+from fragdiff import grid as gridmod
 from fragdiff.errors import DomainError
 from fragdiff.grid import (
     GridSpec,
@@ -248,6 +250,74 @@ def test_species_csv_matches_per_cell_writer(tmp_path, grid):
     p = tmp_path / "fields.csv"
     write_species_csv(p, grid, vals)
     assert p.read_bytes() == _per_cell_csv(grid, vals).encode()
+
+
+def _split_writer(monkeypatch, cpus, min_rows):
+    """Make ``write_species_csv`` see ``cpus`` usable CPUs and split from
+    ``min_rows`` rows per part, converting two rows at a time."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(gridmod, "_CSV_PART_MIN_ROWS", min_rows)
+    monkeypatch.setattr(gridmod, "_CSV_CHUNK_ROWS", 2)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_SPLIT_GRID = make_grid_2d(5, 7, 1.0, 0.7)  # 35 rows: 2 and 3 parts leave remainders
+_SPLIT_VALUES = np.resize(np.array([-0.0, 5e-324, 1e308, 2.0, 17.0, 0.1, 1.0 / 3.0]),
+                          3 * 35).reshape(3, 5, 7)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split writer forks")
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_split_species_csv_has_the_one_part_bytes(tmp_path, monkeypatch, parts):
+    one = tmp_path / "one.csv"
+    write_species_csv(one, _SPLIT_GRID, _SPLIT_VALUES, metadata={"t": "0.5"})
+    _split_writer(monkeypatch, cpus=parts, min_rows=8)
+    assert gridmod._csv_parts(35) == parts
+    split = tmp_path / "split.csv"
+    write_species_csv(split, _SPLIT_GRID, _SPLIT_VALUES, metadata={"t": "0.5"})
+    assert split.read_bytes() == one.read_bytes()
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split writer forks")
+def test_split_species_csv_child_failure_raises(tmp_path, monkeypatch):
+    _split_writer(monkeypatch, cpus=3, min_rows=8)
+    parent, csv_lines = os.getpid(), gridmod._csv_lines
+
+    def failing_in_children(rows):
+        if os.getpid() != parent:
+            raise ValueError("formatting failed")
+        return csv_lines(rows)
+
+    monkeypatch.setattr(gridmod, "_csv_lines", failing_in_children)
+    path = tmp_path / "split.csv"
+    with pytest.raises(OSError, match="split.csv: 2 of 2 formatting processes failed"):
+        write_species_csv(path, _SPLIT_GRID, _SPLIT_VALUES)
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split writer forks")
+def test_split_species_csv_reaps_children_when_the_writer_raises(tmp_path, monkeypatch):
+    _split_writer(monkeypatch, cpus=3, min_rows=8)
+    with pytest.raises(FileNotFoundError):
+        write_species_csv(tmp_path / "missing" / "split.csv", _SPLIT_GRID, _SPLIT_VALUES)
+    _assert_no_child_left()
+
+
+def test_small_species_csv_does_not_fork(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked for a table below the split threshold")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    rows = 2 * gridmod._CSV_PART_MIN_ROWS - 1
+    path = tmp_path / "small.csv"
+    write_species_csv(path, make_grid_1d(rows), np.ones((2, rows)))
+    assert read_species_csv(path)[1].shape == (2, rows)
 
 
 def test_species_csv_missing_metadata(tmp_path):

@@ -1,4 +1,5 @@
 import importlib.machinery
+import importlib.util
 import math
 import os
 import subprocess
@@ -294,10 +295,12 @@ class TestDiffusionSolver:
 
 def test_import_loads_lapack_without_scipy_linalg():
     # a fresh interpreter: fails if the loader silently falls back to
-    # scipy.linalg.lapack, and checks that scipy.linalg still imports later
+    # scipy.linalg.lapack or runs scipy/__init__ to find scipy's directory,
+    # and checks that scipy.linalg still imports later
     code = (
         "import sys, fragdiff.cli\n"
         "assert 'scipy.linalg' not in sys.modules, sorted(sys.modules)\n"
+        "assert 'scipy' not in sys.modules, sorted(sys.modules)\n"
         "import numpy as np, scipy.linalg\n"
         "assert scipy.linalg.solve(np.eye(2), np.ones(2)).tolist() == [1.0, 1.0]\n"
     )
@@ -332,6 +335,11 @@ def test_loaded_lapack_routines_match_scipy_linalg():
 
 def test_lapack_loader_falls_back_without_the_extension_file(monkeypatch):
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+    _assert_same_as_scipy_linalg(*stepper._load_lapack_pt())
+
+
+def test_lapack_loader_falls_back_without_a_scipy_spec(monkeypatch):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
     _assert_same_as_scipy_linalg(*stepper._load_lapack_pt())
 
 
