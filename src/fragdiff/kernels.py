@@ -221,8 +221,8 @@ class KernelSet:
     pairs as data: the pairs ``(p, q)`` whose collision re-emits exactly
     ``{p, q}``.  The built-in factories state that set from their closed
     form; ``from_tables`` finds it by a per-pair scan.  The collision
-    matrix, the masked loss matrix and (tables only) the gain tensor are
-    built on first use.
+    matrix, the masked loss matrix, the Cheng-Redner fragment weights and
+    (tables only) the gain tensor are built on first use.
     """
 
     family: str
@@ -239,6 +239,7 @@ class KernelSet:
     _a_mat: np.ndarray | None = None
     _gain_tensor: np.ndarray | None = None
     _loss_matrix: np.ndarray | None = None
+    _cr_weights: np.ndarray | None = None
 
     # -- factories ---------------------------------------------------------
 
@@ -413,6 +414,14 @@ class KernelSet:
                     M[p - 1, q - 1] = 0.0
             self._loss_matrix = M
         return self._loss_matrix
+
+    def cheng_redner_weights(self):
+        """The column ``2/(p-1)``, ``p = 2..n``: the fragments of each size
+        below ``p`` that a Cheng-Redner collider of size ``p`` leaves (see
+        :func:`fragdiff.reaction._gain_loss`).  Built on first use."""
+        if self._cr_weights is None:
+            self._cr_weights = (2.0 / np.arange(1.0, self.n))[:, None]
+        return self._cr_weights
 
 
 def _read_csv_rows(path, width):

@@ -32,14 +32,16 @@ TAIL_ENVELOPE_FACTOR = 2.0
 
 
 def _mass_above(ints, M):
-    """``sum_{i>M} i * ints[i-1]`` from precomputed species integrals."""
+    """``sum_{i>M} i * ints[i-1]`` from the float array of precomputed
+    species integrals (:func:`grid.species_integrals`)."""
     if M < 0:
         raise DomainError("tail level must be nonnegative")
-    return math.fsum(float((i + 1) * ints[i]) for i in range(M, len(ints)))
+    # one vectorized product: each float is the per-element (i + 1) * ints[i]
+    return math.fsum((np.arange(M + 1, len(ints) + 1) * ints[M:]).data)
 
 
 def _particles(ints):
-    return math.fsum(float(v) for v in ints)
+    return math.fsum(ints.data)
 
 
 def total_mass(grid, F):

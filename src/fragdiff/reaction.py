@@ -113,7 +113,7 @@ def _pair_suffix_sums_product(g, gain):
     W.flags.writeable = False
     S = np.einsum("jkm,km->jm", W, g[: n - 1])
     S /= np.arange(3.0, n)[:, None]
-    gain[2 : n - 1] = np.cumsum(S[::-1], axis=0)[::-1]
+    np.cumsum(S[::-1], axis=0, out=gain[2 : n - 1][::-1])
 
 
 def _gain_loss(G2, ks):
@@ -144,9 +144,10 @@ def _gain_loss(G2, ks):
     loss = G2 * (ks.loss_matrix() @ G2)
     if ks.family == "cheng_redner_uniform":
         # V_p = 2/(p-1) loss_p for p = 2..n; gain_i = sum_{p >= i+1} V_p for i < n
-        V = loss[1:] * (2.0 / np.arange(1.0, n))[:, None]
-        gain = np.zeros_like(loss)
-        gain[: n - 1] = np.cumsum(V[::-1], axis=0)[::-1]
+        V = loss[1:] * ks.cheng_redner_weights()
+        gain = np.empty_like(loss)
+        gain[n - 1] = 0.0
+        np.cumsum(V[::-1], axis=0, out=gain[: n - 1][::-1])  # empty at n = 1
         gain[0] += loss[0]
     elif ks.family == "power_law_uniform":
         g = ks.sep_weights[:, None] * G2

@@ -29,7 +29,11 @@ solve and the factor storage is ``2 * n * m - 1`` numbers, independent
 of the number of lines.  The residual of every sweep is verified per
 species against a 1e-12 contract, with the matrix applied from its
 stored diagonals, not from the factor; there is no iterative refinement,
-whose correction could carry either sign.
+whose correction could carry either sign.  The contract is decided in
+two stages: no species' bound ``1e-12 * max(1, max|stage_i|)`` is below
+``1e-12``, so one test of the whole residual against ``1e-12`` accepts
+the sweep; only when that test misses are the per-species residual
+maxima and bounds formed, and they decide.
 
 Negativity policies: the sweeps keep a nonnegative stage nonnegative, so
 a candidate turns negative only where the explicit reaction makes ``f*``
@@ -159,18 +163,42 @@ def _ldl_factor(diag, off):
     return d, l
 
 
-def _residual(diag, off, x, b, r, t):
-    """``|A x - b|`` into ``r``, with ``A`` applied along the last axis from
-    its diagonal ``diag`` and off-diagonal ``off``, which broadcast against
-    ``x`` and ``x[..., 1:]``.  ``t`` is scratch of the shape of
-    ``x[..., 1:]``; it may share memory with ``b``, which is read first."""
+def _residual(diag, off, prev, x, b, r, t):
+    """``A x - b`` into ``r``, with ``A`` applied along the last axis of
+    ``x`` from its diagonal ``diag``, its off-diagonal ``off`` (``off[k]``
+    couples cells ``k`` and ``k + 1``; zero where a line ends) and the
+    one-place shift ``prev[k] = off[k - 1]`` (zero where a line starts),
+    all three broadcasting against ``x``.  ``r`` and the scratch ``t`` are
+    C-contiguous arrays of the shape of ``x``; ``t`` may share memory with
+    ``b``, which is read first.  Each coupling is one product aligned with
+    ``x`` and one add over the flat ``r``; across the end of a line both
+    add ``off * x = +-0``, so the flat adds give the bits of a per-line
+    residual."""
     np.multiply(diag, x, out=r)
     r -= b
-    np.multiply(off, x[..., 1:], out=t)
-    r[..., :-1] += t
-    np.multiply(off, x[..., :-1], out=t)
-    r[..., 1:] += t
-    return np.abs(r, out=r)
+    flat_r, flat_t = r.reshape(-1), t.reshape(-1)
+    np.multiply(prev, x, out=t)  # the upper term off[k] * x[k + 1] of row k
+    flat_r[:-1] += flat_t[1:]
+    np.multiply(off, x, out=t)  # the lower term off[k] * x[k] of row k + 1
+    flat_r[1:] += flat_t[:-1]
+    return r
+
+
+def _species_contract(r, stage, blocks, axes, where):
+    """Raise :class:`LinearSolveError` unless, for every species ``s``,
+    ``max|r_s| <= 1e-12 * max(1, max|stage_s|)``; a NaN residual or bound
+    fails.  ``r`` is the signed residual of a sweep, overwritten by
+    ``|r|``; its reshape to ``blocks`` groups it by species, which
+    ``axes`` reduce away.  ``where`` ends the message."""
+    bound = _RESIDUAL_TOL * np.maximum(
+        1.0, np.max(np.abs(stage).reshape(stage.shape[0], -1), axis=1))
+    resid = np.max(np.abs(r, out=r).reshape(blocks), axis=axes)
+    if not np.all(resid <= bound):
+        worst = int(np.argmax(resid / bound))
+        raise LinearSolveError(
+            f"implicit solve residual {resid[worst]:g} above contract "
+            f"{bound[worst]:g} (species {worst + 1}, {where})"
+        )
 
 
 class DiffusionSolver:
@@ -187,13 +215,14 @@ class DiffusionSolver:
     Along the first axis one call covers all species, with the stage as
     the columns of an ``(n * m, lines per species)`` array; in 1D, one
     line per species, the stage has that layout already and is read in
-    place, never written.  Its residual runs along the ``(lines, n * m)``
-    rows with the concatenated diagonals that ``dpttrf`` factors.  Along
-    the second axis one in-place call per species solves the transposed
-    lines of one C-order copy of the stage.  A 2D solve is an x sweep
-    followed by a y sweep (Lie splitting).  Every sweep checks its
-    residual in two stage-sized work arrays that the solver keeps, so a
-    sweep allocates only its result; a residual that is not finite fails.
+    place, never written.  Along the second axis one in-place call per
+    species solves the transposed lines of one C-order copy of the stage.
+    A 2D solve is an x sweep followed by a y sweep (Lie splitting).  Every
+    sweep forms its residual over the whole solution at once
+    (:func:`_residual`) in two stage-sized work arrays that the solver
+    keeps, so a sweep allocates only its result, and tests it against
+    ``1e-12`` before any per-species maximum is formed
+    (:func:`_species_contract`); a residual that is not finite fails.
     The factors of the ``_MAX_FACTOR_SETS`` most recently used step sizes
     are cached; factorization is deterministic, so an evicted step size
     refactorizes to the same solves.
@@ -208,18 +237,24 @@ class DiffusionSolver:
         self._work = np.empty((2, ks.n * math.prod(grid.shape)))
 
     def _factorize(self, dt):
-        """Per axis: ``(diag, off, d, l)``, the operator's ``(n, m)`` diagonal
-        and ``(n, m)`` off-diagonal, whose last column is the zero coupling
-        to the next species, and the certified factor of their
-        concatenation ``diag.ravel()``, ``off.ravel()[:-1]``."""
+        """Per axis: ``(diag, off, prev, d, l)``.  ``diag`` and ``off`` are
+        the operator's ``n * m`` diagonal and off-diagonal, whose last entry
+        per species is the zero coupling to the next; ``prev`` is ``off``
+        shifted one place on, two views of ``[0, off]``.  All three
+        broadcast against the sweep's solution (flat along axis 0,
+        ``(n, 1, m)`` along axis 1), as :func:`_residual` takes them.
+        ``(d, l)`` is the certified factor of ``diag``, ``off[:-1]``."""
         factors = []
-        for m, h in zip(self.grid.shape, self.grid.h):
+        n = self.ks.n
+        for axis, (m, h) in enumerate(zip(self.grid.shape, self.grid.h)):
             c = (dt / (h * h)) * self.ks.d[:, None]
             diag = np.repeat(1.0 + 2.0 * c, m, axis=1)
             diag[:, [0, -1]] = 1.0 + c  # reflected ghost cells
-            off = np.zeros_like(diag)
-            off[:, :-1] = -c
-            factors.append((diag, off) + _ldl_factor(diag.ravel(), off.ravel()[:-1]))
+            pad = np.zeros(n * m + 1)
+            pad[1:].reshape(n, m)[:, :-1] = -c
+            shape = (n * m,) if axis == 0 else (n, 1, m)
+            factors.append((diag.reshape(shape), pad[1:].reshape(shape),
+                            pad[:-1].reshape(shape)) + _ldl_factor(diag.ravel(), pad[1:-1]))
         return factors
 
     def sweep(self, stage, dt, axis):
@@ -229,7 +264,9 @@ class DiffusionSolver:
         last axis; ``stage`` is not modified.  Raises
         :class:`LinearSolveError` when, for some species, the residual is
         not at most ``1e-12 * max(1, max|stage_i|)`` (a NaN residual or
-        bound fails).
+        bound fails).  No species' bound is below ``1e-12``, so one test
+        of the whole residual against ``1e-12`` accepts most sweeps; only
+        when it misses are the per-species maxima formed and compared.
         """
         if dt in self._factors:
             self._factors.move_to_end(dt)
@@ -237,8 +274,8 @@ class DiffusionSolver:
             self._factors[dt] = self._factorize(dt)
             if len(self._factors) > _MAX_FACTOR_SETS:
                 self._factors.popitem(last=False)
-        diag, off, d, l = self._factors[dt][axis]
-        n, m = diag.shape
+        diag, off, prev, d, l = self._factors[dt][axis]
+        n, m = self.ks.n, self.grid.shape[axis]
         b, r = (w[:stage.size] for w in self._work)
         if axis == 0:
             # every line of every species is a column of one solve: b and
@@ -250,8 +287,7 @@ class DiffusionSolver:
                 np.copyto(b.reshape(-1, n, m), stage.reshape(n, m, -1).transpose(2, 0, 1))
             x = dpttrs(d, l, b.T)[0]
             out = x.reshape(stage.shape)
-            x, diag, off = x.T, diag.ravel(), off.ravel()[:-1]
-            blocks, axes = (-1, n, m), (0, 2)
+            x, blocks, axes = x.T, (-1, n, m), (0, 2)
         else:
             # the lines of species s are the columns of x[s].T, solved in place
             b = b.reshape(stage.shape)
@@ -260,22 +296,12 @@ class DiffusionSolver:
             for s in range(n):
                 dpttrs(d[s * m:(s + 1) * m], l[s * m:(s + 1) * m - 1], x[s].T,
                        overwrite_b=1)
-            diag, off = diag[:, None], off[:, None, :-1]
             blocks, axes = x.shape, (1, 2)
-        # residuals run along the last axis of x; blocks groups them by
-        # species, which axes reduce away
-        r = r.reshape(x.shape)
-        k = x.shape[-1]
-        t = self._work[0, :x.size // k * (k - 1)].reshape(x.shape[:-1] + (k - 1,))
-        bound = _RESIDUAL_TOL * np.maximum(
-            1.0, np.max(np.abs(b, out=r).reshape(blocks), axis=axes))
-        resid = np.max(_residual(diag, off, x, b, r, t).reshape(blocks), axis=axes)
-        if not np.all(resid <= bound):  # a NaN residual fails too
-            worst = int(np.argmax(resid / bound))
-            raise LinearSolveError(
-                f"implicit solve residual {resid[worst]:g} above contract "
-                f"{bound[worst]:g} (species {worst + 1}, axis {axis}, dt={dt:g})"
-            )
+        r = _residual(diag, off, prev, x, b, r.reshape(x.shape),
+                      self._work[0, :x.size].reshape(x.shape))
+        # no bound is below 1e-12; NaN fails both comparisons
+        if not (r.max() <= _RESIDUAL_TOL and -r.min() <= _RESIDUAL_TOL):
+            _species_contract(r, stage, blocks, axes, f"axis {axis}, dt={dt:g}")
         return out
 
     def solve(self, stage, dt):

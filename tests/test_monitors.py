@@ -6,8 +6,10 @@ import pytest
 
 import fragdiff as fd
 from fragdiff.errors import DomainError
-from fragdiff.grid import gradient_sq_integral, integrate, make_grid_1d
+from fragdiff.grid import gradient_sq_integral, integrate, make_grid_1d, species_integrals
 from fragdiff.monitors import (
+    _mass_above,
+    _particles,
     compute_monitors,
     moment0,
     tail_envelope_exponential,
@@ -254,3 +256,17 @@ def test_moment0_nondecreasing_catches_violation():
     report = compute_monitors(traj, ks, tail_levels=(1,))
     assert not report.invariants["moment0_nondecreasing"]["pass"]
     assert not report.all_pass
+
+
+def test_mass_sums_match_the_per_element_form():
+    # one vectorized product holds the floats of the per-element products
+    # (i + 1) * ints[i], so fsum returns the same bits
+    rng = np.random.default_rng(41)
+    g = make_grid_1d(16)
+    for n in (1, 5, 64):
+        wide = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 300, n)
+        for ints in (wide, species_integrals(g, rng.uniform(0.0, 2.0, size=(n, 16)))):
+            for M in (0, 1, n // 2, n - 1, n, n + 3):
+                want = math.fsum(float((i + 1) * ints[i]) for i in range(M, n))
+                assert _mass_above(ints, M).hex() == want.hex(), (n, M)
+            assert _particles(ints).hex() == math.fsum(float(v) for v in ints).hex()

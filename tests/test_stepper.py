@@ -96,17 +96,54 @@ def _line_operator(m, h, dt, d):
     return [1.0 + c] + [1.0 + 2.0 * c] * (m - 2) + [1.0 + c], [-c] * (m - 1)
 
 
-def _per_line_ldl(grid, ks, stage, dt):
-    """Reference solve: one sweep per axis, in which every grid line of every
-    species is solved on its own by :func:`_ldl_reference`."""
+def _per_line_sweep(grid, ks, stage, dt, axis):
+    """Reference sweep along ``axis``: every grid line of every species is
+    solved on its own by :func:`_ldl_reference`."""
     out = np.array(stage, dtype=float)
-    for axis, (m, h) in enumerate(zip(grid.shape, grid.h)):
-        for i, d in enumerate(ks.d):
-            diag, off = _line_operator(m, h, dt, d)
-            lines = np.moveaxis(out[i], axis, -1)  # a view: writes land in out
-            for idx in np.ndindex(lines.shape[:-1]):
-                lines[idx] = _ldl_reference(diag, off, lines[idx])
+    for i, d in enumerate(ks.d):
+        diag, off = _line_operator(grid.shape[axis], grid.h[axis], dt, d)
+        lines = np.moveaxis(out[i], axis, -1)  # a view: writes land in out
+        for idx in np.ndindex(lines.shape[:-1]):
+            lines[idx] = _ldl_reference(diag, off, lines[idx])
     return out
+
+
+def _per_line_ldl(grid, ks, stage, dt):
+    """Reference solve: one :func:`_per_line_sweep` per axis."""
+    for axis in range(grid.dim):
+        stage = _per_line_sweep(grid, ks, stage, dt, axis)
+    return stage
+
+
+def _shifted_residual(diag, off, x, b):
+    """Signed residual ``A x - b`` along the last axis of ``x`` from shifted
+    views, ``diag`` and ``off`` broadcasting against ``x`` and
+    ``x[..., 1:]``: the upper term ``off[k] * x[k + 1]`` is added to row
+    ``k`` first, then the lower term ``off[k] * x[k]`` to row ``k + 1``."""
+    r = diag * x - b
+    r[..., :-1] += off * x[..., 1:]
+    r[..., 1:] += off * x[..., :-1]
+    return r
+
+
+def _reference_refusal(grid, ks, stage, dt, axis):
+    """The refusal of the sweep along ``axis`` from per-line solves and
+    residuals, species by species (``None`` when every species meets
+    ``1e-12 * max(1, max|stage_i|)``)."""
+    x = _per_line_sweep(grid, ks, stage, dt, axis)
+    resid, bound = [], []
+    for i, d in enumerate(ks.d):
+        diag, off = _line_operator(grid.shape[axis], grid.h[axis], dt, d)
+        r = _shifted_residual(np.array(diag), np.array(off),
+                              np.moveaxis(x[i], axis, -1), np.moveaxis(stage[i], axis, -1))
+        resid.append(np.max(np.abs(r)))
+        bound.append(1e-12 * max(1.0, np.max(np.abs(stage[i]))))
+    resid, bound = np.array(resid), np.array(bound)
+    if np.all(resid <= bound):
+        return None
+    worst = int(np.argmax(resid / bound))
+    return (f"implicit solve residual {resid[worst]:g} above contract "
+            f"{bound[worst]:g} (species {worst + 1}, axis {axis}, dt={dt:g})")
 
 
 def _line_residual(grid, axis, d_dt, x, b):
@@ -206,7 +243,7 @@ class TestDiffusionSolver:
         solver = DiffusionSolver(grid, ks)
         out = solver.solve(np.ones((5,) + grid.shape), 1e-3)
         assert out.flags.c_contiguous
-        for (_, _, d, l), m in zip(solver._factors[1e-3], grid.shape):
+        for (*_, d, l), m in zip(solver._factors[1e-3], grid.shape):
             assert d.size + l.size == 2 * ks.n * m - 1
             assert np.all(d >= 1.0) and np.all(l <= 0.0)
 
@@ -241,6 +278,79 @@ class TestDiffusionSolver:
         solver = DiffusionSolver(g, ks)
         with pytest.raises(fd.LinearSolveError, match=r"\(species 1, axis 0, dt=37\.5\)$"):
             solver.solve(stage, 37.5)
+
+    @pytest.mark.parametrize("shape, dt", [((64,), 37.5), ((4, 64), 300.0), ((6, 64), 300.0)],
+                             ids=["64", "4x64", "6x64"])
+    def test_refusal_matches_per_species_reference(self, shape, dt):
+        # stages whose sweeps miss the contract, on the y sweep (4x64) and
+        # on the x sweep (64, 6x64): the refusal names the species, axis,
+        # residual and bound that per-line solves and residuals give
+        g = make_grid_1d(*shape) if len(shape) == 1 else make_grid_2d(*shape)
+        ks = fd.power_law_uniform(4, 4.0, 0.5)
+        stage = np.ones((4,) + g.shape)
+        stage[..., ::3] = 0.0
+        solver = DiffusionSolver(g, ks)
+        for axis in range(g.dim):
+            want = _reference_refusal(g, ks, stage, dt, axis)
+            if want is not None:
+                break
+            stage = solver.sweep(stage, dt, axis)
+        assert want is not None
+        with pytest.raises(fd.LinearSolveError) as exc_info:
+            solver.sweep(stage, dt, axis)
+        assert str(exc_info.value) == want
+
+    @pytest.mark.parametrize("grid", [make_grid_1d(48), make_grid_2d(8, 12)], ids=["1D", "2D"])
+    def test_contract_decided_whole_array_first(self, grid, monkeypatch):
+        # no species' bound is below 1e-12, so a residual within 1e-12
+        # everywhere is accepted by one test of the whole array; a stage
+        # scaled by 1e6 misses that test, and its per-species bounds, each
+        # 1e-12 * max|stage_i|, accept it
+        calls = []
+        real = stepper._species_contract
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(stepper, "_species_contract", counted)
+        ks = fd.power_law_uniform(3, 4.0, 0.5)
+        solver = DiffusionSolver(grid, ks)
+        stage = np.random.default_rng(31).uniform(0.0, 2.0, size=(3,) + grid.shape)
+        for scale, per_species in ((1.0, 0), (1e6, grid.dim)):
+            for dt in (1e-3, 0.05):
+                calls.clear()
+                out = solver.solve(scale * stage, dt)
+                assert len(calls) == per_species, (scale, dt)
+                np.testing.assert_array_equal(out, _per_line_ldl(grid, ks, scale * stage, dt))
+
+    @pytest.mark.parametrize(
+        "grid", [make_grid_1d(40), make_grid_2d(8, 12), make_grid_2d(37, 53)],
+        ids=["40", "8x12", "37x53"],
+    )
+    def test_flat_residual_matches_shifted_form(self, grid, monkeypatch):
+        # both couplings are added over the flat residual; across the end
+        # of a line or a species they add +-0, so the residual is the one
+        # the shifted per-line form gives, with the same absolute bits
+        seen = []
+        real = stepper._residual
+
+        def recorded(diag, off, prev, x, b, r, t):
+            want = _shifted_residual(diag, off[..., :-1], x, b)  # before t overwrites b
+            seen.append((want, real(diag, off, prev, x, b, r, t).copy()))
+            return r
+
+        monkeypatch.setattr(stepper, "_residual", recorded)
+        ks = fd.power_law_uniform(3, 4.0, 0.5)
+        solver = DiffusionSolver(grid, ks)
+        rng = np.random.default_rng(32)
+        for dt in (1e-3, 0.5):
+            for scale in (1.0, 1e6):
+                solver.solve(scale * rng.uniform(0.0, 2.0, size=(3,) + grid.shape), dt)
+        assert len(seen) == 4 * grid.dim
+        for want, got in seen:
+            np.testing.assert_array_equal(got, want)
+            assert np.abs(got).tobytes() == np.abs(want).tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("grid", [make_grid_1d(16), make_grid_2d(8, 12)], ids=["1D", "2D"])
