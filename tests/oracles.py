@@ -5,6 +5,9 @@ equation with Neumann data.  The reflected-ghost stencil has the same
 cosine modes as exact eigenvectors (``fragdiff.grid``), so the DCT-II path
 cross-checks the stencil steppers without reusing them.
 
+``stencil_eigenvalue`` is that eigenvalue, ``-(2/h^2)(1 - cos(k pi h / L))``
+for cosine mode ``k`` on one axis, in closed form.
+
 ``laplacian_neumann`` applies the reflected-ghost stencil with ``np.roll``
 and so shares no code with the stepper, which builds the same operator as
 tridiagonal diagonals; the tests use it as the residual and stencil oracle.
@@ -47,6 +50,13 @@ def spectral_heat_solve_1d(grid, u0, d, t):
     k = np.arange(m)
     coeff *= np.exp(-d * (k * np.pi / L) ** 2 * t)
     return scipy.fft.idct(coeff, type=2, norm="ortho")
+
+
+def stencil_eigenvalue(grid, k, axis=0):
+    """Eigenvalue of the discrete Laplacian for cosine mode ``k`` on one axis."""
+    h = grid.h[axis]
+    L = grid.lengths[axis]
+    return -(2.0 / (h * h)) * (1.0 - np.cos(k * np.pi * h / L))
 
 
 def _reflect_second_diff(u, axis):

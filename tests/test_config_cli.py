@@ -154,8 +154,8 @@ KEY_TABLE = [
          ["verlet", "rk4_explicit"]),
     _key("stepper.dt", 1e-3, 0.01, 0.01, ["1e-3", True, None], [0, -1e-3, NAN, *NON_FINITE]),
     _key("stepper.t_end", 1.0, 0, 0.0, ["1", True], [-1, NAN, *NON_FINITE]),
-    _key("stepper.negativity_policy", "reject_and_halve", "clip_to_zero",
-         "clip_to_zero", [1, True], ["ignore"]),
+    _key("stepper.negativity_policy", "reject_and_halve", "reject_and_halve",
+         "reject_and_halve", [1, True], ["ignore", "clip_to_zero"]),
     _key("stepper.dt_min", 1e-9, 1e-6, 1e-6, ["1e-9", True], [0, -1e-9, NAN, *NON_FINITE]),
     _key("monitors.cadence", 10, 5, 5, [5.0, "5", True, None], [0, -1]),
     _key("monitors.tail_levels", [8, 16, 24], [0, 4], [0, 4],
@@ -526,14 +526,19 @@ class TestSimulateCommand:
         assert (out / "monitors.csv").exists()
         assert (out / "fields_final.csv").exists()
 
-    def test_removed_scheme_refused_before_anything_is_written(self, tmp_path, capsys):
-        doc = small_doc(stepper={"scheme": "rk4_explicit"})
+    @pytest.mark.parametrize("key, value, refusal", [
+        ("scheme", "rk4_explicit",
+         "scheme 'rk4_explicit' was removed; 'imex_euler' is the only scheme"),
+        ("negativity_policy", "clip_to_zero",
+         "negativity policy 'clip_to_zero' was removed; 'reject_and_halve' is the only policy"),
+    ], ids=["scheme", "policy"])
+    def test_removed_value_refused_before_any_write(self, tmp_path, capsys, key, value, refusal):
+        doc = small_doc(stepper={key: value})
         out = tmp_path / "o"
         rc = cli.main(["simulate", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("config error: stepper: scheme 'rk4_explicit' was removed; "
-                              "'imex_euler' is the only scheme"), err
+        assert err.startswith(f"config error: stepper: {refusal}"), err
         assert not out.exists()
 
     def test_non_finite_stage_keeps_partial_outputs(self, tmp_path, capsys):

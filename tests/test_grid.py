@@ -15,10 +15,9 @@ from fragdiff.grid import (
     make_grid_2d,
     read_species_csv,
     species_integrals,
-    stencil_eigenvalue,
     write_species_csv,
 )
-from oracles import laplacian_neumann, spectral_heat_solve_1d
+from oracles import laplacian_neumann, spectral_heat_solve_1d, stencil_eigenvalue
 
 
 class TestGridSpec:
