@@ -473,10 +473,24 @@ def validate_kernel_set(ks, i_max=None, exact_limit=64, rel_tol=1e-12):
     mass conservation ``sum_k k b^k_ij = i+j``.  Mass conservation is checked
     in exact rational arithmetic for ``i + j <= exact_limit`` (built-in
     families only) and in floating point with relative tolerance ``rel_tol``
-    for all ``i, j <= i_max``, each sum a correctly rounded ``fsum``.
+    for all ``i, j <= i_max``, each sum correctly rounded (the value of
+    ``fsum``).  A Cheng-Redner set's ``cheng_redner_weights()``, which the
+    gain reads in place of the counts, must equal the plateaus
+    ``b^1_pp / 2 = 2/(p-1)`` of its counts for ``p = 2..n``; that check runs
+    after the pair checks.
 
-    The counts are evaluated one row ``i`` at a time, as a ``(j, k)`` block,
-    so memory stays ``O(i_max**2)``; the report stops after 20 failures.
+    The pair checks take one of two paths, by the count function:
+
+    * a built-in family's own closed form (``_uniform_counts`` or
+      ``_cheng_redner_counts``) is read once per size, in ``O(i_max**2)``
+      evaluations (:func:`_pair_checks_by_size`);
+    * any other count function (tables, wrapped counts), and any set in
+      which the first path finds a failure, is checked one row ``i`` at a
+      time, as a ``(j, k)`` block (:func:`_pair_checks_by_row`).  Only this
+      path words a pair's failures; its report stops after 20 failures.
+
+    Both paths give the same report, floats included, and keep memory at
+    ``O(i_max**2)``.
     """
     if i_max is None:
         i_max = ks.n
@@ -493,10 +507,25 @@ def validate_kernel_set(ks, i_max=None, exact_limit=64, rel_tol=1e-12):
     if np.any(amat < 0):
         failures.append("collision rates contain negative entries")
 
+    exact_ok, sizes_ok = (None, None) if ks.family == "table" else _exact_mass_check(ks)
+    worst, pairs, exact_pairs = (
+        _pair_checks_by_size(ks, i_max, exact_limit, rel_tol, sizes_ok)
+        or _pair_checks_by_row(ks, i_max, exact_limit, rel_tol, exact_ok, failures))
+    if len(failures) <= 20 and ks.family == "cheng_redner_uniform":  # not cut short
+        failures += _weight_failures(ks)
+    return ValidationReport(not failures, worst, pairs, exact_pairs, failures, notes)
+
+
+def _pair_checks_by_row(ks, i_max, exact_limit, rel_tol, exact_ok, failures):
+    """Every check of every pair ``i <= j <= i_max``, one row ``i`` at a time.
+
+    Appends each failure to ``failures`` and stops once there are more
+    than 20, with a suppression line.  Returns ``(worst, pairs,
+    exact_pairs)`` over the pairs checked.
+    """
     worst = 0.0
     pairs = 0
     exact_pairs = 0
-    exact_ok = None if ks.family == "table" else _exact_mass_check(ks)
     for i in range(1, i_max + 1):
         # one (j, k) block per row: j = i..i_max, k up to the widest support + 2
         jv = np.arange(i, i_max + 1)[:, None]
@@ -534,16 +563,170 @@ def validate_kernel_set(ks, i_max=None, exact_limit=64, rel_tol=1e-12):
                 exact_pairs += 1
             if len(failures) > 20:
                 failures.append("... further failures suppressed")
-                return ValidationReport(False, worst, pairs, exact_pairs, failures, notes)
+                return worst, pairs, exact_pairs
+    return worst, pairs, exact_pairs
 
-    return ValidationReport(not failures, worst, pairs, exact_pairs, failures, notes)
+
+def _pair_checks_by_size(ks, i_max, exact_limit, rel_tol, sizes_ok):
+    """The pair checks of a built-in family, from its counts per size.
+
+    Returns ``(worst, pairs, exact_pairs)`` when every pair passes
+    every check, and ``None`` otherwise, or when ``ks._b_fn`` is not a
+    built-in closed form; the caller then checks pair by pair.
+
+    A closed form fixes the structure of the counts: ``b^k_ij = U_{i+j}(k)``
+    for uniform breakage (``_uniform_counts`` reads ``i + j`` alone) and
+    ``b^k_ij = P_i(k) + P_j(k)`` for Cheng-Redner (``_cheng_redner_counts``
+    adds one term per collider, so ``P_p = b_pp / 2`` exactly).  The
+    vectors ``U_s`` or ``P_p`` are read once for every ``k`` the pair
+    checks read and must be finite, nonnegative and zero outside their own
+    support (``k >= s``; ``k >= max(p, 2)``).  That implies every pair's
+    checks: a float sum commutes exactly, so ``b^k_ij = b^k_ji``; a sum of
+    nonnegative terms is nonnegative; and each term vanishes at
+    ``k >= i + j``.  Every pair's mass total has the bits of its per-pair
+    ``fsum`` (:func:`_uniform_mass_totals`, :func:`_cheng_redner_mass_totals`),
+    and the rational check takes one ``Fraction`` per size
+    (:func:`_exact_mass_check`).
+    """
+    if i_max < 1:
+        return None
+    if ks._b_fn is _uniform_counts:
+        totals = _uniform_mass_totals(ks, i_max)
+    elif ks._b_fn is _cheng_redner_counts:
+        totals = _cheng_redner_mass_totals(ks, i_max)
+    else:
+        return None
+    if totals is None:
+        return None
+    sizes = np.arange(1, i_max + 1)
+    s = np.add.outer(sizes, sizes)
+    worst = float(np.max(np.triu(np.abs(totals - s) / s)))  # over the pairs i <= j
+    if worst > rel_tol:
+        return None
+    exact_pairs = 0
+    if sizes_ok:
+        limit = int(min(exact_limit, 2 * i_max))
+        exact_pairs = sum(max(0, min(i_max, limit - i) - i + 1) for i in sizes.tolist())
+        if exact_pairs and not sizes_ok(i_max, limit):
+            return None
+    return worst, i_max * (i_max + 1) // 2, exact_pairs
+
+
+def _plateaus_ok(counts, outside):
+    """Every count is finite and nonnegative, and zero where ``outside`` holds."""
+    return bool(np.all((counts >= 0.0) & (counts < np.inf))
+                and not np.any(outside & (counts != 0.0)))
+
+
+def _uniform_mass_totals(ks, m):
+    """``T[i-1, j-1] = fsum_k k b^k_ij`` for the uniform pairs ``i, j <= m``.
+
+    Every pair of total size ``s`` has the same counts ``U_s``, so the same
+    weighted terms and the same ``fsum``: one per ``s``.  ``None`` when a
+    count vector fails :func:`_plateaus_ok`.
+    """
+    s = np.arange(2, 2 * m + 1)[:, None]
+    k = np.arange(1, 2 * m + 3)
+    terms = ks._b_fn(1, s - 1, k)  # row s - 2 holds U_s
+    if not _plateaus_ok(terms, k >= s):
+        return None
+    terms *= k
+    by_size = np.array([fsum(row[:size - 1].data) for row, size in zip(terms, s[:, 0])])
+    sizes = np.arange(m)
+    return by_size[np.add.outer(sizes, sizes)]
+
+
+def _cheng_redner_mass_totals(ks, m):
+    """``T[i-1, j-1] = fsum_k k b^k_ij`` for the Cheng-Redner pairs ``i <= j <= m``.
+
+    Pair ``(i, j)`` sums ``x_k = fl(k fl(P_i(k) + P_j(k)))`` over ``k``;
+    with ``h_p = max(p, 2) - 1`` the support length of ``P_p``, its terms
+    ``k <= h_i`` (the head) need both plateaus and the rest are
+    ``fl(k P_j(k))``, a suffix of a sequence fixed by ``j`` alone.
+
+    The sum is formed exactly by error-free extraction (Rump, Ogita and
+    Oishi 2008, "Accurate floating-point summation, Part I", SIAM J. Sci.
+    Comput. 31(1), Lemma 3.3).  With ``sigma = 2**K`` at least ``N`` times
+    the largest term, ``N = max h_p`` the terms per pair, each term splits
+    exactly as ``x = q + r``: ``q = fl(fl(sigma + x) - sigma)`` is a
+    multiple of ``2**(K-52)`` and ``|r| <= 2**(K-53)``.  Every partial sum
+    of ``q``s stays below ``2 sigma`` on that grid, so it is exact in any
+    order.  Every term is a multiple of ``delta``, the spacing of floats at
+    the smallest positive count, so the ``r``s are too; their partial sums
+    stay below ``N 2**(K-53)``, exact while ``N sigma <= 2**106 delta``.
+    Then ``fl(sum q + sum r)`` is the exact sum rounded once, the value
+    ``fsum`` returns.  The heads are summed one row ``i`` at a time, the
+    tails from one table of suffix sums.  Entries below the diagonal are
+    zero.  ``None`` when a plateau fails :func:`_plateaus_ok` or the split
+    is not exact (``m`` above 8193); the caller then sums every pair
+    with ``fsum``.
+    """
+    p = np.arange(1, m + 1)[:, None]
+    k = np.arange(1, 2 * m + 3)
+    plateaus = ks._b_fn(p, p, k) / 2
+    support = np.maximum(p[:, 0], 2) - 1
+    if not _plateaus_ok(plateaus, k > support[:, None]):
+        return None
+    terms = int(support[-1])
+    sigma = math.ldexp(1.0, math.frexp(terms * (terms * 2.0 * plateaus.max()))[1])
+    delta = np.spacing(plateaus.min(where=plateaus > 0.0, initial=np.inf))
+    if not terms * sigma <= math.ldexp(delta, 106):
+        return None
+
+    P = plateaus[:, :m]  # k = 1..m holds every nonzero count
+    kf = np.arange(1.0, m + 1)
+    # the tail terms fl(k P_j(k)) split into q + r, and their suffix sums
+    # from each column on (column m: the empty tail)
+    r = P * kf
+    q = r + sigma
+    q -= sigma
+    r -= q
+    q_tail, r_tail = np.zeros((m, m + 1)), np.zeros((m, m + 1))
+    np.cumsum(q[:, ::-1], axis=1, out=q_tail[:, m - 1::-1])
+    np.cumsum(r[:, ::-1], axis=1, out=r_tail[:, m - 1::-1])
+    totals = np.zeros((m, m))
+    for i in range(1, m + 1):
+        h = support[i - 1]
+        x = P[i - 1:, :h] + P[i - 1, :h]  # rows j = i..m
+        x *= kf[:h]
+        q = x + sigma
+        q -= sigma
+        x -= q
+        high = q.sum(axis=1) + q_tail[i - 1:, h]
+        totals[i - 1, i - 1:] = high + (x.sum(axis=1) + r_tail[i - 1:, h])
+    return totals
+
+
+def _weight_failures(ks):
+    """``cheng_redner_weights()`` against the plateaus of the counts.
+
+    The Cheng-Redner gain reads the column ``2/(p-1)``, ``p = 2..n``, in
+    place of ``_b_fn``; each entry must equal ``b^1_pp / 2``.  Returns one
+    failure naming the first ``p`` that differs, or none.
+    """
+    p = np.arange(2, ks.n + 1)
+    plateau = ks._b_fn(p, p, 1) / 2
+    weights = ks.cheng_redner_weights()[:, 0]
+    bad = np.flatnonzero(weights != plateau)
+    if bad.size == 0:
+        return []
+    first = int(bad[0])
+    return [f"cheng_redner_weights() at p={first + 2} is {float(weights[first])!r}, "
+            f"not b^1_{{{first + 2},{first + 2}}}/2 = {float(plateau[first])!r}"
+            f" ({bad.size} of {p.size} sizes differ)"]
 
 
 def _exact_mass_check(ks):
-    """``ok(i, j)``: local mass conservation in exact rational arithmetic.
+    """``(ok, sizes_ok)``: local mass conservation in exact rational arithmetic.
 
-    The family's closed form is summed as ``Fraction``s once per total size
-    (uniform breakage) or once per collider size (Cheng-Redner).
+    The family's closed form is a sum of plateaus ``sum_{k < p} k 2/(p-1)``,
+    one per total size ``p = i + j`` (uniform breakage) or one per collider
+    ``p = i, j`` (Cheng-Redner, where a monomer passes through with mass
+    1).  Each plateau's mass is summed as a ``Fraction`` once.  ``ok(i, j)``
+    checks one pair; ``sizes_ok(i_max, limit)`` checks every pair
+    ``i <= j <= i_max`` with ``i + j <= limit <= 2 i_max`` at once, one
+    size at a time: it asks that every plateau those pairs add has mass
+    ``p``, and then every pair's sum is ``i + j``.
     """
     memo = {}
 
@@ -553,14 +736,17 @@ def _exact_mass_check(ks):
         return memo[size]
 
     if ks.family == "power_law_uniform":
-        return lambda i, j: plateau_mass(i + j) == i + j
+        return (lambda i, j: plateau_mass(i + j) == i + j,
+                lambda i_max, limit: all(plateau_mass(s) == s for s in range(2, limit + 1)))
     if ks.family == "cheng_redner_uniform":
         memo[1] = Fraction(1)  # a monomer passes through
-        return lambda i, j: plateau_mass(i) + plateau_mass(j) == i + j
+        return (lambda i, j: plateau_mass(i) + plateau_mass(j) == i + j,
+                lambda i_max, limit: all(plateau_mass(p) == p
+                                         for p in range(1, min(i_max, limit - 1) + 1)))
 
-    def no_closed_form(i, j):
+    def no_closed_form(*_):
         raise FragdiffError(f"no exact rational form for family {ks.family!r}")
-    return no_closed_form
+    return no_closed_form, no_closed_form
 
 
 # module-level aliases for the factory classmethods

@@ -492,7 +492,7 @@ FAULTS = {
 
 def _validator_cases():
     pl, cr = fd.power_law_uniform, fd.cheng_redner_uniform
-    for n in (1, 2, 3, 5, 17, 64):
+    for n in (1, 2, 3, 5, 17, 64, 128, 256):
         yield f"uniform-n{n}", lambda n=n: pl(n, 4.0, 0.5), {}
         yield f"cr-n{n}", lambda n=n: cr(n, 5.0, 0.5), {}
     yield "uniform-imax-beyond-n", lambda: pl(5, 4.0, 0.5), {"i_max": 11}
@@ -561,3 +561,70 @@ def test_validator_memory_stays_quadratic():
         tracemalloc.stop()
     assert rep.ok and rep.pairs_checked == 8256
     assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.parametrize("make", [fd.power_law_uniform, fd.cheng_redner_uniform])
+def test_validator_memory_stays_quadratic_at_n256(make):
+    # an n**3 float tensor at n=256 would take 134 MB; the per-size counts,
+    # the pair totals and the Cheng-Redner suffix sums take about 4 MB
+    import tracemalloc
+
+    ks = make(256, 5.0, 0.5)
+    tracemalloc.start()
+    try:
+        rep = fd.validate_kernel_set(ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.pairs_checked == 32896
+    assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("make", [fd.power_law_uniform, fd.cheng_redner_uniform])
+def test_builtin_counts_never_enter_the_row_path(monkeypatch, make):
+    from fragdiff import kernels
+
+    def by_row(*args):
+        raise AssertionError("checked pair by pair")
+
+    monkeypatch.setattr(kernels, "_pair_checks_by_row", by_row)
+    for kwargs in ({}, {"i_max": 11}, {"exact_limit": 10}, {"exact_limit": 1000}):
+        assert fd.validate_kernel_set(make(40, 4.0, 0.5), **kwargs).ok
+    # the same counts behind a wrapper are checked pair by pair
+    with pytest.raises(AssertionError, match="pair by pair"):
+        fd.validate_kernel_set(_with_counts(make(40, 4.0, 0.5), lambda i, j, k, b: b))
+
+
+@pytest.mark.parametrize("family", ["uniform", "cheng_redner"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 33, 64])
+def test_per_size_mass_totals_are_per_pair_fsums(family, n):
+    # every pair's total, not only the worst residual the report shows,
+    # has the bits of a per-pair fsum over k b^k_ij, k < i + j
+    from fragdiff import kernels
+
+    if family == "uniform":
+        ks, totals = fd.power_law_uniform(n, 4.0, 0.5), kernels._uniform_mass_totals
+    else:
+        ks, totals = fd.cheng_redner_uniform(n, 4.0, 0.5), kernels._cheng_redner_mass_totals
+    got = totals(ks, n)
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            k = np.arange(1, i + j)
+            want = math.fsum(k * ks._b_fn(i, j, k))
+            assert got[i - 1, j - 1].hex() == want.hex(), (i, j)
+
+
+def test_cheng_redner_weights_are_checked_against_the_counts():
+    ks = fd.cheng_redner_uniform(12, 4.0, 0.5)
+    assert fd.validate_kernel_set(ks).ok
+    up = math.nextafter(2.0 / 6.0, 1.0)
+    ks.cheng_redner_weights()[5, 0] = up  # p = 7
+    rep = fd.validate_kernel_set(ks)
+    assert not rep.ok
+    assert rep.failures == [
+        f"cheng_redner_weights() at p=7 is {up!r}, "
+        f"not b^1_{{7,7}}/2 = {2.0 / 6.0!r} (1 of 11 sizes differ)"]
+    # the pair checks are those of the unperturbed set
+    assert rep.pairs_checked == 78 and rep.max_mass_residual <= 1e-15
+    ks._cr_weights = 2.0 / np.arange(2.0, 13.0)[:, None]  # 2/p in place of 2/(p-1)
+    assert fd.validate_kernel_set(ks).failures[0].endswith("(11 of 11 sizes differ)")
