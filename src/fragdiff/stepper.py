@@ -29,11 +29,20 @@ solve and the factor storage is ``2 * n * m - 1`` numbers, independent
 of the number of lines.  The residual of every sweep is verified per
 species against a 1e-12 contract, with the matrix applied from its
 stored diagonals, not from the factor; there is no iterative refinement,
-whose correction could carry either sign.  The contract is decided in
-two stages: no species' bound ``1e-12 * max(1, max|stage_i|)`` is below
-``1e-12``, so one test of the whole residual against ``1e-12`` accepts
-the sweep; only when that test misses are the per-species residual
-maxima and bounds formed, and they decide.
+whose correction could carry either sign.  The contract is decided block
+by block along the sweep's leading axis (x sweep: rows that hold one
+line of every species; y sweep: lines of one species), each block's
+residual formed in scratch of at most ``_BLOCK_CELLS`` cells from the
+stage read in place.  No species' bound ``1e-12 * max(1, max|stage_i|)``
+is below ``1e-12``, so a block whose residual is within ``1e-12`` passes
+at once; from the first block that misses on, the per-species residual
+maxima are folded block by block, and they and the bounds decide.
+
+Memory: a sweep solves in place in the array it returns and keeps no
+work array, and :func:`run_simulation` keeps no reference to its initial
+stack, so a 2D step holds at most four field stacks at its peak: the
+state ``F``, its reaction term ``Q``, the stage, and the sweep's solution
+(the x sweep's solution is the y sweep's stage).
 
 Negativity: the sweeps keep a nonnegative stage nonnegative, so a
 candidate turns negative only where the explicit reaction makes ``f*``
@@ -69,6 +78,9 @@ REJECT_AND_HALVE = "reject_and_halve"
 
 _RESIDUAL_TOL = 1e-12
 _MAX_FACTOR_SETS = 8
+# cells of one residual block: its solution, stage and two scratch arrays
+# take 4 * 8 * _BLOCK_CELLS = 1 MB, inside a core's L2 cache
+_BLOCK_CELLS = 1 << 15
 
 
 def _load_lapack_pt():
@@ -167,11 +179,10 @@ def _residual(diag, off, prev, x, b, r, t):
     couples cells ``k`` and ``k + 1``; zero where a line ends) and the
     one-place shift ``prev[k] = off[k - 1]`` (zero where a line starts),
     all three broadcasting against ``x``.  ``r`` and the scratch ``t`` are
-    C-contiguous arrays of the shape of ``x``; ``t`` may share memory with
-    ``b``, which is read first.  Each coupling is one product aligned with
-    ``x`` and one add over the flat ``r``; across the end of a line both
-    add ``off * x = +-0``, so the flat adds give the bits of a per-line
-    residual."""
+    C-contiguous arrays of the shape of ``x``.  Each coupling is one
+    product aligned with ``x`` and one add over the flat ``r``; across the
+    end of a line both add ``off * x = +-0``, so the flat adds give the
+    bits of a per-line residual."""
     np.multiply(diag, x, out=r)
     r -= b
     flat_r, flat_t = r.reshape(-1), t.reshape(-1)
@@ -182,15 +193,63 @@ def _residual(diag, off, prev, x, b, r, t):
     return r
 
 
-def _species_contract(r, stage, blocks, axes, where):
+def _blocks(shape, species_axis):
+    """Tile a sweep's solution of ``shape = (P, Q, m)``, lines of ``m``
+    cells along the last axis, into blocks of at most ``_BLOCK_CELLS``
+    cells, or of one line where a line is longer.  A block takes whole
+    rows ``x[p]`` while a row fits, else lines of one row, so no block
+    splits a line.  Yields ``(key, species)``: the block is ``x[key]``,
+    and ``species`` slices the species it holds along ``species_axis``."""
+    P, Q, m = shape
+    if Q * m <= _BLOCK_CELLS:
+        k = _BLOCK_CELLS // (Q * m)
+        keys = ((slice(p, p + k), slice(None)) for p in range(0, P, k))
+    else:
+        k = max(1, _BLOCK_CELLS // m)
+        keys = ((slice(p, p + 1), slice(q, q + k)) for p in range(P) for q in range(0, Q, k))
+    for key in keys:
+        yield key, key[species_axis]
+
+
+def _contract(diag, off, prev, x, b, species_axis, stage, where):
+    """Decide the residual contract of one sweep block by block.
+
+    ``x`` is the sweep's solution and ``b`` its right-hand side, both
+    ``(P, Q, m)`` with the species along ``species_axis``; ``diag``,
+    ``off`` and ``prev`` are the operator as :func:`_residual` takes it,
+    of length one on the axis that is not the species'.  Each block of
+    :func:`_blocks` forms its residual in scratch of at most one block
+    and tests its ``max`` and ``min`` against ``1e-12``, which no
+    species' bound is below.  From the first block that misses on, the
+    blocks fold their per-species maxima of ``|r|``, and
+    :func:`_species_contract` decides; the blocks before it are within
+    ``1e-12`` and decide no species.  No array of the solution's size is
+    allocated on either path."""
+    scratch = np.empty((2, min(x.size, max(_BLOCK_CELLS, x.shape[2]))))
+    resid = None
+    for key, species in _blocks(x.shape, species_axis):
+        fkey = (slice(None), species) if species_axis else species
+        xb = x[key]
+        r, t = (w[:xb.size].reshape(xb.shape) for w in scratch)
+        _residual(diag[fkey], off[fkey], prev[fkey], xb, b[key], r, t)
+        if resid is None:
+            # NaN fails both comparisons
+            if r.max() <= _RESIDUAL_TOL and -r.min() <= _RESIDUAL_TOL:
+                continue
+            resid = np.zeros(x.shape[species_axis])
+        rs = resid[species]
+        np.maximum(rs, np.max(np.abs(r, out=r), axis=(1 - species_axis, 2)), out=rs)
+    if resid is not None:
+        _species_contract(resid, stage, where)
+
+
+def _species_contract(resid, stage, where):
     """Raise :class:`LinearSolveError` unless, for every species ``s``,
-    ``max|r_s| <= 1e-12 * max(1, max|stage_s|)``; a NaN residual or bound
-    fails.  ``r`` is the signed residual of a sweep, overwritten by
-    ``|r|``; its reshape to ``blocks`` groups it by species, which
-    ``axes`` reduce away.  ``where`` ends the message."""
+    ``resid[s] <= 1e-12 * max(1, max|stage_s|)``; a NaN residual or bound
+    fails.  ``where`` ends the message."""
+    axes = tuple(range(1, stage.ndim))
     bound = _RESIDUAL_TOL * np.maximum(
-        1.0, np.max(np.abs(stage).reshape(stage.shape[0], -1), axis=1))
-    resid = np.max(np.abs(r, out=r).reshape(blocks), axis=axes)
+        1.0, np.maximum(stage.max(axis=axes), -stage.min(axis=axes)))
     if not np.all(resid <= bound):
         worst = int(np.argmax(resid / bound))
         raise LinearSolveError(
@@ -209,39 +268,35 @@ class DiffusionSolver:
     ``dpttrf``, no pivoting by construction).  Every factor is checked
     against the sign certificate of :func:`_ldl_factor`, so a sweep maps
     nonnegative stages to nonnegative states exactly.  A sweep solves
-    every grid line of a species as one right-hand side of ``dpttrs``.
-    Along the first axis one call covers all species, with the stage as
-    the columns of an ``(n * m, lines per species)`` array; in 1D, one
-    line per species, the stage has that layout already and is read in
-    place, never written.  Along the second axis one in-place call per
-    species solves the transposed lines of one C-order copy of the stage.
-    A 2D solve is an x sweep followed by a y sweep (Lie splitting).  Every
-    sweep forms its residual over the whole solution at once
-    (:func:`_residual`) in two stage-sized work arrays that the solver
-    keeps, so a sweep allocates only its result, and tests it against
-    ``1e-12`` before any per-species maximum is formed
-    (:func:`_species_contract`); a residual that is not finite fails.
-    The factors of the ``_MAX_FACTOR_SETS`` most recently used step sizes
-    are cached; factorization is deterministic, so an evicted step size
-    refactorizes to the same solves.
+    every grid line of a species as one right-hand side of ``dpttrs``, in
+    place in the array it returns, and holds no other stage-sized array.
+    Along the first axis one call covers all species: the stage is copied
+    once, transposed, into the ``(lines, n * m)`` result, whose rows are
+    the columns of the solve; in 1D there is one such line.  Along the
+    second axis one call per species solves the transposed lines of one
+    C-order copy of the stage.  A 2D solve is an x sweep followed by a y
+    sweep (Lie splitting).  Every sweep decides its residual contract
+    block by block (:func:`_contract`), reading the stage through a view
+    in the solve's layout, and a residual that is not finite fails.  The
+    solver keeps only factors: the ``_MAX_FACTOR_SETS`` most recently used
+    step sizes are cached, and factorization is deterministic, so an
+    evicted step size refactorizes to the same solves.
     """
 
     def __init__(self, grid, ks):
         self.grid = grid
         self.ks = ks
         self._factors = OrderedDict()
-        # reused by every sweep: the staged right-hand side (later the
-        # residual's scratch) and the residual
-        self._work = np.empty((2, ks.n * math.prod(grid.shape)))
 
     def _factorize(self, dt):
         """Per axis: ``(diag, off, prev, d, l)``.  ``diag`` and ``off`` are
         the operator's ``n * m`` diagonal and off-diagonal, whose last entry
         per species is the zero coupling to the next; ``prev`` is ``off``
-        shifted one place on, two views of ``[0, off]``.  All three
-        broadcast against the sweep's solution (flat along axis 0,
-        ``(n, 1, m)`` along axis 1), as :func:`_residual` takes them.
-        ``(d, l)`` is the certified factor of ``diag``, ``off[:-1]``."""
+        shifted one place on, two views of ``[0, off]``.  All three are
+        shaped ``(1, n, m)`` along axis 0 and ``(n, 1, m)`` along axis 1,
+        the sweep's layout with the species axis kept, as :func:`_contract`
+        takes them.  ``(d, l)`` is the certified factor of ``diag``,
+        ``off[:-1]``."""
         factors = []
         n = self.ks.n
         for axis, (m, h) in enumerate(zip(self.grid.shape, self.grid.h)):
@@ -250,7 +305,7 @@ class DiffusionSolver:
             diag[:, [0, -1]] = 1.0 + c  # reflected ghost cells
             pad = np.zeros(n * m + 1)
             pad[1:].reshape(n, m)[:, :-1] = -c
-            shape = (n * m,) if axis == 0 else (n, 1, m)
+            shape = (1, n, m) if axis == 0 else (n, 1, m)
             factors.append((diag.reshape(shape), pad[1:].reshape(shape),
                             pad[:-1].reshape(shape)) + _ldl_factor(diag.ravel(), pad[1:-1]))
         return factors
@@ -259,12 +314,16 @@ class DiffusionSolver:
         """Solve ``(I - dt * d_i * L_axis) x_i = stage_i`` along every line of ``axis``.
 
         Returns an ``(n, *shape)`` stack, C-contiguous when ``axis`` is the
-        last axis; ``stage`` is not modified.  Raises
+        last axis; ``stage`` is not modified.  The solution is the only
+        stage-sized array the sweep allocates: ``dpttrs`` solves in place
+        in it, and the residual is formed block by block in scratch of at
+        most ``_BLOCK_CELLS`` cells (or one line), with the stage read
+        through a view in the solve's layout.  Raises
         :class:`LinearSolveError` when, for some species, the residual is
         not at most ``1e-12 * max(1, max|stage_i|)`` (a NaN residual or
-        bound fails).  No species' bound is below ``1e-12``, so one test
-        of the whole residual against ``1e-12`` accepts most sweeps; only
-        when it misses are the per-species maxima formed and compared.
+        bound fails).  No species' bound is below ``1e-12``, so a block
+        whose residual is within ``1e-12`` passes at once; only from the
+        first block that misses on are the per-species maxima formed.
         """
         if dt in self._factors:
             self._factors.move_to_end(dt)
@@ -274,32 +333,21 @@ class DiffusionSolver:
                 self._factors.popitem(last=False)
         diag, off, prev, d, l = self._factors[dt][axis]
         n, m = self.ks.n, self.grid.shape[axis]
-        b, r = (w[:stage.size] for w in self._work)
         if axis == 0:
-            # every line of every species is a column of one solve: b and
-            # x.T hold one line of all species per row, (lines, n * m)
-            if self.grid.dim == 1:
-                b = stage.reshape(1, n * m)
-            else:
-                b = b.reshape(-1, n * m)
-                np.copyto(b.reshape(-1, n, m), stage.reshape(n, m, -1).transpose(2, 0, 1))
-            x = dpttrs(d, l, b.T)[0]
-            out = x.reshape(stage.shape)
-            x, blocks, axes = x.T, (-1, n, m), (0, 2)
+            # every line of every species is a column of one solve: each
+            # row of x holds one line of all species, (lines, n, m)
+            b = stage.reshape(n, m, -1).transpose(2, 0, 1)
+            x = b.copy()
+            dpttrs(d, l, x.reshape(-1, n * m).T, overwrite_b=1)
+            out = x.reshape(-1, n * m).T.reshape(stage.shape)
         else:
-            # the lines of species s are the columns of x[s].T, solved in place
-            b = b.reshape(stage.shape)
-            np.copyto(b, stage)
-            out = x = b.copy()
+            # the lines of species s are the columns of x[s].T
+            b = stage
+            out = x = stage.copy(order="C")
             for s in range(n):
                 dpttrs(d[s * m:(s + 1) * m], l[s * m:(s + 1) * m - 1], x[s].T,
                        overwrite_b=1)
-            blocks, axes = x.shape, (1, 2)
-        r = _residual(diag, off, prev, x, b, r.reshape(x.shape),
-                      self._work[0, :x.size].reshape(x.shape))
-        # no bound is below 1e-12; NaN fails both comparisons
-        if not (r.max() <= _RESIDUAL_TOL and -r.min() <= _RESIDUAL_TOL):
-            _species_contract(r, stage, blocks, axes, f"axis {axis}, dt={dt:g}")
+        _contract(diag, off, prev, x, b, 1 - axis, stage, f"axis {axis}, dt={dt:g}")
         return out
 
     def solve(self, stage, dt):
@@ -327,8 +375,16 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
 
     The loop is fully deterministic: fixed reduction orders, no threading,
     and a rejected step always retries with exactly half the step size.
+
+    The run copies ``F0`` and keeps no reference to it, so a caller that
+    passes its only reference frees the initial stack before the first
+    step.  A step then holds at most four field stacks: ``F``, ``Q``, the
+    stage ``F + dt * Q`` and the solution of the sweep in progress; the
+    first sweep frees the stage, and the residual contract adds scratch of
+    two blocks of ``_BLOCK_CELLS`` cells.
     """
     F = np.array(F0, dtype=float, copy=True)
+    del F0  # a caller that hands over its only reference frees the stack here
     if np.any(F < 0):
         raise DomainError("initial data contains negative entries")
     traj = Trajectory(grid=grid)

@@ -281,16 +281,22 @@ class TestDiffusionSolver:
         with pytest.raises(fd.LinearSolveError, match=r"\(species 1, axis 0, dt=37\.5\)$"):
             solver.solve(stage, 37.5)
 
+    @pytest.mark.parametrize("lines", [False, True], ids=["blocks", "one_line_blocks"])
     @pytest.mark.parametrize("shape, dt", [((64,), 37.5), ((4, 64), 300.0), ((6, 64), 300.0)],
                              ids=["64", "4x64", "6x64"])
-    def test_refusal_matches_per_species_reference(self, shape, dt):
+    def test_refusal_matches_per_species_reference(self, shape, dt, lines, monkeypatch):
         # stages whose sweeps miss the contract, on the y sweep (4x64) and
         # on the x sweep (64, 6x64): the refusal names the species, axis,
-        # residual and bound that per-line solves and residuals give
+        # residual and bound that per-line solves and residuals give.  With
+        # one line per block, species 1 is constant and meets the contract,
+        # so the first blocks pass and the failing species lie in later ones
         g = make_grid_1d(*shape) if len(shape) == 1 else make_grid_2d(*shape)
         ks = fd.power_law_uniform(4, 4.0, 0.5)
         stage = np.ones((4,) + g.shape)
         stage[..., ::3] = 0.0
+        if lines:
+            monkeypatch.setattr(stepper, "_BLOCK_CELLS", 1)
+            stage[0] = 1.0
         solver = DiffusionSolver(g, ks)
         for axis in range(g.dim):
             want = _reference_refusal(g, ks, stage, dt, axis)
@@ -326,14 +332,20 @@ class TestDiffusionSolver:
                 assert len(calls) == per_species, (scale, dt)
                 np.testing.assert_array_equal(out, _per_line_ldl(grid, ks, scale * stage, dt))
 
+    @pytest.mark.parametrize("lines", [False, True], ids=["blocks", "one_line_blocks"])
     @pytest.mark.parametrize(
         "grid", [make_grid_1d(40), make_grid_2d(8, 12), make_grid_2d(37, 53)],
         ids=["40", "8x12", "37x53"],
     )
-    def test_flat_residual_matches_shifted_form(self, grid, monkeypatch):
+    def test_flat_residual_matches_shifted_form(self, grid, lines, monkeypatch):
         # both couplings are added over the flat residual; across the end
         # of a line or a species they add +-0, so the residual is the one
-        # the shifted per-line form gives, with the same absolute bits
+        # the shifted per-line form gives, with the same absolute bits.
+        # Every block forms its residual once, whether it misses or not:
+        # one block per sweep at these sizes, one per line and species when
+        # a block is one line
+        if lines:
+            monkeypatch.setattr(stepper, "_BLOCK_CELLS", 1)
         seen = []
         real = stepper._residual
 
@@ -349,15 +361,22 @@ class TestDiffusionSolver:
         for dt in (1e-3, 0.5):
             for scale in (1.0, 1e6):
                 solver.solve(scale * rng.uniform(0.0, 2.0, size=(3,) + grid.shape), dt)
-        assert len(seen) == 4 * grid.dim
+        cells = math.prod(grid.shape)
+        blocks = sum(3 * cells // m for m in grid.shape) if lines else grid.dim
+        assert len(seen) == 4 * blocks
         for want, got in seen:
             np.testing.assert_array_equal(got, want)
             assert np.abs(got).tobytes() == np.abs(want).tobytes()
 
+    @pytest.mark.parametrize("lines", [False, True], ids=["blocks", "one_line_blocks"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("grid", [make_grid_1d(16), make_grid_2d(8, 12)], ids=["1D", "2D"])
-    def test_non_finite_stage_refused(self, grid, value):
-        # the residual contract fails closed: a NaN residual misses it
+    def test_non_finite_stage_refused(self, grid, value, lines, monkeypatch):
+        # the residual contract fails closed: a NaN residual misses it, also
+        # when it lies in a later block than the first (species 2, and in
+        # 2D the x sweep's sixth row of lines, with one line per block)
+        if lines:
+            monkeypatch.setattr(stepper, "_BLOCK_CELLS", 1)
         solver = DiffusionSolver(grid, fd.power_law_uniform(4, 4.0, 0.5))
         stage = np.ones((4,) + grid.shape)
         stage[1].flat[5] = value
@@ -377,6 +396,39 @@ class TestDiffusionSolver:
         assert not np.shares_memory(out, stage)
         for view in (np.asfortranarray(stage), np.repeat(stage, 2, axis=1)[:, ::2]):
             np.testing.assert_array_equal(solver.solve(view, 0.05), out)
+
+    def test_solver_holds_no_field_sized_buffer(self):
+        # a 2D sweep allocates its result and scratch of two blocks, far
+        # below a second stack; the solver keeps only its factors, about
+        # 4 * n * m numbers per axis
+        import tracemalloc
+
+        g = make_grid_2d(64, 64)
+        ks = fd.power_law_uniform(32, 4.0, 0.5)
+        stage = np.random.default_rng(33).uniform(0.0, 2.0, size=(32,) + g.shape)
+        factor_bytes = 8 * 4 * 32 * sum(g.shape) + 16384
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solver = DiffusionSolver(g, ks)
+            assert tracemalloc.get_traced_memory()[0] - base < 4096
+            w = solver.sweep(stage, 1e-3, 0)
+            held = tracemalloc.get_traced_memory()[0] - base - w.nbytes
+            for axis, b in ((0, stage), (1, w)):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                out = solver.sweep(b, 1e-3, axis)
+                peak = tracemalloc.get_traced_memory()[1] - start
+                assert peak <= 1.25 * stage.nbytes + 2 * 8 * stepper._BLOCK_CELLS, (axis, peak)
+                del out
+            del w, b
+            held_after = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= factor_bytes and held_after <= factor_bytes, (held, held_after)
+        arrays = [a for a in vars(solver).values() if isinstance(a, np.ndarray)]
+        arrays += [a for axes in solver._factors.values() for f in axes for a in f]
+        assert max(a.size for a in arrays) < stage.size // 16
 
     def test_factor_cache(self):
         g = make_grid_1d(16)
@@ -453,6 +505,30 @@ def test_lapack_loader_falls_back_without_the_extension_file(monkeypatch):
 def test_lapack_loader_falls_back_without_a_scipy_spec(monkeypatch):
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
     _assert_same_as_scipy_linalg(*stepper._load_lapack_pt())
+
+
+def test_loop_peak_is_four_field_stacks():
+    # state, reaction term, stage and solution: the run copies its initial
+    # stack and releases it, and no sweep holds a second stage-sized array
+    import tracemalloc
+
+    g = make_grid_2d(64, 64)
+    ks = fd.power_law_uniform(32, 4.0, 0.5)
+    x, y = np.meshgrid(*[(np.arange(64) + 0.5) / 64] * 2, indexing="ij")
+    F0 = np.array([math.exp(-i) * (1.0 + 0.5 * np.cos(2 * np.pi * x) * np.cos(np.pi * y))
+                   for i in range(1, 33)])
+    cfg = StepperConfig(dt=1e-3, t_end=3e-3)
+    run_simulation(g, ks, F0, cfg, eps=0.01, sample=lambda t, F, Q: None)  # warm imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = run_simulation(g, ks, F0, cfg, eps=0.01, sample=lambda t, F, Q: None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert traj.state.step_index == 3 and traj.state.rejected_steps == 0
+    assert F0.nbytes == 2**20
+    assert peak <= 5.0 * 2**20, peak / 2**20
 
 
 def test_imex_mass_conservation():

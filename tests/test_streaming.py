@@ -11,12 +11,15 @@ whole-trajectory evaluation of the same quadratures, and the run to one
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import fragdiff as fd
 from fragdiff import cli, reaction
+from fragdiff import config as cfgmod
+from fragdiff import monitors as monmod
 from fragdiff import stepper as stepmod
 from fragdiff.config import (
     SimConfig,
@@ -202,6 +205,32 @@ def test_streamed_run_stores_no_field(tmp_path):
     assert samples == 41
     sample_bytes = samples * 8 * 16 * 16 * 8
     assert peak < sample_bytes, (peak, sample_bytes)
+
+
+def test_simulate_frees_the_initial_stack(tmp_path, monkeypatch):
+    # the CLI builds the initial stack before it writes anything, keeps no
+    # name for it, and the run frees it once it has its own copy
+    refs, alive = [], []
+    real_ic = cfgmod.make_initial_condition
+
+    def initial_condition(*args):
+        F0 = real_ic(*args)
+        refs.append(weakref.ref(F0))
+        return F0
+
+    real_add = monmod.MonitorAccumulator.add
+
+    def add(self, t, F, Q):
+        alive.append(refs[0]() is not None)
+        return real_add(self, t, F, Q)
+
+    monkeypatch.setattr(cfgmod, "make_initial_condition", initial_condition)
+    monkeypatch.setattr(monmod.MonitorAccumulator, "add", add)
+    doc = _doc("2D")
+    doc["monitors"]["cadence"] = 1
+    rc, out = _simulate(tmp_path, doc)
+    assert rc == 0 and len(refs) == 1
+    assert len(alive) == 12 and not any(alive[1:]), alive
 
 
 def test_dt_min_abort_keeps_monitors_to_abort_time(tmp_path, monkeypatch):
