@@ -281,10 +281,18 @@ class TestDiffusionSolver:
         with pytest.raises(fd.LinearSolveError, match=r"\(species 1, axis 0, dt=37\.5\)$"):
             solver.solve(stage, 37.5)
 
-    @pytest.mark.parametrize("lines", [False, True], ids=["blocks", "one_line_blocks"])
     @pytest.mark.parametrize("shape, dt", [((64,), 37.5), ((4, 64), 300.0), ((6, 64), 300.0)],
                              ids=["64", "4x64", "6x64"])
-    def test_refusal_matches_per_species_reference(self, shape, dt, lines, monkeypatch):
+    def test_refusal_matches_per_species_reference(self, shape, dt, monkeypatch):
+        self._check_refusal_matches_reference(shape, dt, False, monkeypatch)
+
+    @pytest.mark.parametrize("shape, dt", [((64,), 37.5), ((4, 64), 300.0), ((6, 64), 300.0)],
+                             ids=["64", "4x64", "6x64"])
+    def test_refusal_matches_per_species_reference_one_line_blocks(self, shape, dt, monkeypatch):
+        self._check_refusal_matches_reference(shape, dt, True, monkeypatch)
+
+    @staticmethod
+    def _check_refusal_matches_reference(shape, dt, lines, monkeypatch):
         # stages whose sweeps miss the contract, on the y sweep (4x64) and
         # on the x sweep (64, 6x64): the refusal names the species, axis,
         # residual and bound that per-line solves and residuals give.  With
@@ -332,12 +340,22 @@ class TestDiffusionSolver:
                 assert len(calls) == per_species, (scale, dt)
                 np.testing.assert_array_equal(out, _per_line_ldl(grid, ks, scale * stage, dt))
 
-    @pytest.mark.parametrize("lines", [False, True], ids=["blocks", "one_line_blocks"])
     @pytest.mark.parametrize(
         "grid", [make_grid_1d(40), make_grid_2d(8, 12), make_grid_2d(37, 53)],
         ids=["40", "8x12", "37x53"],
     )
-    def test_flat_residual_matches_shifted_form(self, grid, lines, monkeypatch):
+    def test_flat_residual_matches_shifted_form(self, grid, monkeypatch):
+        self._check_flat_residual(grid, False, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "grid", [make_grid_1d(40), make_grid_2d(8, 12), make_grid_2d(37, 53)],
+        ids=["40", "8x12", "37x53"],
+    )
+    def test_flat_residual_matches_shifted_form_one_line_blocks(self, grid, monkeypatch):
+        self._check_flat_residual(grid, True, monkeypatch)
+
+    @staticmethod
+    def _check_flat_residual(grid, lines, monkeypatch):
         # both couplings are added over the flat residual; across the end
         # of a line or a species they add +-0, so the residual is the one
         # the shifted per-line form gives, with the same absolute bits.
@@ -368,10 +386,18 @@ class TestDiffusionSolver:
             np.testing.assert_array_equal(got, want)
             assert np.abs(got).tobytes() == np.abs(want).tobytes()
 
-    @pytest.mark.parametrize("lines", [False, True], ids=["blocks", "one_line_blocks"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("grid", [make_grid_1d(16), make_grid_2d(8, 12)], ids=["1D", "2D"])
-    def test_non_finite_stage_refused(self, grid, value, lines, monkeypatch):
+    def test_non_finite_stage_refused(self, grid, value, monkeypatch):
+        self._check_non_finite_refused(grid, value, False, monkeypatch)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("grid", [make_grid_1d(16), make_grid_2d(8, 12)], ids=["1D", "2D"])
+    def test_non_finite_stage_refused_one_line_blocks(self, grid, value, monkeypatch):
+        self._check_non_finite_refused(grid, value, True, monkeypatch)
+
+    @staticmethod
+    def _check_non_finite_refused(grid, value, lines, monkeypatch):
         # the residual contract fails closed: a NaN residual misses it, also
         # when it lies in a later block than the first (species 2, and in
         # 2D the x sweep's sixth row of lines, with one line per block)
