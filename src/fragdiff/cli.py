@@ -88,8 +88,9 @@ def _run_single(cfg, outdir, quiet):
 
     Nothing is written before the kernel set, the grid and the initial
     condition are built, so a rejected kernel table leaves ``outdir`` alone.
-    No name holds the initial stack during the run: the run takes the only
-    reference and frees the stack once it has its own copy.
+    No frame holds the initial stack during the run: the run pops the only
+    reference from a one-element list and frees the stack once it has its
+    own copy.
     """
     ks = cfgmod.make_kernel_set(cfg.kernel)
     grid = cfgmod.make_grid(cfg.grid)
@@ -110,7 +111,7 @@ def _run_single(cfg, outdir, quiet):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         aborted = None
         try:
-            traj = stepmod.run_simulation(grid, ks, initial.pop(), cfg.stepper, eps=cfg.eps,
+            traj = stepmod.run_simulation(grid, ks, initial.pop, cfg.stepper, eps=cfg.eps,
                                           cadence=cfg.monitors.cadence, sample=monitors.add)
         except NumericalAbortError as exc:
             traj, aborted = exc.trajectory, exc

@@ -29,20 +29,22 @@ solve and the factor storage is ``2 * n * m - 1`` numbers, independent
 of the number of lines.  The residual of every sweep is verified per
 species against a 1e-12 contract, with the matrix applied from its
 stored diagonals, not from the factor; there is no iterative refinement,
-whose correction could carry either sign.  The contract is decided block
-by block along the sweep's leading axis (x sweep: rows that hold one
-line of every species; y sweep: lines of one species), each block's
-residual formed in scratch of at most ``_BLOCK_CELLS`` cells from the
-stage read in place.  No species' bound ``1e-12 * max(1, max|stage_i|)``
-is below ``1e-12``, so a block whose residual is within ``1e-12`` passes
-at once; from the first block that misses on, the per-species residual
-maxima are folded block by block, and they and the bounds decide.
+whose correction could carry either sign.  A sweep copies, solves and
+checks its solution in blocks of whole rows (x sweep: a row is one line
+of every species; y sweep: one species): the stage is read once per
+block, into contiguous scratch that is the block's right-hand side, and
+the block's residual is formed while the block is still in cache.  No
+species' bound ``1e-12 * max(1, max|stage_i|)`` is below ``1e-12``, so a
+block whose residual is within ``1e-12`` passes at once; from the first
+block that misses on, the per-species residual maxima are folded block by
+block, and they and the bounds decide.
 
 Memory: a sweep solves in place in the array it returns and keeps no
-work array, and :func:`run_simulation` keeps no reference to its initial
-stack, so a 2D step holds at most four field stacks at its peak: the
-state ``F``, its reaction term ``Q``, the stage, and the sweep's solution
-(the x sweep's solution is the y sweep's stage).
+work array, and :func:`run_simulation` can be handed its initial stack
+through a function, which it frees once copied, so a 2D step holds at
+most four field stacks at its peak: the state ``F``, its reaction term
+``Q``, the stage, and the sweep's solution (the x sweep's solution is the
+y sweep's stage).
 
 Negativity: the sweeps keep a nonnegative stage nonnegative, so a
 candidate turns negative only where the explicit reaction makes ``f*``
@@ -78,8 +80,9 @@ REJECT_AND_HALVE = "reject_and_halve"
 
 _RESIDUAL_TOL = 1e-12
 _MAX_FACTOR_SETS = 8
-# cells of one residual block: its solution, stage and two scratch arrays
-# take 4 * 8 * _BLOCK_CELLS = 1 MB, inside a core's L2 cache
+# cells of a block of whole rows (one row where a row is larger): its
+# solution and two scratch arrays take 3 * 8 * _BLOCK_CELLS = 768 kB,
+# inside a core's L2 cache
 _BLOCK_CELLS = 1 << 15
 
 
@@ -179,7 +182,8 @@ def _residual(diag, off, prev, x, b, r, t):
     couples cells ``k`` and ``k + 1``; zero where a line ends) and the
     one-place shift ``prev[k] = off[k - 1]`` (zero where a line starts),
     all three broadcasting against ``x``.  ``r`` and the scratch ``t`` are
-    C-contiguous arrays of the shape of ``x``.  Each coupling is one
+    C-contiguous arrays of the shape of ``x``; ``b`` may be ``t``, which
+    is written only after ``b`` is read.  Each coupling is one
     product aligned with ``x`` and one add over the flat ``r``; across the
     end of a line both add ``off * x = +-0``, so the flat adds give the
     bits of a per-line residual."""
@@ -191,56 +195,6 @@ def _residual(diag, off, prev, x, b, r, t):
     np.multiply(off, x, out=t)  # the lower term off[k] * x[k] of row k + 1
     flat_r[1:] += flat_t[:-1]
     return r
-
-
-def _blocks(shape, species_axis):
-    """Tile a sweep's solution of ``shape = (P, Q, m)``, lines of ``m``
-    cells along the last axis, into blocks of at most ``_BLOCK_CELLS``
-    cells, or of one line where a line is longer.  A block takes whole
-    rows ``x[p]`` while a row fits, else lines of one row, so no block
-    splits a line.  Yields ``(key, species)``: the block is ``x[key]``,
-    and ``species`` slices the species it holds along ``species_axis``."""
-    P, Q, m = shape
-    if Q * m <= _BLOCK_CELLS:
-        k = _BLOCK_CELLS // (Q * m)
-        keys = ((slice(p, p + k), slice(None)) for p in range(0, P, k))
-    else:
-        k = max(1, _BLOCK_CELLS // m)
-        keys = ((slice(p, p + 1), slice(q, q + k)) for p in range(P) for q in range(0, Q, k))
-    for key in keys:
-        yield key, key[species_axis]
-
-
-def _contract(diag, off, prev, x, b, species_axis, stage, where):
-    """Decide the residual contract of one sweep block by block.
-
-    ``x`` is the sweep's solution and ``b`` its right-hand side, both
-    ``(P, Q, m)`` with the species along ``species_axis``; ``diag``,
-    ``off`` and ``prev`` are the operator as :func:`_residual` takes it,
-    of length one on the axis that is not the species'.  Each block of
-    :func:`_blocks` forms its residual in scratch of at most one block
-    and tests its ``max`` and ``min`` against ``1e-12``, which no
-    species' bound is below.  From the first block that misses on, the
-    blocks fold their per-species maxima of ``|r|``, and
-    :func:`_species_contract` decides; the blocks before it are within
-    ``1e-12`` and decide no species.  No array of the solution's size is
-    allocated on either path."""
-    scratch = np.empty((2, min(x.size, max(_BLOCK_CELLS, x.shape[2]))))
-    resid = None
-    for key, species in _blocks(x.shape, species_axis):
-        fkey = (slice(None), species) if species_axis else species
-        xb = x[key]
-        r, t = (w[:xb.size].reshape(xb.shape) for w in scratch)
-        _residual(diag[fkey], off[fkey], prev[fkey], xb, b[key], r, t)
-        if resid is None:
-            # NaN fails both comparisons
-            if r.max() <= _RESIDUAL_TOL and -r.min() <= _RESIDUAL_TOL:
-                continue
-            resid = np.zeros(x.shape[species_axis])
-        rs = resid[species]
-        np.maximum(rs, np.max(np.abs(r, out=r), axis=(1 - species_axis, 2)), out=rs)
-    if resid is not None:
-        _species_contract(resid, stage, where)
 
 
 def _species_contract(resid, stage, where):
@@ -270,13 +224,13 @@ class DiffusionSolver:
     nonnegative stages to nonnegative states exactly.  A sweep solves
     every grid line of a species as one right-hand side of ``dpttrs``, in
     place in the array it returns, and holds no other stage-sized array.
-    Along the first axis one call covers all species: the stage is copied
-    once, transposed, into the ``(lines, n * m)`` result, whose rows are
-    the columns of the solve; in 1D there is one such line.  Along the
-    second axis one call per species solves the transposed lines of one
-    C-order copy of the stage.  A 2D solve is an x sweep followed by a y
-    sweep (Lie splitting).  Every sweep decides its residual contract
-    block by block (:func:`_contract`), reading the stage through a view
+    Along the first axis each row of the ``(lines, n, m)`` result holds
+    one line of every species, copied from the transposed stage, and the
+    rows are the columns of one solve; in 1D there is one row.  Along the
+    second axis each row is one species, whose lines are the columns of
+    one solve of its transpose.  A 2D solve is an x sweep followed by a y
+    sweep (Lie splitting).  Every sweep copies, solves and checks its
+    result in blocks of whole rows, reading the stage once through a view
     in the solve's layout, and a residual that is not finite fails.  The
     solver keeps only factors: the ``_MAX_FACTOR_SETS`` most recently used
     step sizes are cached, and factorization is deterministic, so an
@@ -294,8 +248,8 @@ class DiffusionSolver:
         per species is the zero coupling to the next; ``prev`` is ``off``
         shifted one place on, two views of ``[0, off]``.  All three are
         shaped ``(1, n, m)`` along axis 0 and ``(n, 1, m)`` along axis 1,
-        the sweep's layout with the species axis kept, as :func:`_contract`
-        takes them.  ``(d, l)`` is the certified factor of ``diag``,
+        the sweep's layout with the species axis kept, as a block's
+        :func:`_residual` takes them.  ``(d, l)`` is the certified factor of ``diag``,
         ``off[:-1]``."""
         factors = []
         n = self.ks.n
@@ -315,10 +269,12 @@ class DiffusionSolver:
 
         Returns an ``(n, *shape)`` stack, C-contiguous when ``axis`` is the
         last axis; ``stage`` is not modified.  The solution is the only
-        stage-sized array the sweep allocates: ``dpttrs`` solves in place
-        in it, and the residual is formed block by block in scratch of at
-        most ``_BLOCK_CELLS`` cells (or one line), with the stage read
-        through a view in the solve's layout.  Raises
+        stage-sized array the sweep allocates.  It is filled in blocks of
+        whole rows, at most ``_BLOCK_CELLS`` cells or one row: the block
+        of the stage, read through a view in the solve's layout, is copied
+        into contiguous scratch and from there into the solution, solved in
+        place by ``dpttrs``, and its residual formed in a second scratch
+        block while both are in cache.  Raises
         :class:`LinearSolveError` when, for some species, the residual is
         not at most ``1e-12 * max(1, max|stage_i|)`` (a NaN residual or
         bound fails).  No species' bound is below ``1e-12``, so a block
@@ -333,22 +289,45 @@ class DiffusionSolver:
                 self._factors.popitem(last=False)
         diag, off, prev, d, l = self._factors[dt][axis]
         n, m = self.ks.n, self.grid.shape[axis]
+        # b is the stage in the solve's layout, rows along its first axis
         if axis == 0:
-            # every line of every species is a column of one solve: each
-            # row of x holds one line of all species, (lines, n, m)
+            # every line of every species is a column of one solve: row p
+            # holds line p of all species, (lines, n, m)
             b = stage.reshape(n, m, -1).transpose(2, 0, 1)
-            x = b.copy()
-            dpttrs(d, l, x.reshape(-1, n * m).T, overwrite_b=1)
-            out = x.reshape(-1, n * m).T.reshape(stage.shape)
         else:
-            # the lines of species s are the columns of x[s].T
+            # row s is species s, whose lines are the columns of x[s].T
             b = stage
-            out = x = stage.copy(order="C")
-            for s in range(n):
-                dpttrs(d[s * m:(s + 1) * m], l[s * m:(s + 1) * m - 1], x[s].T,
-                       overwrite_b=1)
-        _contract(diag, off, prev, x, b, 1 - axis, stage, f"axis {axis}, dt={dt:g}")
-        return out
+        x = np.empty(b.shape)
+        k = max(1, _BLOCK_CELLS // x[0].size)
+        scratch = np.empty((2, min(len(x), k) * x[0].size))
+        resid = None
+        for p in range(0, len(x), k):
+            # copy, solve and check k whole rows while they are in cache: the
+            # stage is read once, into the contiguous right-hand side bb,
+            # which the residual reads before it takes bb as its scratch
+            rows = slice(p, p + k)
+            xb = x[rows]
+            r, bb = (w[:xb.size].reshape(xb.shape) for w in scratch)
+            bb[...] = b[rows]
+            xb[...] = bb
+            if axis == 0:
+                dpttrs(d, l, xb.reshape(-1, n * m).T, overwrite_b=1)
+            else:
+                for s in range(p, p + len(xb)):
+                    dpttrs(d[s * m:(s + 1) * m], l[s * m:(s + 1) * m - 1], x[s].T,
+                           overwrite_b=1)
+            species = rows if axis else slice(None)
+            _residual(diag[species], off[species], prev[species], xb, bb, r, bb)
+            if resid is None:
+                # NaN fails both comparisons
+                if r.max() <= _RESIDUAL_TOL and -r.min() <= _RESIDUAL_TOL:
+                    continue
+                resid = np.zeros(n)
+            rs = resid[species]
+            np.maximum(rs, np.max(np.abs(r, out=r), axis=(axis, 2)), out=rs)
+        if resid is not None:
+            _species_contract(resid, stage, f"axis {axis}, dt={dt:g}")
+        return x.reshape(-1, n * m).T.reshape(stage.shape) if axis == 0 else x
 
     def solve(self, stage, dt):
         """Apply every axis sweep in turn; each one verifies its residual."""
@@ -376,15 +355,16 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
     The loop is fully deterministic: fixed reduction orders, no threading,
     and a rejected step always retries with exactly half the step size.
 
-    The run copies ``F0`` and keeps no reference to it, so a caller that
-    passes its only reference frees the initial stack before the first
-    step.  A step then holds at most four field stacks: ``F``, ``Q``, the
-    stage ``F + dt * Q`` and the solution of the sweep in progress; the
-    first sweep frees the stage, and the residual contract adds scratch of
-    two blocks of ``_BLOCK_CELLS`` cells.
+    ``F0`` is the initial stack, or a function of no arguments that
+    returns it.  The run copies the stack.  A stack passed directly stays
+    alive for the whole run; one returned by a function that hands over
+    the only reference, such as ``[F0].pop``, is freed once copied, before
+    the first step.  A step then holds at most four field stacks: ``F``,
+    ``Q``, the stage ``F + dt * Q`` and the solution of the sweep in
+    progress; the first sweep frees the stage, and the residual contract
+    adds scratch of two blocks of about ``_BLOCK_CELLS`` cells.
     """
-    F = np.array(F0, dtype=float, copy=True)
-    del F0  # a caller that hands over its only reference frees the stack here
+    F = np.array(F0() if callable(F0) else F0, dtype=float, copy=True)
     if np.any(F < 0):
         raise DomainError("initial data contains negative entries")
     traj = Trajectory(grid=grid)

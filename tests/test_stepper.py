@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -288,21 +289,22 @@ class TestDiffusionSolver:
 
     @pytest.mark.parametrize("shape, dt", [((64,), 37.5), ((4, 64), 300.0), ((6, 64), 300.0)],
                              ids=["64", "4x64", "6x64"])
-    def test_refusal_matches_per_species_reference_one_line_blocks(self, shape, dt, monkeypatch):
+    def test_refusal_matches_per_species_reference_one_row_blocks(self, shape, dt, monkeypatch):
         self._check_refusal_matches_reference(shape, dt, True, monkeypatch)
 
     @staticmethod
-    def _check_refusal_matches_reference(shape, dt, lines, monkeypatch):
+    def _check_refusal_matches_reference(shape, dt, rows, monkeypatch):
         # stages whose sweeps miss the contract, on the y sweep (4x64) and
         # on the x sweep (64, 6x64): the refusal names the species, axis,
         # residual and bound that per-line solves and residuals give.  With
-        # one line per block, species 1 is constant and meets the contract,
-        # so the first blocks pass and the failing species lie in later ones
+        # one row per block, species 1 is constant and meets the contract,
+        # so on the y sweep, one species per block, the first block passes
+        # and the failing species lie in later ones
         g = make_grid_1d(*shape) if len(shape) == 1 else make_grid_2d(*shape)
         ks = fd.power_law_uniform(4, 4.0, 0.5)
         stage = np.ones((4,) + g.shape)
         stage[..., ::3] = 0.0
-        if lines:
+        if rows:
             monkeypatch.setattr(stepper, "_BLOCK_CELLS", 1)
             stage[0] = 1.0
         solver = DiffusionSolver(g, ks)
@@ -351,18 +353,19 @@ class TestDiffusionSolver:
         "grid", [make_grid_1d(40), make_grid_2d(8, 12), make_grid_2d(37, 53)],
         ids=["40", "8x12", "37x53"],
     )
-    def test_flat_residual_matches_shifted_form_one_line_blocks(self, grid, monkeypatch):
+    def test_flat_residual_matches_shifted_form_one_row_blocks(self, grid, monkeypatch):
         self._check_flat_residual(grid, True, monkeypatch)
 
     @staticmethod
-    def _check_flat_residual(grid, lines, monkeypatch):
+    def _check_flat_residual(grid, rows, monkeypatch):
         # both couplings are added over the flat residual; across the end
         # of a line or a species they add +-0, so the residual is the one
         # the shifted per-line form gives, with the same absolute bits.
         # Every block forms its residual once, whether it misses or not:
-        # one block per sweep at these sizes, one per line and species when
-        # a block is one line
-        if lines:
+        # one block per sweep at these sizes; with one row per block, one
+        # per line of the x sweep (all species) and one per species of the
+        # y sweep
+        if rows:
             monkeypatch.setattr(stepper, "_BLOCK_CELLS", 1)
         seen = []
         real = stepper._residual
@@ -380,7 +383,7 @@ class TestDiffusionSolver:
             for scale in (1.0, 1e6):
                 solver.solve(scale * rng.uniform(0.0, 2.0, size=(3,) + grid.shape), dt)
         cells = math.prod(grid.shape)
-        blocks = sum(3 * cells // m for m in grid.shape) if lines else grid.dim
+        blocks = (cells // grid.shape[0] + 3 * (grid.dim - 1)) if rows else grid.dim
         assert len(seen) == 4 * blocks
         for want, got in seen:
             np.testing.assert_array_equal(got, want)
@@ -393,21 +396,28 @@ class TestDiffusionSolver:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("grid", [make_grid_1d(16), make_grid_2d(8, 12)], ids=["1D", "2D"])
-    def test_non_finite_stage_refused_one_line_blocks(self, grid, value, monkeypatch):
+    def test_non_finite_stage_refused_one_row_blocks(self, grid, value, monkeypatch):
         self._check_non_finite_refused(grid, value, True, monkeypatch)
 
     @staticmethod
-    def _check_non_finite_refused(grid, value, lines, monkeypatch):
-        # the residual contract fails closed: a NaN residual misses it, also
-        # when it lies in a later block than the first (species 2, and in
-        # 2D the x sweep's sixth row of lines, with one line per block)
-        if lines:
+    def _check_non_finite_refused(grid, value, rows, monkeypatch):
+        # the residual contract fails closed: a NaN residual misses it, on
+        # every axis, also when it lies in a later block than the first
+        # (with one row per block, in 2D: the x sweep's sixth line, the y
+        # sweep's second species)
+        if rows:
             monkeypatch.setattr(stepper, "_BLOCK_CELLS", 1)
         solver = DiffusionSolver(grid, fd.power_law_uniform(4, 4.0, 0.5))
         stage = np.ones((4,) + grid.shape)
         stage[1].flat[5] = value
         with pytest.raises(fd.LinearSolveError):
             solver.solve(stage, 1e-3)
+        # zero couplings carry a NaN into the other species of a solve, and
+        # inf - inf in the residual warns: only the axis is certain
+        for axis in range(grid.dim):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(fd.LinearSolveError, match=f", axis {axis}, dt="):
+                solver.sweep(stage, 1e-3, axis)
 
     def test_1d_reads_the_stage_in_place(self):
         # the solve never writes its stage, and a stage in any layout
@@ -531,6 +541,26 @@ def test_lapack_loader_falls_back_without_the_extension_file(monkeypatch):
 def test_lapack_loader_falls_back_without_a_scipy_spec(monkeypatch):
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
     _assert_same_as_scipy_linalg(*stepper._load_lapack_pt())
+
+
+def test_run_frees_a_handed_over_initial_stack():
+    # a stack passed directly stays alive for the whole run, one handed
+    # over through [F0].pop is freed before the first sample, also while
+    # the caller holds every argument until the call returns, as CPython
+    # frames before 3.11 do; the argument tuple held here stands for that
+    g = make_grid_1d(16)
+    ks = fd.power_law_uniform(4, 4.0, 0.5)
+    cfg = StepperConfig(dt=1e-3, t_end=3e-3)
+    for handed_over in (False, True):
+        F0 = np.ones((4,) + g.shape)
+        ref = weakref.ref(F0)
+        args = (g, ks, [F0].pop if handed_over else F0, cfg)
+        del F0
+        alive = []
+        traj = run_simulation(*args, cadence=1,
+                              sample=lambda t, F, Q: alive.append(ref() is not None))
+        assert alive == [not handed_over] * 4
+        np.testing.assert_array_equal(traj.times, [0.0, 1e-3, 2e-3, 3e-3])
 
 
 def test_loop_peak_is_four_field_stacks():

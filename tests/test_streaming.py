@@ -208,8 +208,9 @@ def test_streamed_run_stores_no_field(tmp_path):
 
 
 def test_simulate_frees_the_initial_stack(tmp_path, monkeypatch):
-    # the CLI builds the initial stack before it writes anything, keeps no
-    # name for it, and the run frees it once it has its own copy
+    # the CLI builds the initial stack before it writes anything and hands
+    # the run its only reference, which the run frees once it has its own
+    # copy: the stack is gone by the first sample
     refs, alive = [], []
     real_ic = cfgmod.make_initial_condition
 
@@ -230,7 +231,7 @@ def test_simulate_frees_the_initial_stack(tmp_path, monkeypatch):
     doc["monitors"]["cadence"] = 1
     rc, out = _simulate(tmp_path, doc)
     assert rc == 0 and len(refs) == 1
-    assert len(alive) == 12 and not any(alive[1:]), alive
+    assert len(alive) == 12 and not any(alive), alive
 
 
 def test_dt_min_abort_keeps_monitors_to_abort_time(tmp_path, monkeypatch):
