@@ -299,7 +299,7 @@ class DiffusionSolver:
             b = stage
         x = np.empty(b.shape)
         k = max(1, _BLOCK_CELLS // x[0].size)
-        scratch = np.empty((2, min(len(x), k) * x[0].size))
+        scratch = np.empty((2,) + x[:k].shape)
         resid = None
         for p in range(0, len(x), k):
             # copy, solve and check k whole rows while they are in cache: the
@@ -307,7 +307,7 @@ class DiffusionSolver:
             # which the residual reads before it takes bb as its scratch
             rows = slice(p, p + k)
             xb = x[rows]
-            r, bb = (w[:xb.size].reshape(xb.shape) for w in scratch)
+            r, bb = scratch[:, :len(xb)]
             bb[...] = b[rows]
             xb[...] = bb
             if axis == 0:
