@@ -260,15 +260,18 @@ def cmd_sweep(args):
     if args.axis == "grid" and len(cfg.grid.cells) != 1:
         raise ConfigError("grid sweeps are defined for one spatial axis")
     values = _parse_values(args.axis, args.values)
+    names = {}  # run directory -> value; distinct floats can share a %g form
+    for v in values:
+        name = f"run_{args.axis}_{v:g}" if isinstance(v, float) else f"run_{args.axis}_{v}"
+        if name in names:
+            raise ConfigError(f"--values: {names[name]!r} and {v!r} would both run in {name}")
+        names[name] = v
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base_doc = cfg.to_dict()
-    jobs = []
-    for v in values:
-        tag = f"{v:g}" if isinstance(v, float) else str(v)
-        rundir = out / f"run_{args.axis}_{tag}"
-        jobs.append((_derived_config(base_doc, args.axis, v), str(rundir), True))
+    jobs = [(_derived_config(base_doc, args.axis, v), str(out / name), True)
+            for name, v in names.items()]
 
     cap = _thread_cap()
     if cap > 1 and len(jobs) > 1:

@@ -25,7 +25,8 @@ CSV files.
 Every coefficient has one definition, held by a :class:`KernelSet`: the
 arrays ``d``, ``c_lo``/``c_hi`` and ``a_matrix()`` and the count function
 behind ``b``.  The solver, the monitors and the audits read those, and so
-do the scalar accessors ``a(i, j)`` and ``b(i, j, k)``.
+do the scalar accessors ``a(i, j)`` and ``b(i, j, k)`` and the Cheng-Redner
+weights; :func:`validate_kernel_set` checks the counts themselves.
 """
 
 from __future__ import annotations
@@ -416,11 +417,13 @@ class KernelSet:
         return self._loss_matrix
 
     def cheng_redner_weights(self):
-        """The column ``2/(p-1)``, ``p = 2..n``: the fragments of each size
-        below ``p`` that a Cheng-Redner collider of size ``p`` leaves (see
-        :func:`fragdiff.reaction._gain_loss`).  Built on first use."""
+        """The column ``b^1_pp / 2 = 2/(p-1)``, ``p = 2..n``, read exactly from
+        the counts: the fragments of each size below ``p`` that a Cheng-Redner
+        collider of size ``p`` leaves (see :func:`fragdiff.reaction._gain_loss`).
+        Built on first use."""
         if self._cr_weights is None:
-            self._cr_weights = (2.0 / np.arange(1.0, self.n))[:, None]
+            p = np.arange(2, self.n + 1)
+            self._cr_weights = (self._b_fn(p, p, 1) / 2)[:, None]
         return self._cr_weights
 
 
@@ -460,24 +463,20 @@ class ValidationReport:
     ok: bool
     max_mass_residual: float
     pairs_checked: int
-    exact_pairs_checked: int
     failures: list[str]
     notes: list[str]
 
 
-def validate_kernel_set(ks, i_max=None, exact_limit=64, rel_tol=1e-12):
-    """Check the structural identities of a kernel set.
+def validate_kernel_set(ks, i_max=None, rel_tol=1e-12):
+    """Check the structural identities of a kernel set, from its counts.
 
     Verifies symmetry and nonnegativity of ``a`` and ``b``, positivity of
     ``d``, the support condition ``b^k_ij = 0`` for ``k >= i+j``, and local
-    mass conservation ``sum_k k b^k_ij = i+j``.  Mass conservation is checked
-    in exact rational arithmetic for ``i + j <= exact_limit`` (built-in
-    families only) and in floating point with relative tolerance ``rel_tol``
-    for all ``i, j <= i_max``, each sum correctly rounded (the value of
-    ``fsum``).  A Cheng-Redner set's ``cheng_redner_weights()``, which the
-    gain reads in place of the counts, must equal the plateaus
-    ``b^1_pp / 2 = 2/(p-1)`` of its counts for ``p = 2..n``; that check runs
-    after the pair checks.
+    mass conservation ``sum_k k b^k_ij = i+j`` with relative tolerance
+    ``rel_tol`` for all ``i, j <= i_max``, each sum correctly rounded (the
+    value of ``fsum``).  Every check reads the counts ``_b_fn`` that the
+    solver reads, the Cheng-Redner weights among them
+    (:meth:`KernelSet.cheng_redner_weights`), and none reads ``family``.
 
     The pair checks take one of two paths, by the count function:
 
@@ -507,25 +506,20 @@ def validate_kernel_set(ks, i_max=None, exact_limit=64, rel_tol=1e-12):
     if np.any(amat < 0):
         failures.append("collision rates contain negative entries")
 
-    exact_ok, sizes_ok = (None, None) if ks.family == "table" else _exact_mass_check(ks)
-    worst, pairs, exact_pairs = (
-        _pair_checks_by_size(ks, i_max, exact_limit, rel_tol, sizes_ok)
-        or _pair_checks_by_row(ks, i_max, exact_limit, rel_tol, exact_ok, failures))
-    if len(failures) <= 20 and ks.family == "cheng_redner_uniform":  # not cut short
-        failures += _weight_failures(ks)
-    return ValidationReport(not failures, worst, pairs, exact_pairs, failures, notes)
+    worst, pairs = (_pair_checks_by_size(ks, i_max, rel_tol)
+                    or _pair_checks_by_row(ks, i_max, rel_tol, failures))
+    return ValidationReport(not failures, worst, pairs, failures, notes)
 
 
-def _pair_checks_by_row(ks, i_max, exact_limit, rel_tol, exact_ok, failures):
+def _pair_checks_by_row(ks, i_max, rel_tol, failures):
     """Every check of every pair ``i <= j <= i_max``, one row ``i`` at a time.
 
     Appends each failure to ``failures`` and stops once there are more
-    than 20, with a suppression line.  Returns ``(worst, pairs,
-    exact_pairs)`` over the pairs checked.
+    than 20, with a suppression line.  Returns ``(worst, pairs)`` over the
+    pairs checked.
     """
     worst = 0.0
     pairs = 0
-    exact_pairs = 0
     for i in range(1, i_max + 1):
         # one (j, k) block per row: j = i..i_max, k up to the widest support + 2
         jv = np.arange(i, i_max + 1)[:, None]
@@ -557,22 +551,18 @@ def _pair_checks_by_row(ks, i_max, exact_limit, rel_tol, exact_ok, failures):
                     f"mass conservation off at ({i},{j}): sum k b^k = {total!r} != {s}"
                 )
             pairs += 1
-            if s <= exact_limit and exact_ok:
-                if not exact_ok(i, j):
-                    failures.append(f"exact mass conservation fails at ({i},{j})")
-                exact_pairs += 1
             if len(failures) > 20:
                 failures.append("... further failures suppressed")
-                return worst, pairs, exact_pairs
-    return worst, pairs, exact_pairs
+                return worst, pairs
+    return worst, pairs
 
 
-def _pair_checks_by_size(ks, i_max, exact_limit, rel_tol, sizes_ok):
+def _pair_checks_by_size(ks, i_max, rel_tol):
     """The pair checks of a built-in family, from its counts per size.
 
-    Returns ``(worst, pairs, exact_pairs)`` when every pair passes
-    every check, and ``None`` otherwise, or when ``ks._b_fn`` is not a
-    built-in closed form; the caller then checks pair by pair.
+    Returns ``(worst, pairs)`` when every pair passes every check, and
+    ``None`` otherwise, or when ``ks._b_fn`` is not a built-in closed form;
+    the caller then checks pair by pair.
 
     A closed form fixes the structure of the counts: ``b^k_ij = U_{i+j}(k)``
     for uniform breakage (``_uniform_counts`` reads ``i + j`` alone) and
@@ -584,9 +574,7 @@ def _pair_checks_by_size(ks, i_max, exact_limit, rel_tol, sizes_ok):
     checks: a float sum commutes exactly, so ``b^k_ij = b^k_ji``; a sum of
     nonnegative terms is nonnegative; and each term vanishes at
     ``k >= i + j``.  Every pair's mass total has the bits of its per-pair
-    ``fsum`` (:func:`_uniform_mass_totals`, :func:`_cheng_redner_mass_totals`),
-    and the rational check takes one ``Fraction`` per size
-    (:func:`_exact_mass_check`).
+    ``fsum`` (:func:`_uniform_mass_totals`, :func:`_cheng_redner_mass_totals`).
     """
     if i_max < 1:
         return None
@@ -603,13 +591,7 @@ def _pair_checks_by_size(ks, i_max, exact_limit, rel_tol, sizes_ok):
     worst = float(np.max(np.triu(np.abs(totals - s) / s)))  # over the pairs i <= j
     if worst > rel_tol:
         return None
-    exact_pairs = 0
-    if sizes_ok:
-        limit = int(min(exact_limit, 2 * i_max))
-        exact_pairs = sum(max(0, min(i_max, limit - i) - i + 1) for i in sizes.tolist())
-        if exact_pairs and not sizes_ok(i_max, limit):
-            return None
-    return worst, i_max * (i_max + 1) // 2, exact_pairs
+    return worst, i_max * (i_max + 1) // 2
 
 
 def _plateaus_ok(counts, outside):
@@ -695,58 +677,6 @@ def _cheng_redner_mass_totals(ks, m):
         high = q.sum(axis=1) + q_tail[i - 1:, h]
         totals[i - 1, i - 1:] = high + (x.sum(axis=1) + r_tail[i - 1:, h])
     return totals
-
-
-def _weight_failures(ks):
-    """``cheng_redner_weights()`` against the plateaus of the counts.
-
-    The Cheng-Redner gain reads the column ``2/(p-1)``, ``p = 2..n``, in
-    place of ``_b_fn``; each entry must equal ``b^1_pp / 2``.  Returns one
-    failure naming the first ``p`` that differs, or none.
-    """
-    p = np.arange(2, ks.n + 1)
-    plateau = ks._b_fn(p, p, 1) / 2
-    weights = ks.cheng_redner_weights()[:, 0]
-    bad = np.flatnonzero(weights != plateau)
-    if bad.size == 0:
-        return []
-    first = int(bad[0])
-    return [f"cheng_redner_weights() at p={first + 2} is {float(weights[first])!r}, "
-            f"not b^1_{{{first + 2},{first + 2}}}/2 = {float(plateau[first])!r}"
-            f" ({bad.size} of {p.size} sizes differ)"]
-
-
-def _exact_mass_check(ks):
-    """``(ok, sizes_ok)``: local mass conservation in exact rational arithmetic.
-
-    The family's closed form is a sum of plateaus ``sum_{k < p} k 2/(p-1)``,
-    one per total size ``p = i + j`` (uniform breakage) or one per collider
-    ``p = i, j`` (Cheng-Redner, where a monomer passes through with mass
-    1).  Each plateau's mass is summed as a ``Fraction`` once.  ``ok(i, j)``
-    checks one pair; ``sizes_ok(i_max, limit)`` checks every pair
-    ``i <= j <= i_max`` with ``i + j <= limit <= 2 i_max`` at once, one
-    size at a time: it asks that every plateau those pairs add has mass
-    ``p``, and then every pair's sum is ``i + j``.
-    """
-    memo = {}
-
-    def plateau_mass(size):  # sum_{k < size} k * 2/(size-1)
-        if size not in memo:
-            memo[size] = Fraction(2, size - 1) * sum(range(1, size))
-        return memo[size]
-
-    if ks.family == "power_law_uniform":
-        return (lambda i, j: plateau_mass(i + j) == i + j,
-                lambda i_max, limit: all(plateau_mass(s) == s for s in range(2, limit + 1)))
-    if ks.family == "cheng_redner_uniform":
-        memo[1] = Fraction(1)  # a monomer passes through
-        return (lambda i, j: plateau_mass(i) + plateau_mass(j) == i + j,
-                lambda i_max, limit: all(plateau_mass(p) == p
-                                         for p in range(1, min(i_max, limit - 1) + 1)))
-
-    def no_closed_form(*_):
-        raise FragdiffError(f"no exact rational form for family {ks.family!r}")
-    return no_closed_form, no_closed_form
 
 
 # module-level aliases for the factory classmethods

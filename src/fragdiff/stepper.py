@@ -200,12 +200,15 @@ def _residual(diag, off, prev, x, b, r, t):
 def _species_contract(resid, stage, where):
     """Raise :class:`LinearSolveError` unless, for every species ``s``,
     ``resid[s] <= 1e-12 * max(1, max|stage_s|)``; a NaN residual or bound
-    fails.  ``where`` ends the message."""
+    fails.  The message names the first species whose stage is not
+    finite, whose NaN the solve may have carried into other species, or
+    else the species furthest above its bound.  ``where`` ends it."""
     axes = tuple(range(1, stage.ndim))
     bound = _RESIDUAL_TOL * np.maximum(
         1.0, np.maximum(stage.max(axis=axes), -stage.min(axis=axes)))
     if not np.all(resid <= bound):
-        worst = int(np.argmax(resid / bound))
+        non_finite = ~np.isfinite(bound)
+        worst = int(np.argmax(non_finite if non_finite.any() else resid / bound))
         raise LinearSolveError(
             f"implicit solve residual {resid[worst]:g} above contract "
             f"{bound[worst]:g} (species {worst + 1}, {where})"
@@ -264,6 +267,7 @@ class DiffusionSolver:
                             pad[:-1].reshape(shape)) + _ldl_factor(diag.ravel(), pad[1:-1]))
         return factors
 
+    @np.errstate(over="ignore", invalid="ignore")
     def sweep(self, stage, dt, axis):
         """Solve ``(I - dt * d_i * L_axis) x_i = stage_i`` along every line of ``axis``.
 
@@ -279,7 +283,10 @@ class DiffusionSolver:
         not at most ``1e-12 * max(1, max|stage_i|)`` (a NaN residual or
         bound fails).  No species' bound is below ``1e-12``, so a block
         whose residual is within ``1e-12`` passes at once; only from the
-        first block that misses on are the per-species maxima formed.
+        first block that misses on are the per-species maxima formed.  A
+        stage that is not finite fails, and the refusal names its first
+        species that is not finite; numpy's warnings on ``inf - inf`` in the
+        residual would only repeat that, so none is raised.
         """
         if dt in self._factors:
             self._factors.move_to_end(dt)

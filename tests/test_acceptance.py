@@ -24,7 +24,7 @@ from fragdiff.config import (
     make_kernel_set,
     reference_scenario_dict,
 )
-from oracles import spectral_heat_solve_1d, stencil_eigenvalue
+from oracles import _exact_mass_ok_by_pair, spectral_heat_solve_1d, stencil_eigenvalue
 
 
 def _certify(num, ok, detail):
@@ -162,21 +162,28 @@ def test_criterion_02_independent_oracle():
 # -- 3: local breakage mass conservation -----------------------------------
 
 
+def _exact_pairs(ks, i_max, limit=64):
+    """``(pairs, ok)``: the pairs ``i <= j <= i_max`` with ``i + j <= limit``,
+    and whether the family's closed form conserves mass exactly at each."""
+    pairs = [(i, j) for i in range(1, i_max + 1) for j in range(i, min(i_max, limit - i) + 1)]
+    return len(pairs), all(_exact_mass_ok_by_pair(ks, i, j) for i, j in pairs)
+
+
 def test_criterion_03_fragment_mass_conservation():
     t0 = time.perf_counter()
     uni = fd.KernelSet.power_law_uniform(200, 4.0, 0.5, profile="stronger")
-    rep_uni = fd.validate_kernel_set(uni, i_max=200, exact_limit=64,
-                                     rel_tol=1e-12)
+    rep_uni = fd.validate_kernel_set(uni, i_max=200, rel_tol=1e-12)
+    exact_uni, exact_uni_ok = _exact_pairs(uni, 200)
     cr = fd.KernelSet.cheng_redner_uniform(64, 4.0, 0.0, profile="stronger")
-    rep_cr = fd.validate_kernel_set(cr, i_max=64, exact_limit=64,
-                                    rel_tol=1e-12)
+    rep_cr = fd.validate_kernel_set(cr, i_max=64, rel_tol=1e-12)
+    exact_cr, exact_cr_ok = _exact_pairs(cr, 64)
     elapsed = time.perf_counter() - t0
-    ok = (rep_uni.ok and rep_cr.ok
-          and rep_uni.exact_pairs_checked > 0 and rep_cr.exact_pairs_checked > 0
+    ok = (rep_uni.ok and rep_cr.ok and exact_uni_ok and exact_cr_ok
+          and exact_uni > 0 and exact_cr > 0
           and elapsed < 5.0)
     _certify(3, ok,
-             f"sum k b^k_ij = i+j exact on {rep_uni.exact_pairs_checked}"
-             f"+{rep_cr.exact_pairs_checked} rational pairs, float residual "
+             f"sum k b^k_ij = i+j exact on {exact_uni}"
+             f"+{exact_cr} rational pairs, float residual "
              f"{max(rep_uni.max_mass_residual, rep_cr.max_mass_residual):.3g} "
              f"<= 1e-12 on {rep_uni.pairs_checked}+{rep_cr.pairs_checked} pairs "
              f"({elapsed:.2f}s < 5s)")

@@ -655,6 +655,22 @@ class TestSweepCommand:
                        "--values", "0.01,0.03,0.02", "--out", str(tmp_path / "s")])
         assert rc == 2
 
+    def test_values_sharing_a_run_directory_refused(self, tmp_path, capsys, monkeypatch):
+        # 0.1 and 0.1000001 both format as 0.1: refused before any run, with
+        # both values named; distinct names stay as they were
+        def run(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(cli.stepmod, "run_simulation", run)
+        cfg_path = write_cfg(tmp_path, small_doc(output_dir=None))
+        out = tmp_path / "s"
+        rc = cli.main(["sweep", "--config", cfg_path, "--axis", "eps",
+                       "--values", "0.01,0.1,0.1000001", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "0.1 and 0.1000001" in err and "run_eps_0.1" in err, err
+        assert not out.exists()
+
     def test_eps_sweep(self, tmp_path):
         doc = small_doc(stepper={"t_end": 0.005})
         cfg_path = write_cfg(tmp_path, doc)
