@@ -24,11 +24,14 @@ only cancellation left is the final ``gain - loss``.
 
 There is one evaluator, :func:`q_field`, over stacked fields
 ``(n, *spatial)``; a species vector ``(n,)`` is the field of one point.
-Its loss is one product with the masked loss matrix of
-:meth:`KernelSet.loss_matrix` for every family.  Its gain takes one path
-per kernel structure: the uniform family uses pair sums, the Cheng-Redner
-family suffix sums over the loss rows (O(n) per cell, no tables), and
-tabulated kernels contract the dense gain tensor.
+It can evaluate into a caller's stacks, so a time step allocates no
+field-sized array.  Its loss is one product with the masked loss matrix
+of :meth:`KernelSet.loss_matrix` for every kernel set.  Its gain takes
+one path per kernel structure, chosen by the set's count function
+``_b_fn``, the one the validator checks: the built-in uniform counts use
+pair sums, the built-in Cheng-Redner counts suffix sums over the loss
+rows (O(n) per cell, no tables), and any other counts, tables and
+wrapped built-in counts alike, contract the dense gain tensor.
 
 The uniform pair sums are formed in one of two ways, chosen by the field
 size ``n * cells``.  Up to :data:`PAIR_PRODUCT_MAX_SIZE` values, one
@@ -44,6 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
+from .kernels import _cheng_redner_counts, _uniform_counts
 
 QUASIPOSITIVITY_TOL = 1e-14
 PAIR_PRODUCT_MAX_SIZE = 8192
@@ -116,72 +120,103 @@ def _pair_suffix_sums_product(g, gain):
     np.cumsum(S[::-1], axis=0, out=gain[2 : n - 1][::-1])
 
 
-def _gain_loss(G2, ks):
+def _gain_loss(G2, ks, gain=None, loss=None):
     """Gain and loss terms of the truncated operator, each ``(n, ncells)``.
 
-    The loss ``f_i * sum_j M_ij f_j`` is one product with the masked loss
-    matrix for every family.  The gain takes one path per kernel structure:
+    They are written into ``gain`` and ``loss`` where given (C-contiguous
+    ``(n, ncells)`` arrays), else into new arrays, and returned.  The loss
+    ``f_i * sum_j M_ij f_j`` is one product with the masked loss matrix
+    for every kernel set.  The gain takes one path per count function
+    ``ks._b_fn``:
 
-    * uniform family (``a_ij = w_i w_j``, uniform breakage): pair sums
-      ``S_j = sum_k g_{j-k} g_k`` with ``g = w * f``, distributed with
-      weight ``2/(j-1)`` through suffix sums over ``j``.  Fields of at
-      most :data:`PAIR_PRODUCT_MAX_SIZE` values form every ``S_j`` in one
+    * the uniform counts (``a_ij = w_i w_j``, uniform breakage): pair sums
+      ``S_j = sum_k g_{j-k} g_k`` with ``g = w * f``, formed in ``loss``
+      before the loss is, and distributed with weight ``2/(j-1)`` through
+      suffix sums over ``j``.  Fields of at most
+      :data:`PAIR_PRODUCT_MAX_SIZE` values form every ``S_j`` in one
       strided product (:func:`_pair_suffix_sums_product`), larger ones
       one product per ``j`` (:func:`_pair_suffix_sums_loop`).  Both add
       the terms of ``S_j`` for ``k = 1, 2, .., j-1`` in sequence, divide
       by ``j - 1`` and sum from ``j = n`` down, so they are bitwise
       equal;
-    * Cheng-Redner family: a collider ``p >= 2`` leaves ``2/(p-1)``
+    * the Cheng-Redner counts: a collider ``p >= 2`` leaves ``2/(p-1)``
       fragments of every size below it and a monomer passes through, so
       ``gain_i = sum_{p > i} 2/(p-1) loss_p + [i = 1] loss_1``, a suffix
-      sum over the loss rows (O(n) per cell, no tables).  ``sum_i i gain_i
-      = sum_p p loss_p`` holds term by term;
-    * tables: the dense gain tensor contraction.
+      sum over the loss rows, accumulated in place (O(n) per cell, no
+      tables).  ``sum_i i gain_i = sum_p p loss_p`` holds term by term;
+    * any other counts, wrapped built-in ones included: the dense gain
+      tensor contraction.
 
     Both are sums of nonnegative terms.
     """
     n = ks.n
-    loss = G2 * (ks.loss_matrix() @ G2)
-    if ks.family == "cheng_redner_uniform":
-        # V_p = 2/(p-1) loss_p for p = 2..n; gain_i = sum_{p >= i+1} V_p for i < n
-        V = loss[1:] * ks.cheng_redner_weights()
-        gain = np.empty_like(loss)
-        gain[n - 1] = 0.0
-        np.cumsum(V[::-1], axis=0, out=gain[: n - 1][::-1])  # empty at n = 1
-        gain[0] += loss[0]
-    elif ks.family == "power_law_uniform":
-        g = ks.sep_weights[:, None] * G2
-        gain = np.zeros(G2.shape)
+    gain = np.empty(G2.shape) if gain is None else gain
+    loss = np.empty(G2.shape) if loss is None else loss
+    counts = ks._b_fn
+    if counts is _uniform_counts:
+        g = np.multiply(ks.sep_weights[:, None], G2, out=loss)
         if n >= 4:
+            gain[n - 1] = 0.0
             if g.size <= PAIR_PRODUCT_MAX_SIZE:
                 _pair_suffix_sums_product(g, gain)
             else:
                 _pair_suffix_sums_loop(g, gain)
             gain[:2] = gain[2]
-    else:
-        gain = 0.5 * np.einsum("ipq,pm,qm->im", ks.gain_tensor(), G2, G2, optimize=True)
+        else:
+            gain.fill(0.0)
+    np.matmul(ks.loss_matrix(), G2, out=loss)
+    loss *= G2
+    if counts is _cheng_redner_counts:
+        # V_p = 2/(p-1) loss_p for p = 2..n in gain[p - 2]; then
+        # gain_i = sum_{p >= i+1} V_p for i < n, a reversed cumsum in place
+        V = np.multiply(loss[1:], ks.cheng_redner_weights(), out=gain[: n - 1])
+        gain[n - 1] = 0.0
+        np.cumsum(V[::-1], axis=0, out=V[::-1])  # empty at n = 1
+        gain[0] += loss[0]
+    elif counts is not _uniform_counts:
+        gain[...] = np.einsum("ipq,pm,qm->im", ks.gain_tensor(), G2, G2, optimize=True)
+        gain *= 0.5
     return gain, loss
 
 
-def q_field(F, ks, eps=0.0):
+def _stack(a, shape, name):
+    """``a`` as a field stack of ``shape`` to evaluate into, or a new one."""
+    if a is None:
+        return np.empty(shape)
+    if not (a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+            and a.flags.writeable):
+        raise DomainError(f"{name} must be a writable C-contiguous float64 array "
+                          f"of shape {shape}")
+    return a
+
+
+def q_field(F, ks, eps=0.0, *, out=None, work=None):
     """Operator evaluation on stacked fields, shape ``(n, *spatial)``.
 
+    ``Q`` is written into ``out`` and returned; ``work`` is scratch, which
+    holds ``g = w * f`` and then the loss.  Each is a writable
+    C-contiguous float64 array of the field's shape, or ``None`` for a new
+    one, and neither may share memory with ``F``.  A time step that
+    passes its own stacks allocates no field-sized array.
+
     Evaluation at distinct cells is independent, and for a given field
-    shape the reduction order is fixed, so reruns are bitwise equal.  A
-    cell's gain is bitwise the same on either uniform gain path, so the
-    field size that selects the path does not show in it.  A cell
-    evaluated alone can still differ in the last bits from the same cell
-    inside a larger field: the loss is a BLAS matrix product, which
-    orders its sums by shape.
+    shape the reduction order is fixed, so reruns are bitwise equal, into
+    given stacks or new ones.  A cell's gain is bitwise the same on either
+    uniform gain path, so the field size that selects the path does not
+    show in it.  A cell evaluated alone can still differ in the last bits
+    from the same cell inside a larger field: the loss is a BLAS matrix
+    product, which orders its sums by shape.
     """
     F = _checked(F, ks)
+    out = _stack(out, F.shape, "out")
     G2 = F.reshape(ks.n, -1)
-    Q, loss = _gain_loss(G2, ks)
+    Q, loss = _gain_loss(G2, ks, out.reshape(G2.shape),
+                         _stack(work, F.shape, "work").reshape(G2.shape))
     Q -= loss
     if eps:
         _check_eps(eps)
         Q /= _denominator(G2, ks, eps)
-    return Q.reshape(F.shape)
+    return out
 
 
 def regularization_denominator(f, ks, eps):

@@ -29,22 +29,24 @@ solve and the factor storage is ``2 * n * m - 1`` numbers, independent
 of the number of lines.  The residual of every sweep is verified per
 species against a 1e-12 contract, with the matrix applied from its
 stored diagonals, not from the factor; there is no iterative refinement,
-whose correction could carry either sign.  A sweep copies, solves and
-checks its solution in blocks of whole rows (x sweep: a row is one line
-of every species; y sweep: one species): the stage is read once per
-block, into contiguous scratch that is the block's right-hand side, and
-the block's residual is formed while the block is still in cache.  No
-species' bound ``1e-12 * max(1, max|stage_i|)`` is below ``1e-12``, so a
-block whose residual is within ``1e-12`` passes at once; from the first
-block that misses on, the per-species residual maxima are folded block by
-block, and they and the bounds decide.
+whose correction could carry either sign.  A sweep solves in place in the
+stack it is given, in blocks of whole rows (x sweep: a row is one line of
+every species; y sweep: one species), and checks each block while it is
+in cache: the block's stage is copied into scratch as the residual's
+right-hand side.  Where a row is contiguous in the stack (the y sweep and
+1D), ``dpttrs`` solves the block in the stack itself; the rows of a 2D x
+sweep are strided, so its block is gathered into scratch, solved there
+and written back.  No species' bound ``1e-12 * max(1, max|stage_i|)`` is
+below ``1e-12``, so a block whose residual is within ``1e-12`` passes at
+once; from the first block that misses on, the per-species residual
+maxima are folded block by block, and they and the bounds decide.
 
-Memory: a sweep solves in place in the array it returns and keeps no
-work array, and :func:`run_simulation` can be handed its initial stack
-through a function, which it frees once copied, so a 2D step holds at
-most four field stacks at its peak: the state ``F``, its reaction term
-``Q``, the stage, and the sweep's solution (the x sweep's solution is the
-y sweep's stage).
+Memory: :func:`run_simulation` owns three field stacks, the state ``F``,
+its reaction term ``Q`` and a work stack ``W``, and recycles them: a step
+forms its stage in ``W``, solves it there, and an accepted candidate
+becomes the next ``F`` while the old ``F`` becomes the next ``W``.  The
+solver keeps its factors and scratch of three blocks, so after the first
+step no step allocates a field-sized array.
 
 Negativity: the sweeps keep a nonnegative stage nonnegative, so a
 candidate turns negative only where the explicit reaction makes ``f*``
@@ -80,8 +82,8 @@ REJECT_AND_HALVE = "reject_and_halve"
 
 _RESIDUAL_TOL = 1e-12
 _MAX_FACTOR_SETS = 8
-# cells of a block of whole rows (one row where a row is larger): its
-# solution and two scratch arrays take 3 * 8 * _BLOCK_CELLS = 768 kB,
+# cells of a block of whole rows (one row where a row is larger): the
+# solver's three scratch blocks take 3 * 8 * _BLOCK_CELLS = 768 kB,
 # inside a core's L2 cache
 _BLOCK_CELLS = 1 << 15
 
@@ -197,15 +199,20 @@ def _residual(diag, off, prev, x, b, r, t):
     return r
 
 
-def _species_contract(resid, stage, where):
+def _extent(a, axes):
+    """``max|a|`` over ``axes``, from the maximum and the minimum (NaN
+    propagates)."""
+    return np.maximum(a.max(axis=axes), -a.min(axis=axes))
+
+
+def _species_contract(resid, extent, where):
     """Raise :class:`LinearSolveError` unless, for every species ``s``,
-    ``resid[s] <= 1e-12 * max(1, max|stage_s|)``; a NaN residual or bound
-    fails.  The message names the first species whose stage is not
-    finite, whose NaN the solve may have carried into other species, or
-    else the species furthest above its bound.  ``where`` ends it."""
-    axes = tuple(range(1, stage.ndim))
-    bound = _RESIDUAL_TOL * np.maximum(
-        1.0, np.maximum(stage.max(axis=axes), -stage.min(axis=axes)))
+    ``resid[s] <= 1e-12 * max(1, extent[s])``, where ``extent[s]`` is
+    ``max|stage_s|``; a NaN residual or bound fails.  The message names
+    the first species whose stage is not finite, whose NaN the solve may
+    have carried into other species, or else the species furthest above
+    its bound.  ``where`` ends it."""
+    bound = _RESIDUAL_TOL * np.maximum(1.0, extent)
     if not np.all(resid <= bound):
         non_finite = ~np.isfinite(bound)
         worst = int(np.argmax(non_finite if non_finite.any() else resid / bound))
@@ -226,24 +233,24 @@ class DiffusionSolver:
     against the sign certificate of :func:`_ldl_factor`, so a sweep maps
     nonnegative stages to nonnegative states exactly.  A sweep solves
     every grid line of a species as one right-hand side of ``dpttrs``, in
-    place in the array it returns, and holds no other stage-sized array.
-    Along the first axis each row of the ``(lines, n, m)`` result holds
-    one line of every species, copied from the transposed stage, and the
-    rows are the columns of one solve; in 1D there is one row.  Along the
-    second axis each row is one species, whose lines are the columns of
-    one solve of its transpose.  A 2D solve is an x sweep followed by a y
-    sweep (Lie splitting).  Every sweep copies, solves and checks its
-    result in blocks of whole rows, reading the stage once through a view
-    in the solve's layout, and a residual that is not finite fails.  The
-    solver keeps only factors: the ``_MAX_FACTOR_SETS`` most recently used
-    step sizes are cached, and factorization is deterministic, so an
-    evicted step size refactorizes to the same solves.
+    place in the stack it is given.  Along the first axis each row of the
+    ``(lines, n, m)`` view of the stack holds one line of every species,
+    and the rows are the columns of one solve; in 1D there is one row.
+    Along the second axis each row is one species, whose lines are the
+    columns of one solve of its transpose.  A 2D solve is an x sweep
+    followed by a y sweep (Lie splitting).  Every sweep solves and checks
+    its stack in blocks of whole rows, and a residual that is not finite
+    fails.  The solver keeps factors and three scratch blocks: the
+    ``_MAX_FACTOR_SETS`` most recently used step sizes are cached, and
+    factorization is deterministic, so an evicted step size refactorizes
+    to the same solves.
     """
 
     def __init__(self, grid, ks):
         self.grid = grid
         self.ks = ks
         self._factors = OrderedDict()
+        self._scratch = np.empty(0)
 
     def _factorize(self, dt):
         """Per axis: ``(diag, off, prev, d, l)``.  ``diag`` and ``off`` are
@@ -267,27 +274,40 @@ class DiffusionSolver:
                             pad[:-1].reshape(shape)) + _ldl_factor(diag.ravel(), pad[1:-1]))
         return factors
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def sweep(self, stage, dt, axis):
-        """Solve ``(I - dt * d_i * L_axis) x_i = stage_i`` along every line of ``axis``.
+    def _blocks(self, shape):
+        """Three scratch blocks of ``shape``, views of one array that the
+        solver keeps and enlarges only when a sweep needs more."""
+        size = 3 * math.prod(shape)
+        if self._scratch.size < size:
+            self._scratch = np.empty(size)
+        return self._scratch[:size].reshape((3,) + shape)
 
-        Returns an ``(n, *shape)`` stack, C-contiguous when ``axis`` is the
-        last axis; ``stage`` is not modified.  The solution is the only
-        stage-sized array the sweep allocates.  It is filled in blocks of
-        whole rows, at most ``_BLOCK_CELLS`` cells or one row: the block
-        of the stage, read through a view in the solve's layout, is copied
-        into contiguous scratch and from there into the solution, solved in
-        place by ``dpttrs``, and its residual formed in a second scratch
-        block while both are in cache.  Raises
-        :class:`LinearSolveError` when, for some species, the residual is
-        not at most ``1e-12 * max(1, max|stage_i|)`` (a NaN residual or
-        bound fails).  No species' bound is below ``1e-12``, so a block
+    @np.errstate(over="ignore", invalid="ignore")
+    def sweep(self, x, dt, axis):
+        """Solve ``(I - dt * d_i * L_axis) x_i = stage_i`` along every line of ``axis``, in place.
+
+        ``x`` is the stage, a writable C-contiguous float64 ``(n, *shape)``
+        stack; it is overwritten with the solution and returned.  It is
+        solved in blocks of whole rows, at most ``_BLOCK_CELLS`` cells or
+        one row, and the block's stage is first copied into scratch as the
+        right-hand side of its residual, which is formed in the solver's
+        scratch while the block is in cache.  The y sweep and the 1D sweep
+        run ``dpttrs`` on ``x`` itself; the x sweep of a 2D stack, whose
+        rows are strided in ``x``, solves a gathered copy and writes it
+        back, and takes every species' ``max|stage_i|`` before it
+        overwrites its stage.  Raises :class:`LinearSolveError` when, for
+        some species, the residual is not at most ``1e-12 * max(1,
+        max|stage_i|)`` (a NaN residual or bound fails); ``x`` is then
+        partly solved.  No species' bound is below ``1e-12``, so a block
         whose residual is within ``1e-12`` passes at once; only from the
         first block that misses on are the per-species maxima formed.  A
         stage that is not finite fails, and the refusal names its first
-        species that is not finite; numpy's warnings on ``inf - inf`` in the
-        residual would only repeat that, so none is raised.
+        species that is not finite; numpy's warnings on ``inf - inf`` in
+        the residual would only repeat that, so none is raised.
         """
+        if not (x.dtype == np.float64 and x.flags.c_contiguous and x.flags.writeable):
+            raise DomainError("a sweep solves in place in a writable C-contiguous "
+                              "float64 stack")
         if dt in self._factors:
             self._factors.move_to_end(dt)
         else:
@@ -296,35 +316,42 @@ class DiffusionSolver:
                 self._factors.popitem(last=False)
         diag, off, prev, d, l = self._factors[dt][axis]
         n, m = self.ks.n, self.grid.shape[axis]
-        # b is the stage in the solve's layout, rows along its first axis
         if axis == 0:
             # every line of every species is a column of one solve: row p
             # holds line p of all species, (lines, n, m)
-            b = stage.reshape(n, m, -1).transpose(2, 0, 1)
+            rows = x.reshape(n, m, -1).transpose(2, 0, 1)
         else:
             # row s is species s, whose lines are the columns of x[s].T
-            b = stage
-        x = np.empty(b.shape)
-        k = max(1, _BLOCK_CELLS // x[0].size)
-        scratch = np.empty((2,) + x[:k].shape)
+            rows = x
+        k = max(1, _BLOCK_CELLS // rows[0].size)
+        gather = axis == 0 and len(rows) > 1  # rows strided in x
+        scratch = self._blocks((min(k, len(rows)),) + rows.shape[1:])
         resid = None
-        for p in range(0, len(x), k):
-            # copy, solve and check k whole rows while they are in cache: the
-            # stage is read once, into the contiguous right-hand side bb,
-            # which the residual reads before it takes bb as its scratch
-            rows = slice(p, p + k)
-            xb = x[rows]
-            r, bb = scratch[:, :len(xb)]
-            bb[...] = b[rows]
-            xb[...] = bb
+        # a gathered sweep writes each block back, over its stage, before a
+        # later block may miss, so it takes every species' extent first.
+        # An in-place sweep takes it from the right-hand sides of the blocks
+        # that miss: a species of a passing block has a finite stage and a
+        # zero residual in the fold, so its bound decides nothing
+        extent = _extent(x, tuple(range(1, x.ndim))) if gather else np.zeros(n)
+        for p in range(0, len(rows), k):
+            xb = rows[p:p + k]
+            r, t, bb = scratch[:, :len(xb)]
+            bb[...] = xb
+            if gather:
+                # solved in scratch and written back; with the extents
+                # known, the residual may take bb as its scratch
+                xb, t = t, bb
+                xb[...] = bb
             if axis == 0:
                 dpttrs(d, l, xb.reshape(-1, n * m).T, overwrite_b=1)
+                if gather:
+                    rows[p:p + k] = xb
             else:
-                for s in range(p, p + len(xb)):
-                    dpttrs(d[s * m:(s + 1) * m], l[s * m:(s + 1) * m - 1], x[s].T,
+                for i in range(p, p + len(xb)):
+                    dpttrs(d[i * m:(i + 1) * m], l[i * m:(i + 1) * m - 1], x[i].T,
                            overwrite_b=1)
-            species = rows if axis else slice(None)
-            _residual(diag[species], off[species], prev[species], xb, bb, r, bb)
+            species = slice(p, p + len(xb)) if axis else slice(None)
+            _residual(diag[species], off[species], prev[species], xb, bb, r, t)
             if resid is None:
                 # NaN fails both comparisons
                 if r.max() <= _RESIDUAL_TOL and -r.min() <= _RESIDUAL_TOL:
@@ -332,26 +359,30 @@ class DiffusionSolver:
                 resid = np.zeros(n)
             rs = resid[species]
             np.maximum(rs, np.max(np.abs(r, out=r), axis=(axis, 2)), out=rs)
+            if not gather:
+                extent[species] = _extent(bb, (axis, 2))
         if resid is not None:
-            _species_contract(resid, stage, f"axis {axis}, dt={dt:g}")
-        return x.reshape(-1, n * m).T.reshape(stage.shape) if axis == 0 else x
+            _species_contract(resid, extent, f"axis {axis}, dt={dt:g}")
+        return x
 
-    def solve(self, stage, dt):
-        """Apply every axis sweep in turn; each one verifies its residual."""
+    def solve(self, x, dt):
+        """Apply every axis sweep in turn to the stage ``x``, in place, and
+        return it; each sweep verifies its residual."""
         for axis in range(self.grid.dim):
-            stage = self.sweep(stage, dt, axis)
-        return stage
+            self.sweep(x, dt, axis)
+        return x
 
 
 def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
     """Integrate from ``t0`` to ``cfg.t_end`` and sample every ``cadence`` steps.
 
     A sample calls ``sample(t, F, Q)`` with the state ``F`` at time ``t``
-    and ``Q = reaction.q_field(F, ks, eps)``; neither array is modified
-    later.  The initial and the final state are always sampled.  The
-    default sampler, :meth:`Trajectory.store`, keeps a copy of every
-    sampled state in the returned trajectory; the trajectory always
-    records the sample times and the terminal state.
+    and ``Q = reaction.q_field(F, ks, eps)``.  Both arrays are the run's
+    own stacks, valid only during the call: the run overwrites them
+    later, so a sampler copies what it keeps, as the default sampler,
+    :meth:`Trajectory.store`, does.  The initial and the final state are
+    always sampled.  The trajectory always records the sample times and
+    the terminal state.
 
     ``Q`` is evaluated once per accepted state and shared by every step
     attempted from it, halved retries included, and by its sample.  When
@@ -366,12 +397,15 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
     returns it.  The run copies the stack.  A stack passed directly stays
     alive for the whole run; one returned by a function that hands over
     the only reference, such as ``[F0].pop``, is freed once copied, before
-    the first step.  A step then holds at most four field stacks: ``F``,
-    ``Q``, the stage ``F + dt * Q`` and the solution of the sweep in
-    progress; the first sweep frees the stage, and the residual contract
-    adds scratch of two blocks of about ``_BLOCK_CELLS`` cells.
+    the first step.  The run then holds three field stacks, ``F``, ``Q``
+    and a work stack ``W``, and recycles them.  An attempt forms its stage
+    ``F + dt * Q`` in ``W`` and solves it there, so a halved retry
+    re-forms it from the untouched ``F`` and ``Q``; on accept, ``W`` is
+    the new state, ``Q`` is evaluated into its own stack with the old
+    ``F`` as scratch, and the old ``F`` is the next ``W``.  The solver adds
+    its factors and three scratch blocks of about ``_BLOCK_CELLS`` cells.
     """
-    F = np.array(F0() if callable(F0) else F0, dtype=float, copy=True)
+    F = np.array(F0() if callable(F0) else F0, dtype=float, order="C", copy=True)
     if np.any(F < 0):
         raise DomainError("initial data contains negative entries")
     traj = Trajectory(grid=grid)
@@ -392,7 +426,8 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         return NumericalAbortError(message, trajectory=traj)
 
     t = t0
-    Q = reaction.q_field(F, ks, eps)
+    Q, W = np.empty_like(F), np.empty_like(F)
+    reaction.q_field(F, ks, eps, out=Q, work=W)
     take(t, F, Q)
     guard = 1e-12 * max(1.0, abs(cfg.t_end))
     while t < cfg.t_end - guard:
@@ -400,10 +435,12 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         remaining = cfg.t_end - t
         dt_try = cfg.dt if remaining >= cfg.dt - guard else remaining
         while True:
-            # each attempt ends in one of three ways: accept, halve or abort
+            # each attempt ends in one of three ways: accept, halve or abort;
+            # Q * dt + F has the bits of F + dt * Q
+            np.multiply(Q, dt_try, out=W)
+            W += F
             try:
-                # no name holds the stage, so the first sweep frees it
-                cand = solver.solve(F + dt_try * Q, dt_try)
+                cand = solver.solve(W, dt_try)
             except LinearSolveError:
                 # every attempt from this state shares its Q: if Q is not
                 # finite, no halving can help
@@ -421,8 +458,8 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
             if dt_try < cfg.dt_min:
                 raise abort(f"step size fell below dt_min={cfg.dt_min:g} at t={t:g}",
                             t, F, Q)
-        F, Q = cand, None  # the old state's Q goes before the new one is formed
-        Q = reaction.q_field(F, ks, eps)
+        F, W = cand, F  # the old state is the scratch of the new Q
+        reaction.q_field(F, ks, eps, out=Q, work=W)
         t += dt_try
         if t >= cfg.t_end - guard:
             t = cfg.t_end  # the last step ends at t_end exactly

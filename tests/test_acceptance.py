@@ -429,7 +429,7 @@ def test_criterion_13_2d_discrete_oracle():
     rng = np.random.default_rng(13)
     stage = rng.uniform(0.0, 1.0, size=(ks.n,) + grid.shape)
     stage[stage < 0.3] = 0.0
-    out = solver.solve(stage, 0.5)
+    out = solver.solve(stage.copy(), 0.5)
     drift = max(abs(fd.integrate(grid, out[i]) - fd.integrate(grid, stage[i]))
                 / fd.integrate(grid, stage[i]) for i in range(ks.n))
     ok = worst <= 1e-14 and drift <= 1e-13 and bool(np.all(out >= 0.0))

@@ -61,12 +61,16 @@ def test_breakage_counts_reject_bad_indices():
 
 
 def test_breakage_mass_exact_rational():
-    # sum_k k * b^k equals i+j as exact rationals
+    # every uniform count the kernel set reads is the double nearest to the
+    # rational 2/(s-1) for k < s = i+j and zero above, and those rationals
+    # give sum_k k * b^k_ij = i+j exactly
+    ks = fd.power_law_uniform(32, 4.0, 0.5)
     for i in range(1, 17):
         for j in range(1, 17):
             s = i + j
-            total = Fraction(2, s - 1) * sum(range(1, s))
-            assert total == s
+            rational = [Fraction(2, s - 1) if k < s else Fraction(0) for k in range(1, s + 3)]
+            assert [ks.b(i, j, k) for k in range(1, s + 3)] == [float(r) for r in rational]
+            assert sum(k * r for k, r in enumerate(rational, start=1)) == s
 
 
 def test_cheng_redner_counts():

@@ -329,6 +329,62 @@ def test_field_cheng_redner_matches_dense_tensor(n):
             assert np.all(np.abs(got - want) <= tol), (spatial, eps)
 
 
+def _scaled_at_size_9(ks):
+    """``ks`` with its counts scaled by ``1 + 1e-6`` where ``i + j = 9``."""
+    base = ks._b_fn
+    ks._b_fn = lambda i, j, k: base(i, j, k) * np.where(np.add(i, j) == 9, 1.0 + 1e-6, 1.0)
+    return ks
+
+
+@pytest.mark.parametrize("make", [fd.power_law_uniform, fd.cheng_redner_uniform])
+def test_wrapped_counts_take_the_dense_tensor_path(make):
+    # the gain follows the counts the validator checks, not the family
+    # name: counts behind a wrapper, which fail validation, give the dense
+    # tensor's Q bit for bit, and not the closed form's
+    ks = _scaled_at_size_9(make(12, 4.0, 0.5))
+    assert not fd.validate_kernel_set(ks).ok
+    F = np.random.default_rng(41).uniform(0.0, 2.0, size=(12, 5, 7))
+    for eps in (0.0, 0.1):
+        got = q_field(F, ks, eps)
+        np.testing.assert_array_equal(got, dense_q_field(F, ks, eps))
+        assert not np.array_equal(got, q_field(F, make(12, 4.0, 0.5), eps))
+
+
+@pytest.mark.parametrize("make", [fd.power_law_uniform, fd.cheng_redner_uniform])
+def test_builtin_counts_never_build_the_gain_tensor(make, monkeypatch):
+    def gain_tensor(self):
+        raise AssertionError("dense gain tensor built")
+
+    monkeypatch.setattr(fd.KernelSet, "gain_tensor", gain_tensor)
+    F = np.random.default_rng(42).uniform(0.0, 2.0, size=(12, 5, 7))
+    assert np.all(np.isfinite(q_field(F, make(12, 4.0, 0.5), 0.1)))
+
+
+@pytest.mark.parametrize("case", ["uniform", "uniform_product", "cheng_redner", "wrapped"])
+def test_q_field_into_given_stacks(case):
+    # Q written into a caller's stack, with a caller's scratch, has the bits
+    # of a fresh evaluation on every gain path; what the scratch held before
+    # does not show, and a stack of the wrong shape or layout is refused
+    make = fd.cheng_redner_uniform if case == "cheng_redner" else fd.power_law_uniform
+    ks = make(12, 4.0, 0.5)
+    if case == "wrapped":
+        ks = _scaled_at_size_9(ks)
+    spatial = (4, 5) if case == "uniform_product" else (40, 30)
+    assert (12 * math.prod(spatial) <= reaction.PAIR_PRODUCT_MAX_SIZE) == (
+        case == "uniform_product")
+    F = np.random.default_rng(43).uniform(0.0, 2.0, size=(12,) + spatial)
+    for eps in (0.0, 0.1):
+        want = q_field(F, ks, eps)
+        out, work = np.full(F.shape, np.nan), np.full(F.shape, -1.0)
+        assert q_field(F, ks, eps, out=out, work=work) is out
+        assert out.tobytes() == want.tobytes()
+    for bad in (np.empty(F.shape[:-1]), np.empty(F.shape, order="F"),
+                np.empty(F.shape, dtype=np.float32)):
+        for name in ("out", "work"):
+            with pytest.raises(DomainError, match=f"{name} must be a writable C-contiguous"):
+                q_field(F, ks, 0.0, **{name: bad})
+
+
 def fsum_gain_loss_cheng_redner(f, n, lam):
     """Cheng-Redner gain and loss from explicit loops, each sum exactly rounded.
 

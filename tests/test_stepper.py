@@ -169,7 +169,7 @@ class TestDiffusionSolver:
         solver = DiffusionSolver(g, ks)
         for dt in (1e-3, 0.5):
             stage = rng.standard_normal((3,) + g.shape)  # signed input is fine
-            out = solver.solve(stage, dt)
+            out = solver.solve(stage.copy(), dt)
             for i in range(3):
                 b, x = stage[i], out[i]
                 resid = np.max(np.abs(x - dt * ks.d[i] * laplacian_neumann(g, x) - b))
@@ -179,9 +179,9 @@ class TestDiffusionSolver:
         solver = DiffusionSolver(g, ks)
         for dt in (1e-3, 0.5):
             stage = rng.standard_normal((3,) + g.shape)
-            w = solver.sweep(stage, dt, 0)
-            out = solver.sweep(w, dt, 1)
-            np.testing.assert_array_equal(solver.solve(stage, dt), out)
+            w = solver.sweep(stage.copy(), dt, 0)
+            out = solver.sweep(w.copy(), dt, 1)
+            np.testing.assert_array_equal(solver.solve(stage.copy(), dt), out)
             for i in range(3):
                 for axis, b, x in ((0, stage[i], w[i]), (1, w[i], out[i])):
                     resid = _line_residual(g, axis, dt * ks.d[i], x, b)
@@ -197,7 +197,7 @@ class TestDiffusionSolver:
         for dt in (1e-4, 1e-3, 0.05, 0.5, 2.0):
             stage = rng.uniform(0.0, 2.0, size=(5,) + g.shape)
             np.testing.assert_array_equal(
-                solver.solve(stage, dt), _per_line_ldl(g, ks, stage, dt)
+                solver.solve(stage.copy(), dt), _per_line_ldl(g, ks, stage, dt)
             )
 
     @pytest.mark.parametrize("shape", [(8, 12), (37, 53)], ids=["8x12", "37x53"])
@@ -211,7 +211,7 @@ class TestDiffusionSolver:
         solver = DiffusionSolver(g, ks)
         for dt in (1e-4, 1e-3, 0.05, 0.5):
             stage = rng.uniform(0.0, 2.0, size=(3,) + g.shape)
-            out = solver.solve(stage, dt)
+            out = solver.solve(stage.copy(), dt)
             assert out.flags.c_contiguous
             np.testing.assert_array_equal(out, _per_line_ldl(g, ks, stage, dt))
 
@@ -227,7 +227,7 @@ class TestDiffusionSolver:
         lap = np.stack([laplacian_neumann(g, e) for e in np.eye(48)], axis=1)
         for dt in (1e-4, 1e-3, 0.05, 0.5, 2.0):
             stage = rng.uniform(0.0, 2.0, size=(5,) + g.shape)
-            out = solver.solve(stage, dt)
+            out = solver.solve(stage.copy(), dt)
             for i in range(5):
                 dense = np.linalg.solve(np.eye(48) - dt * ks.d[i] * lap, stage[i])
                 tol = 2e-12 * max(1.0, np.max(np.abs(stage[i])))
@@ -292,8 +292,18 @@ class TestDiffusionSolver:
     def test_refusal_matches_per_species_reference_one_row_blocks(self, shape, dt, monkeypatch):
         self._check_refusal_matches_reference(shape, dt, True, monkeypatch)
 
+    @pytest.mark.parametrize("rows", [False, True], ids=["blocks", "one_row_blocks"])
+    @pytest.mark.parametrize("shape, dt", [((64,), 37.5), ((4, 64), 300.0), ((6, 64), 300.0)],
+                             ids=["64", "4x64", "6x64"])
+    def test_refusal_bound_reads_the_whole_stage(self, shape, dt, rows, monkeypatch):
+        # every species peaks at 4 in the first row of the x sweep, which
+        # is constant along x: the refusal's bound is 4e-12, also where
+        # that row passed and was written back before a later block missed
+        # (6x64 with one row per block)
+        self._check_refusal_matches_reference(shape, dt, rows, monkeypatch, peak=4.0)
+
     @staticmethod
-    def _check_refusal_matches_reference(shape, dt, rows, monkeypatch):
+    def _check_refusal_matches_reference(shape, dt, rows, monkeypatch, peak=None):
         # stages whose sweeps miss the contract, on the y sweep (4x64) and
         # on the x sweep (64, 6x64): the refusal names the species, axis,
         # residual and bound that per-line solves and residuals give.  With
@@ -307,6 +317,8 @@ class TestDiffusionSolver:
         if rows:
             monkeypatch.setattr(stepper, "_BLOCK_CELLS", 1)
             stage[0] = 1.0
+        if peak is not None:
+            stage[..., 0] = peak
         solver = DiffusionSolver(g, ks)
         for axis in range(g.dim):
             want = _reference_refusal(g, ks, stage, dt, axis)
@@ -415,57 +427,97 @@ class TestDiffusionSolver:
             stage = np.ones((4,) + grid.shape)
             stage[species - 1].flat[5] = value
             with pytest.raises(fd.LinearSolveError, match=f"species {species}, axis 0, dt="):
-                solver.solve(stage, 1e-3)
+                solver.solve(stage.copy(), 1e-3)
             for axis in range(grid.dim):
                 with pytest.raises(fd.LinearSolveError,
                                    match=f"species {species}, axis {axis}, dt="):
-                    solver.sweep(stage, 1e-3, axis)
+                    solver.sweep(stage.copy(), 1e-3, axis)
 
     def test_1d_reads_the_stage_in_place(self):
-        # the solve never writes its stage, and a stage in any layout
-        # solves to the same bits
+        # the solve runs dpttrs on its stage itself and returns it; a stage
+        # in any layout, copied into a C-contiguous stack, solves to the
+        # same bits, and one that is not such a stack is refused, since
+        # dpttrs would solve a copy of it
         rng = np.random.default_rng(30)
         g = make_grid_1d(40)
         solver = DiffusionSolver(g, fd.power_law_uniform(5, 4.0, 0.5))
         stage = rng.uniform(0.0, 2.0, size=(5,) + g.shape)
-        before = stage.tobytes()
-        out = solver.solve(stage, 0.05)
-        assert stage.tobytes() == before
-        assert not np.shares_memory(out, stage)
+        x = stage.copy()
+        out = solver.solve(x, 0.05)
+        assert out is x
+        np.testing.assert_array_equal(out, _per_line_ldl(g, solver.ks, stage, 0.05))
         for view in (np.asfortranarray(stage), np.repeat(stage, 2, axis=1)[:, ::2]):
-            np.testing.assert_array_equal(solver.solve(view, 0.05), out)
+            np.testing.assert_array_equal(solver.solve(np.ascontiguousarray(view), 0.05), out)
+            before = view.tobytes()
+            with pytest.raises(DomainError, match="C-contiguous float64"):
+                solver.solve(view, 0.05)
+            assert view.tobytes() == before
+        frozen = stage.copy()
+        frozen.flags.writeable = False
+        for bad in (frozen, stage.astype(np.float32)):
+            with pytest.raises(DomainError, match="writable C-contiguous float64"):
+                solver.solve(bad, 0.05)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["blocks", "one_row_blocks"])
+    @pytest.mark.parametrize(
+        "grid", [make_grid_1d(48), make_grid_2d(8, 12), make_grid_2d(37, 53)],
+        ids=["48", "8x12", "37x53"],
+    )
+    def test_in_place_sweeps_match_per_line_ldl(self, grid, rows, monkeypatch):
+        # each sweep overwrites its stage with the bits of the per-line
+        # reference solve of a copy, also when its rows are gathered (the
+        # x sweep of a 2D stack) and with one row per block
+        if rows:
+            monkeypatch.setattr(stepper, "_BLOCK_CELLS", 1)
+        rng = np.random.default_rng(34)
+        ks = fd.power_law_uniform(4, 4.0, 0.5)
+        solver = DiffusionSolver(grid, ks)
+        for dt in (1e-3, 0.5):
+            stage = rng.uniform(0.0, 2.0, size=(4,) + grid.shape)
+            x = stage.copy()
+            for axis in range(grid.dim):
+                want = _per_line_sweep(grid, ks, x, dt, axis)
+                assert solver.sweep(x, dt, axis) is x
+                assert x.tobytes() == want.tobytes(), axis
+            x = stage.copy()
+            assert solver.solve(x, dt) is x
+            assert x.tobytes() == _per_line_ldl(grid, ks, stage, dt).tobytes()
 
     def test_solver_holds_no_field_sized_buffer(self):
-        # a 2D sweep allocates its result and scratch of two blocks, far
-        # below a second stack; the solver keeps only its factors, about
-        # 4 * n * m numbers per axis
+        # a 2D sweep solves in place and allocates no field-sized array,
+        # here an eighth of a stack at a warm step size: the solver keeps
+        # its factors, about 4 * n * m numbers per axis, and three scratch
+        # blocks, which the first sweep allocates
         import tracemalloc
 
         g = make_grid_2d(64, 64)
         ks = fd.power_law_uniform(32, 4.0, 0.5)
         stage = np.random.default_rng(33).uniform(0.0, 2.0, size=(32,) + g.shape)
         factor_bytes = 8 * 4 * 32 * sum(g.shape) + 16384
+        blocks = 3 * 8 * stepper._BLOCK_CELLS
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             solver = DiffusionSolver(g, ks)
             assert tracemalloc.get_traced_memory()[0] - base < 4096
-            w = solver.sweep(stage, 1e-3, 0)
-            held = tracemalloc.get_traced_memory()[0] - base - w.nbytes
-            for axis, b in ((0, stage), (1, w)):
-                tracemalloc.reset_peak()
-                start = tracemalloc.get_traced_memory()[0]
-                out = solver.sweep(b, 1e-3, axis)
-                peak = tracemalloc.get_traced_memory()[1] - start
-                assert peak <= 1.25 * stage.nbytes + 2 * 8 * stepper._BLOCK_CELLS, (axis, peak)
-                del out
-            del w, b
+            solver.sweep(stage, 1e-3, 0)
+            held = tracemalloc.get_traced_memory()[0] - base
+            for dt in (1e-3, 2e-3):  # a warm and a cold step size
+                for axis in (0, 1):
+                    tracemalloc.reset_peak()
+                    start = tracemalloc.get_traced_memory()[0]
+                    assert solver.sweep(stage, dt, axis) is stage
+                    peak = tracemalloc.get_traced_memory()[1] - start
+                    # numpy's ufunc buffer of 8192 values, and the factors of
+                    # a cold step size with their temporaries
+                    assert peak <= (2**17 if dt == 1e-3 else 2 * factor_bytes), (dt, axis, peak)
             held_after = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert held <= factor_bytes and held_after <= factor_bytes, (held, held_after)
-        arrays = [a for a in vars(solver).values() if isinstance(a, np.ndarray)]
-        arrays += [a for axes in solver._factors.values() for f in axes for a in f]
+        assert held <= factor_bytes + blocks and held_after <= 2 * factor_bytes + blocks, \
+            (held, held_after)
+        assert solver._scratch.nbytes == blocks
+        arrays = [a for axes in solver._factors.values() for f in axes for a in f]
         assert max(a.size for a in arrays) < stage.size // 16
 
     def test_factor_cache(self):
@@ -565,16 +617,24 @@ def test_run_frees_a_handed_over_initial_stack():
         np.testing.assert_array_equal(traj.times, [0.0, 1e-3, 2e-3, 3e-3])
 
 
-def test_loop_peak_is_four_field_stacks():
-    # state, reaction term, stage and solution: the run copies its initial
-    # stack and releases it, and no sweep holds a second stage-sized array
-    import tracemalloc
-
+def _bump_2d(n):
+    """A 64 x 64 grid and a smooth initial stack of ``n`` species on it."""
     g = make_grid_2d(64, 64)
-    ks = fd.power_law_uniform(32, 4.0, 0.5)
     x, y = np.meshgrid(*[(np.arange(64) + 0.5) / 64] * 2, indexing="ij")
     F0 = np.array([math.exp(-i) * (1.0 + 0.5 * np.cos(2 * np.pi * x) * np.cos(np.pi * y))
-                   for i in range(1, 33)])
+                   for i in range(1, n + 1)])
+    return g, F0
+
+
+def test_loop_peak_is_four_field_stacks():
+    # three stacks, F, Q and the work stack, plus the solver's three
+    # scratch blocks and its factors: the run copies its initial stack and
+    # releases it, and no step allocates a field-sized array (a fourth
+    # stack would take the peak to at least 4.75 MB)
+    import tracemalloc
+
+    g, F0 = _bump_2d(32)
+    ks = fd.power_law_uniform(32, 4.0, 0.5)
     cfg = StepperConfig(dt=1e-3, t_end=3e-3)
     run_simulation(g, ks, F0, cfg, eps=0.01, sample=lambda t, F, Q: None)  # warm imports
     tracemalloc.start()
@@ -586,7 +646,37 @@ def test_loop_peak_is_four_field_stacks():
         tracemalloc.stop()
     assert traj.state.step_index == 3 and traj.state.rejected_steps == 0
     assert F0.nbytes == 2**20
-    assert peak <= 5.0 * 2**20, peak / 2**20
+    assert peak <= 3 * 2**20 + 3 * 8 * stepper._BLOCK_CELLS + 3 * 2**17, peak / 2**20
+
+
+@pytest.mark.parametrize("make, n", [(fd.power_law_uniform, 32), (fd.cheng_redner_uniform, 16)],
+                         ids=["uniform", "cheng_redner"])
+def test_no_step_allocates_a_field_stack(make, n):
+    # sampled after every step, the traced peak since the last sample stays
+    # within one stack of what is allocated at the sample: the stage, the
+    # sweeps and the reaction term are formed in the run's own stacks
+    import tracemalloc
+
+    g, F0 = _bump_2d(n)
+    ks = make(n, 4.0, 0.5)
+    cfg = StepperConfig(dt=1e-3, t_end=5e-3)
+    seen = []
+
+    def sample(t, F, Q):
+        seen.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        traj = run_simulation(g, ks, F0, cfg, eps=0.01, cadence=1, sample=sample)
+    finally:
+        tracemalloc.stop()
+    assert traj.state.step_index == 5 and len(seen) == 6
+    for current, peak in seen:
+        assert peak - current < F0.nbytes, (current, peak)
+    # after the first step, which allocates the solver's factors and
+    # scratch, only the recorded sample times grow
+    assert seen[-1][0] - seen[1][0] < 4096, seen
 
 
 def test_imex_mass_conservation():
@@ -654,9 +744,9 @@ def test_halved_retries_reuse_the_states_q(monkeypatch):
     calls = []
     real = fd.reaction.q_field
 
-    def counted(F, ks, eps=0.0):
+    def counted(F, ks, eps=0.0, **stacks):
         calls.append(None)
-        return real(F, ks, eps)
+        return real(F, ks, eps, **stacks)
 
     monkeypatch.setattr(fd.reaction, "q_field", counted)
     cfg = StepperConfig(scheme="imex_euler", dt=37.5, t_end=37.5)

@@ -155,9 +155,9 @@ def _count_q_field(monkeypatch):
     calls = []
     real = reaction.q_field
 
-    def counted(F, ks, eps=0.0):
+    def counted(F, ks, eps=0.0, **stacks):
         calls.append(None)
-        return real(F, ks, eps)
+        return real(F, ks, eps, **stacks)
 
     monkeypatch.setattr(reaction, "q_field", counted)
     return calls
