@@ -240,10 +240,11 @@ def _sweep_worker(packed):
 
 
 def _l1_between(grid, a, b):
-    """Species-summed L1 distance; species counts may differ (zero padding)."""
-    n = max(a.shape[0], b.shape[0])
-    a, b = (np.concatenate([F, np.zeros((n - F.shape[0],) + grid.shape)]) for F in (a, b))
-    return math.fsum(gridmod.species_integrals(grid, np.abs(a - b)))
+    """Species-summed L1 distance; species counts may differ (a species one
+    stack lacks counts as zero there).  One species row at a time."""
+    terms = [gridmod.integrate(grid, np.abs(fa - fb)) for fa, fb in zip(a, b)]
+    terms += [gridmod.integrate(grid, np.abs(f)) for f in (*a[len(b):], *b[len(a):])]
+    return math.fsum(terms)
 
 
 def _restrict_1d(values, factor):

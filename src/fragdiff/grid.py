@@ -14,14 +14,24 @@ gives exact row-sum (mass) conservation.
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass
+from itertools import islice
 from math import fsum
 
 import numpy as np
 
 from .errors import DomainError
 
-_CSV_CHUNK_ROWS = 512
+_SUM_BLOCK = 8192
+"""Cells per block of :func:`_fsum_rows`; its two scratch arrays take 128 KB."""
+_SUM_DIRECT = 2048
+"""Below this many cells ``fsum`` per row is faster than the blocks."""
+# the split points of _fsum_rows stay in [2**-900, 2**1000]: u * sigma is
+# normal and no sum of the split overflows
+_SUM_SIGMA_MIN = 2.0 ** -900
+_SUM_SIGMA_MAX = 2.0 ** 1000
+_CSV_CHUNK_ROWS = 64
 _CSV_COPY_BYTES = 1 << 16
 # Rows per formatting process.  On a 2-core Xeon, in a process that has
 # just run a 64x64, n=32 simulation, a 34-column row took 31-60 us to
@@ -87,23 +97,85 @@ def make_grid_2d(mx, my, lx=1.0, ly=1.0):
     return GridSpec(shape=(mx, my), lengths=(float(lx), float(ly)))
 
 
+def _fsum_rows(rows, absolute=False):
+    """``math.fsum`` of each row of the 2D float array ``rows`` (of its
+    absolute values when ``absolute``): the exactly rounded sums, with
+    ``fsum``'s bits, without a Python step per float.
+
+    Each row is split error-free at ``sigma``, a power of two above
+    ``2 N max|x|`` (Rump, Ogita & Oishi 2008, "Accurate floating-point
+    summation, Part I", SIAM J. Sci. Comput. 31(1), Lemma 3.2):
+    ``q = fl(fl(sigma + x) - sigma)`` is a multiple of ``u sigma``
+    (``u = 2**-53``) and ``r = x - q`` is exact with ``|r| <= u sigma``.
+    Every partial sum of the ``q``s is a multiple of ``u sigma`` below
+    ``sigma``, so their sum ``tau`` is exact in any order.  In any order
+    the ``r``s sum to ``low`` within ``(N - 1) u / (1 - (N - 1) u)`` times
+    ``N u sigma``, less than ``2 N**2 u**2 sigma``.  ``c = fl(tau + low)``
+    and its exact error ``err`` (TwoSum) put the exact sum within that
+    bound of ``c + err``; when the interval lies inside ``c``'s rounding
+    interval, ``c`` is the exactly rounded sum.  A row that fails this test
+    (a sum within the bound of a midpoint between two floats, or zero), or
+    whose largest value is not finite or too large for the split, is summed
+    with ``fsum``, as is a table of fewer than ``_SUM_DIRECT`` cells.  The
+    rows go through two scratch arrays in blocks of ``_SUM_BLOCK`` cells.
+    """
+    nrows, N = rows.shape
+    if rows.size < _SUM_DIRECT:
+        return np.array([_fsum(row, absolute) for row in rows])
+    mu = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    limit = _SUM_SIGMA_MAX / (2.0 * N)
+    if not (mu <= limit).all():  # inf, nan, or too large to split
+        return np.array([_fsum_rows(row[None], absolute)[0] if m <= limit
+                         else _fsum(row, absolute) for row, m in zip(rows, mu)])
+    sigma = np.ldexp(1.0, np.frexp(np.maximum(mu * (2.0 * N), _SUM_SIGMA_MIN))[1])
+    tau, low = np.zeros((2, nrows))
+    width = min(N, _SUM_BLOCK)
+    step = max(1, _SUM_BLOCK // N)
+    qs, rs = np.empty((2, min(step, nrows), width))
+    for r0 in range(0, nrows, step):
+        sig = sigma[r0:r0 + step, None]
+        for c0 in range(0, N, width):
+            x = rows[r0:r0 + step, c0:c0 + width]
+            q, r = qs[:x.shape[0], :x.shape[1]], rs[:x.shape[0], :x.shape[1]]
+            if absolute:
+                x = np.abs(x, out=r)
+            np.add(x, sig, out=q)
+            q -= sig
+            np.subtract(x, q, out=r)
+            tau[r0:r0 + step] += q.sum(axis=1)
+            low[r0:r0 + step] += r.sum(axis=1)
+    c = tau + low
+    z = c - tau
+    err = (tau - (c - z)) + (low - z)
+    a = np.abs(c)
+    half_gap = (a - np.nextafter(a, 0.0)) * 0.5  # the smaller of c's two gaps
+    decided = half_gap - np.abs(err) > sigma * (2.0 * N * N * 2.0 ** -106)
+    for i in np.flatnonzero(~decided):
+        c[i] = _fsum(rows[i], absolute)
+    return c
+
+
+def _fsum(row, absolute):
+    return fsum((np.abs(row) if absolute else row).data)
+
+
 def integrate(grid, u):
     """Midpoint-rule integral of cell values over the domain (exactly
-    ``cell_volume * sum`` with compensated summation)."""
+    ``cell_volume * sum``, the sum exactly rounded)."""
     u = np.asarray(u, dtype=float)
-    return grid.cell_volume * fsum(u.ravel().data)
+    return grid.cell_volume * float(_fsum_rows(u.reshape(1, -1))[0])
 
 
-def species_integrals(grid, F):
-    """:func:`integrate` of every species row of the stack ``F``, as an array.
+def species_integrals(grid, F, absolute=False):
+    """:func:`integrate` of every species row of the stack ``F`` (of ``|F|``
+    when ``absolute``), as an array.
 
-    ``fsum`` is exactly rounded, so each entry has the bits of
-    ``integrate(grid, F[i])``.  ``fsum`` reads each row's buffer (its
-    ``.data`` memoryview) one float at a time, so no float list is built.
+    Each row sum is exactly rounded (:func:`_fsum_rows`), so each entry has
+    the bits of ``integrate(grid, F[i])``; ``absolute`` takes ``|F|`` one
+    block at a time, with no array the size of ``F``.
     """
     F = np.asarray(F, dtype=float)
-    vol = grid.cell_volume
-    return np.array([vol * fsum(row.data) for row in F.reshape(F.shape[0], -1)])
+    return grid.cell_volume * _fsum_rows(F.reshape(F.shape[0], -1), absolute)
 
 
 def gradient_sq_integral(grid, u, mask=None):
@@ -129,28 +201,31 @@ def gradient_sq_integral(grid, u, mask=None):
         sl_hi = [slice(None)] * u.ndim
         sl_lo[axis] = slice(0, m - 1)
         sl_hi[axis] = slice(1, m)
-        diff = (u[tuple(sl_hi)] - u[tuple(sl_lo)]) / hh
+        sq = u[tuple(sl_hi)] - u[tuple(sl_lo)]
+        sq /= hh
+        sq *= sq
         w = grid.lengths[axis] / (m - 1)
         for other, oh in enumerate(grid.h):
             if other != axis:
                 w *= oh
-        sq = diff * diff
         if mask is not None:
             both = mask[tuple(sl_hi)] & mask[tuple(sl_lo)]
-            sq = np.where(both, sq, 0.0)
-        total_terms.append(w * fsum(sq.ravel().data))
+            sq[~both] = 0.0
+        total_terms.append(w * float(_fsum_rows(sq.reshape(1, -1))[0]))
     return fsum(total_terms)
 
 
 # -- CSV snapshots ---------------------------------------------------------
 
 
-def _csv_lines(rows):
-    """The CSV lines of the rows of ``rows``, converted ``_CSV_CHUNK_ROWS``
-    rows at a time: the float objects of a whole table would outweigh the
-    table itself several times."""
-    for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-        for row in rows[start:start + _CSV_CHUNK_ROWS].tolist():
+def _csv_lines(columns, lo, hi):
+    """The CSV lines of rows ``lo:hi`` of the table whose columns are the 1D
+    arrays ``columns``, converted ``_CSV_CHUNK_ROWS`` rows at a time from
+    views of the columns: the float objects of a whole table, or a copy of
+    it, would outweigh the table itself several times."""
+    for start in range(lo, hi, _CSV_CHUNK_ROWS):
+        stop = min(start + _CSV_CHUNK_ROWS, hi)
+        for row in zip(*[col[start:stop].tolist() for col in columns]):
             yield ",".join(map(repr, row)) + "\n"
 
 
@@ -163,38 +238,34 @@ def _csv_parts(nrows):
     return max(1, min(len(os.sched_getaffinity(0)), nrows // _CSV_PART_MIN_ROWS))
 
 
-def _fork_formatter(rows):
-    """Fork a child that formats ``rows`` and writes the text to a pipe;
-    returns ``(pid, read end)``.
+def _fork_formatter(columns, lo, hi, directory):
+    """Fork a child that writes the CSV lines of rows ``lo:hi`` into an
+    unnamed temporary file in ``directory``; returns ``(pid, file)``.
 
     ``repr`` holds the interpreter lock, so only a process can format in
-    parallel.  The child runs only ``tolist`` and ``repr`` on rows it
+    parallel.  The child runs only ``tolist`` and ``repr`` on columns it
     inherits, no BLAS call, so a lock held by another thread of the parent
-    (a BLAS pool) at the fork is never waited on.  It formats its whole
-    part before it writes, so it never waits on a full pipe while the
-    parent formats its own part, and it leaves only through ``os._exit``:
-    it runs none of the parent's ``finally`` blocks and flushes none of
-    its buffers.
+    (a BLAS pool) at the fork is never waited on.  It writes its part chunk
+    by chunk into a file, not a pipe, so it never waits for the parent to
+    finish its own part, and it leaves only through ``os._exit``: it runs
+    none of the parent's ``finally`` blocks and flushes none of its
+    buffers.
     """
-    r, w = os.pipe()
+    part = tempfile.TemporaryFile(dir=directory)
     try:
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
+        part.close()
         raise
     if pid == 0:
         code = 1
         try:
-            os.close(r)
-            text = "".join(_csv_lines(rows))
-            with open(w, "w") as out:
-                out.write(text)
+            with open(part.fileno(), "w", closefd=False) as out:
+                out.writelines(_csv_lines(columns, lo, hi))
             code = 0
         finally:
             os._exit(code)
-    os.close(w)
-    return pid, r
+    return pid, part
 
 
 def write_species_csv(path, grid, values, metadata=None):
@@ -205,21 +276,23 @@ def write_species_csv(path, grid, values, metadata=None):
 
     A table of at least ``2 * _CSV_PART_MIN_ROWS`` rows is formatted by up
     to one process per usable CPU: the rows are split into contiguous
-    parts, this process streams the first, and a forked child formats each
-    other part into a pipe that is copied into the file in order.  The
-    bytes are the same for any number of parts.
+    parts, this process streams the first, and a forked child writes each
+    other part into a temporary file beside ``path`` that is copied into
+    the file in order.  The bytes are the same for any number of parts.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     columns = [ax.ravel() for ax in grid.meshgrid()] + list(values.reshape(n, -1))
-    table = np.stack(columns, axis=1)
-    parts = _csv_parts(len(table))
-    bounds = [len(table) * k // parts for k in range(parts + 1)]
+    nrows = len(columns[0])
+    parts = _csv_parts(nrows)
+    bounds = [nrows * k // parts for k in range(parts + 1)]
     children = []
+    failed = 0
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_formatter(table[lo:hi]))
         with open(path, "w") as fh:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                children.append(_fork_formatter(columns, lo, hi,
+                                                os.path.dirname(os.path.abspath(path))))
             fh.write(f"# grid_shape={','.join(str(m) for m in grid.shape)}\n")
             fh.write(f"# grid_lengths={','.join(repr(L) for L in grid.lengths)}\n")
             fh.write(f"# species={n}\n")
@@ -227,48 +300,75 @@ def write_species_csv(path, grid, values, metadata=None):
                 fh.write(f"# {key}={val}\n")
             coords = ["x", "y"][: grid.dim]
             fh.write(",".join(coords + [f"f_{i}" for i in range(1, n + 1)]) + "\n")
-            fh.writelines(_csv_lines(table[:bounds[1]]))
+            fh.writelines(_csv_lines(columns, 0, bounds[1]))
             fh.flush()
-            for _, r in children:
-                while chunk := os.read(r, _CSV_COPY_BYTES):
-                    fh.buffer.write(chunk)
+            while children:
+                pid, part = children.pop(0)
+                with part:
+                    if os.waitpid(pid, 0)[1] != 0:
+                        failed += 1
+                        continue
+                    part.seek(0)
+                    while chunk := part.read(_CSV_COPY_BYTES):
+                        fh.buffer.write(chunk)
     finally:
-        for _, r in children:
-            os.close(r)
-        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid, _ in children)
+        for pid, part in children:
+            part.close()
+            failed += os.waitpid(pid, 0)[1] != 0
     if failed:
         raise OSError(f"{path}: {failed} of {parts - 1} formatting processes failed")
 
 
 def read_species_csv(path):
-    """Inverse of :func:`write_species_csv`; returns ``(grid, values, metadata)``."""
+    """Inverse of :func:`write_species_csv`; returns ``(grid, values, metadata)``.
+
+    The metadata headers come before the data rows.  The rows are parsed
+    ``_CSV_CHUNK_ROWS`` at a time into the preallocated ``values``; Python's
+    ``float`` of a ``repr`` is exact, so every value keeps its bits.
+    """
     metadata = {}
-    shape = lengths = None
-    rows = []
+    shape = lengths = values = None
+    nrows = 0
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        while lines := list(islice(fh, _CSV_CHUNK_ROWS)):
+            data = []
+            for line in lines:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    key, _, val = line[1:].strip().partition("=")
+                    key = key.strip()
+                    if key == "grid_shape":
+                        shape = tuple(int(s) for s in val.split(","))
+                    elif key == "grid_lengths":
+                        lengths = tuple(float(s) for s in val.split(","))
+                    else:
+                        metadata[key] = val
+                    continue
+                if line[0].isalpha() or line.startswith('"'):
+                    continue  # column header
+                if values is None:
+                    if shape is None or lengths is None:
+                        raise DomainError(f"{path}: missing grid metadata headers")
+                    grid = GridSpec(shape=shape, lengths=lengths)
+                    ncols = line.count(",") + 1
+                    values = np.empty((ncols - grid.dim, grid.ncells))
+                if line.count(",") + 1 != ncols:
+                    raise DomainError(f"{path}: a data row does not have {ncols} columns")
+                data.append(line)
+            if not data:
                 continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                key = key.strip()
-                if key == "grid_shape":
-                    shape = tuple(int(s) for s in val.split(","))
-                elif key == "grid_lengths":
-                    lengths = tuple(float(s) for s in val.split(","))
-                else:
-                    metadata[key] = val
-                continue
-            if line[0].isalpha() or line.startswith('"'):
-                continue  # column header
-            rows.append([float(tok) for tok in line.split(",")])
+            if nrows + len(data) > grid.ncells:
+                raise DomainError(f"{path}: more than {grid.ncells} data rows")
+            block = np.fromiter(map(float, ",".join(data).split(",")), float,
+                                count=len(data) * ncols).reshape(len(data), ncols)
+            values[:, nrows:nrows + len(data)] = block[:, grid.dim:].T
+            nrows += len(data)
     if shape is None or lengths is None:
         raise DomainError(f"{path}: missing grid metadata headers")
-    if not rows:
+    if values is None:
         raise DomainError(f"{path}: no data rows")
-    grid = GridSpec(shape=shape, lengths=lengths)
-    data = np.asarray(rows)
-    n = data.shape[1] - grid.dim
-    values = data[:, grid.dim :].T.reshape((n,) + grid.shape).copy()
-    return grid, values, metadata
+    if nrows != grid.ncells:
+        raise DomainError(f"{path}: {nrows} data rows for a grid of {grid.ncells} cells")
+    return grid, values.reshape((len(values),) + grid.shape), metadata

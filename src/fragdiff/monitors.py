@@ -185,13 +185,23 @@ class MonitorAccumulator:
     def add(self, t, F, Q):
         grid = self.grid
         ints = gridmod.species_integrals(grid, F)
-        q_ints = gridmod.species_integrals(grid, np.abs(Q))
+        q_ints = gridmod.species_integrals(grid, Q, absolute=True)
         self.times.append(t)
         self._ints.append(ints)
         self._minv.append(float(np.min(F)))
         self._maxv.append(float(np.max(F)))
-        v = np.sum(self._wi * F, axis=0)
-        self._dual.append(gridmod.integrate(grid, np.sum(self._wid * F, axis=0) * v))
+        if F.size <= gridmod._SUM_BLOCK:
+            v = np.sum(self._wi * F, axis=0)
+            w = np.sum(self._wid * F, axis=0)
+        else:
+            # species by species, as np.sum(..., axis=0) adds them: the
+            # same bits, with no temporary the size of F
+            v, w, term = np.zeros((3,) + F.shape[1:])
+            for f, wi, wid in zip(F, self._wi, self._wid):
+                v += np.multiply(wi, f, out=term)
+                w += np.multiply(wid, f, out=term)
+        w *= v
+        self._dual.append(gridmod.integrate(grid, w))
         if self._R is None:
             self._R = float(np.max(self.ks.d)) * gridmod.integrate(grid, v * v)
         self._per_t.append(self._inv_d * q_ints)

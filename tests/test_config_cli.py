@@ -18,7 +18,7 @@ from fragdiff.config import (
     reference_scenario_dict,
 )
 from fragdiff.errors import ConfigError, ContractViolationError
-from fragdiff.grid import write_species_csv
+from fragdiff.grid import species_integrals, write_species_csv
 
 
 def small_doc(**over):
@@ -670,6 +670,25 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "0.1 and 0.1000001" in err and "run_eps_0.1" in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cells", [(40,), (48, 64)], ids=["1D", "2D"])
+    def test_l1_distance_is_the_zero_padded_form(self, cells):
+        # stacks of 5 and 8 species: the species both hold, then the extra
+        # rows of the longer one, give the bits of the zero-padded formula
+        grid = fd.make_grid_1d(*cells) if len(cells) == 1 else fd.make_grid_2d(*cells)
+        rng = np.random.default_rng(len(cells))
+        a = rng.standard_normal((5,) + grid.shape) * 10.0 ** rng.integers(-8, 8, (5,) + grid.shape)
+        b = rng.uniform(-1.0, 1.0, size=(8,) + grid.shape)
+        b[1] = a[1]
+        a[2, ::2] = -0.0
+
+        def padded(x, y):
+            n = max(len(x), len(y))
+            x, y = (np.concatenate([F, np.zeros((n - len(F),) + grid.shape)]) for F in (x, y))
+            return math.fsum(species_integrals(grid, np.abs(x - y)))
+
+        for x, y in ((a, b), (b, a), (a, a), (b, b[:5])):
+            assert cli._l1_between(grid, x, y).hex() == padded(x, y).hex()
 
     def test_eps_sweep(self, tmp_path):
         doc = small_doc(stepper={"t_end": 0.005})

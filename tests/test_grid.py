@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,23 +120,93 @@ _LAYOUTS = {
 
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
 def test_integrals_read_any_layout_as_the_float_list(layout):
-    # every fsum sees the same floats in the same order as the row's
-    # Python float list, so its exactly rounded sum has the same bits
-    g = make_grid_2d(6, 9, 0.7, 2.0)
-    F = np.random.default_rng(6).uniform(0.0, 3.0, size=(5,) + g.shape)
-    X = _LAYOUTS[layout](F)
-    assert np.array_equal(X, F) and not X.flags.c_contiguous
-    vol = g.cell_volume
-    flat = [X[i].ravel().tolist() for i in range(5)]
-    assert species_integrals(g, X).tolist() == [vol * math.fsum(row) for row in flat]
-    for i in range(5):
-        assert integrate(g, X[i]) == vol * math.fsum(flat[i])
-        terms = []
-        for axis, h in enumerate(g.h):
-            sq = (np.diff(X[i], axis=axis) / h) ** 2
-            w = g.lengths[axis] / (g.shape[axis] - 1) * g.h[1 - axis]
-            terms.append(w * math.fsum(sq.ravel().tolist()))
-        assert gradient_sq_integral(g, X[i]) == math.fsum(terms)
+    # every sum is exactly rounded, as fsum of the row's Python float list
+    # is, so it has the same bits; 6x9 is summed row by row with fsum,
+    # 48x90 through the blocks of _fsum_rows
+    for shape in ((6, 9), (48, 90)):
+        g = make_grid_2d(*shape, 0.7, 2.0)
+        F = np.random.default_rng(6).uniform(0.0, 3.0, size=(5,) + g.shape)
+        X = _LAYOUTS[layout](F)
+        assert np.array_equal(X, F) and not X.flags.c_contiguous
+        vol = g.cell_volume
+        flat = [X[i].ravel().tolist() for i in range(5)]
+        assert species_integrals(g, X).tolist() == [vol * math.fsum(row) for row in flat]
+        for i in range(5):
+            assert integrate(g, X[i]) == vol * math.fsum(flat[i])
+            terms = []
+            for axis, h in enumerate(g.h):
+                sq = (np.diff(X[i], axis=axis) / h) ** 2
+                w = g.lengths[axis] / (g.shape[axis] - 1) * g.h[1 - axis]
+                terms.append(w * math.fsum(sq.ravel().tolist()))
+            assert gradient_sq_integral(g, X[i]) == math.fsum(terms)
+
+
+def _fsum_hex(rows, absolute=False):
+    return [math.fsum((np.abs(row) if absolute else row).tolist()).hex() for row in rows]
+
+
+@pytest.mark.parametrize("shape", [(32, 128), (64, 64), (32, 4096), (1, 65536)])
+def test_row_sums_have_the_bits_of_fsum(shape):
+    rng = np.random.default_rng(shape[0] + shape[1])
+    signed = rng.standard_normal(shape) * 2.0 ** rng.integers(-40, 40, size=shape)
+    for rows in (rng.uniform(0.0, 2.0, size=shape), signed):
+        for absolute in (False, True):
+            got = gridmod._fsum_rows(rows, absolute)
+            assert [float(v).hex() for v in got] == _fsum_hex(rows, absolute)
+
+
+def _count_fallbacks(monkeypatch):
+    calls, fsum_row = [], gridmod._fsum
+    monkeypatch.setattr(gridmod, "_fsum",
+                        lambda row, absolute: calls.append(row) or fsum_row(row, absolute))
+    return calls
+
+
+@pytest.mark.parametrize("head", [[1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -80],
+                                  [1.0, 2.0 ** -53, -(2.0 ** -80)], [1.0, -1.0]])
+def test_row_sums_at_a_rounding_midpoint_fall_back_to_fsum(monkeypatch, head):
+    # a sum at (or within the bound of) a midpoint between two floats, or
+    # zero, is left to fsum; the other rows are decided by the bound
+    rows = np.ones((3, 4096))
+    rows[1] = 0.0
+    rows[1, :len(head)] = head
+    calls = _count_fallbacks(monkeypatch)
+    got = gridmod._fsum_rows(rows)
+    assert [float(v).hex() for v in got] == _fsum_hex(rows)
+    assert len(calls) == 1 and np.array_equal(calls[0], rows[1])
+
+
+def test_row_sums_with_zeros_and_subnormals():
+    rng = np.random.default_rng(12)
+    rows = rng.uniform(0.0, 1.0, size=(8, 4096))
+    rows[:, ::3] = 0.0
+    rows[:, 1::5] = -0.0
+    rows[:, 2::7] = 5e-324
+    rows[2] = 0.0
+    rows[3] = -0.0
+    rows[4] = rng.integers(0, 2 ** 20, size=4096) * 5e-324  # every entry subnormal
+    rows[5] *= 2.0 ** -1000  # normal entries with a subnormal spacing
+    rows[6] = -rows[6]
+    for absolute in (False, True):
+        got = gridmod._fsum_rows(rows, absolute)
+        assert [float(v).hex() for v in got] == _fsum_hex(rows, absolute)
+
+
+def test_row_sums_of_non_finite_and_huge_rows():
+    rows = np.random.default_rng(13).uniform(0.0, 1.0, size=(5, 4096))
+    rows[0, 7] = np.inf
+    rows[1, 9] = np.nan
+    rows[2, 11] = -np.inf
+    rows[3] = 1e300  # too large to split; the sum is finite
+    for absolute in (False, True):
+        got = gridmod._fsum_rows(rows, absolute)
+        assert [float(v).hex() for v in got] == _fsum_hex(rows, absolute)
+    overflowing = np.full((2, 4096), 1e305)
+    with pytest.raises(OverflowError) as want:
+        math.fsum(overflowing[0].tolist())
+    with pytest.raises(OverflowError) as got:
+        gridmod._fsum_rows(overflowing)
+    assert str(got.value) == str(want.value)
 
 
 def test_gradient_sq_exact_for_linear():
@@ -287,10 +358,10 @@ def test_split_species_csv_child_failure_raises(tmp_path, monkeypatch):
     _split_writer(monkeypatch, cpus=3, min_rows=8)
     parent, csv_lines = os.getpid(), gridmod._csv_lines
 
-    def failing_in_children(rows):
+    def failing_in_children(columns, lo, hi):
         if os.getpid() != parent:
             raise ValueError("formatting failed")
-        return csv_lines(rows)
+        return csv_lines(columns, lo, hi)
 
     monkeypatch.setattr(gridmod, "_csv_lines", failing_in_children)
     path = tmp_path / "split.csv"
@@ -317,6 +388,53 @@ def test_small_species_csv_does_not_fork(tmp_path, monkeypatch):
     path = tmp_path / "small.csv"
     write_species_csv(path, make_grid_1d(rows), np.ones((2, rows)))
     assert read_species_csv(path)[1].shape == (2, rows)
+
+
+def _traced_peak(fn):
+    """``fn()`` and the traced peak it allocated above what was traced before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_species_csv_streams_in_block_sized_memory(tmp_path, monkeypatch):
+    # 128x128, n=32: the writer copies no table and the reader builds no
+    # float list; the values, zeros and subnormals among them, keep their bits
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    g = make_grid_2d(128, 128)
+    rng = np.random.default_rng(14)
+    vals = rng.uniform(0.0, 1.0, size=(32,) + g.shape) * np.exp(-np.arange(1.0, 33.0))[:, None, None]
+    vals[:, ::3] = 0.0
+    vals[:, 1::5] = -0.0
+    vals[:, :, ::7] = 5e-324
+    vals[5, 2] = 2.5e-310
+    stack = vals.nbytes
+    path = tmp_path / "fields.csv"
+    _, written = _traced_peak(lambda: write_species_csv(path, g, vals, metadata={"t": "0.5"}))
+    assert written < 0.25 * stack, written  # a copy of the table was 1.27 stacks
+    (g2, vals2, meta), read = _traced_peak(lambda: read_species_csv(path))
+    assert read - vals2.nbytes < 0.25 * stack, read  # a float list per row was 5.75 stacks
+    assert g2 == g and meta == {"species": "32", "t": "0.5"}
+    assert vals2.shape == vals.shape and vals2.flags.c_contiguous
+    assert np.array_equal(vals2.view(np.uint64), vals.view(np.uint64))
+
+
+def test_species_csv_rejects_a_table_that_does_not_fit_the_grid(tmp_path):
+    g = make_grid_1d(6)
+    good = tmp_path / "good.csv"
+    write_species_csv(good, g, np.ones((2, 6)))
+    lines = good.read_text().splitlines(keepends=True)
+    for name, text in [("short.csv", "".join(lines[:-1])),
+                       ("long.csv", "".join(lines + lines[-1:])),
+                       ("ragged.csv", "".join(lines[:-1]) + lines[-1].rstrip() + ",1.0\n")]:
+        bad = tmp_path / name
+        bad.write_text(text)
+        with pytest.raises(DomainError, match=name):
+            read_species_csv(bad)
 
 
 def test_species_csv_missing_metadata(tmp_path):

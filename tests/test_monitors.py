@@ -271,3 +271,41 @@ def test_mass_sums_match_the_per_element_form():
                 want = math.fsum(float((i + 1) * ints[i]) for i in range(M, n))
                 assert _mass_above(ints, M).hex() == want.hex(), (n, M)
             assert _particles(ints).hex() == math.fsum(float(v) for v in ints).hex()
+
+
+@pytest.mark.parametrize("cells", [(128,), (128, 128)], ids=["1D", "2D"])
+def test_sample_has_the_bits_of_the_whole_stack_forms(cells):
+    # 1D, n=32: the stack fits one block and is weighted whole; 128x128, n=32:
+    # species one row at a time, scratch one block at a time.  Every integrand
+    # has the bits of the whole-stack expressions, and the 2D sample's
+    # temporaries stay far below the 1.06 stacks of those expressions
+    import tracemalloc
+
+    g = fd.make_grid_2d(*cells) if len(cells) == 2 else make_grid_1d(*cells)
+    n = 32
+    ks = fd.power_law_uniform(n, 4.0, 0.5)
+    rng = np.random.default_rng(42)
+    F = rng.uniform(0.0, 1.0, size=(n,) + g.shape) * np.exp(-np.arange(1.0, n + 1.0)).reshape(
+        (n,) + (1,) * g.dim)
+    F[3] = -0.0
+    F[:, ::4] = 0.0
+    Q = fd.q_field(F, ks, 0.01)
+    acc = fd.MonitorAccumulator(g, ks, eps=0.01, energy_specs=[(1, 0.5), (2, 1.0)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        acc.add(0.0, F, Q)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    if g.dim == 2:
+        assert peak < 0.3 * F.nbytes, peak
+    shape = (n,) + (1,) * g.dim
+    i1 = np.arange(1.0, n + 1.0).reshape(shape)
+    v = np.sum(i1 * F, axis=0)
+    assert acc._dual == [integrate(g, np.sum(i1 * ks.d.reshape(shape) * F, axis=0) * v)]
+    assert acc._R == float(np.max(ks.d)) * integrate(g, v * v)
+    np.testing.assert_array_equal(acc._ints[0], [integrate(g, f) for f in F])
+    q_ints = np.array([integrate(g, np.abs(q)) for q in Q])
+    np.testing.assert_array_equal(acc._per_t[0], (1.0 / ks.d) * q_ints)
+    assert acc._qnorm == [[q_ints[0]], [q_ints[1]]]
