@@ -16,17 +16,21 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import islice
-from math import fsum
+from itertools import chain, islice
+from math import copysign, fsum
 
 import numpy as np
 
 from .errors import DomainError
 
 _SUM_BLOCK = 8192
-"""Cells per block of :func:`_fsum_rows`; its two scratch arrays take 128 KB."""
+"""Cells per block of :func:`_fsum_rows` and of the streamed integrands;
+the split's two scratch arrays then take 128 kB."""
 _SUM_DIRECT = 2048
-"""Below this many cells ``fsum`` per row is faster than the blocks."""
+"""Below this many values ``fsum`` per row is faster than the split."""
+_FSUM_KEEPS_NEGATIVE_ZERO = copysign(1.0, fsum((-0.0,))) < 0.0
+"""Whether this Python's ``fsum`` of ``-0.0`` alone is ``-0.0`` (on 3.10 and
+3.11 it is ``+0.0``, as for every other row of zeros)."""
 # the split points of _fsum_rows stay in [2**-900, 2**1000]: u * sigma is
 # normal and no sum of the split overflows
 _SUM_SIGMA_MIN = 2.0 ** -900
@@ -97,13 +101,19 @@ def make_grid_2d(mx, my, lx=1.0, ly=1.0):
     return GridSpec(shape=(mx, my), lengths=(float(lx), float(ly)))
 
 
-def _fsum_rows(rows, absolute=False):
-    """``math.fsum`` of each row of the 2D float array ``rows`` (of its
-    absolute values when ``absolute``): the exactly rounded sums, with
-    ``fsum``'s bits, without a Python step per float.
+def _exact_sums(blocks, nrows, N, mu=None, absolute=False):
+    """The exactly rounded sums, with ``math.fsum``'s bits, of ``nrows``
+    rows of at most ``N`` floats each (of their absolute values when
+    ``absolute``), fed block by block.
+
+    Each call of ``blocks()`` yields every row's values again, in order, as
+    pairs ``(i, x)``: row ``j`` of the 2D block ``x`` continues row
+    ``i + j``.  With fewer than ``_SUM_DIRECT`` values in all, each row is
+    summed with ``fsum`` over one pass of its blocks.  Otherwise ``mu[i]``,
+    known before the first block, bounds ``|x|`` on row ``i``.
 
     Each row is split error-free at ``sigma``, a power of two above
-    ``2 N max|x|`` (Rump, Ogita & Oishi 2008, "Accurate floating-point
+    ``2 N mu`` (Rump, Ogita & Oishi 2008, "Accurate floating-point
     summation, Part I", SIAM J. Sci. Comput. 31(1), Lemma 3.2):
     ``q = fl(fl(sigma + x) - sigma)`` is a multiple of ``u sigma``
     (``u = 2**-53``) and ``r = x - q`` is exact with ``|r| <= u sigma``.
@@ -113,50 +123,85 @@ def _fsum_rows(rows, absolute=False):
     ``N u sigma``, less than ``2 N**2 u**2 sigma``.  ``c = fl(tau + low)``
     and its exact error ``err`` (TwoSum) put the exact sum within that
     bound of ``c + err``; when the interval lies inside ``c``'s rounding
-    interval, ``c`` is the exactly rounded sum.  A row that fails this test
-    (a sum within the bound of a midpoint between two floats, or zero), or
-    whose largest value is not finite or too large for the split, is summed
-    with ``fsum``, as is a table of fewer than ``_SUM_DIRECT`` cells.  The
-    rows go through two scratch arrays in blocks of ``_SUM_BLOCK`` cells.
+    interval, ``c`` is the exactly rounded sum.  A row of zeros
+    (``mu = 0``) sums to ``+0.0``, or to ``fsum``'s zero where every value
+    is ``-0.0``.  Any other row that fails this test (a sum within the
+    bound of a midpoint between two floats, or zero), or whose bound is not
+    finite or too large for the split, is summed with ``fsum`` over a new
+    pass of its blocks.  The split takes two scratch arrays the size of the
+    largest block.
     """
-    nrows, N = rows.shape
-    if rows.size < _SUM_DIRECT:
-        return np.array([_fsum(row, absolute) for row in rows])
-    mu = np.maximum(rows.max(axis=1), -rows.min(axis=1))
-    limit = _SUM_SIGMA_MAX / (2.0 * N)
-    if not (mu <= limit).all():  # inf, nan, or too large to split
-        return np.array([_fsum_rows(row[None], absolute)[0] if m <= limit
-                         else _fsum(row, absolute) for row, m in zip(rows, mu)])
-    sigma = np.ldexp(1.0, np.frexp(np.maximum(mu * (2.0 * N), _SUM_SIGMA_MIN))[1])
-    tau, low = np.zeros((2, nrows))
-    width = min(N, _SUM_BLOCK)
-    step = max(1, _SUM_BLOCK // N)
-    qs, rs = np.empty((2, min(step, nrows), width))
-    for r0 in range(0, nrows, step):
-        sig = sigma[r0:r0 + step, None]
-        for c0 in range(0, N, width):
-            x = rows[r0:r0 + step, c0:c0 + width]
-            q, r = qs[:x.shape[0], :x.shape[1]], rs[:x.shape[0], :x.shape[1]]
+    if nrows * N < _SUM_DIRECT:
+        return np.array([_fsum(_row(blocks, i), absolute) for i in range(nrows)])
+    mu = np.asarray(mu, dtype=float)
+    # a row that is not split (inf, nan, too large) may overflow or form
+    # inf - inf below; its sums are discarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.ldexp(1.0, np.frexp(np.maximum(mu * (2.0 * N), _SUM_SIGMA_MIN))[1])
+        tau, low = np.zeros((2, nrows))
+        scratch = np.empty(0)
+        for i, x in blocks():
+            if scratch.size < 2 * x.size:
+                scratch = np.empty(2 * x.size)
+            q, r = scratch[:2 * x.size].reshape((2,) + x.shape)
             if absolute:
                 x = np.abs(x, out=r)
+            sig = sigma[i:i + len(x), None]
             np.add(x, sig, out=q)
             q -= sig
             np.subtract(x, q, out=r)
-            tau[r0:r0 + step] += q.sum(axis=1)
-            low[r0:r0 + step] += r.sum(axis=1)
-    c = tau + low
-    z = c - tau
-    err = (tau - (c - z)) + (low - z)
-    a = np.abs(c)
-    half_gap = (a - np.nextafter(a, 0.0)) * 0.5  # the smaller of c's two gaps
-    decided = half_gap - np.abs(err) > sigma * (2.0 * N * N * 2.0 ** -106)
-    for i in np.flatnonzero(~decided):
-        c[i] = _fsum(rows[i], absolute)
+            tau[i:i + len(x)] += q.sum(axis=1)
+            low[i:i + len(x)] += r.sum(axis=1)
+        c = tau + low
+        z = c - tau
+        err = (tau - (c - z)) + (low - z)
+        a = np.abs(c)
+        half_gap = (a - np.nextafter(a, 0.0)) * 0.5  # the smaller of c's two gaps
+        open_rows = ~((mu <= _SUM_SIGMA_MAX / (2.0 * N))
+                      & (half_gap - np.abs(err) > sigma * (2.0 * N * N * 2.0 ** -106)))
+    for i in np.flatnonzero(open_rows):
+        if mu[i] == 0.0:
+            negative = (_FSUM_KEEPS_NEGATIVE_ZERO and not absolute
+                        and all(np.signbit(x).all() for x in _row(blocks, i)))
+            c[i] = -0.0 if negative else 0.0
+        else:
+            c[i] = _fsum(_row(blocks, i), absolute)
     return c
 
 
-def _fsum(row, absolute):
-    return fsum((np.abs(row) if absolute else row).data)
+def _row(blocks, i):
+    """Row ``i``'s runs of values, from a new pass of ``blocks()``."""
+    for i0, x in blocks():
+        if i0 <= i < i0 + len(x):
+            yield x[i - i0]
+
+
+def _fsum(parts, absolute):
+    """``math.fsum`` of the values of the 1D arrays ``parts``, in order (of
+    their absolute values when ``absolute``)."""
+    return fsum(chain.from_iterable((np.abs(p) if absolute else p).data for p in parts))
+
+
+def _fsum_rows(rows, absolute=False, mu=None):
+    """``math.fsum`` of each row of the 2D float array ``rows`` (of its
+    absolute values when ``absolute``), by :func:`_exact_sums`: the exactly
+    rounded sums, with ``fsum``'s bits, without a Python step per float.
+
+    ``mu`` is each row's largest absolute value, when the caller has it.
+    The rows go through the split in blocks of ``_SUM_BLOCK`` cells.
+    """
+    nrows, N = rows.shape
+    if mu is None and rows.size >= _SUM_DIRECT:
+        mu = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    width = min(N, _SUM_BLOCK)
+    step = max(1, _SUM_BLOCK // N)
+
+    def blocks():
+        for r0 in range(0, nrows, step):
+            for c0 in range(0, N, width):
+                yield r0, rows[r0:r0 + step, c0:c0 + width]
+
+    return _exact_sums(blocks, nrows, N, mu, absolute)
 
 
 def integrate(grid, u):
@@ -166,26 +211,35 @@ def integrate(grid, u):
     return grid.cell_volume * float(_fsum_rows(u.reshape(1, -1))[0])
 
 
-def species_integrals(grid, F, absolute=False):
+def species_integrals(grid, F, absolute=False, extent=None):
     """:func:`integrate` of every species row of the stack ``F`` (of ``|F|``
     when ``absolute``), as an array.
 
     Each row sum is exactly rounded (:func:`_fsum_rows`), so each entry has
     the bits of ``integrate(grid, F[i])``; ``absolute`` takes ``|F|`` one
-    block at a time, with no array the size of ``F``.
+    block at a time, with no array the size of ``F``.  ``extent``, each
+    species' largest ``|F_i|``, saves two passes over ``F`` when the caller
+    has it.
     """
     F = np.asarray(F, dtype=float)
-    return grid.cell_volume * _fsum_rows(F.reshape(F.shape[0], -1), absolute)
+    return grid.cell_volume * _fsum_rows(F.reshape(F.shape[0], -1), absolute, extent)
 
 
-def gradient_sq_integral(grid, u, mask=None):
+def gradient_sq_integral(grid, u, mask=None, level=None):
     """Face-difference approximation of ``int |grad u|^2``.
 
     Gradients live on interior faces; per axis, each face carries weight
     ``L_axis / (m_axis - 1)`` times the transverse spacings, so a uniform
     slope integrates exactly for any resolution.  When ``mask`` is given,
     a face contributes only if both adjacent cells are inside the mask
-    (conservative under-approximation on level sets).
+    (conservative under-approximation on level sets); ``level``, in place
+    of ``mask``, gives the mask ``|u| <= level``.
+
+    The squared differences (and the level mask) are formed one block of
+    whole rows of the grid at a time, about ``_SUM_BLOCK`` cells, and each
+    axis' sum is exactly rounded (:func:`_exact_sums`), split at the
+    largest square, which a first pass over the blocks finds where the
+    grid is large enough for the split.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
@@ -194,24 +248,64 @@ def gradient_sq_integral(grid, u, mask=None):
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != grid.shape:
             raise DomainError("mask shape does not match grid")
+    h, m0 = grid.h, grid.shape[0]
+    rest = grid.ncells // m0  # cells of a row
+    cells = u.reshape(-1)
+    ok_cells = None if mask is None else mask.reshape(-1)
+    k = max(1, _SUM_BLOCK // rest)
+
+    def blocks():
+        # one float and two boolean blocks of k + 1 rows; every operand is
+        # a contiguous run of cells, which numpy reads without buffering
+        buf = np.empty((k + 1) * rest)
+        ok_buf = np.empty((k + 1) * rest, dtype=bool)
+        keep_buf = np.empty(k * rest, dtype=bool)
+
+        def masked(sq, ok_hi, ok_lo):
+            keep = np.logical_and(ok_hi, ok_lo, out=keep_buf[:sq.size])
+            np.copyto(sq, 0.0, where=np.logical_not(keep, out=keep))
+
+        for lo in range(0, m0 * rest, k * rest):
+            hi = min(lo + k * rest, m0 * rest)  # the block's cells
+            end = min(hi + rest, m0 * rest)  # and the next row's
+            ok = None if mask is None else ok_cells[lo:end]
+            if level is not None:
+                ok = np.less_equal(np.abs(cells[lo:end], out=buf[:end - lo]), level,
+                                   out=ok_buf[:end - lo])
+            faces = min(hi, end - rest) - lo  # axis 0: cells c and c + rest
+            if faces > 0:
+                sq = np.subtract(cells[lo + rest:lo + rest + faces], cells[lo:lo + faces],
+                                 out=buf[:faces])
+                sq /= h[0]
+                sq *= sq
+                if ok is not None:
+                    masked(sq, ok[rest:rest + faces], ok[:faces])
+                yield 0, sq[None]
+            if grid.dim == 2:
+                # axis 1: cells c and c + 1; the differences across the end of
+                # a row are set to zero, which adds nothing to the sum
+                sq = np.subtract(cells[lo + 1:hi], cells[lo:hi - 1], out=buf[:hi - lo - 1])
+                sq /= h[1]
+                sq *= sq
+                if ok is not None:
+                    masked(sq, ok[1:hi - lo], ok[:hi - lo - 1])
+                sq[rest - 1::rest] = 0.0
+                yield 1, sq[None]
+
+    mu = None
+    if grid.dim * grid.ncells >= _SUM_DIRECT:
+        mu = np.zeros(grid.dim)  # a first pass bounds each axis' squares
+        for axis, sq in blocks():
+            mu[axis] = np.maximum(mu[axis], sq.max())
+        del sq
+    sums = _exact_sums(blocks, grid.dim, grid.ncells, mu)
     total_terms = []
-    for axis, hh in enumerate(grid.h):
-        m = grid.shape[axis]
-        sl_lo = [slice(None)] * u.ndim
-        sl_hi = [slice(None)] * u.ndim
-        sl_lo[axis] = slice(0, m - 1)
-        sl_hi[axis] = slice(1, m)
-        sq = u[tuple(sl_hi)] - u[tuple(sl_lo)]
-        sq /= hh
-        sq *= sq
-        w = grid.lengths[axis] / (m - 1)
-        for other, oh in enumerate(grid.h):
+    for axis, hh in enumerate(h):
+        w = grid.lengths[axis] / (grid.shape[axis] - 1)
+        for other, oh in enumerate(h):
             if other != axis:
                 w *= oh
-        if mask is not None:
-            both = mask[tuple(sl_hi)] & mask[tuple(sl_lo)]
-            sq[~both] = 0.0
-        total_terms.append(w * float(_fsum_rows(sq.reshape(1, -1))[0]))
+        total_terms.append(w * float(sums[axis]))
     return fsum(total_terms)
 
 

@@ -35,7 +35,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import fsum
 
 import numpy as np
@@ -121,12 +120,12 @@ _EM_N = 32
 """Partial-sum length of :func:`power_series_enclosure`, a power of two so
 that ``N**(-s-m) = N**-s * 2**(-5m)`` is exact."""
 _EM_COEFFS = tuple(
-    float(Fraction(*b) / math.factorial(2 * k))
-    for k, b in enumerate(((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
-                           (-691, 2730), (7, 6)), start=1)
+    p / (q * math.factorial(2 * k))
+    for k, (p, q) in enumerate(((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
+                                (-691, 2730), (7, 6)), start=1)
 )
-"""``B_2k / (2k)!`` for ``k = 1..7``, each correctly rounded; the last one
-bounds the remainder."""
+"""``B_2k / (2k)!`` for ``k = 1..7``, each correctly rounded (Python's true
+division of two ints is); the last one bounds the remainder."""
 
 
 def power_series_enclosure(s, tol=1e-10):

@@ -87,8 +87,12 @@ def _check_eps(eps):
         raise DomainError(f"eps must lie in [0, 1), got {eps}")
 
 
-def _denominator(G2, ks, eps):
-    return 1.0 + eps * np.einsum("j,jm,jm->m", ks.c_mid, G2, G2)
+def _denominator(G2, ks, eps, out=None):
+    """``1 + eps * sum_j c_j f_j**2`` per cell, into ``out`` where given."""
+    d = np.einsum("j,jm,jm->m", ks.c_mid, G2, G2, out=out)
+    d *= eps
+    d += 1.0
+    return d
 
 
 def _pair_suffix_sums_loop(g, gain):
@@ -196,8 +200,10 @@ def q_field(F, ks, eps=0.0, *, out=None, work=None):
     ``Q`` is written into ``out`` and returned; ``work`` is scratch, which
     holds ``g = w * f`` and then the loss.  Each is a writable
     C-contiguous float64 array of the field's shape, or ``None`` for a new
-    one, and neither may share memory with ``F``.  A time step that
-    passes its own stacks allocates no field-sized array.
+    one, and neither may share memory with ``F``.  With ``eps``, the
+    regularization's denominator is formed in the first row of ``work``
+    once the loss is spent.  A time step that passes its own stacks
+    allocates no array the size of a field or of one species.
 
     Evaluation at distinct cells is independent, and for a given field
     shape the reduction order is fixed, so reruns are bitwise equal, into
@@ -215,7 +221,8 @@ def q_field(F, ks, eps=0.0, *, out=None, work=None):
     Q -= loss
     if eps:
         _check_eps(eps)
-        Q /= _denominator(G2, ks, eps)
+        # the loss is spent: its first row holds the denominator
+        Q /= _denominator(G2, ks, eps, out=loss[0])
     return out
 
 

@@ -82,10 +82,15 @@ REJECT_AND_HALVE = "reject_and_halve"
 
 _RESIDUAL_TOL = 1e-12
 _MAX_FACTOR_SETS = 8
-# cells of a block of whole rows (one row where a row is larger): the
-# solver's three scratch blocks take 3 * 8 * _BLOCK_CELLS = 768 kB,
-# inside a core's L2 cache
-_BLOCK_CELLS = 1 << 15
+# cells of a block of whole rows (one row, or in the y sweep one line,
+# where a row is larger): the solver's three scratch blocks take
+# 3 * 8 * _BLOCK_CELLS = 384 kB, at most 128 kB each, inside a core's L2
+# cache, so a 2D run's scratch does not grow with its grid
+_BLOCK_CELLS = 1 << 14
+# lines of a gathered block of the x sweep where fewer lines of every
+# species fit in a block: each cell is then read and written back in runs
+# of 64 bytes, a cache line
+_GATHER_LINES = 8
 
 
 def _load_lapack_pt():
@@ -274,13 +279,13 @@ class DiffusionSolver:
                             pad[:-1].reshape(shape)) + _ldl_factor(diag.ravel(), pad[1:-1]))
         return factors
 
-    def _blocks(self, shape):
-        """Three scratch blocks of ``shape``, views of one array that the
-        solver keeps and enlarges only when a sweep needs more."""
-        size = 3 * math.prod(shape)
-        if self._scratch.size < size:
-            self._scratch = np.empty(size)
-        return self._scratch[:size].reshape((3,) + shape)
+    def _blocks(self, size):
+        """Three scratch blocks of ``size`` cells, the rows of a view of one
+        array that the solver keeps and enlarges only when a sweep needs
+        more."""
+        if self._scratch.size < 3 * size:
+            self._scratch = np.empty(3 * size)
+        return self._scratch[:3 * size].reshape(3, size)
 
     @np.errstate(over="ignore", invalid="ignore")
     def sweep(self, x, dt, axis):
@@ -291,11 +296,15 @@ class DiffusionSolver:
         solved in blocks of whole rows, at most ``_BLOCK_CELLS`` cells or
         one row, and the block's stage is first copied into scratch as the
         right-hand side of its residual, which is formed in the solver's
-        scratch while the block is in cache.  The y sweep and the 1D sweep
-        run ``dpttrs`` on ``x`` itself; the x sweep of a 2D stack, whose
-        rows are strided in ``x``, solves a gathered copy and writes it
-        back, and takes every species' ``max|stage_i|`` before it
-        overwrites its stage.  Raises :class:`LinearSolveError` when, for
+        scratch while the block is in cache.  A row of the y sweep is a
+        species; one larger than a block is solved in blocks of its whole
+        lines, and its ``max|stage_i|`` is folded from every block.  The
+        y sweep and the 1D sweep run ``dpttrs`` on ``x`` itself; the x
+        sweep of a 2D stack, whose rows are strided in ``x``, solves a
+        gathered copy and writes it back, and takes every species'
+        ``max|stage_i|`` before it overwrites its stage; where a block
+        cannot hold ``_GATHER_LINES`` of its rows, a block takes that many
+        lines of fewer species.  Raises :class:`LinearSolveError` when, for
         some species, the residual is not at most ``1e-12 * max(1,
         max|stage_i|)`` (a NaN residual or bound fails); ``x`` is then
         partly solved.  No species' bound is below ``1e-12``, so a block
@@ -316,26 +325,46 @@ class DiffusionSolver:
                 self._factors.popitem(last=False)
         diag, off, prev, d, l = self._factors[dt][axis]
         n, m = self.ks.n, self.grid.shape[axis]
+        # (species, rows of x) per block
         if axis == 0:
             # every line of every species is a column of one solve: row p
             # holds line p of all species, (lines, n, m)
             rows = x.reshape(n, m, -1).transpose(2, 0, 1)
-        else:
+            k = max(1, _BLOCK_CELLS // rows[0].size)
+            nlines = len(rows)
+            if nlines == 1 or k >= min(nlines, _GATHER_LINES):
+                blocks = [(slice(0, n), rows[p:p + k]) for p in range(0, nlines, k)]
+            else:
+                # a gathered block takes _GATHER_LINES lines, a 64-byte run
+                # of each cell, of as many species as it holds
+                k = min(nlines, _GATHER_LINES, max(1, _BLOCK_CELLS // m))
+                q = max(1, _BLOCK_CELLS // (k * m))
+                blocks = [(slice(s, min(s + q, n)), rows[p:p + k, s:s + q])
+                          for p in range(0, nlines, k) for s in range(0, n, q)]
+        elif x[0].size <= _BLOCK_CELLS:
             # row s is species s, whose lines are the columns of x[s].T
-            rows = x
-        k = max(1, _BLOCK_CELLS // rows[0].size)
+            k = _BLOCK_CELLS // x[0].size
+            blocks = [(slice(p, min(p + k, n)), x[p:p + k]) for p in range(0, n, k)]
+        else:
+            # a species larger than a block is solved a block of its lines
+            # at a time, the columns of x[s, p:p + k].T
+            k = max(1, _BLOCK_CELLS // m)
+            blocks = [(slice(s, s + 1), x[s:s + 1, p:p + k])
+                      for s in range(n) for p in range(0, x.shape[1], k)]
+        split = axis == 1 and x[0].size > _BLOCK_CELLS
         gather = axis == 0 and len(rows) > 1  # rows strided in x
-        scratch = self._blocks((min(k, len(rows)),) + rows.shape[1:])
+        scratch = self._blocks(blocks[0][1].size)
         resid = None
         # a gathered sweep writes each block back, over its stage, before a
-        # later block may miss, so it takes every species' extent first.
-        # An in-place sweep takes it from the right-hand sides of the blocks
+        # later block may miss, so it takes every species' extent first; a
+        # split one folds each species' extent from all of its blocks.
+        # Any other sweep takes it from the right-hand sides of the blocks
         # that miss: a species of a passing block has a finite stage and a
         # zero residual in the fold, so its bound decides nothing
         extent = _extent(x, tuple(range(1, x.ndim))) if gather else np.zeros(n)
-        for p in range(0, len(rows), k):
-            xb = rows[p:p + k]
-            r, t, bb = scratch[:, :len(xb)]
+        for species, rows_b in blocks:
+            r, t, bb = scratch[:, :rows_b.size].reshape((3,) + rows_b.shape)
+            xb = rows_b
             bb[...] = xb
             if gather:
                 # solved in scratch and written back; with the extents
@@ -343,15 +372,20 @@ class DiffusionSolver:
                 xb, t = t, bb
                 xb[...] = bb
             if axis == 0:
-                dpttrs(d, l, xb.reshape(-1, n * m).T, overwrite_b=1)
+                # the species' systems, uncoupled, are one of n * m unknowns
+                a, b = species.start * m, species.stop * m
+                dpttrs(d[a:b], l[a:b - 1], xb.reshape(-1, b - a).T, overwrite_b=1)
                 if gather:
-                    rows[p:p + k] = xb
+                    rows_b[...] = xb
             else:
-                for i in range(p, p + len(xb)):
-                    dpttrs(d[i * m:(i + 1) * m], l[i * m:(i + 1) * m - 1], x[i].T,
+                for i, lines in enumerate(xb, start=species.start):
+                    dpttrs(d[i * m:(i + 1) * m], l[i * m:(i + 1) * m - 1], lines.T,
                            overwrite_b=1)
-            species = slice(p, p + len(xb)) if axis else slice(None)
-            _residual(diag[species], off[species], prev[species], xb, bb, r, t)
+            if split:
+                es = extent[species]
+                np.maximum(es, _extent(bb, (1, 2)), out=es)
+            along = (slice(None), species) if axis == 0 else species
+            _residual(diag[along], off[along], prev[along], xb, bb, r, t)
             if resid is None:
                 # NaN fails both comparisons
                 if r.max() <= _RESIDUAL_TOL and -r.min() <= _RESIDUAL_TOL:
@@ -359,7 +393,7 @@ class DiffusionSolver:
                 resid = np.zeros(n)
             rs = resid[species]
             np.maximum(rs, np.max(np.abs(r, out=r), axis=(axis, 2)), out=rs)
-            if not gather:
+            if not (gather or split):
                 extent[species] = _extent(bb, (axis, 2))
         if resid is not None:
             _species_contract(resid, extent, f"axis {axis}, dt={dt:g}")

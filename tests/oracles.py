@@ -20,6 +20,10 @@ messages included.
 
 ``_exact_mass_ok_by_pair`` checks local mass conservation of a built-in
 family's closed form in exact rational arithmetic, one pair at a time.
+
+``gradient_sq_by_axis`` is ``fragdiff.gradient_sq_integral`` from whole
+arrays: ``np.diff`` per axis and ``fsum`` of each axis' float list, which
+the streamed blocks must match bit for bit.
 """
 
 from fractions import Fraction
@@ -165,3 +169,22 @@ def _exact_mass_ok_by_pair(ks, i, j):
             return Fraction(2, size - 1) * sum(range(1, size))
         return side(i) + side(j) == s
     raise FragdiffError(f"no exact rational form for family {ks.family!r}")
+
+
+def gradient_sq_by_axis(grid, u, mask=None):
+    """``sum_axis w_axis * fsum((diff_axis(u) / h_axis)**2)`` over the faces
+    whose two cells are both in ``mask`` (every face when ``mask`` is
+    None), with the face weights of ``fragdiff.gradient_sq_integral``."""
+    terms = []
+    for axis, h in enumerate(grid.h):
+        m = grid.shape[axis]
+        sq = (np.diff(u, axis=axis) / h) ** 2
+        if mask is not None:
+            both = mask.take(range(1, m), axis=axis) & mask.take(range(m - 1), axis=axis)
+            sq[~both] = 0.0
+        w = grid.lengths[axis] / (m - 1)
+        for other, oh in enumerate(grid.h):
+            if other != axis:
+                w *= oh
+        terms.append(w * fsum(sq.ravel().tolist()))
+    return fsum(terms)

@@ -18,7 +18,12 @@ from fragdiff.grid import (
     species_integrals,
     write_species_csv,
 )
-from oracles import laplacian_neumann, spectral_heat_solve_1d, stencil_eigenvalue
+from oracles import (
+    gradient_sq_by_axis,
+    laplacian_neumann,
+    spectral_heat_solve_1d,
+    stencil_eigenvalue,
+)
 
 
 class TestGridSpec:
@@ -156,9 +161,15 @@ def test_row_sums_have_the_bits_of_fsum(shape):
 
 
 def _count_fallbacks(monkeypatch):
-    calls, fsum_row = [], gridmod._fsum
-    monkeypatch.setattr(gridmod, "_fsum",
-                        lambda row, absolute: calls.append(row) or fsum_row(row, absolute))
+    # each fallback's values, joined from the blocks it read
+    calls, fsum_parts = [], gridmod._fsum
+
+    def counted(parts, absolute):
+        parts = [np.array(p) for p in parts]
+        calls.append(np.concatenate(parts))
+        return fsum_parts(parts, absolute)
+
+    monkeypatch.setattr(gridmod, "_fsum", counted)
     return calls
 
 
@@ -207,6 +218,100 @@ def test_row_sums_of_non_finite_and_huge_rows():
     with pytest.raises(OverflowError) as got:
         gridmod._fsum_rows(overflowing)
     assert str(got.value) == str(want.value)
+
+
+def _zero_rows(N):
+    rows = np.zeros((4, N))
+    rows[1] = -0.0
+    rows[2, ::3] = -0.0
+    rows[3, 1::2] = -0.0
+    return rows
+
+
+def test_zero_rows_are_decided_without_fsum(monkeypatch):
+    # the split decides a row of zeros without fsum: +0.0, or fsum's sum
+    # of -0.0 alone where every value is -0.0 (+0.0 on Python 3.10 and
+    # 3.11); a table of 16 cells takes fsum per row
+    for N in (16, 4096):
+        for absolute in (False, True):
+            got = gridmod._fsum_rows(_zero_rows(N), absolute)
+            assert [float(v).hex() for v in got] == _fsum_hex(_zero_rows(N), absolute)
+    calls = _count_fallbacks(monkeypatch)
+    for keeps_negative_zero in (gridmod._FSUM_KEEPS_NEGATIVE_ZERO, True):
+        # True: as on a Python whose fsum of -0.0 alone is -0.0
+        monkeypatch.setattr(gridmod, "_FSUM_KEEPS_NEGATIVE_ZERO", keeps_negative_zero)
+        for absolute in (False, True):
+            got = gridmod._fsum_rows(_zero_rows(4096), absolute)
+            negative = keeps_negative_zero and not absolute
+            want = [0.0, -0.0 if negative else 0.0, 0.0, 0.0]
+            assert [float(v).hex() for v in got] == [v.hex() for v in want]
+    assert not calls
+
+
+def _runs(rows, cuts):
+    """``blocks`` for ``_exact_sums`` over ``rows`` cut at the columns
+    ``cuts``: odd runs as one block of every row, even runs one row at a
+    time, last row first; ``passes`` counts the calls."""
+    passes = []
+
+    def blocks():
+        passes.append(None)
+        for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            if k % 2:
+                yield 0, rows[:, a:b]
+            else:
+                for i in reversed(range(len(rows))):
+                    yield i, rows[i:i + 1, a:b]
+
+    return blocks, passes
+
+
+def test_streamed_sums_have_the_bits_of_fsum_across_blocks(monkeypatch):
+    rng = np.random.default_rng(14)
+    N = 12000
+    rows = rng.uniform(0.0, 1.0, size=(7, N)) * 2.0 ** rng.integers(-30, 30, size=(7, N))
+    rows[1] = -rows[1]
+    rows[2, ::2] = 0.0
+    rows[2, 1::4] = -0.0
+    rows[3] = rng.integers(0, 2 ** 20, size=N) * 5e-324  # every entry subnormal
+    rows[4] *= 2.0 ** -1000  # normal entries with a subnormal spacing
+    rows[5] = 0.0
+    rows[5, [4095, 8191]] = [1.0, 2.0 ** -53]  # a midpoint, one value per block
+    rows[6] = rng.standard_normal(N)
+    cuts = [0, 1, 9, 4096, 4097, 8190, 8192, N]
+    mu = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    calls = _count_fallbacks(monkeypatch)
+    for absolute in (False, True):
+        for bound in (mu, 3.0 * mu):  # a loose bound gives the same bits
+            calls.clear()
+            blocks, passes = _runs(rows, cuts)
+            got = gridmod._exact_sums(blocks, len(rows), N, bound, absolute)
+            assert [float(v).hex() for v in got] == _fsum_hex(rows, absolute)
+            # the midpoint is read again from new passes of the blocks
+            assert len(calls) == len(passes) - 1 >= 1
+            assert any(np.array_equal(c, rows[5]) for c in calls)
+
+
+@pytest.mark.parametrize("shape", [(300,), (37, 50), (9, 700)])
+def test_gradient_sq_streams_blocks_with_the_bits_of_whole_arrays(monkeypatch, shape):
+    # blocks of 256 cells: 1D in two blocks, 37x50 in blocks of five rows and
+    # a last one of two, 9x700 one row per block
+    monkeypatch.setattr(gridmod, "_SUM_BLOCK", 256)
+    g = make_grid_1d(*shape) if len(shape) == 1 else make_grid_2d(*shape, 0.7, 2.0)
+    rng = np.random.default_rng(15)
+    u = rng.uniform(0.0, 1.0, size=g.shape)
+    flat = u.reshape(-1)
+    flat[::5] = 0.0
+    flat[1::7] = -0.0
+    flat[2::11] = 5e-324
+    for level in (0.25, 0.5, 2.0):
+        want = gradient_sq_by_axis(g, u, np.abs(u) <= level)
+        assert gradient_sq_integral(g, u, level=level).hex() == want.hex()
+        assert gradient_sq_integral(g, u, mask=np.abs(u) <= level).hex() == want.hex()
+    assert gradient_sq_integral(g, u).hex() == gradient_sq_by_axis(g, u).hex()
+    flat[13] = np.nan  # outside every level set
+    want = gradient_sq_by_axis(g, u, np.abs(u) <= 0.5)
+    assert gradient_sq_integral(g, u, level=0.5).hex() == want.hex()
 
 
 def test_gradient_sq_exact_for_linear():

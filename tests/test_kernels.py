@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -122,6 +126,27 @@ def _zeta40(s):
     """mpmath's zeta at the exact double ``s``, to 40 digits (test-only oracle)."""
     with mpmath.workdps(40):
         return mpmath.zeta(mpmath.mpf(s))
+
+
+def test_euler_maclaurin_coefficients_are_the_rounded_rationals():
+    from fragdiff.kernels import _EM_COEFFS
+
+    bernoulli = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+                 Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6)]
+    want = [float(b / math.factorial(2 * k)) for k, b in enumerate(bernoulli, start=1)]
+    assert [c.hex() for c in _EM_COEFFS] == [w.hex() for w in want]
+
+
+def test_import_leaves_out_fractions_and_decimal():
+    # a fresh interpreter: the kernel constants are ints' true quotients, so
+    # start-up pays for neither module
+    code = ("import sys, fragdiff.cli\n"
+            "assert not {'fractions', 'decimal'} & set(sys.modules), sorted(sys.modules)\n")
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("s", ZETA_GRID)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fragdiff as fd
+from fragdiff import grid as gridmod
 from fragdiff.errors import DomainError
 from fragdiff.grid import gradient_sq_integral, integrate, make_grid_1d, species_integrals
 from fragdiff.monitors import (
@@ -19,7 +20,7 @@ from fragdiff.monitors import (
     write_summary_json,
 )
 from fragdiff.stepper import StepperConfig, Trajectory, run_simulation
-from oracles import stencil_eigenvalue
+from oracles import gradient_sq_by_axis, stencil_eigenvalue
 
 
 def constant_fields(grid, values):
@@ -273,12 +274,15 @@ def test_mass_sums_match_the_per_element_form():
             assert _particles(ints).hex() == math.fsum(float(v) for v in ints).hex()
 
 
-@pytest.mark.parametrize("cells", [(128,), (128, 128)], ids=["1D", "2D"])
+@pytest.mark.parametrize("cells", [(128,), (128, 128), (256, 256)],
+                         ids=["1D", "2D", "2D-256"])
 def test_sample_has_the_bits_of_the_whole_stack_forms(cells):
-    # 1D, n=32: the stack fits one block and is weighted whole; 128x128, n=32:
-    # species one row at a time, scratch one block at a time.  Every integrand
-    # has the bits of the whole-stack expressions, and the 2D sample's
-    # temporaries stay far below the 1.06 stacks of those expressions
+    # 1D, n=32: the stack fits one block and is weighted whole; 128x128 and
+    # 256x256, n=32: every integrand is formed one block of whole rows at a
+    # time, in buffers of a fixed size.  Every integrand has the bits of the
+    # whole-stack expressions, and a 2D sample's temporaries stay below a
+    # bound that does not grow with the grid: five blocks (three for v, w
+    # and a product, two for the split) and 32 kB for the rest
     import tracemalloc
 
     g = fd.make_grid_2d(*cells) if len(cells) == 2 else make_grid_1d(*cells)
@@ -291,15 +295,25 @@ def test_sample_has_the_bits_of_the_whole_stack_forms(cells):
     F[:, ::4] = 0.0
     Q = fd.q_field(F, ks, 0.01)
     acc = fd.MonitorAccumulator(g, ks, eps=0.01, energy_specs=[(1, 0.5), (2, 1.0)])
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        acc.add(0.0, F, Q)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    if g.dim == 2:
-        assert peak < 0.3 * F.nbytes, peak
+    for _ in range(2):  # the first sample, which also forms R, and a steady one
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            acc.add(0.0, F, Q)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        if g.dim == 2:
+            assert peak < 5 * 8 * gridmod._SUM_BLOCK + 2 ** 15, peak
+    # the steady sample repeats the first one's integrands
+    for series in (acc._ints, acc._per_t, acc._dual, acc._minv, acc._maxv,
+                   *acc._grads, *acc._qnorm):
+        assert len(series) == 2 and np.array_equal(series[0], series[1])
+        del series[1]
+    assert acc._minv == [float(np.min(F))] and acc._maxv == [float(np.max(F))]
+    assert acc._grads == [[float(ks.d[s - 1])
+                           * gradient_sq_by_axis(g, F[s - 1], np.abs(F[s - 1]) <= level)]
+                          for s, level in acc.energy_specs]
     shape = (n,) + (1,) * g.dim
     i1 = np.arange(1.0, n + 1.0).reshape(shape)
     v = np.sum(i1 * F, axis=0)

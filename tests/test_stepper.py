@@ -308,8 +308,8 @@ class TestDiffusionSolver:
         # on the x sweep (64, 6x64): the refusal names the species, axis,
         # residual and bound that per-line solves and residuals give.  With
         # one row per block, species 1 is constant and meets the contract,
-        # so on the y sweep, one species per block, the first block passes
-        # and the failing species lie in later ones
+        # so on the y sweep, one line per block, the first blocks pass and
+        # the failing species lie in later ones
         g = make_grid_1d(*shape) if len(shape) == 1 else make_grid_2d(*shape)
         ks = fd.power_law_uniform(4, 4.0, 0.5)
         stage = np.ones((4,) + g.shape)
@@ -374,9 +374,11 @@ class TestDiffusionSolver:
         # of a line or a species they add +-0, so the residual is the one
         # the shifted per-line form gives, with the same absolute bits.
         # Every block forms its residual once, whether it misses or not:
-        # one block per sweep at these sizes; with one row per block, one
-        # per line of the x sweep (all species) and one per species of the
-        # y sweep
+        # one block per sweep at these sizes; with one row per block, the
+        # 1D sweep's one row, and in 2D one per line of each species on
+        # either axis: a gathered x sweep block takes fewer species where
+        # a block cannot hold a line of all, and a y sweep block fewer
+        # lines where it cannot hold a species
         if rows:
             monkeypatch.setattr(stepper, "_BLOCK_CELLS", 1)
         seen = []
@@ -395,7 +397,9 @@ class TestDiffusionSolver:
             for scale in (1.0, 1e6):
                 solver.solve(scale * rng.uniform(0.0, 2.0, size=(3,) + grid.shape), dt)
         cells = math.prod(grid.shape)
-        blocks = (cells // grid.shape[0] + 3 * (grid.dim - 1)) if rows else grid.dim
+        blocks = grid.dim
+        if rows and grid.dim == 2:
+            blocks = 3 * (cells // grid.shape[0] + grid.shape[0])
         assert len(seen) == 4 * blocks
         for want, got in seen:
             np.testing.assert_array_equal(got, want)
@@ -415,8 +419,8 @@ class TestDiffusionSolver:
     def _check_non_finite_refused(grid, value, rows, monkeypatch):
         # the residual contract fails closed: a NaN residual misses it, on
         # every axis, also when it lies in a later block than the first
-        # (with one row per block, in 2D: the x sweep's sixth line, the y
-        # sweep's second species).  Zero couplings carry a NaN into the
+        # (with one row per block, in 2D: the x sweep's sixth line and the
+        # y sweep's first line of that species).  Zero couplings carry a NaN into the
         # other species of a solve, yet the refusal names the species whose
         # stage is not finite, and no sweep warns (the suite turns a
         # RuntimeWarning into an error)
@@ -482,6 +486,47 @@ class TestDiffusionSolver:
             x = stage.copy()
             assert solver.solve(x, dt) is x
             assert x.tobytes() == _per_line_ldl(grid, ks, stage, dt).tobytes()
+
+    @pytest.mark.parametrize("n, cells, scratch", [(4, 160, 3 * 159), (5, 600, 3 * 592)])
+    def test_sweeps_solve_in_blocks_of_lines(self, n, cells, scratch, monkeypatch):
+        # on 37x53, blocks of 160 cells: the x sweep gathers four lines of
+        # 37 cells of one species per block (a line of the 4 species is 148
+        # cells), and the y sweep takes each species three lines of 53 cells
+        # at a time.  Blocks of 600 cells: the x sweep gathers eight lines
+        # of two species, the last block the fifth species alone, and the y
+        # sweep eleven lines.  The bits are the per-line reference solve's,
+        # and the scratch is three blocks
+        monkeypatch.setattr(stepper, "_BLOCK_CELLS", cells)
+        g = make_grid_2d(37, 53)
+        ks = fd.power_law_uniform(n, 4.0, 0.5)
+        solver = DiffusionSolver(g, ks)
+        stage = np.random.default_rng(35).uniform(0.0, 2.0, size=(n,) + g.shape)
+        for dt in (1e-3, 0.5):
+            x = stage.copy()
+            for axis in range(2):
+                want = _per_line_sweep(g, ks, x, dt, axis)
+                assert solver.sweep(x, dt, axis).tobytes() == want.tobytes()
+            x = stage.copy()
+            assert solver.solve(x, dt).tobytes() == _per_line_ldl(g, ks, stage, dt).tobytes()
+        assert solver._scratch.size == scratch
+
+    def test_split_species_bound_reads_every_block(self, monkeypatch):
+        # one line per block of the y sweep: species 2's bound reads its
+        # peak from a block that passed; the spike of 4 in line 0 solves
+        # within 1e-12, and lines 1 to 3 miss 1e-12 but meet 4e-12, so the
+        # sweep accepts, as the per-line reference does
+        monkeypatch.setattr(stepper, "_BLOCK_CELLS", 64)
+        g = make_grid_2d(4, 64)
+        ks = fd.power_law_uniform(4, 4.0, 0.5)
+        stage = np.zeros((4,) + g.shape)
+        stage[1] = 1.0
+        stage[1, :, ::3] = 0.0
+        stage[1, 0] = 0.0
+        stage[1, 0, 7] = 4.0
+        assert _reference_refusal(g, ks, stage, 3.0, 1) is None
+        x = stage.copy()
+        want = _per_line_sweep(g, ks, stage, 3.0, 1)
+        assert DiffusionSolver(g, ks).sweep(x, 3.0, 1).tobytes() == want.tobytes()
 
     def test_solver_holds_no_field_sized_buffer(self):
         # a 2D sweep solves in place and allocates no field-sized array,
