@@ -101,7 +101,7 @@ def make_grid_2d(mx, my, lx=1.0, ly=1.0):
     return GridSpec(shape=(mx, my), lengths=(float(lx), float(ly)))
 
 
-def _exact_sums(blocks, nrows, N, mu=None, absolute=False):
+def _exact_sums(blocks, nrows, N, mu, absolute=False):
     """The exactly rounded sums, with ``math.fsum``'s bits, of ``nrows``
     rows of at most ``N`` floats each (of their absolute values when
     ``absolute``), fed block by block.
@@ -109,8 +109,9 @@ def _exact_sums(blocks, nrows, N, mu=None, absolute=False):
     Each call of ``blocks()`` yields every row's values again, in order, as
     pairs ``(i, x)``: row ``j`` of the 2D block ``x`` continues row
     ``i + j``.  With fewer than ``_SUM_DIRECT`` values in all, each row is
-    summed with ``fsum`` over one pass of its blocks.  Otherwise ``mu[i]``,
-    known before the first block, bounds ``|x|`` on row ``i``.
+    summed with ``fsum`` over one pass of its blocks, and ``mu`` is not read
+    (it may be ``None``).  Otherwise ``mu[i]``, known before the first
+    block, bounds ``|x|`` on row ``i``.
 
     Each row is split error-free at ``sigma``, a power of two above
     ``2 N mu`` (Rump, Ogita & Oishi 2008, "Accurate floating-point
@@ -233,7 +234,8 @@ def gradient_sq_integral(grid, u, mask=None, level=None):
     slope integrates exactly for any resolution.  When ``mask`` is given,
     a face contributes only if both adjacent cells are inside the mask
     (conservative under-approximation on level sets); ``level``, in place
-    of ``mask``, gives the mask ``|u| <= level``.
+    of ``mask``, gives the mask ``|u| <= level``.  Passing both raises
+    :class:`DomainError`.
 
     The squared differences (and the level mask) are formed one block of
     whole rows of the grid at a time, about ``_SUM_BLOCK`` cells, and each
@@ -244,6 +246,8 @@ def gradient_sq_integral(grid, u, mask=None, level=None):
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
         raise DomainError(f"values shape {u.shape} does not match grid {grid.shape}")
+    if mask is not None and level is not None:
+        raise DomainError("give a mask or a level, not both")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != grid.shape:
@@ -252,7 +256,7 @@ def gradient_sq_integral(grid, u, mask=None, level=None):
     rest = grid.ncells // m0  # cells of a row
     cells = u.reshape(-1)
     ok_cells = None if mask is None else mask.reshape(-1)
-    k = max(1, _SUM_BLOCK // rest)
+    k = min(m0, max(1, _SUM_BLOCK // rest))  # rows of a block
 
     def blocks():
         # one float and two boolean blocks of k + 1 rows; every operand is

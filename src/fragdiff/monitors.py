@@ -184,19 +184,56 @@ class MonitorAccumulator:
 
     def add(self, t, F, Q):
         grid = self.grid
+        first = self._R is None
+        if F.size <= gridmod._SUM_BLOCK:
+            # a stack of one block: its single-species fields are no larger
+            # than the streamed buffers, so it is weighted whole
+            ints = gridmod.species_integrals(grid, F)
+            lo, hi = np.min(F), np.max(F)
+            v = np.sum(self._wi * F, axis=0)
+            w = np.sum(self._wid * F, axis=0)
+            vv = gridmod.integrate(grid, v * v) if first else None
+            w *= v
+            dual = gridmod.integrate(grid, w)
+        else:
+            ints, lo, hi, dual, vv = self._streamed(F, first)
+        q_ints = gridmod.species_integrals(grid, Q, absolute=True)
+        self.times.append(t)
+        self._ints.append(ints)
+        self._minv.append(float(lo))
+        self._maxv.append(float(hi))
+        self._dual.append(dual)
+        if first:
+            self._R = float(np.max(self.ks.d)) * vv
+        self._per_t.append(self._inv_d * q_ints)
+        for (species, level), grads, qnorm in zip(self.energy_specs, self._grads, self._qnorm):
+            grads.append(float(self.ks.d[species - 1])
+                         * gridmod.gradient_sq_integral(grid, F[species - 1], level=level))
+            qnorm.append(float(q_ints[species - 1]))
+
+    def _streamed(self, F, first):
+        """The species integrals, the minimum and maximum, ``integrate(w *
+        v)`` and, when ``first``, ``integrate(v * v)`` of a stack larger
+        than a block, with ``v = sum_i i f_i`` and ``w = sum_i i d_i f_i``,
+        forming no single-species field.
+
+        ``v`` and ``w`` are weighted one block of whole rows of the grid at
+        a time, about ``_SUM_BLOCK`` cells, in three buffers of that size,
+        species by species and adding into zeroed ``v`` and ``w`` as
+        ``np.sum(..., axis=0)`` adds: the same bits.  Their products go to
+        one :func:`grid._exact_sums`, split at a bound formed from the
+        species' extents.
+        """
+        grid = self.grid
         flat = F.reshape(len(F), -1)
         lo, hi = flat.min(axis=1), flat.max(axis=1)
         extent = np.maximum(hi, -lo)
         ints = gridmod.species_integrals(grid, F, extent=extent)
-        q_ints = gridmod.species_integrals(grid, Q, absolute=True)
-        self.times.append(t)
-        self._ints.append(ints)
         # a nonzero extreme has one set of bits however it is reduced; a
         # zero one may be either zero, so it is read as the whole stack's
         lo, hi = lo.min(), hi.max()
-        self._minv.append(float(lo if lo != 0.0 else np.min(F)))
-        self._maxv.append(float(hi if hi != 0.0 else np.max(F)))
-        first = self._R is None
+        lo = lo if lo != 0.0 else np.min(F)
+        hi = hi if hi != 0.0 else np.max(F)
         # V and W, the exactly rounded sums of i * extent_i and of
         # i * d_i * extent_i, bound |v| and |w| up to n + 1 roundings each;
         # the slack covers the 2 n + 6 roundings of a product's bound for
@@ -204,41 +241,11 @@ class MonitorAccumulator:
         V = math.fsum((self._wi.ravel() * extent).data)
         W = math.fsum((self._wid.ravel() * extent).data)
         slack = 1.0 + 2.0 ** -30
-        sums = gridmod._exact_sums(self._products(F, first), 1 + first, flat.shape[1],
-                                   [V * W * slack, V * V * slack][:1 + first])
-        self._dual.append(grid.cell_volume * float(sums[0]))
-        if first:
-            self._R = float(np.max(self.ks.d)) * (grid.cell_volume * float(sums[1]))
-        self._per_t.append(self._inv_d * q_ints)
-        for (species, level), grads, qnorm in zip(self.energy_specs, self._grads, self._qnorm):
-            grads.append(float(self.ks.d[species - 1])
-                         * gridmod.gradient_sq_integral(grid, F[species - 1], level=level))
-            qnorm.append(float(q_ints[species - 1]))
-
-    def _products(self, F, first):
-        """The blocks of ``w * v`` (row 0) and, when ``first``, ``v * v``
-        (row 1) for :func:`grid._exact_sums`, with ``v = sum_i i f_i`` and
-        ``w = sum_i i d_i f_i``.
-
-        A stack of at most ``_SUM_BLOCK`` values is one block, weighted
-        whole.  A larger one is weighted one block of whole rows of the grid
-        at a time, about ``_SUM_BLOCK`` cells, in three buffers of that
-        size, species by species and adding into zeroed ``v`` and ``w`` as
-        ``np.sum(..., axis=0)`` adds: the same bits.
-        """
-        if F.size <= gridmod._SUM_BLOCK:
-            def blocks():
-                v = np.sum(self._wi * F, axis=0)
-                w = np.sum(self._wid * F, axis=0)
-                if first:
-                    yield 1, (v * v).reshape(1, -1)
-                w *= v
-                yield 0, w.reshape(1, -1)
-            return blocks
         rows = F.reshape(F.shape[0], F.shape[1], -1)
         k = max(1, gridmod._SUM_BLOCK // rows.shape[2])
 
         def blocks():
+            # row 0 is w * v, row 1 (first sample only) v * v
             buffers = np.empty((3, min(k, rows.shape[1]), rows.shape[2]))
             for r0 in range(0, rows.shape[1], k):
                 block = rows[:, r0:r0 + k]
@@ -252,7 +259,10 @@ class MonitorAccumulator:
                     yield 1, np.multiply(v, v, out=term).reshape(1, -1)
                 w *= v
                 yield 0, w.reshape(1, -1)
-        return blocks
+
+        sums = grid.cell_volume * gridmod._exact_sums(
+            blocks, 1 + first, flat.shape[1], [V * W * slack, V * V * slack][:1 + first])
+        return ints, lo, hi, float(sums[0]), float(sums[1]) if first else None
 
     def report(self):
         if not self.times:

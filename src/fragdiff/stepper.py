@@ -87,9 +87,8 @@ _MAX_FACTOR_SETS = 8
 # 3 * 8 * _BLOCK_CELLS = 384 kB, at most 128 kB each, inside a core's L2
 # cache, so a 2D run's scratch does not grow with its grid
 _BLOCK_CELLS = 1 << 14
-# lines of a gathered block of the x sweep where fewer lines of every
-# species fit in a block: each cell is then read and written back in runs
-# of 64 bytes, a cache line
+# lines of a gathered block of the x sweep, at least, where a block holds
+# them: each cell is read and written back in runs of 64 bytes, a cache line
 _GATHER_LINES = 8
 
 
@@ -328,19 +327,20 @@ class DiffusionSolver:
         # (species, rows of x) per block
         if axis == 0:
             # every line of every species is a column of one solve: row p
-            # holds line p of all species, (lines, n, m)
+            # holds line p of all species, (lines, n, m).  A block takes k
+            # lines of q species: every species, where _GATHER_LINES lines
+            # of each fit, else _GATHER_LINES lines of as many species as
+            # fit; the one line of a 1D stack is one block
             rows = x.reshape(n, m, -1).transpose(2, 0, 1)
-            k = max(1, _BLOCK_CELLS // rows[0].size)
             nlines = len(rows)
-            if nlines == 1 or k >= min(nlines, _GATHER_LINES):
-                blocks = [(slice(0, n), rows[p:p + k]) for p in range(0, nlines, k)]
+            if nlines == 1:
+                k, q = 1, n
             else:
-                # a gathered block takes _GATHER_LINES lines, a 64-byte run
-                # of each cell, of as many species as it holds
-                k = min(nlines, _GATHER_LINES, max(1, _BLOCK_CELLS // m))
-                q = max(1, _BLOCK_CELLS // (k * m))
-                blocks = [(slice(s, min(s + q, n)), rows[p:p + k, s:s + q])
-                          for p in range(0, nlines, k) for s in range(0, n, q)]
+                k = min(nlines, max(min(_GATHER_LINES, max(1, _BLOCK_CELLS // m)),
+                                    _BLOCK_CELLS // (n * m)))
+                q = min(n, max(1, _BLOCK_CELLS // (k * m)))
+            blocks = [(slice(s, min(s + q, n)), rows[p:p + k, s:s + q])
+                      for p in range(0, nlines, k) for s in range(0, n, q)]
         elif x[0].size <= _BLOCK_CELLS:
             # row s is species s, whose lines are the columns of x[s].T
             k = _BLOCK_CELLS // x[0].size

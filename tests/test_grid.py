@@ -312,6 +312,8 @@ def test_gradient_sq_streams_blocks_with_the_bits_of_whole_arrays(monkeypatch, s
     flat[13] = np.nan  # outside every level set
     want = gradient_sq_by_axis(g, u, np.abs(u) <= 0.5)
     assert gradient_sq_integral(g, u, level=0.5).hex() == want.hex()
+    with pytest.raises(DomainError, match="not both"):
+        gradient_sq_integral(g, u, mask=np.abs(u) <= 0.5, level=0.5)
 
 
 def test_gradient_sq_exact_for_linear():
