@@ -411,37 +411,9 @@ def cmd_plot(args):
     if not (Path(rundir) / "monitors.csv").exists():
         raise ConfigError(f"{rundir}: monitors.csv not found")
     sets = _plot_datasets(rundir)
-
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-        backend = "png"
-    except ImportError:
-        backend = "dat"
-
-    written = []
     for name, ((xlabel, x), series) in sets.items():
-        if backend == "png":
-            fig, ax = plt.subplots(figsize=(6, 4))
-            for label, vals in series:
-                if name in ("tail_vs_t", "spectrum_final") and np.all(np.asarray(vals) >= 0):
-                    ax.semilogy(x, np.maximum(vals, 1e-300), label=label)
-                else:
-                    ax.plot(x, vals, label=label)
-            ax.set_xlabel(xlabel)
-            ax.set_title(name.replace("_", " "))
-            ax.legend(loc="best", fontsize=8)
-            fig.tight_layout()
-            path = Path(rundir) / f"{name}.png"
-            fig.savefig(path, dpi=110)
-            plt.close(fig)
-        else:
-            path = Path(rundir) / f"{name}.dat"
-            _write_dat(path, xlabel, x, series)
-        written.append(str(path))
-    _say(args.quiet, f"plot: wrote {len(written)} files ({backend})")
+        _write_dat(Path(rundir) / f"{name}.dat", xlabel, x, series)
+    _say(args.quiet, f"plot: wrote {len(sets)} .dat files")
     return EXIT_OK
 
 

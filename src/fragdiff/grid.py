@@ -226,16 +226,14 @@ def species_integrals(grid, F, absolute=False, extent=None):
     return grid.cell_volume * _fsum_rows(F.reshape(F.shape[0], -1), absolute, extent)
 
 
-def gradient_sq_integral(grid, u, mask=None, level=None):
+def gradient_sq_integral(grid, u, level=None):
     """Face-difference approximation of ``int |grad u|^2``.
 
     Gradients live on interior faces; per axis, each face carries weight
     ``L_axis / (m_axis - 1)`` times the transverse spacings, so a uniform
-    slope integrates exactly for any resolution.  When ``mask`` is given,
-    a face contributes only if both adjacent cells are inside the mask
-    (conservative under-approximation on level sets); ``level``, in place
-    of ``mask``, gives the mask ``|u| <= level``.  Passing both raises
-    :class:`DomainError`.
+    slope integrates exactly for any resolution.  When ``level`` is given,
+    a face contributes only if both adjacent cells lie in the level set
+    ``|u| <= level`` (a conservative under-approximation on it).
 
     The squared differences (and the level mask) are formed one block of
     whole rows of the grid at a time, about ``_SUM_BLOCK`` cells, and each
@@ -246,16 +244,9 @@ def gradient_sq_integral(grid, u, mask=None, level=None):
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
         raise DomainError(f"values shape {u.shape} does not match grid {grid.shape}")
-    if mask is not None and level is not None:
-        raise DomainError("give a mask or a level, not both")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != grid.shape:
-            raise DomainError("mask shape does not match grid")
     h, m0 = grid.h, grid.shape[0]
     rest = grid.ncells // m0  # cells of a row
     cells = u.reshape(-1)
-    ok_cells = None if mask is None else mask.reshape(-1)
     k = min(m0, max(1, _SUM_BLOCK // rest))  # rows of a block
 
     def blocks():
@@ -272,10 +263,8 @@ def gradient_sq_integral(grid, u, mask=None, level=None):
         for lo in range(0, m0 * rest, k * rest):
             hi = min(lo + k * rest, m0 * rest)  # the block's cells
             end = min(hi + rest, m0 * rest)  # and the next row's
-            ok = None if mask is None else ok_cells[lo:end]
-            if level is not None:
-                ok = np.less_equal(np.abs(cells[lo:end], out=buf[:end - lo]), level,
-                                   out=ok_buf[:end - lo])
+            ok = None if level is None else np.less_equal(
+                np.abs(cells[lo:end], out=buf[:end - lo]), level, out=ok_buf[:end - lo])
             faces = min(hi, end - rest) - lo  # axis 0: cells c and c + rest
             if faces > 0:
                 sq = np.subtract(cells[lo + rest:lo + rest + faces], cells[lo:lo + faces],

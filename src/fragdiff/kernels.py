@@ -544,8 +544,9 @@ def _pair_checks_by_row(ks, i_max, rel_tol, failures):
                 failures.append(f"b^{first}_{{{i},{j}}} nonzero beyond support")
             total = fsum(weighted[r * width:r * width + s - 1])
             resid = abs(total - s) / s
-            worst = max(worst, resid)
-            if resid > rel_tol:
+            if resid > worst or math.isnan(resid):  # a NaN total stays the worst
+                worst = resid
+            if not resid <= rel_tol:  # a NaN total fails
                 failures.append(
                     f"mass conservation off at ({i},{j}): sum k b^k = {total!r} != {s}"
                 )
@@ -588,7 +589,7 @@ def _pair_checks_by_size(ks, i_max, rel_tol):
     sizes = np.arange(1, i_max + 1)
     s = np.add.outer(sizes, sizes)
     worst = float(np.max(np.triu(np.abs(totals - s) / s)))  # over the pairs i <= j
-    if worst > rel_tol:
+    if not worst <= rel_tol:
         return None
     return worst, i_max * (i_max + 1) // 2
 

@@ -30,23 +30,25 @@ of the number of lines.  The residual of every sweep is verified per
 species against a 1e-12 contract, with the matrix applied from its
 stored diagonals, not from the factor; there is no iterative refinement,
 whose correction could carry either sign.  A sweep solves in place in the
-stack it is given, in blocks of whole rows (x sweep: a row is one line of
-every species; y sweep: one species), and checks each block while it is
-in cache: the block's stage is copied into scratch as the residual's
-right-hand side.  Where a row is contiguous in the stack (the y sweep and
-1D), ``dpttrs`` solves the block in the stack itself; the rows of a 2D x
-sweep are strided, so its block is gathered into scratch, solved there
-and written back.  No species' bound ``1e-12 * max(1, max|stage_i|)`` is
-below ``1e-12``, so a block whose residual is within ``1e-12`` passes at
-once; from the first block that misses on, the per-species residual
-maxima are folded block by block, and they and the bounds decide.
+stack it is given, in blocks of whole lines, by one rule along every axis
+and in 1D: a block is ``k = min(lines, max(1, B // m))`` lines of
+``q = min(n, max(1, B // (k * m)))`` species, ``B = _BLOCK_CELLS``.  It
+checks each block while it is in cache: the block's stage is copied into
+scratch as the residual's right-hand side.  Where a block's lines are
+contiguous in the stack (the y sweep and 1D), ``dpttrs`` solves the block
+in the stack itself; the lines of a 2D x sweep are strided, so its block
+is gathered into scratch, solved there and written back.  No species'
+bound ``1e-12 * max(1, max|stage_i|)`` is below ``1e-12``, so a block
+whose residual is within ``1e-12`` passes at once; from the first block
+that misses on, the per-species residual maxima are folded block by
+block, and they and the bounds decide.
 
 Memory: :func:`run_simulation` owns three field stacks, the state ``F``,
 its reaction term ``Q`` and a work stack ``W``, and recycles them: a step
 forms its stage in ``W``, solves it there, and an accepted candidate
 becomes the next ``F`` while the old ``F`` becomes the next ``W``.  The
-solver keeps its factors and scratch of three blocks, so after the first
-step no step allocates a field-sized array.
+solver keeps its factors and scratch of three blocks, in 1D as in 2D, so
+after the first step no step allocates a field-sized array.
 
 Negativity: the sweeps keep a nonnegative stage nonnegative, so a
 candidate turns negative only where the explicit reaction makes ``f*``
@@ -82,14 +84,11 @@ REJECT_AND_HALVE = "reject_and_halve"
 
 _RESIDUAL_TOL = 1e-12
 _MAX_FACTOR_SETS = 8
-# cells of a block of whole rows (one row, or in the y sweep one line,
-# where a row is larger): the solver's three scratch blocks take
-# 3 * 8 * _BLOCK_CELLS = 384 kB, at most 128 kB each, inside a core's L2
-# cache, so a 2D run's scratch does not grow with its grid
+# cells of a sweep's block of whole lines (one line, where a line is
+# larger): the solver's three scratch blocks take 3 * 8 * _BLOCK_CELLS =
+# 384 kB, at most 128 kB each, inside a core's L2 cache, so a run's
+# scratch does not grow with its grid or its number of species
 _BLOCK_CELLS = 1 << 14
-# lines of a gathered block of the x sweep, at least, where a block holds
-# them: each cell is read and written back in runs of 64 bytes, a cache line
-_GATHER_LINES = 8
 
 
 def _load_lapack_pt():
@@ -237,17 +236,18 @@ class DiffusionSolver:
     against the sign certificate of :func:`_ldl_factor`, so a sweep maps
     nonnegative stages to nonnegative states exactly.  A sweep solves
     every grid line of a species as one right-hand side of ``dpttrs``, in
-    place in the stack it is given.  Along the first axis each row of the
-    ``(lines, n, m)`` view of the stack holds one line of every species,
-    and the rows are the columns of one solve; in 1D there is one row.
-    Along the second axis each row is one species, whose lines are the
-    columns of one solve of its transpose.  A 2D solve is an x sweep
-    followed by a y sweep (Lie splitting).  Every sweep solves and checks
-    its stack in blocks of whole rows, and a residual that is not finite
-    fails.  The solver keeps factors and three scratch blocks: the
-    ``_MAX_FACTOR_SETS`` most recently used step sizes are cached, and
-    factorization is deterministic, so an evicted step size refactorizes
-    to the same solves.
+    place in the stack it is given.  Along the first axis the stack is
+    viewed as ``(lines, n, m)``: row ``p`` holds line ``p`` of every
+    species, and the lines of a block of species are the columns of one
+    solve; in 1D there is one line.  Along the last axis of a 2D grid it
+    is ``(n, lines, m)``, and the lines of a species are the columns of
+    one solve of its transpose.  A 2D solve is an x sweep followed by a y
+    sweep (Lie splitting).  Every sweep solves and checks its stack in
+    blocks of whole lines of one size rule (:meth:`sweep`), and a residual
+    that is not finite fails.  The solver keeps factors and three scratch
+    blocks: the ``_MAX_FACTOR_SETS`` most recently used step sizes are
+    cached, and factorization is deterministic, so an evicted step size
+    refactorizes to the same solves.
     """
 
     def __init__(self, grid, ks):
@@ -291,27 +291,28 @@ class DiffusionSolver:
         """Solve ``(I - dt * d_i * L_axis) x_i = stage_i`` along every line of ``axis``, in place.
 
         ``x`` is the stage, a writable C-contiguous float64 ``(n, *shape)``
-        stack; it is overwritten with the solution and returned.  It is
-        solved in blocks of whole rows, at most ``_BLOCK_CELLS`` cells or
-        one row, and the block's stage is first copied into scratch as the
+        stack; it is overwritten with the solution and returned.  Along
+        every axis, 1D included, it is solved in blocks of ``k = min(lines,
+        max(1, B // m))`` whole lines of ``q = min(n, max(1, B // (k * m)))``
+        species, ``B = _BLOCK_CELLS``, so a block holds at most ``B`` cells
+        or one line.  The block's stage is first copied into scratch as the
         right-hand side of its residual, which is formed in the solver's
-        scratch while the block is in cache.  A row of the y sweep is a
-        species; one larger than a block is solved in blocks of its whole
-        lines, and its ``max|stage_i|`` is folded from every block.  The
-        y sweep and the 1D sweep run ``dpttrs`` on ``x`` itself; the x
-        sweep of a 2D stack, whose rows are strided in ``x``, solves a
-        gathered copy and writes it back, and takes every species'
-        ``max|stage_i|`` before it overwrites its stage; where a block
-        cannot hold ``_GATHER_LINES`` of its rows, a block takes that many
-        lines of fewer species.  Raises :class:`LinearSolveError` when, for
-        some species, the residual is not at most ``1e-12 * max(1,
-        max|stage_i|)`` (a NaN residual or bound fails); ``x`` is then
-        partly solved.  No species' bound is below ``1e-12``, so a block
-        whose residual is within ``1e-12`` passes at once; only from the
-        first block that misses on are the per-species maxima formed.  A
-        stage that is not finite fails, and the refusal names its first
-        species that is not finite; numpy's warnings on ``inf - inf`` in
-        the residual would only repeat that, so none is raised.
+        scratch while the block is in cache.  The y sweep and the 1D sweep
+        run ``dpttrs`` on ``x`` itself; the x sweep of a 2D stack, whose
+        lines are strided in ``x``, solves a gathered copy and writes it
+        back once its residual is checked.  A species whose lines span
+        several blocks folds its ``max|stage_i|`` from every block; any
+        other reads it from its one block, in ``x`` or its scratch copy,
+        when that block misses.  Raises
+        :class:`LinearSolveError` when, for some species, the residual is
+        not at most ``1e-12 * max(1, max|stage_i|)`` (a NaN residual or
+        bound fails); ``x`` is then partly solved.  No species' bound is
+        below ``1e-12``, so a block whose residual is within ``1e-12``
+        passes at once; only from the first block that misses on are the
+        per-species residual maxima folded.  A stage that is not finite
+        fails, and the refusal names its first species that is not finite;
+        numpy's warnings on ``inf - inf`` in the residual would only repeat
+        that, so none is raised.
         """
         if not (x.dtype == np.float64 and x.flags.c_contiguous and x.flags.writeable):
             raise DomainError("a sweep solves in place in a writable C-contiguous "
@@ -324,77 +325,66 @@ class DiffusionSolver:
                 self._factors.popitem(last=False)
         diag, off, prev, d, l = self._factors[dt][axis]
         n, m = self.ks.n, self.grid.shape[axis]
-        # (species, rows of x) per block
+        # a block is k whole lines of q species
+        lines = x.size // (n * m)
+        k = min(lines, max(1, _BLOCK_CELLS // m))
+        q = min(n, max(1, _BLOCK_CELLS // (k * m)))
+        species_blocks = [slice(s, min(s + q, n)) for s in range(0, n, q)]
+        line_blocks = [slice(p, p + k) for p in range(0, lines, k)]
         if axis == 0:
-            # every line of every species is a column of one solve: row p
-            # holds line p of all species, (lines, n, m).  A block takes k
-            # lines of q species: every species, where _GATHER_LINES lines
-            # of each fit, else _GATHER_LINES lines of as many species as
-            # fit; the one line of a 1D stack is one block
+            # line p of every species is row p of (lines, n, m), and the
+            # lines are the columns of one solve
             rows = x.reshape(n, m, -1).transpose(2, 0, 1)
-            nlines = len(rows)
-            if nlines == 1:
-                k, q = 1, n
-            else:
-                k = min(nlines, max(min(_GATHER_LINES, max(1, _BLOCK_CELLS // m)),
-                                    _BLOCK_CELLS // (n * m)))
-                q = min(n, max(1, _BLOCK_CELLS // (k * m)))
-            blocks = [(slice(s, min(s + q, n)), rows[p:p + k, s:s + q])
-                      for p in range(0, nlines, k) for s in range(0, n, q)]
-        elif x[0].size <= _BLOCK_CELLS:
-            # row s is species s, whose lines are the columns of x[s].T
-            k = _BLOCK_CELLS // x[0].size
-            blocks = [(slice(p, min(p + k, n)), x[p:p + k]) for p in range(0, n, k)]
+            blocks = [(s, rows[p, s]) for s in species_blocks for p in line_blocks]
         else:
-            # a species larger than a block is solved a block of its lines
-            # at a time, the columns of x[s, p:p + k].T
-            k = max(1, _BLOCK_CELLS // m)
-            blocks = [(slice(s, s + 1), x[s:s + 1, p:p + k])
-                      for s in range(n) for p in range(0, x.shape[1], k)]
-        split = axis == 1 and x[0].size > _BLOCK_CELLS
-        gather = axis == 0 and len(rows) > 1  # rows strided in x
+            # the lines of species s are the columns of x[s].T
+            blocks = [(s, x[s, p]) for s in species_blocks for p in line_blocks]
+        gather = axis == 0 and lines > 1  # lines strided in x
+        # a species whose lines span several blocks folds its extent from
+        # every block: one that passes before a later one misses is solved
+        # over its stage by then.  Any other species lies whole in one
+        # block and reads its extent there, once the block misses, while
+        # its stage is still held: a species of a passing block has a
+        # finite stage and a zero residual in the fold, so its bound
+        # decides nothing
+        fold = k < lines
         scratch = self._blocks(blocks[0][1].size)
         resid = None
-        # a gathered sweep writes each block back, over its stage, before a
-        # later block may miss, so it takes every species' extent first; a
-        # split one folds each species' extent from all of its blocks.
-        # Any other sweep takes it from the right-hand sides of the blocks
-        # that miss: a species of a passing block has a finite stage and a
-        # zero residual in the fold, so its bound decides nothing
-        extent = _extent(x, tuple(range(1, x.ndim))) if gather else np.zeros(n)
+        extent = np.zeros(n)
         for species, rows_b in blocks:
             r, t, bb = scratch[:, :rows_b.size].reshape((3,) + rows_b.shape)
             xb = rows_b
             bb[...] = xb
+            if fold:
+                # before the residual, which may take bb as its scratch
+                es = extent[species]
+                np.maximum(es, _extent(bb, (axis, 2)), out=es)
             if gather:
-                # solved in scratch and written back; with the extents
-                # known, the residual may take bb as its scratch
+                # solved in scratch and written back once checked, so the
+                # stage stays in x and the residual may take bb as scratch
                 xb, t = t, bb
                 xb[...] = bb
             if axis == 0:
-                # the species' systems, uncoupled, are one of n * m unknowns
+                # the species' systems, uncoupled, are one of q * m unknowns
                 a, b = species.start * m, species.stop * m
                 dpttrs(d[a:b], l[a:b - 1], xb.reshape(-1, b - a).T, overwrite_b=1)
-                if gather:
-                    rows_b[...] = xb
             else:
-                for i, lines in enumerate(xb, start=species.start):
-                    dpttrs(d[i * m:(i + 1) * m], l[i * m:(i + 1) * m - 1], lines.T,
+                for i, species_lines in enumerate(xb, start=species.start):
+                    dpttrs(d[i * m:(i + 1) * m], l[i * m:(i + 1) * m - 1], species_lines.T,
                            overwrite_b=1)
-            if split:
-                es = extent[species]
-                np.maximum(es, _extent(bb, (1, 2)), out=es)
             along = (slice(None), species) if axis == 0 else species
             _residual(diag[along], off[along], prev[along], xb, bb, r, t)
-            if resid is None:
-                # NaN fails both comparisons
-                if r.max() <= _RESIDUAL_TOL and -r.min() <= _RESIDUAL_TOL:
-                    continue
-                resid = np.zeros(n)
-            rs = resid[species]
-            np.maximum(rs, np.max(np.abs(r, out=r), axis=(axis, 2)), out=rs)
-            if not (gather or split):
-                extent[species] = _extent(bb, (axis, 2))
+            # NaN fails both comparisons
+            if resid is not None or not (r.max() <= _RESIDUAL_TOL
+                                         and -r.min() <= _RESIDUAL_TOL):
+                if resid is None:
+                    resid = np.zeros(n)
+                rs = resid[species]
+                np.maximum(rs, np.max(np.abs(r, out=r), axis=(axis, 2)), out=rs)
+                if not fold:
+                    extent[species] = _extent(rows_b if gather else bb, (axis, 2))
+            if gather:
+                rows_b[...] = xb
         if resid is not None:
             _species_contract(resid, extent, f"axis {axis}, dt={dt:g}")
         return x

@@ -26,6 +26,7 @@ arrays: ``np.diff`` per axis and ``fsum`` of each axis' float list, which
 the streamed blocks must match bit for bit.
 """
 
+import math
 from fractions import Fraction
 from math import fsum
 
@@ -143,8 +144,9 @@ def validate_kernel_set_by_pair(ks, i_max=None, rel_tol=1e-12):
                 failures.append(f"b^{first_beyond[r]}_{{{i},{j}}} nonzero beyond support")
             total = fsum(weighted[r, : s - 1])
             resid = abs(total - s) / s
-            worst = max(worst, resid)
-            if resid > rel_tol:
+            if resid > worst or math.isnan(resid):  # a NaN total stays the worst
+                worst = resid
+            if not resid <= rel_tol:  # a NaN total fails
                 failures.append(
                     f"mass conservation off at ({i},{j}): sum k b^k = {total!r} != {s}"
                 )

@@ -620,6 +620,30 @@ class TestAuditCommand:
         assert verdicts["A4_term1"] == "INCONCLUSIVE"
         assert verdicts["A1"] == "CONVERGES"
 
+    def test_nan_count_fails_the_mass_check(self, tmp_path, monkeypatch):
+        # b^1_{2,2} = nan: the pair (2, 2) fails its mass check besides its
+        # symmetry check (NaN != NaN), and the worst mass residual is NaN,
+        # written as null
+        make = cli.cfgmod.make_kernel_set
+
+        def with_nan_count(spec):
+            ks = make(spec)
+            counts = ks._b_fn
+            ks._b_fn = lambda i, j, k: np.where(
+                (np.asarray(i) == 2) & (np.asarray(j) == 2) & (np.asarray(k) == 1),
+                np.nan, counts(i, j, k))
+            return ks
+
+        monkeypatch.setattr(cli.cfgmod, "make_kernel_set", with_nan_count)
+        out = tmp_path / "audit_nan"
+        rc = cli.main(["audit", "--config", write_cfg(tmp_path, self._doc(4.0, 0.0)),
+                       "--out", str(out), "--quiet"])
+        assert rc == 1
+        doc = json.loads((out / "audit.json").read_text())["kernel_validation"]
+        assert doc["ok"] is False and doc["max_mass_residual"] is None
+        assert doc["failures"] == ["b^k_{2,2} != b^k_{2,2}",
+                                   "mass conservation off at (2,2): sum k b^k = nan != 4"]
+
     def test_weaker_profile_near_one_exponent_certifies(self, tmp_path):
         # lam=4, alpha=0.95 lies in the weaker profile; A4 term 1's majorant
         # exponents are u = 1.05 and v = 1.525, so it converges
@@ -755,5 +779,5 @@ class TestPlotCommand:
         rc = cli.main(["plot", "--out", str(out), "--quiet"])
         assert rc == 0
         made = {p.name for p in out.iterdir() if p.suffix in (".png", ".dat")}
-        stems = {Path(name).stem for name in made}
-        assert stems == {"mass_vs_t", "minmax_vs_t", "tail_vs_t", "spectrum_final"}
+        assert made == {"mass_vs_t.dat", "minmax_vs_t.dat", "tail_vs_t.dat",
+                        "spectrum_final.dat"}

@@ -307,13 +307,10 @@ def test_gradient_sq_streams_blocks_with_the_bits_of_whole_arrays(monkeypatch, s
     for level in (0.25, 0.5, 2.0):
         want = gradient_sq_by_axis(g, u, np.abs(u) <= level)
         assert gradient_sq_integral(g, u, level=level).hex() == want.hex()
-        assert gradient_sq_integral(g, u, mask=np.abs(u) <= level).hex() == want.hex()
     assert gradient_sq_integral(g, u).hex() == gradient_sq_by_axis(g, u).hex()
     flat[13] = np.nan  # outside every level set
     want = gradient_sq_by_axis(g, u, np.abs(u) <= 0.5)
     assert gradient_sq_integral(g, u, level=0.5).hex() == want.hex()
-    with pytest.raises(DomainError, match="not both"):
-        gradient_sq_integral(g, u, mask=np.abs(u) <= 0.5, level=0.5)
 
 
 def test_gradient_sq_exact_for_linear():
@@ -330,14 +327,14 @@ def test_gradient_sq_exact_for_linear():
 
 
 def test_gradient_sq_mask():
+    # u increases from 0.05 to 0.95: the level 0 masks every cell, and the
+    # level u[4] keeps the first five cells
     g = make_grid_1d(10)
     u = g.centers().copy()
     full = gradient_sq_integral(g, u)
-    none = gradient_sq_integral(g, u, mask=np.zeros(10, dtype=bool))
+    none = gradient_sq_integral(g, u, level=0.0)
     assert none == 0.0
-    half = np.zeros(10, dtype=bool)
-    half[:5] = True  # 4 interior faces of 9 stay active
-    part = gradient_sq_integral(g, u, mask=half)
+    part = gradient_sq_integral(g, u, level=u[4])  # 4 interior faces of 9 stay active
     assert 0.0 < part < full
     assert part == pytest.approx(full * 4.0 / 9.0, rel=1e-12)
 
@@ -347,7 +344,7 @@ def test_gradient_sq_shape_errors():
     with pytest.raises(DomainError):
         gradient_sq_integral(g, np.zeros(9))
     with pytest.raises(DomainError):
-        gradient_sq_integral(g, np.zeros(8), mask=np.ones(7, dtype=bool))
+        gradient_sq_integral(g, np.zeros((8, 1)))
 
 
 class TestSpectralReference:

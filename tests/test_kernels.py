@@ -512,7 +512,7 @@ FAULTS = {
     "beyond_support": lambda i, j, k, b: b + np.where((k == i + j + i % 3) & (j % 5 == 0),
                                                       0.5, 0.0),
     "mass_off": lambda i, j, k, b: b * np.where(i * j % 4 == 3, 1.0 + 3e-12, 1.0),
-    # NaN != NaN reads as asymmetric; a NaN mass residual is never above tolerance
+    # NaN != NaN reads as asymmetric, and a NaN mass total fails
     "nan": lambda i, j, k, b: np.where((i + j == 7) & (k == 3), np.nan, b),
     # every pair fails twice, so the report stops mid-row
     "everything_negative": lambda i, j, k, b: -b,

@@ -330,6 +330,24 @@ class TestDiffusionSolver:
             solver.sweep(stage, dt, axis)
         assert str(exc_info.value) == want
 
+    def test_refusal_bound_reads_a_gathered_block_before_its_write_back(self, monkeypatch):
+        # blocks of 400 cells: the x sweep of 6x64 gathers the 64 lines of
+        # one species per block, solves them in scratch and writes them
+        # back once checked.  Every species peaks at 4 in one cell, which
+        # its solve smooths, so the refusal's bound, 4e-12, is read from
+        # the stage that x still holds when a block misses
+        monkeypatch.setattr(stepper, "_BLOCK_CELLS", 400)
+        g = make_grid_2d(6, 64)
+        ks = fd.power_law_uniform(4, 4.0, 0.5)
+        stage = np.ones((4,) + g.shape)
+        stage[..., ::3] = 0.0
+        stage[:, 2, 7] = 4.0
+        want = _reference_refusal(g, ks, stage, 1e3, 0)
+        assert want is not None and "contract 4e-12" in want
+        with pytest.raises(fd.LinearSolveError) as exc_info:
+            DiffusionSolver(g, ks).sweep(stage.copy(), 1e3, 0)
+        assert str(exc_info.value) == want
+
     @pytest.mark.parametrize("grid", [make_grid_1d(48), make_grid_2d(8, 12)], ids=["1D", "2D"])
     def test_contract_decided_whole_array_first(self, grid, monkeypatch):
         # no species' bound is below 1e-12, so a residual within 1e-12
@@ -374,11 +392,8 @@ class TestDiffusionSolver:
         # of a line or a species they add +-0, so the residual is the one
         # the shifted per-line form gives, with the same absolute bits.
         # Every block forms its residual once, whether it misses or not:
-        # one block per sweep at these sizes; with one row per block, the
-        # 1D sweep's one row, and in 2D one per line of each species on
-        # either axis: a gathered x sweep block takes fewer species where
-        # a block cannot hold a line of all, and a y sweep block fewer
-        # lines where it cannot hold a species
+        # one block per sweep at these sizes; with one cell per block, one
+        # per line of each species on every axis, 1D included
         if rows:
             monkeypatch.setattr(stepper, "_BLOCK_CELLS", 1)
         seen = []
@@ -397,9 +412,7 @@ class TestDiffusionSolver:
             for scale in (1.0, 1e6):
                 solver.solve(scale * rng.uniform(0.0, 2.0, size=(3,) + grid.shape), dt)
         cells = math.prod(grid.shape)
-        blocks = grid.dim
-        if rows and grid.dim == 2:
-            blocks = 3 * (cells // grid.shape[0] + grid.shape[0])
+        blocks = 3 * sum(cells // m for m in grid.shape) if rows else grid.dim
         assert len(seen) == 4 * blocks
         for want, got in seen:
             np.testing.assert_array_equal(got, want)
@@ -492,10 +505,9 @@ class TestDiffusionSolver:
         # on 37x53, blocks of 160 cells: the x sweep gathers four lines of
         # 37 cells of one species per block (a line of the 4 species is 148
         # cells), and the y sweep takes each species three lines of 53 cells
-        # at a time.  Blocks of 600 cells: the x sweep gathers eight lines
-        # of two species, the last block the fifth species alone, and the y
-        # sweep eleven lines.  The bits are the per-line reference solve's,
-        # and the scratch is three blocks
+        # at a time.  Blocks of 600 cells: the x sweep gathers sixteen lines
+        # of one species, and the y sweep takes eleven lines.  The bits are
+        # the per-line reference solve's, and the scratch is three blocks
         monkeypatch.setattr(stepper, "_BLOCK_CELLS", cells)
         g = make_grid_2d(37, 53)
         ks = fd.power_law_uniform(n, 4.0, 0.5)
@@ -509,6 +521,28 @@ class TestDiffusionSolver:
             x = stage.copy()
             assert solver.solve(x, dt).tobytes() == _per_line_ldl(g, ks, stage, dt).tobytes()
         assert solver._scratch.size == scratch
+
+    def test_1d_stack_larger_than_a_block(self):
+        # n=1024 species of 64 cells are four blocks of 256 species, each
+        # solved in place: the scratch stays three blocks, and the bits are
+        # the per-line reference solve's.  A NaN or inf in a later block is
+        # refused, and the refusal names its first species that is not
+        # finite, also where an earlier block passed
+        g = make_grid_1d(64)
+        ks = fd.power_law_uniform(1024, 4.0, 0.5)
+        solver = DiffusionSolver(g, ks)
+        stage = np.random.default_rng(36).uniform(0.0, 2.0, size=(1024,) + g.shape)
+        x = stage.copy()
+        assert solver.solve(x, 0.05) is x
+        assert x.tobytes() == _per_line_ldl(g, ks, stage, 0.05).tobytes()
+        assert solver._scratch.nbytes == 3 * 8 * stepper._BLOCK_CELLS
+        for bad in ((700,), (600, 1000), (1000, 300)):
+            x = stage.copy()
+            for species, value in zip(bad, (np.nan, np.inf)):
+                x[species - 1, 5] = value
+            with pytest.raises(fd.LinearSolveError,
+                               match=f"species {min(bad)}, axis 0, dt=0.05"):
+                solver.solve(x, 0.05)
 
     def test_split_species_bound_reads_every_block(self, monkeypatch):
         # one line per block of the y sweep: species 2's bound reads its

@@ -139,7 +139,7 @@ def test_fold_matches_whole_trajectory_evaluation():
 
     for rep in report.energy:
         i0, level = rep.species - 1, rep.level
-        grads = [float(ks.d[i0]) * fd.gradient_sq_integral(grid, F[i0], mask=np.abs(F[i0]) <= level)
+        grads = [float(ks.d[i0]) * fd.gradient_sq_integral(grid, F[i0], level=level)
                  for F in fields]
         lhs = _trapezoid(times, grads)
         q_l1 = _trapezoid(times, [fd.integrate(grid, np.abs(Q[i0])) for Q in Qs])
