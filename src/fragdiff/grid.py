@@ -236,54 +236,17 @@ def gradient_sq_integral(grid, u, level=None):
     ``|u| <= level`` (a conservative under-approximation on it).
 
     The squared differences (and the level mask) are formed one block of
-    whole rows of the grid at a time, about ``_SUM_BLOCK`` cells, and each
-    axis' sum is exactly rounded (:func:`_exact_sums`), split at the
-    largest square, which a first pass over the blocks finds where the
-    grid is large enough for the split.
+    whole rows of the grid at a time, about ``_SUM_BLOCK`` cells
+    (:func:`_face_squares`), and each axis' sum is exactly rounded
+    (:func:`_exact_sums`), split at the largest square, which a first pass
+    over the blocks finds where the grid is large enough for the split.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
         raise DomainError(f"values shape {u.shape} does not match grid {grid.shape}")
-    h, m0 = grid.h, grid.shape[0]
-    rest = grid.ncells // m0  # cells of a row
-    cells = u.reshape(-1)
-    k = min(m0, max(1, _SUM_BLOCK // rest))  # rows of a block
 
     def blocks():
-        # one float and two boolean blocks of k + 1 rows; every operand is
-        # a contiguous run of cells, which numpy reads without buffering
-        buf = np.empty((k + 1) * rest)
-        ok_buf = np.empty((k + 1) * rest, dtype=bool)
-        keep_buf = np.empty(k * rest, dtype=bool)
-
-        def masked(sq, ok_hi, ok_lo):
-            keep = np.logical_and(ok_hi, ok_lo, out=keep_buf[:sq.size])
-            np.copyto(sq, 0.0, where=np.logical_not(keep, out=keep))
-
-        for lo in range(0, m0 * rest, k * rest):
-            hi = min(lo + k * rest, m0 * rest)  # the block's cells
-            end = min(hi + rest, m0 * rest)  # and the next row's
-            ok = None if level is None else np.less_equal(
-                np.abs(cells[lo:end], out=buf[:end - lo]), level, out=ok_buf[:end - lo])
-            faces = min(hi, end - rest) - lo  # axis 0: cells c and c + rest
-            if faces > 0:
-                sq = np.subtract(cells[lo + rest:lo + rest + faces], cells[lo:lo + faces],
-                                 out=buf[:faces])
-                sq /= h[0]
-                sq *= sq
-                if ok is not None:
-                    masked(sq, ok[rest:rest + faces], ok[:faces])
-                yield 0, sq[None]
-            if grid.dim == 2:
-                # axis 1: cells c and c + 1; the differences across the end of
-                # a row are set to zero, which adds nothing to the sum
-                sq = np.subtract(cells[lo + 1:hi], cells[lo:hi - 1], out=buf[:hi - lo - 1])
-                sq /= h[1]
-                sq *= sq
-                if ok is not None:
-                    masked(sq, ok[1:hi - lo], ok[:hi - lo - 1])
-                sq[rest - 1::rest] = 0.0
-                yield 1, sq[None]
+        return _face_squares(grid, u, level)
 
     mu = None
     if grid.dim * grid.ncells >= _SUM_DIRECT:
@@ -291,9 +254,62 @@ def gradient_sq_integral(grid, u, level=None):
         for axis, sq in blocks():
             mu[axis] = np.maximum(mu[axis], sq.max())
         del sq
-    sums = _exact_sums(blocks, grid.dim, grid.ncells, mu)
+    return _gradient_total(grid, _exact_sums(blocks, grid.dim, grid.ncells, mu))
+
+
+def _face_squares(grid, u, level):
+    """Yield ``(axis, sq)``: the squared face differences of ``u`` over
+    ``h_axis``, zero where ``level`` masks the face, as ``(1, faces)``
+    blocks of about ``_SUM_BLOCK`` cells, in the order of the faces; a grid
+    of at most ``_SUM_BLOCK`` cells gives one block per axis.  The blocks
+    are views of one buffer, valid until the next is yielded.
+    """
+    h, m0 = grid.h, grid.shape[0]
+    rest = grid.ncells // m0  # cells of a row
+    cells = u.reshape(-1)
+    k = min(m0, max(1, _SUM_BLOCK // rest))  # rows of a block
+    # one float and two boolean blocks of k + 1 rows; every operand is
+    # a contiguous run of cells, which numpy reads without buffering
+    buf = np.empty((k + 1) * rest)
+    ok_buf = np.empty((k + 1) * rest, dtype=bool)
+    keep_buf = np.empty(k * rest, dtype=bool)
+
+    def masked(sq, ok_hi, ok_lo):
+        keep = np.logical_and(ok_hi, ok_lo, out=keep_buf[:sq.size])
+        np.copyto(sq, 0.0, where=np.logical_not(keep, out=keep))
+
+    for lo in range(0, m0 * rest, k * rest):
+        hi = min(lo + k * rest, m0 * rest)  # the block's cells
+        end = min(hi + rest, m0 * rest)  # and the next row's
+        ok = None if level is None else np.less_equal(
+            np.abs(cells[lo:end], out=buf[:end - lo]), level, out=ok_buf[:end - lo])
+        faces = min(hi, end - rest) - lo  # axis 0: cells c and c + rest
+        if faces > 0:
+            sq = np.subtract(cells[lo + rest:lo + rest + faces], cells[lo:lo + faces],
+                             out=buf[:faces])
+            sq /= h[0]
+            sq *= sq
+            if ok is not None:
+                masked(sq, ok[rest:rest + faces], ok[:faces])
+            yield 0, sq[None]
+        if grid.dim == 2:
+            # axis 1: cells c and c + 1; the differences across the end of
+            # a row are set to zero, which adds nothing to the sum
+            sq = np.subtract(cells[lo + 1:hi], cells[lo:hi - 1], out=buf[:hi - lo - 1])
+            sq /= h[1]
+            sq *= sq
+            if ok is not None:
+                masked(sq, ok[1:hi - lo], ok[:hi - lo - 1])
+            sq[rest - 1::rest] = 0.0
+            yield 1, sq[None]
+
+
+def _gradient_total(grid, sums):
+    """``fsum`` over the axes of each axis' face weight times ``sums[axis]``,
+    the exactly rounded sum of its squared face differences."""
+    h = grid.h
     total_terms = []
-    for axis, hh in enumerate(h):
+    for axis in range(grid.dim):
         w = grid.lengths[axis] / (grid.shape[axis] - 1)
         for other, oh in enumerate(h):
             if other != axis:

@@ -466,6 +466,13 @@ class ValidationReport:
     notes: list[str]
 
 
+_CHECK_CELLS = 1 << 12
+"""Floats in one block of collision rates, plateaus or tail terms that the
+validator reads (32 kB)."""
+_TERM_CELLS = 1 << 16
+"""Floats in one block of mass terms that the validator sums (512 kB)."""
+
+
 def validate_kernel_set(ks, i_max=None, rel_tol=1e-12):
     """Check the structural identities of a kernel set, from its counts.
 
@@ -480,15 +487,16 @@ def validate_kernel_set(ks, i_max=None, rel_tol=1e-12):
     The pair checks take one of two paths, by the count function:
 
     * a built-in family's own closed form (``_uniform_counts`` or
-      ``_cheng_redner_counts``) is read once per size, in ``O(i_max**2)``
-      evaluations (:func:`_pair_checks_by_size`);
+      ``_cheng_redner_counts``) is read once per size, in blocks
+      (:func:`_pair_checks_by_size`);
     * any other count function (tables, wrapped counts), and any set in
       which the first path finds a failure, is checked one row ``i`` at a
       time, as a ``(j, k)`` block (:func:`_pair_checks_by_row`).  Only this
       path words a pair's failures; its report stops after 20 failures.
 
-    Both paths give the same report, floats included, and keep memory at
-    ``O(i_max**2)``.
+    Both paths give the same report, floats included.  A built-in set is
+    validated in ``O(i_max)`` floats plus blocks of bounded size, with no
+    ``n x n`` array; the row path holds ``O(i_max**2)``.
     """
     if i_max is None:
         i_max = ks.n
@@ -498,11 +506,23 @@ def validate_kernel_set(ks, i_max=None, rel_tol=1e-12):
     if np.any(ks.d <= 0) or not np.all(np.isfinite(ks.d)):
         failures.append("diffusion coefficients must be positive and finite")
 
-    # a-symmetry / nonnegativity on the stored range
-    amat = ks.a_matrix()
-    if not np.array_equal(amat, amat.T):
+    # a-symmetry / nonnegativity on the stored range (a NaN reads as
+    # asymmetric), from separable weights a block of rows at a time, with
+    # the products of np.outer and no a_matrix(); a stored matrix whole
+    w = ks.sep_weights
+    if w is None or ks._a_mat is not None:
+        blocks = [(ks.a_matrix(), ks.a_matrix())]
+    else:
+        step = max(1, _CHECK_CELLS // ks.n)
+        blocks = ((np.outer(w[r:r + step], w), np.outer(w, w[r:r + step]))
+                  for r in range(0, ks.n, step))
+    symmetric = nonnegative = True
+    for rows, cols in blocks:  # a[r, :] and a[:, r]
+        symmetric = symmetric and np.array_equal(rows, cols.T)
+        nonnegative = nonnegative and not np.any(rows < 0)
+    if not symmetric:
         failures.append("collision rates are not symmetric")
-    if np.any(amat < 0):
+    if not nonnegative:
         failures.append("collision rates contain negative entries")
 
     worst, pairs = (_pair_checks_by_size(ks, i_max, rel_tol)
@@ -568,63 +588,76 @@ def _pair_checks_by_size(ks, i_max, rel_tol):
     for uniform breakage (``_uniform_counts`` reads ``i + j`` alone) and
     ``b^k_ij = P_i(k) + P_j(k)`` for Cheng-Redner (``_cheng_redner_counts``
     adds one term per collider, so ``P_p = b_pp / 2`` exactly).  The
-    vectors ``U_s`` or ``P_p`` are read once for every ``k`` the pair
-    checks read and must be finite, nonnegative and zero outside their own
-    support (``k >= s``; ``k >= max(p, 2)``).  That implies every pair's
-    checks: a float sum commutes exactly, so ``b^k_ij = b^k_ji``; a sum of
-    nonnegative terms is nonnegative; and each term vanishes at
-    ``k >= i + j``.  Every pair's mass total has the bits of its per-pair
-    ``fsum`` (:func:`_uniform_mass_totals`, :func:`_cheng_redner_mass_totals`).
+    vectors ``U_s`` or ``P_p`` are read, a block of sizes at a time, for
+    every ``k`` the pair checks read, and must be finite, nonnegative and
+    zero outside their own support (``k >= s``; ``k >= max(p, 2)``).  That
+    implies every pair's checks: a float sum commutes exactly, so
+    ``b^k_ij = b^k_ji``; a sum of nonnegative terms is nonnegative; and
+    each term vanishes at ``k >= i + j``.  The helpers
+    (:func:`_uniform_mass_totals`, :func:`_cheng_redner_mass_totals`)
+    stream the mass totals, each with the bits of its per-pair ``fsum``,
+    and the worst residual is folded one block at a time.  A residual is
+    a correctly rounded function of its pair alone, so the order of the
+    blocks does not move the report.
     """
     if i_max < 1:
         return None
     if ks._b_fn is _uniform_counts:
-        totals = _uniform_mass_totals(ks, i_max)
+        blocks = _uniform_mass_totals(ks, i_max)
     elif ks._b_fn is _cheng_redner_counts:
-        totals = _cheng_redner_mass_totals(ks, i_max)
+        blocks = _cheng_redner_mass_totals(ks, i_max)
     else:
         return None
-    if totals is None:
-        return None
-    sizes = np.arange(1, i_max + 1)
-    s = np.add.outer(sizes, sizes)
-    worst = float(np.max(np.triu(np.abs(totals - s) / s)))  # over the pairs i <= j
-    if not worst <= rel_tol:
-        return None
+    worst = 0.0
+    for block in blocks:
+        if block is None:
+            return None
+        i, j, totals = block
+        s = i + j
+        top = float(np.max(np.abs(totals - s) / s))
+        if not top <= rel_tol:  # a NaN total fails
+            return None
+        worst = max(worst, top)
     return worst, i_max * (i_max + 1) // 2
 
 
-def _plateaus_ok(counts, outside):
-    """Every count is finite and nonnegative, and zero where ``outside`` holds."""
-    return bool(np.all((counts >= 0.0) & (counts < np.inf))
-                and not np.any(outside & (counts != 0.0)))
-
-
 def _uniform_mass_totals(ks, m):
-    """``T[i-1, j-1] = fsum_k k b^k_ij`` for the uniform pairs ``i, j <= m``.
+    """Yield ``(i, j, T)``, ``T = fsum_k k b^k_ij`` for one uniform pair
+    ``i <= j <= m`` of each total size ``s = 2..2m``, a block of sizes at
+    a time; ``None`` ends the stream when a count vector ``U_s`` is not
+    finite, nonnegative and zero from ``k = s`` to ``s + 2``.
 
     Every pair of total size ``s`` has the same counts ``U_s``, so the same
-    weighted terms and the same ``fsum``: one per ``s``.  ``None`` when a
-    count vector fails :func:`_plateaus_ok`.
+    weighted terms and the same ``fsum``: one per ``s``.
     """
-    s = np.arange(2, 2 * m + 1)[:, None]
-    k = np.arange(1, 2 * m + 3)
-    terms = ks._b_fn(1, s - 1, k)  # row s - 2 holds U_s
-    if not _plateaus_ok(terms, k >= s):
-        return None
-    terms *= k
-    by_size = np.array([fsum(row[:size - 1].data) for row, size in zip(terms, s[:, 0])])
-    sizes = np.arange(m)
-    return by_size[np.add.outer(sizes, sizes)]
+    step = max(1, _TERM_CELLS // (2 * m + 2))
+    for first in range(2, 2 * m + 1, step):
+        s = np.arange(first, min(first + step, 2 * m + 1))
+        k = np.arange(1, s[-1] + 3)
+        terms = ks._b_fn(1, s[:, None] - 1, k)  # row r holds U_{s[r]}
+        if not (np.all((terms >= 0.0) & (terms < np.inf))
+                and not np.any((k >= s[:, None]) & (terms != 0.0))):
+            yield None
+            return
+        terms *= k
+        i = np.maximum(s - m, 1)
+        yield i, s - i, np.array([fsum(row[:size - 1].data)
+                                  for row, size in zip(terms, s.tolist())])
 
 
 def _cheng_redner_mass_totals(ks, m):
-    """``T[i-1, j-1] = fsum_k k b^k_ij`` for the Cheng-Redner pairs ``i <= j <= m``.
+    """Yield ``(i, j, T)``, ``T = fsum_k k b^k_ij`` for the Cheng-Redner
+    pairs ``i <= j <= m``, one group of rows ``i`` at a time, from ``m``
+    down.
 
-    Pair ``(i, j)`` sums ``x_k = fl(k fl(P_i(k) + P_j(k)))`` over ``k``;
-    with ``h_p = max(p, 2) - 1`` the support length of ``P_p``, its terms
-    ``k <= h_i`` (the head) need both plateaus and the rest are
-    ``fl(k P_j(k))``, a suffix of a sequence fixed by ``j`` alone.
+    The plateaus ``P_p`` are read a block of rows at a time for
+    ``k = 1..2m+2``.  Each must be constant on its support, the
+    ``h_p = max(p, 2) - 1`` sizes below it, with a finite, nonnegative
+    value ``c_p`` (for ``p >= 2`` the weight the solver reads,
+    :meth:`KernelSet.cheng_redner_weights`), and zero beyond it;
+    otherwise ``None`` ends the stream.  Pair ``(i, j)`` then sums
+    ``x_k = fl(k fl(c_i + c_j))`` over the head ``k <= h_i`` and
+    ``fl(k c_j)`` over the tail ``h_i < k <= h_j``.
 
     The sum is formed exactly by error-free extraction (Rump, Ogita and
     Oishi 2008, "Accurate floating-point summation, Part I", SIAM J. Sci.
@@ -637,46 +670,74 @@ def _cheng_redner_mass_totals(ks, m):
     the smallest positive count, so the ``r``s are too; their partial sums
     stay below ``N 2**(K-53)``, exact while ``N sigma <= 2**106 delta``.
     Then ``fl(sum q + sum r)`` is the exact sum rounded once, the value
-    ``fsum`` returns.  The heads are summed one row ``i`` at a time, the
-    tails from one table of suffix sums.  Entries below the diagonal are
-    zero.  ``None`` when a plateau fails :func:`_plateaus_ok` or the split
-    is not exact (``m`` above 8193); the caller then sums every pair
-    with ``fsum``.
+    ``fsum`` returns.  The heads are summed one row at a time, in blocks of
+    columns.  The tails are running sums per column, which a group reads at
+    each of its rows as the sum up to its top row plus the suffix sums of
+    the terms in between.  ``None`` also ends the stream when the split is
+    not exact (``m`` above 8193); the caller then sums every pair with
+    ``fsum``.
     """
-    p = np.arange(1, m + 1)[:, None]
+    support = np.maximum(np.arange(1, m + 1), 2) - 1
     k = np.arange(1, 2 * m + 3)
-    plateaus = ks._b_fn(p, p, k) / 2
-    support = np.maximum(p[:, 0], 2) - 1
-    if not _plateaus_ok(plateaus, k > support[:, None]):
-        return None
+    c = np.empty(m)
+    constant = True
+    step = max(1, _CHECK_CELLS // len(k))
+    for first in range(0, m, step):
+        p = np.arange(first + 1, min(first + step, m) + 1)[:, None]
+        plateaus = ks._b_fn(p, p, k) / 2
+        c[first:first + len(p)] = plateaus[:, 0]
+        constant = constant and np.array_equal(
+            plateaus, np.where(k <= support[p - 1], plateaus[:, :1], 0.0))
     terms = int(support[-1])
-    sigma = math.ldexp(1.0, math.frexp(terms * (terms * 2.0 * plateaus.max()))[1])
-    delta = np.spacing(plateaus.min(where=plateaus > 0.0, initial=np.inf))
-    if not terms * sigma <= math.ldexp(delta, 106):
-        return None
+    sigma = math.ldexp(1.0, math.frexp(terms * (terms * 2.0 * c.max()))[1])
+    delta = np.spacing(c.min(where=c > 0.0, initial=np.inf))
+    if not (constant and np.all((c >= 0.0) & (c < np.inf))
+            and terms * sigma <= math.ldexp(delta, 106)):
+        yield None
+        return
 
-    P = plateaus[:, :m]  # k = 1..m holds every nonzero count
-    kf = np.arange(1.0, m + 1)
-    # the tail terms fl(k P_j(k)) split into q + r, and their suffix sums
-    # from each column on (column m: the empty tail)
-    r = P * kf
-    q = r + sigma
-    q -= sigma
-    r -= q
-    q_tail, r_tail = np.zeros((m, m + 1)), np.zeros((m, m + 1))
-    np.cumsum(q[:, ::-1], axis=1, out=q_tail[:, m - 1::-1])
-    np.cumsum(r[:, ::-1], axis=1, out=r_tail[:, m - 1::-1])
-    totals = np.zeros((m, m))
-    for i in range(1, m + 1):
+    kf = np.arange(1.0, terms + 1)
+    jv = np.arange(1, m + 1)
+    tails = np.zeros((2, m))  # q and r parts of the tail sums k > h of the group's top row
+    buf = np.empty((2, min(_TERM_CELLS, (m // 2 + 1) ** 2)))  # a head's q and r parts
+    group = max(1, _CHECK_CELLS // m)
+    for top in range(m, 0, -group):
+        i = np.arange(max(1, top - group + 1), top + 1)
         h = support[i - 1]
-        x = P[i - 1:, :h] + P[i - 1, :h]  # rows j = i..m
-        x *= kf[:h]
-        q = x + sigma
-        q -= sigma
-        x -= q
-        high = q.sum(axis=1) + q_tail[i - 1:, h]
-        totals[i - 1, i - 1:] = high + (x.sum(axis=1) + r_tail[i - 1:, h])
-    return totals
+        # the tail terms k = lo+1..h_top, lo the h of the row below the
+        # group, and their suffix sums from each k on (the last: empty)
+        lo = int(support[i[0] - 2]) if i[0] > 1 else 1
+        kk = kf[lo:h[-1], None]
+        x = np.where(kk <= support, c, 0.0) * kk
+        q = _split(x, sigma, np.empty_like(x))
+        suffix = np.zeros((2, len(kk) + 1, m))
+        np.cumsum(q[::-1], axis=0, out=suffix[0, -2::-1])
+        np.cumsum(x[::-1], axis=0, out=suffix[1, -2::-1])
+        suffix += tails[:, None]
+        sums = np.zeros((2, len(i), m))
+        for r, (row, h_row) in enumerate(zip(i.tolist(), h.tolist())):
+            v = c[row - 1:] + c[row - 1]  # fl(c_j + c_i), j = i..m
+            step = buf.shape[1] // h_row
+            for first in range(0, len(v), step):
+                vb = v[first:first + step, None]
+                head = buf[:, :vb.size * h_row].reshape(2, -1, h_row)
+                _split(np.multiply(vb, kf[:h_row], out=head[1]), sigma, head[0])
+                np.add.reduce(head, axis=2, out=sums[:, r, row - 1 + first:row - 1 + first + len(vb)])
+        sums += suffix[:, h - lo]
+        pair = jv >= i[:, None]
+        yield (np.broadcast_to(i[:, None], pair.shape)[pair],
+               np.broadcast_to(jv, pair.shape)[pair], (sums[0] + sums[1])[pair])
+        tails = suffix[:, 0]
+
+
+def _split(x, sigma, q):
+    """Split the terms ``x`` exactly at ``sigma``, in place: ``q`` (an array
+    of the shape of ``x``, returned) becomes ``fl(fl(sigma + x) - sigma)``
+    and ``x`` the remainder ``x - q``."""
+    np.add(x, sigma, out=q)
+    q -= sigma
+    x -= q
+    return q
 
 
 # module-level aliases for the factory classmethods

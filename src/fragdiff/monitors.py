@@ -186,18 +186,12 @@ class MonitorAccumulator:
         grid = self.grid
         first = self._R is None
         if F.size <= gridmod._SUM_BLOCK:
-            # a stack of one block: its single-species fields are no larger
-            # than the streamed buffers, so it is weighted whole
-            ints = gridmod.species_integrals(grid, F)
-            lo, hi = np.min(F), np.max(F)
-            v = np.sum(self._wi * F, axis=0)
-            w = np.sum(self._wid * F, axis=0)
-            vv = gridmod.integrate(grid, v * v) if first else None
-            w *= v
-            dual = gridmod.integrate(grid, w)
+            ints, q_ints, lo, hi, dual, vv, grads = self._one_block(F, Q, first)
         else:
             ints, lo, hi, dual, vv = self._streamed(F, first)
-        q_ints = gridmod.species_integrals(grid, Q, absolute=True)
+            q_ints = gridmod.species_integrals(grid, Q, absolute=True)
+            grads = [gridmod.gradient_sq_integral(grid, F[species - 1], level=level)
+                     for species, level in self.energy_specs]
         self.times.append(t)
         self._ints.append(ints)
         self._minv.append(float(lo))
@@ -206,10 +200,48 @@ class MonitorAccumulator:
         if first:
             self._R = float(np.max(self.ks.d)) * vv
         self._per_t.append(self._inv_d * q_ints)
-        for (species, level), grads, qnorm in zip(self.energy_specs, self._grads, self._qnorm):
-            grads.append(float(self.ks.d[species - 1])
-                         * gridmod.gradient_sq_integral(grid, F[species - 1], level=level))
+        for (species, level), grad, grads, qnorm in zip(self.energy_specs, grads,
+                                                       self._grads, self._qnorm):
+            grads.append(float(self.ks.d[species - 1]) * grad)
             qnorm.append(float(q_ints[species - 1]))
+
+    def _one_block(self, F, Q, first):
+        """Every integral of a sample of a stack of one block, from one
+        exact-sum pass (:func:`grid._fsum_rows`).
+
+        Its rows are the species of ``F``, of ``|Q|``, ``w * v`` and, when
+        ``first``, ``v * v``, with ``v = sum_i i f_i`` and ``w = sum_i i d_i
+        f_i`` weighted whole, then each energy spec's squared face
+        differences per axis (:func:`grid._face_squares`, one block each),
+        padded with ``+0.0``, which adds nothing to a sum of squares.  Every
+        sum is exactly rounded, so each has the bits of its own pass.
+        """
+        grid, n = self.grid, len(F)
+        rows = np.zeros((2 * n + 1 + first + grid.dim * len(self.energy_specs), grid.ncells))
+        rows[:n] = F.reshape(n, -1)
+        np.abs(Q.reshape(n, -1), out=rows[n:2 * n])
+        v = np.sum(self._wi * F, axis=0).reshape(-1)
+        w = np.sum(self._wid * F, axis=0).reshape(-1)
+        np.multiply(w, v, out=rows[2 * n])
+        if first:
+            np.multiply(v, v, out=rows[2 * n + 1])
+        r = 2 * n + 1 + first
+        for species, level in self.energy_specs:
+            for axis, sq in gridmod._face_squares(grid, F[species - 1], level):
+                rows[r + axis, :sq.size] = sq[0]
+            r += grid.dim
+        top, bottom = rows.max(axis=1), rows.min(axis=1)
+        sums = gridmod._fsum_rows(rows, mu=np.maximum(top, -bottom))
+        # a nonzero extreme has one set of bits however it is reduced; a
+        # zero one may be either zero, so it is read as the whole stack's
+        lo, hi = bottom[:n].min(), top[:n].max()
+        lo = lo if lo != 0.0 else np.min(F)
+        hi = hi if hi != 0.0 else np.max(F)
+        vol = grid.cell_volume
+        grads = [gridmod._gradient_total(grid, sums[r:r + grid.dim])
+                 for r in range(2 * n + 1 + first, len(rows), grid.dim)]
+        return (vol * sums[:n], vol * sums[n:2 * n], lo, hi, vol * float(sums[2 * n]),
+                vol * float(sums[2 * n + 1]) if first else None, grads)
 
     def _streamed(self, F, first):
         """The species integrals, the minimum and maximum, ``integrate(w *

@@ -84,6 +84,8 @@ REJECT_AND_HALVE = "reject_and_halve"
 
 _RESIDUAL_TOL = 1e-12
 _MAX_FACTOR_SETS = 8
+_DT_STREAK = 10
+"""Accepted steps in a row below ``cfg.dt`` after which the step size doubles."""
 # cells of a sweep's block of whole lines (one line, where a line is
 # larger): the solver's three scratch blocks take 3 * 8 * _BLOCK_CELLS =
 # 384 kB, at most 128 kB each, inside a core's L2 cache, so a run's
@@ -416,6 +418,10 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
 
     The loop is fully deterministic: fixed reduction orders, no threading,
     and a rejected step always retries with exactly half the step size.
+    Each step starts at the step size just accepted; after ``_DT_STREAK``
+    (10) accepted steps in a row below ``cfg.dt`` the next one starts at
+    twice that, up to ``cfg.dt``.  A step never passes ``cfg.t_end``, and
+    the last one ends there.
 
     ``F0`` is the initial stack, or a function of no arguments that
     returns it.  The run copies the stack.  A stack passed directly stays
@@ -454,10 +460,11 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
     reaction.q_field(F, ks, eps, out=Q, work=W)
     take(t, F, Q)
     guard = 1e-12 * max(1.0, abs(cfg.t_end))
+    dt_next, streak = cfg.dt, 0  # the step size to start at; accepted steps below cfg.dt
     while t < cfg.t_end - guard:
         # a remainder within rounding of dt is a full step: no second factor set
         remaining = cfg.t_end - t
-        dt_try = cfg.dt if remaining >= cfg.dt - guard else remaining
+        dt_try = dt_next if remaining >= dt_next - guard else remaining
         while True:
             # each attempt ends in one of three ways: accept, halve or abort;
             # Q * dt + F has the bits of F + dt * Q
@@ -482,6 +489,11 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
             if dt_try < cfg.dt_min:
                 raise abort(f"step size fell below dt_min={cfg.dt_min:g} at t={t:g}",
                             t, F, Q)
+        # the next step starts at the step just accepted, doubled (up to
+        # cfg.dt) after _DT_STREAK accepted steps in a row below cfg.dt
+        streak = streak + 1 if dt_try < cfg.dt else 0
+        dt_next = dt_try if streak < _DT_STREAK else min(2.0 * dt_try, cfg.dt)
+        streak %= _DT_STREAK
         F, W = cand, F  # the old state is the scratch of the new Q
         reaction.q_field(F, ks, eps, out=Q, work=W)
         t += dt_try

@@ -41,7 +41,7 @@ DIVERGES = "DIVERGES"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 DEFAULT_LEVELS = (50, 100, 200, 400)
-_CR_ROW_BLOCK = 32  # rows of A4 term-1 terms built at once (Cheng-Redner)
+_CR_ROW_BLOCK = 8  # rows of A4 term-1 terms built at once (Cheng-Redner)
 
 
 @dataclass(frozen=True)

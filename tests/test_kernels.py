@@ -598,20 +598,22 @@ def test_validator_memory_stays_quadratic():
 
 
 @pytest.mark.parametrize("make", [fd.power_law_uniform, fd.cheng_redner_uniform])
-def test_validator_memory_stays_quadratic_at_n256(make):
-    # an n**3 float tensor at n=256 would take 134 MB; the per-size counts,
-    # the pair totals and the Cheng-Redner suffix sums take about 4 MB
+def test_validator_memory_is_linear_in_n(make):
+    # the per-size path holds O(n) floats and blocks of bounded size, and no
+    # n x n table (one would take 0.5 MB at n=256 and 2 MB at n=512)
     import tracemalloc
 
-    ks = make(256, 5.0, 0.5)
-    tracemalloc.start()
-    try:
-        rep = fd.validate_kernel_set(ks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.ok and rep.pairs_checked == 32896
-    assert peak < 8 * 2**20, peak
+    for n in (256, 512):
+        ks = make(n, 5.0, 0.5)
+        tracemalloc.start()
+        try:
+            rep = fd.validate_kernel_set(ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok and rep.pairs_checked == n * (n + 1) // 2
+        assert ks._a_mat is None  # the collision rates were checked from the weights
+        assert peak < 2 * 2**20 + n * 2**10, (n, peak)
 
 
 @pytest.mark.parametrize("make", [fd.power_law_uniform, fd.cheng_redner_uniform])
@@ -633,19 +635,56 @@ def test_builtin_counts_never_enter_the_row_path(monkeypatch, make):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 33, 64])
 def test_per_size_mass_totals_are_per_pair_fsums(family, n):
     # every pair's total, not only the worst residual the report shows,
-    # has the bits of a per-pair fsum over k b^k_ij, k < i + j
+    # has the bits of a per-pair fsum over k b^k_ij, k < i + j; a uniform
+    # total stands for every pair of its size
     from fragdiff import kernels
 
     if family == "uniform":
         ks, totals = fd.power_law_uniform(n, 4.0, 0.5), kernels._uniform_mass_totals
     else:
         ks, totals = fd.cheng_redner_uniform(n, 4.0, 0.5), kernels._cheng_redner_mass_totals
-    got = totals(ks, n)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            k = np.arange(1, i + j)
-            want = math.fsum(k * ks._b_fn(i, j, k))
-            assert got[i - 1, j - 1].hex() == want.hex(), (i, j)
+    got = {}
+    for rows, cols, block in totals(ks, n):
+        for i, j, total in np.broadcast(rows, cols, block):
+            pairs = ([(a, i + j - a) for a in range(max(1, i + j - n), (i + j) // 2 + 1)]
+                     if family == "uniform" else [(i, j)])
+            for pair in pairs:
+                assert pair not in got, pair
+                got[pair] = total
+    assert sorted(got) == [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    for (i, j), total in got.items():
+        k = np.arange(1, i + j)
+        want = math.fsum(k * ks._b_fn(i, j, k))
+        assert total.hex() == want.hex(), (i, j)
+
+
+def test_plateau_not_constant_on_its_support_is_checked_pair_by_pair(monkeypatch):
+    # a Cheng-Redner count function whose size-p plateau (p >= 3) is higher
+    # at k = 2 than at k = 1: the per-size path reads one value per plateau,
+    # so it must hand the set to the row path, whose report names the
+    # residual this bump adds (about 1e-13, inside the tolerance)
+    from fragdiff import kernels
+    from oracles import validate_kernel_set_by_pair
+
+    def lumpy_counts(i, j, k):
+        def side(size):
+            plateau = np.where(k < size, 2.0 / np.maximum(size - 1, 1), 0.0)
+            plateau = plateau * np.where((k == 2) & (size >= 3), 1.0 + 1e-13, 1.0)
+            return np.where(size == 1, np.where(k == 1, 1.0, 0.0), plateau)
+
+        return side(i) + side(j)
+
+    by_row = kernels._pair_checks_by_row
+    rows = []
+    monkeypatch.setattr(kernels, "_cheng_redner_counts", lumpy_counts)
+    monkeypatch.setattr(kernels, "_pair_checks_by_row",
+                        lambda *args: rows.append(args[1]) or by_row(*args))
+    ks = fd.cheng_redner_uniform(24, 4.0, 0.5)
+    assert ks._b_fn is lumpy_counts
+    rep = fd.validate_kernel_set(ks)
+    assert rows == [24]
+    assert rep.ok and 1e-14 < rep.max_mass_residual < 1e-12
+    assert repr(rep) == repr(validate_kernel_set_by_pair(ks))
 
 
 def test_cheng_redner_weights_are_the_count_plateaus():

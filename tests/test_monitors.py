@@ -274,10 +274,11 @@ def test_mass_sums_match_the_per_element_form():
             assert _particles(ints).hex() == math.fsum(float(v) for v in ints).hex()
 
 
-@pytest.mark.parametrize("cells", [(128,), (128, 128), (256, 256)],
-                         ids=["1D", "2D", "2D-256"])
+@pytest.mark.parametrize("cells", [(128,), (16, 16), (128, 128), (256, 256)],
+                         ids=["1D", "2D-16", "2D", "2D-256"])
 def test_sample_has_the_bits_of_the_whole_stack_forms(cells):
-    # 1D, n=32: the stack fits one block and is weighted whole; 128x128 and
+    # 1D and 16x16, n=32: the stack fits one block, is weighted whole and
+    # every integral is summed in one exact-sum pass; 128x128 and
     # 256x256, n=32: every integrand is formed one block of whole rows at a
     # time, in buffers of a fixed size.  Every integrand has the bits of the
     # whole-stack expressions, and a 2D sample's temporaries stay below a

@@ -835,6 +835,39 @@ def test_halved_retries_reuse_the_states_q(monkeypatch):
     assert len(traj.fields) == len(traj.times) == traj.state.step_index + 1
 
 
+def test_steps_start_at_the_last_accepted_dt(monkeypatch):
+    # the reference config on 4096 cells to t_end 0.01: a step is first
+    # accepted at dt / 8, after three halvings.  Every later step starts at
+    # the step just accepted, and every 10th tries twice that and is
+    # halved back, so the run pays 3 + 7 rejected attempts, where restarting
+    # every step at dt paid 225 in 78 steps.  The solver holds the factors
+    # of the four step sizes it tried.
+    from fragdiff.config import (SimConfig, make_grid, make_initial_condition, make_kernel_set,
+                                 reference_scenario_dict)
+
+    doc = reference_scenario_dict()
+    doc["grid"]["cells"] = [4096]
+    doc["stepper"]["t_end"] = 0.01
+    cfg = SimConfig.from_dict(doc)
+    solvers = []
+
+    class Recorded(DiffusionSolver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            solvers.append(self)
+
+    monkeypatch.setattr(stepper, "DiffusionSolver", Recorded)
+    grid = make_grid(cfg.grid)
+    traj = run_simulation(grid, make_kernel_set(cfg.kernel),
+                          make_initial_condition(cfg.ic, grid, cfg.kernel.n), cfg.stepper,
+                          eps=cfg.eps, cadence=1, sample=lambda t, F, Q: None)
+    assert (traj.state.step_index, traj.state.rejected_steps) == (80, 10)
+    assert traj.state.t == traj.times[-1] == 0.01
+    assert np.allclose(np.diff(traj.times), 1e-3 / 8, rtol=1e-9, atol=0.0)
+    assert sorted(solvers[0]._factors) == [1e-3 / 8, 1e-3 / 4, 1e-3 / 2, 1e-3]
+    assert len(solvers[0]._factors) <= _MAX_FACTOR_SETS
+
+
 @pytest.mark.parametrize("value, message, rejected", [
     (np.nan, "non-finite state at t=0 (dt=0.01)", 0),
     (np.inf, "non-finite state at t=0 (dt=0.01)", 0),
