@@ -26,8 +26,6 @@ from .errors import DomainError
 _SUM_BLOCK = 8192
 """Cells per block of :func:`_fsum_rows` and of the streamed integrands;
 the split's two scratch arrays then take 128 kB."""
-_SUM_DIRECT = 2048
-"""Below this many values ``fsum`` per row is faster than the split."""
 _FSUM_KEEPS_NEGATIVE_ZERO = copysign(1.0, fsum((-0.0,))) < 0.0
 """Whether this Python's ``fsum`` of ``-0.0`` alone is ``-0.0`` (on 3.10 and
 3.11 it is ``+0.0``, as for every other row of zeros)."""
@@ -101,17 +99,14 @@ def make_grid_2d(mx, my, lx=1.0, ly=1.0):
     return GridSpec(shape=(mx, my), lengths=(float(lx), float(ly)))
 
 
-def _exact_sums(blocks, nrows, N, mu, absolute=False):
+def _exact_sums(blocks, nrows, N, mu):
     """The exactly rounded sums, with ``math.fsum``'s bits, of ``nrows``
-    rows of at most ``N`` floats each (of their absolute values when
-    ``absolute``), fed block by block.
+    rows of at most ``N`` floats each, fed block by block.
 
     Each call of ``blocks()`` yields every row's values again, in order, as
     pairs ``(i, x)``: row ``j`` of the 2D block ``x`` continues row
-    ``i + j``.  With fewer than ``_SUM_DIRECT`` values in all, each row is
-    summed with ``fsum`` over one pass of its blocks, and ``mu`` is not read
-    (it may be ``None``).  Otherwise ``mu[i]``, known before the first
-    block, bounds ``|x|`` on row ``i``.
+    ``i + j``.  ``mu[i]``, known before the first block, bounds ``|x|`` on
+    row ``i``.
 
     Each row is split error-free at ``sigma``, a power of two above
     ``2 N mu`` (Rump, Ogita & Oishi 2008, "Accurate floating-point
@@ -129,11 +124,9 @@ def _exact_sums(blocks, nrows, N, mu, absolute=False):
     is ``-0.0``.  Any other row that fails this test (a sum within the
     bound of a midpoint between two floats, or zero), or whose bound is not
     finite or too large for the split, is summed with ``fsum`` over a new
-    pass of its blocks.  The split takes two scratch arrays the size of the
-    largest block.
+    pass of its blocks, the only ``fsum`` of a row.  The split takes two
+    scratch arrays the size of the largest block.
     """
-    if nrows * N < _SUM_DIRECT:
-        return np.array([_fsum(_row(blocks, i), absolute) for i in range(nrows)])
     mu = np.asarray(mu, dtype=float)
     # a row that is not split (inf, nan, too large) may overflow or form
     # inf - inf below; its sums are discarded
@@ -145,14 +138,13 @@ def _exact_sums(blocks, nrows, N, mu, absolute=False):
             if scratch.size < 2 * x.size:
                 scratch = np.empty(2 * x.size)
             q, r = scratch[:2 * x.size].reshape((2,) + x.shape)
-            if absolute:
-                x = np.abs(x, out=r)
             sig = sigma[i:i + len(x), None]
             np.add(x, sig, out=q)
             q -= sig
             np.subtract(x, q, out=r)
             tau[i:i + len(x)] += q.sum(axis=1)
             low[i:i + len(x)] += r.sum(axis=1)
+        x = q = r = scratch = None  # a new pass below holds no block of this one
         c = tau + low
         z = c - tau
         err = (tau - (c - z)) + (low - z)
@@ -162,11 +154,11 @@ def _exact_sums(blocks, nrows, N, mu, absolute=False):
                       & (half_gap - np.abs(err) > sigma * (2.0 * N * N * 2.0 ** -106)))
     for i in np.flatnonzero(open_rows):
         if mu[i] == 0.0:
-            negative = (_FSUM_KEEPS_NEGATIVE_ZERO and not absolute
+            negative = (_FSUM_KEEPS_NEGATIVE_ZERO
                         and all(np.signbit(x).all() for x in _row(blocks, i)))
             c[i] = -0.0 if negative else 0.0
         else:
-            c[i] = _fsum(_row(blocks, i), absolute)
+            c[i] = fsum(chain.from_iterable(map(memoryview, _row(blocks, i))))
     return c
 
 
@@ -177,22 +169,16 @@ def _row(blocks, i):
             yield x[i - i0]
 
 
-def _fsum(parts, absolute):
-    """``math.fsum`` of the values of the 1D arrays ``parts``, in order (of
-    their absolute values when ``absolute``)."""
-    return fsum(chain.from_iterable((np.abs(p) if absolute else p).data for p in parts))
-
-
-def _fsum_rows(rows, absolute=False, mu=None):
-    """``math.fsum`` of each row of the 2D float array ``rows`` (of its
-    absolute values when ``absolute``), by :func:`_exact_sums`: the exactly
-    rounded sums, with ``fsum``'s bits, without a Python step per float.
+def _fsum_rows(rows, mu=None):
+    """``math.fsum`` of each row of the 2D float array ``rows``, by
+    :func:`_exact_sums`: the exactly rounded sums, with ``fsum``'s bits,
+    without a Python step per float.
 
     ``mu`` is each row's largest absolute value, when the caller has it.
     The rows go through the split in blocks of ``_SUM_BLOCK`` cells.
     """
     nrows, N = rows.shape
-    if mu is None and rows.size >= _SUM_DIRECT:
+    if mu is None:
         mu = np.maximum(rows.max(axis=1), -rows.min(axis=1))
     width = min(N, _SUM_BLOCK)
     step = max(1, _SUM_BLOCK // N)
@@ -202,7 +188,7 @@ def _fsum_rows(rows, absolute=False, mu=None):
             for c0 in range(0, N, width):
                 yield r0, rows[r0:r0 + step, c0:c0 + width]
 
-    return _exact_sums(blocks, nrows, N, mu, absolute)
+    return _exact_sums(blocks, nrows, N, mu)
 
 
 def integrate(grid, u):
@@ -212,18 +198,15 @@ def integrate(grid, u):
     return grid.cell_volume * float(_fsum_rows(u.reshape(1, -1))[0])
 
 
-def species_integrals(grid, F, absolute=False, extent=None):
-    """:func:`integrate` of every species row of the stack ``F`` (of ``|F|``
-    when ``absolute``), as an array.
+def species_integrals(grid, F):
+    """:func:`integrate` of every species row of the stack ``F``, as an
+    array.
 
     Each row sum is exactly rounded (:func:`_fsum_rows`), so each entry has
-    the bits of ``integrate(grid, F[i])``; ``absolute`` takes ``|F|`` one
-    block at a time, with no array the size of ``F``.  ``extent``, each
-    species' largest ``|F_i|``, saves two passes over ``F`` when the caller
-    has it.
+    the bits of ``integrate(grid, F[i])``.
     """
     F = np.asarray(F, dtype=float)
-    return grid.cell_volume * _fsum_rows(F.reshape(F.shape[0], -1), absolute, extent)
+    return grid.cell_volume * _fsum_rows(F.reshape(F.shape[0], -1))
 
 
 def gradient_sq_integral(grid, u, level=None):
@@ -239,7 +222,7 @@ def gradient_sq_integral(grid, u, level=None):
     whole rows of the grid at a time, about ``_SUM_BLOCK`` cells
     (:func:`_face_squares`), and each axis' sum is exactly rounded
     (:func:`_exact_sums`), split at the largest square, which a first pass
-    over the blocks finds where the grid is large enough for the split.
+    over the blocks finds.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
@@ -248,13 +231,17 @@ def gradient_sq_integral(grid, u, level=None):
     def blocks():
         return _face_squares(grid, u, level)
 
-    mu = None
-    if grid.dim * grid.ncells >= _SUM_DIRECT:
-        mu = np.zeros(grid.dim)  # a first pass bounds each axis' squares
-        for axis, sq in blocks():
-            mu[axis] = np.maximum(mu[axis], sq.max())
-        del sq
-    return _gradient_total(grid, _exact_sums(blocks, grid.dim, grid.ncells, mu))
+    return _gradient_total(grid, _exact_sums(blocks, grid.dim, grid.ncells,
+                                             _row_maxima(blocks, grid.dim)))
+
+
+def _row_maxima(blocks, nrows):
+    """Each row's largest value, at least ``0.0`` (a NaN stays), from one
+    pass of ``blocks()``: the bounds of rows of nonnegative values."""
+    mu = np.zeros(nrows)
+    for i, x in blocks():
+        mu[i:i + len(x)] = np.maximum(mu[i:i + len(x)], x.max(axis=1))
+    return mu
 
 
 def _face_squares(grid, u, level):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -134,8 +135,11 @@ class MonitorAccumulator:
     ``add(t, F, Q)`` takes the state ``F`` at time ``t`` with
     ``Q = q_field(F, ks, eps)`` and keeps only scalars and per-species
     vectors of it: the species integrals, min and max, and the duality,
-    budget and energy integrands.  ``report()`` forms the time series and
-    audits the invariants over the samples added so far.
+    budget and energy integrands, all exactly rounded sums (``math.fsum``'s
+    bits) from one exact-sum pass per sample, over rows formed whole
+    (:meth:`_one_block`) or block by block (:meth:`_streamed`).
+    ``report()`` forms the time series and audits the invariants over the
+    samples added so far.
 
     * Duality: quadrature of ``integral (sum i d_i f_i)(sum i f_i) dx``
       against ``R = (sup_i d_i) * ||sum i f_i(0)||_L2**2``.
@@ -183,36 +187,45 @@ class MonitorAccumulator:
         self._R = None
 
     def add(self, t, F, Q):
-        grid = self.grid
+        grid, n = self.grid, len(F)
         first = self._R is None
-        if F.size <= gridmod._SUM_BLOCK:
-            ints, q_ints, lo, hi, dual, vv, grads = self._one_block(F, Q, first)
-        else:
-            ints, lo, hi, dual, vv = self._streamed(F, first)
-            q_ints = gridmod.species_integrals(grid, Q, absolute=True)
-            grads = [gridmod.gradient_sq_integral(grid, F[species - 1], level=level)
-                     for species, level in self.energy_specs]
+        sample = self._one_block if F.size <= gridmod._SUM_BLOCK else self._streamed
+        sums, lo, hi = sample(F, Q, first)
+        # a nonzero extreme has one set of bits however it is reduced; a
+        # zero one may be either zero, so it is read as the whole stack's
+        lo, hi = lo.min(), hi.max()
+        vol = grid.cell_volume
+        q_ints = vol * sums[n:2 * n]
         self.times.append(t)
-        self._ints.append(ints)
-        self._minv.append(float(lo))
-        self._maxv.append(float(hi))
-        self._dual.append(dual)
+        self._ints.append(vol * sums[:n])
+        self._minv.append(float(lo if lo != 0.0 else np.min(F)))
+        self._maxv.append(float(hi if hi != 0.0 else np.max(F)))
+        self._dual.append(vol * float(sums[2 * n]))
         if first:
-            self._R = float(np.max(self.ks.d)) * vv
+            self._R = float(np.max(self.ks.d)) * (vol * float(sums[2 * n + 1]))
         self._per_t.append(self._inv_d * q_ints)
-        for (species, level), grad, grads, qnorm in zip(self.energy_specs, grads,
-                                                       self._grads, self._qnorm):
-            grads.append(float(self.ks.d[species - 1]) * grad)
+        r = 2 * n + 1 + first
+        for (species, level), grads, qnorm in zip(self.energy_specs, self._grads, self._qnorm):
+            grads.append(float(self.ks.d[species - 1])
+                         * gridmod._gradient_total(grid, sums[r:r + grid.dim]))
             qnorm.append(float(q_ints[species - 1]))
+            r += grid.dim
+
+    def _face_rows(self, F, r):
+        """``(row, sq)``: each energy spec's squared face differences per
+        axis (:func:`grid._face_squares`), as rows ``r, r + 1, ...``."""
+        for species, level in self.energy_specs:
+            for axis, sq in gridmod._face_squares(self.grid, F[species - 1], level):
+                yield r + axis, sq
+            r += self.grid.dim
 
     def _one_block(self, F, Q, first):
-        """Every integral of a sample of a stack of one block, from one
-        exact-sum pass (:func:`grid._fsum_rows`).
+        """The exact sums of a sample, and each species' minimum and
+        maximum, from one exact-sum pass (:func:`grid._fsum_rows`).
 
         Its rows are the species of ``F``, of ``|Q|``, ``w * v`` and, when
         ``first``, ``v * v``, with ``v = sum_i i f_i`` and ``w = sum_i i d_i
-        f_i`` weighted whole, then each energy spec's squared face
-        differences per axis (:func:`grid._face_squares`, one block each),
+        f_i`` weighted whole, then :meth:`_face_rows`, one block each,
         padded with ``+0.0``, which adds nothing to a sum of squares.  Every
         sum is exactly rounded, so each has the bits of its own pass.
         """
@@ -225,47 +238,28 @@ class MonitorAccumulator:
         np.multiply(w, v, out=rows[2 * n])
         if first:
             np.multiply(v, v, out=rows[2 * n + 1])
-        r = 2 * n + 1 + first
-        for species, level in self.energy_specs:
-            for axis, sq in gridmod._face_squares(grid, F[species - 1], level):
-                rows[r + axis, :sq.size] = sq[0]
-            r += grid.dim
+        for r, sq in self._face_rows(F, 2 * n + 1 + first):
+            rows[r, :sq.size] = sq[0]
         top, bottom = rows.max(axis=1), rows.min(axis=1)
-        sums = gridmod._fsum_rows(rows, mu=np.maximum(top, -bottom))
-        # a nonzero extreme has one set of bits however it is reduced; a
-        # zero one may be either zero, so it is read as the whole stack's
-        lo, hi = bottom[:n].min(), top[:n].max()
-        lo = lo if lo != 0.0 else np.min(F)
-        hi = hi if hi != 0.0 else np.max(F)
-        vol = grid.cell_volume
-        grads = [gridmod._gradient_total(grid, sums[r:r + grid.dim])
-                 for r in range(2 * n + 1 + first, len(rows), grid.dim)]
-        return (vol * sums[:n], vol * sums[n:2 * n], lo, hi, vol * float(sums[2 * n]),
-                vol * float(sums[2 * n + 1]) if first else None, grads)
+        return gridmod._fsum_rows(rows, mu=np.maximum(top, -bottom)), bottom[:n], top[:n]
 
-    def _streamed(self, F, first):
-        """The species integrals, the minimum and maximum, ``integrate(w *
-        v)`` and, when ``first``, ``integrate(v * v)`` of a stack larger
-        than a block, with ``v = sum_i i f_i`` and ``w = sum_i i d_i f_i``,
-        forming no single-species field.
+    def _streamed(self, F, Q, first):
+        """:meth:`_one_block`'s sums and extremes for a stack larger than a
+        block, from one :func:`grid._exact_sums` over blocks of about
+        ``_SUM_BLOCK`` values, forming no single-species field.
 
-        ``v`` and ``w`` are weighted one block of whole rows of the grid at
-        a time, about ``_SUM_BLOCK`` cells, in three buffers of that size,
-        species by species and adding into zeroed ``v`` and ``w`` as
-        ``np.sum(..., axis=0)`` adds: the same bits.  Their products go to
-        one :func:`grid._exact_sums`, split at a bound formed from the
-        species' extents.
+        ``v`` and ``w`` are weighted one block of whole grid rows at a time
+        in three buffers, species by species into zeroed ``v`` and ``w`` as
+        ``np.sum(..., axis=0)`` adds: the same bits.  ``|Q|`` follows in the
+        same buffers, then views of ``F``, then the face squares, so no
+        block is allocated while the split holds a view of an older one.
+        The bounds come first: the extents of ``F`` and ``Q``, bounds of
+        ``w v`` and ``v v`` from them, and a pass over the face squares.
         """
-        grid = self.grid
-        flat = F.reshape(len(F), -1)
+        grid, n, B = self.grid, len(F), gridmod._SUM_BLOCK
+        flat, qflat = F.reshape(n, -1), Q.reshape(n, -1)
         lo, hi = flat.min(axis=1), flat.max(axis=1)
         extent = np.maximum(hi, -lo)
-        ints = gridmod.species_integrals(grid, F, extent=extent)
-        # a nonzero extreme has one set of bits however it is reduced; a
-        # zero one may be either zero, so it is read as the whole stack's
-        lo, hi = lo.min(), hi.max()
-        lo = lo if lo != 0.0 else np.min(F)
-        hi = hi if hi != 0.0 else np.max(F)
         # V and W, the exactly rounded sums of i * extent_i and of
         # i * d_i * extent_i, bound |v| and |w| up to n + 1 roundings each;
         # the slack covers the 2 n + 6 roundings of a product's bound for
@@ -273,11 +267,18 @@ class MonitorAccumulator:
         V = math.fsum((self._wi.ravel() * extent).data)
         W = math.fsum((self._wid.ravel() * extent).data)
         slack = 1.0 + 2.0 ** -30
-        rows = F.reshape(F.shape[0], F.shape[1], -1)
-        k = max(1, gridmod._SUM_BLOCK // rows.shape[2])
+        mu = np.concatenate([
+            extent, np.maximum(qflat.max(axis=1), -qflat.min(axis=1)),
+            [V * W * slack, V * V * slack][:1 + first],
+            gridmod._row_maxima(lambda: self._face_rows(F, 0),
+                                grid.dim * len(self.energy_specs))])
+        rows = F.reshape(n, F.shape[1], -1)
+        k = max(1, B // rows.shape[2])
 
-        def blocks():
-            # row 0 is w * v, row 1 (first sample only) v * v
+        def runs(x):  # one species' run of at most B values at a time
+            return ((i, x[i:i + 1, c:c + B]) for i in range(n) for c in range(0, grid.ncells, B))
+
+        def products():
             buffers = np.empty((3, min(k, rows.shape[1]), rows.shape[2]))
             for r0 in range(0, rows.shape[1], k):
                 block = rows[:, r0:r0 + k]
@@ -288,13 +289,17 @@ class MonitorAccumulator:
                     v += np.multiply(wi, f, out=term)
                     w += np.multiply(wid, f, out=term)
                 if first:
-                    yield 1, np.multiply(v, v, out=term).reshape(1, -1)
+                    yield 2 * n + 1, np.multiply(v, v, out=term).reshape(1, -1)
                 w *= v
-                yield 0, w.reshape(1, -1)
+                yield 2 * n, w.reshape(1, -1)
+            out = buffers.reshape(-1)  # 3 k grid rows hold min(cells, B) values
+            for i, q in runs(qflat):
+                yield n + i, np.abs(q, out=out[:q.size].reshape(q.shape))
 
-        sums = grid.cell_volume * gridmod._exact_sums(
-            blocks, 1 + first, flat.shape[1], [V * W * slack, V * V * slack][:1 + first])
-        return ints, lo, hi, float(sums[0]), float(sums[1]) if first else None
+        def blocks():
+            return chain(products(), runs(flat), self._face_rows(F, 2 * n + 1 + first))
+
+        return gridmod._exact_sums(blocks, len(mu), grid.ncells, mu), lo, hi
 
     def report(self):
         if not self.times:

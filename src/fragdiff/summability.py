@@ -196,19 +196,22 @@ def _term1_partials_uniform(lam, alpha, levels):
     the size-symmetric breakage family.
 
     With b^i_{jk} = 2/(j+k-1) the inner i-sum collapses onto the cumulative
-    power sums P, leaving a dense (N, N) evaluation.  The matrix is built
-    once, at the largest level; an entry does not depend on the level
-    (``np.cumsum`` is sequential), and ``fsum`` is exact, so level ``N``
-    sums the leading ``N x N`` block.
+    power sums P, leaving a dense (N, N) evaluation, built once in place
+    at the largest level from Hankel views of ``P[j+k-1]`` and
+    ``sqrt(j+k-1)``.  An entry does not depend on the level (``np.cumsum``
+    is sequential), so level ``N`` sums the leading ``N x N`` block, with
+    ``fsum``'s bits (:func:`grid._fsum_rows`).
     """
     N = max(levels)
     P = _cum_power(alpha, 2 * N - 1)
     jv = np.arange(1, N + 1, dtype=float)
     jcol = jv ** (0.5 * (alpha - lam - 1.0))
     krow = jv ** (-0.5 * (lam + 1.0))
-    S = np.arange(1, N + 1)[:, None] + np.arange(1, N + 1)[None, :] - 1
-    rows = (math.sqrt(2.0) * jcol[:, None] * krow[None, :] * P[S] / np.sqrt(S)).tolist()
-    return [math.fsum(chain.from_iterable(row[:level] for row in rows[:level]))
+    hankel = np.lib.stride_tricks.sliding_window_view  # [j, k] = x[j + k]
+    terms = np.multiply(math.sqrt(2.0) * jcol[:, None], krow[None, :])
+    terms *= hankel(P[1:], N)
+    terms /= hankel(np.sqrt(np.arange(1.0, 2 * N)), N)
+    return [float(gridmod._fsum_rows(terms[:level, :level].reshape(1, -1))[0])
             for level in levels]
 
 

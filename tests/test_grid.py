@@ -126,8 +126,8 @@ _LAYOUTS = {
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
 def test_integrals_read_any_layout_as_the_float_list(layout):
     # every sum is exactly rounded, as fsum of the row's Python float list
-    # is, so it has the same bits; 6x9 is summed row by row with fsum,
-    # 48x90 through the blocks of _fsum_rows
+    # is, so it has the same bits; 6x9 is summed in one block of
+    # _fsum_rows, 48x90 in several
     for shape in ((6, 9), (48, 90)):
         g = make_grid_2d(*shape, 0.7, 2.0)
         F = np.random.default_rng(6).uniform(0.0, 3.0, size=(5,) + g.shape)
@@ -146,30 +146,30 @@ def test_integrals_read_any_layout_as_the_float_list(layout):
             assert gradient_sq_integral(g, X[i]) == math.fsum(terms)
 
 
-def _fsum_hex(rows, absolute=False):
-    return [math.fsum((np.abs(row) if absolute else row).tolist()).hex() for row in rows]
+def _fsum_hex(rows):
+    return [math.fsum(row.tolist()).hex() for row in rows]
 
 
 @pytest.mark.parametrize("shape", [(32, 128), (64, 64), (32, 4096), (1, 65536)])
 def test_row_sums_have_the_bits_of_fsum(shape):
     rng = np.random.default_rng(shape[0] + shape[1])
     signed = rng.standard_normal(shape) * 2.0 ** rng.integers(-40, 40, size=shape)
-    for rows in (rng.uniform(0.0, 2.0, size=shape), signed):
-        for absolute in (False, True):
-            got = gridmod._fsum_rows(rows, absolute)
-            assert [float(v).hex() for v in got] == _fsum_hex(rows, absolute)
+    for rows in (rng.uniform(0.0, 2.0, size=shape), signed, np.abs(signed)):
+        got = gridmod._fsum_rows(rows)
+        assert [float(v).hex() for v in got] == _fsum_hex(rows)
 
 
 def _count_fallbacks(monkeypatch):
-    # each fallback's values, joined from the blocks it read
-    calls, fsum_parts = [], gridmod._fsum
+    # the values of each fsum in grid, a fallback's joined from the blocks
+    # it read
+    calls = []
 
-    def counted(parts, absolute):
-        parts = [np.array(p) for p in parts]
-        calls.append(np.concatenate(parts))
-        return fsum_parts(parts, absolute)
+    def counted(values):
+        values = list(values)
+        calls.append(np.array(values))
+        return math.fsum(values)
 
-    monkeypatch.setattr(gridmod, "_fsum", counted)
+    monkeypatch.setattr(gridmod, "fsum", counted)
     return calls
 
 
@@ -198,9 +198,9 @@ def test_row_sums_with_zeros_and_subnormals():
     rows[4] = rng.integers(0, 2 ** 20, size=4096) * 5e-324  # every entry subnormal
     rows[5] *= 2.0 ** -1000  # normal entries with a subnormal spacing
     rows[6] = -rows[6]
-    for absolute in (False, True):
-        got = gridmod._fsum_rows(rows, absolute)
-        assert [float(v).hex() for v in got] == _fsum_hex(rows, absolute)
+    for table in (rows, np.abs(rows)):
+        got = gridmod._fsum_rows(table)
+        assert [float(v).hex() for v in got] == _fsum_hex(table)
 
 
 def test_row_sums_of_non_finite_and_huge_rows():
@@ -209,9 +209,9 @@ def test_row_sums_of_non_finite_and_huge_rows():
     rows[1, 9] = np.nan
     rows[2, 11] = -np.inf
     rows[3] = 1e300  # too large to split; the sum is finite
-    for absolute in (False, True):
-        got = gridmod._fsum_rows(rows, absolute)
-        assert [float(v).hex() for v in got] == _fsum_hex(rows, absolute)
+    for table in (rows, np.abs(rows)):
+        got = gridmod._fsum_rows(table)
+        assert [float(v).hex() for v in got] == _fsum_hex(table)
     overflowing = np.full((2, 4096), 1e305)
     with pytest.raises(OverflowError) as want:
         math.fsum(overflowing[0].tolist())
@@ -229,20 +229,20 @@ def _zero_rows(N):
 
 
 def test_zero_rows_are_decided_without_fsum(monkeypatch):
-    # the split decides a row of zeros without fsum: +0.0, or fsum's sum
-    # of -0.0 alone where every value is -0.0 (+0.0 on Python 3.10 and
-    # 3.11); a table of 16 cells takes fsum per row
-    for N in (16, 4096):
-        for absolute in (False, True):
-            got = gridmod._fsum_rows(_zero_rows(N), absolute)
-            assert [float(v).hex() for v in got] == _fsum_hex(_zero_rows(N), absolute)
+    # the split decides a row of zeros without fsum, on a table of 16
+    # cells as of 4096: +0.0, or fsum's sum of -0.0 alone where every
+    # value is -0.0 (+0.0 on Python 3.10 and 3.11)
     calls = _count_fallbacks(monkeypatch)
+    for N in (16, 4096):
+        for rows in (_zero_rows(N), np.abs(_zero_rows(N))):
+            got = gridmod._fsum_rows(rows)
+            assert [float(v).hex() for v in got] == _fsum_hex(rows)
     for keeps_negative_zero in (gridmod._FSUM_KEEPS_NEGATIVE_ZERO, True):
         # True: as on a Python whose fsum of -0.0 alone is -0.0
         monkeypatch.setattr(gridmod, "_FSUM_KEEPS_NEGATIVE_ZERO", keeps_negative_zero)
-        for absolute in (False, True):
-            got = gridmod._fsum_rows(_zero_rows(4096), absolute)
-            negative = keeps_negative_zero and not absolute
+        for negative, rows in ((keeps_negative_zero, _zero_rows(4096)),
+                               (False, np.abs(_zero_rows(4096)))):
+            got = gridmod._fsum_rows(rows)
             want = [0.0, -0.0 if negative else 0.0, 0.0, 0.0]
             assert [float(v).hex() for v in got] == [v.hex() for v in want]
     assert not calls
@@ -281,12 +281,12 @@ def test_streamed_sums_have_the_bits_of_fsum_across_blocks(monkeypatch):
     cuts = [0, 1, 9, 4096, 4097, 8190, 8192, N]
     mu = np.maximum(rows.max(axis=1), -rows.min(axis=1))
     calls = _count_fallbacks(monkeypatch)
-    for absolute in (False, True):
+    for table in (rows, np.abs(rows)):
         for bound in (mu, 3.0 * mu):  # a loose bound gives the same bits
             calls.clear()
-            blocks, passes = _runs(rows, cuts)
-            got = gridmod._exact_sums(blocks, len(rows), N, bound, absolute)
-            assert [float(v).hex() for v in got] == _fsum_hex(rows, absolute)
+            blocks, passes = _runs(table, cuts)
+            got = gridmod._exact_sums(blocks, len(table), N, bound)
+            assert [float(v).hex() for v in got] == _fsum_hex(table)
             # the midpoint is read again from new passes of the blocks
             assert len(calls) == len(passes) - 1 >= 1
             assert any(np.array_equal(c, rows[5]) for c in calls)

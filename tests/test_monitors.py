@@ -324,3 +324,129 @@ def test_sample_has_the_bits_of_the_whole_stack_forms(cells):
     q_ints = np.array([integrate(g, np.abs(q)) for q in Q])
     np.testing.assert_array_equal(acc._per_t[0], (1.0 / ks.d) * q_ints)
     assert acc._qnorm == [[q_ints[0]], [q_ints[1]]]
+
+
+def _sample_stack(g, n, seed):
+    rng = np.random.default_rng(seed)
+    F = rng.uniform(0.0, 1.0, size=(n,) + g.shape) * np.exp(-np.arange(1.0, n + 1.0)).reshape(
+        (n,) + (1,) * g.dim)
+    return F, rng.standard_normal(F.shape) * 1e-3
+
+
+def _count_row_fsums(monkeypatch, grid):
+    # the values of each fsum in grid over more than one value per axis: a
+    # row read again from its blocks (the face weights take one per axis)
+    calls = []
+
+    def counted(values):
+        values = list(values)
+        if len(values) > grid.dim:
+            calls.append(values)
+        return math.fsum(values)
+
+    monkeypatch.setattr(gridmod, "fsum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cells", [(128,), (16, 16), (128, 128), (256, 256)],
+                         ids=["1D", "2D-16", "2D", "2D-256"])
+def test_a_sample_takes_one_exact_sum_pass(monkeypatch, cells):
+    # with two energy specs, a first and a steady sample each form every
+    # integral in one exact-sum pass, whether the stack fits one block
+    # (1D and 16x16 with n=32) or not
+    g = fd.make_grid_2d(*cells) if len(cells) == 2 else make_grid_1d(*cells)
+    n = 32
+    ks = fd.power_law_uniform(n, 4.0, 0.5)
+    F, Q = _sample_stack(g, n, 43)
+    acc = fd.MonitorAccumulator(g, ks, eps=0.01, energy_specs=[(1, 0.5), (2, 1.0)])
+    calls, exact_sums = [], gridmod._exact_sums
+
+    def counted(blocks, nrows, N, mu):
+        calls.append(nrows)
+        return exact_sums(blocks, nrows, N, mu)
+
+    monkeypatch.setattr(gridmod, "_exact_sums", counted)
+    acc.add(0.0, F, Q)
+    acc.add(1.0, F, Q)
+    # rows: F, |Q|, w v, v v (first sample only), two specs' face squares
+    assert calls == [2 * n + 2 + 2 * g.dim, 2 * n + 1 + 2 * g.dim]
+
+
+def test_steady_samples_of_the_grid2d_64_run_send_no_row_to_fsum(monkeypatch):
+    # the benchmark's grid2d_64 workload at seed 3 (its initial depth as
+    # perfbench/run.py draws it): every sample after the first is decided
+    # by the split bounds alone
+    import random
+
+    doc = fd.reference_scenario_dict()
+    doc["grid"] = {"cells": [64, 64], "lengths": [1.0, 1.0]}
+    doc["stepper"]["t_end"] = 0.05
+    doc["ic"]["depth"] = random.Random(3).uniform(0.25, 0.75)
+    cfg = fd.SimConfig.from_dict(doc)
+    g, ks = fd.make_grid(cfg.grid), fd.make_kernel_set(cfg.kernel)
+    F0 = fd.make_initial_condition(cfg.ic, g, cfg.kernel.n)
+    acc = fd.MonitorAccumulator(g, ks, eps=cfg.eps, tail_levels=cfg.monitors.tail_levels,
+                                energy_specs=cfg.monitors.energy_specs)
+    calls = _count_row_fsums(monkeypatch, g)
+    steady = []
+
+    def sample(t, F, Q):
+        acc.add(t, F, Q)
+        if len(acc.times) > 1:
+            steady.append(len(calls))
+
+    run_simulation(g, ks, F0, cfg.stepper, eps=cfg.eps, cadence=cfg.monitors.cadence,
+                   sample=sample)
+    assert len(steady) == 5 and calls == []
+
+
+@pytest.mark.parametrize("cells", [(64,), (32, 32)], ids=["one-block", "streamed"])
+def test_a_level_below_every_value_is_decided_without_fsum(monkeypatch, cells):
+    # every face of species 1 is masked: its rows of squares are zeros,
+    # which the split decides without a second pass
+    g = fd.make_grid_2d(*cells) if len(cells) == 2 else make_grid_1d(*cells)
+    n = 16 if g.dim == 2 else 8
+    ks = fd.power_law_uniform(n, 4.0, 0.5)
+    F, Q = _sample_stack(g, n, 44)
+    F[0] += 1.0
+    acc = fd.MonitorAccumulator(g, ks, eps=0.01, energy_specs=[(1, 0.5), (2, 1.0)])
+    assert (F.size <= gridmod._SUM_BLOCK) == (g.dim == 1)
+    calls = _count_row_fsums(monkeypatch, g)
+    acc.add(0.0, F, Q)
+    assert calls == []
+    assert acc._grads[0] == [0.0]
+    assert acc._grads[1] == [float(ks.d[1]) * gradient_sq_by_axis(g, F[1])]
+
+
+@pytest.mark.parametrize("cells", [(128, 128), (256, 256)], ids=["2D", "2D-256"])
+def test_rows_left_to_fsum_keep_a_sample_in_its_bound(monkeypatch, cells):
+    # species 6 sums to a rounding midpoint, so its row goes to fsum over a
+    # new pass of the sample's blocks; that pass holds no block of the
+    # first one, and the sample keeps the bound of the whole-stack test
+    import tracemalloc
+
+    g = fd.make_grid_2d(*cells)
+    n = 32
+    ks = fd.power_law_uniform(n, 4.0, 0.5)
+    F, Q = _sample_stack(g, n, 45)
+    F[5] = 0.0
+    F[5, 0, :2] = [1.0, 2.0 ** -53]
+    acc = fd.MonitorAccumulator(g, ks, eps=0.01, energy_specs=[(1, 0.5), (2, 1.0)])
+    acc.add(0.0, F, Q)
+    opened, row = [], gridmod._row
+
+    def counted(blocks, i):
+        opened.append(i)
+        return row(blocks, i)
+
+    monkeypatch.setattr(gridmod, "_row", counted)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        acc.add(0.0, F, Q)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 5 in opened
+    assert peak < 5 * 8 * gridmod._SUM_BLOCK + 2 ** 15, peak
+    assert acc._ints[1][5] == g.cell_volume * math.fsum(F[5].ravel().tolist())

@@ -11,6 +11,7 @@ from fragdiff.summability import (
     CONVERGES,
     DIVERGES,
     INCONCLUSIVE,
+    _cum_power,
     _term1_partials_cr,
     _term1_partials_uniform,
     audit_summability,
@@ -118,6 +119,41 @@ def test_term1_partial_uniform_matches_naive():
         for N, got in zip([7, 30], fast):
             slow = _term1_naive(lam, alpha, N, fd.power_law_uniform(N, lam, alpha).b)
             assert got == pytest.approx(slow, rel=1e-13), (lam, alpha, N)
+
+
+def test_term1_partials_uniform_are_fsums_of_the_terms():
+    # each level's partial sum has the bits of fsum over the same terms,
+    # formed one by one as Python floats from the same powers
+    levels = [7, 30, 33]
+    for lam, alpha in [(4.0, 0.5), (4.0, 0.95), (6.0, 0.25)]:
+        N = max(levels)
+        P = _cum_power(alpha, 2 * N - 1)
+        jv = np.arange(1, N + 1, dtype=float)
+        jcol = jv ** (0.5 * (alpha - lam - 1.0))
+        krow = jv ** (-0.5 * (lam + 1.0))
+        got = _term1_partials_uniform(lam, alpha, levels)
+        for level, partial in zip(levels, got):
+            terms = [math.sqrt(2.0) * float(jcol[j - 1]) * float(krow[k - 1])
+                     * float(P[j + k - 1]) / math.sqrt(j + k - 1)
+                     for j in range(1, level + 1) for k in range(1, level + 1)]
+            assert type(partial) is float
+            assert partial.hex() == math.fsum(terms).hex(), (lam, alpha, level)
+
+
+def test_uniform_audit_holds_no_term_list():
+    # the 400x400 term table takes 1.3 MB as floats; as a list of Python
+    # floats it took about 7.7 MB
+    import tracemalloc
+
+    ks = fd.power_law_uniform(128, 4.0, 0.5)
+    audit_summability(ks)
+    tracemalloc.start()
+    try:
+        audit_summability(ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 def test_term1_partial_cr_matches_naive():
