@@ -124,8 +124,8 @@ def _exact_sums(blocks, nrows, N, mu):
     is ``-0.0``.  Any other row that fails this test (a sum within the
     bound of a midpoint between two floats, or zero), or whose bound is not
     finite or too large for the split, is summed with ``fsum`` over a new
-    pass of its blocks, the only ``fsum`` of a row.  The split takes two
-    scratch arrays the size of the largest block.
+    pass of its blocks (:func:`_row`), the only ``fsum`` of a row.  The
+    split takes two scratch arrays the size of the largest block.
     """
     mu = np.asarray(mu, dtype=float)
     # a row that is not split (inf, nan, too large) may overflow or form
@@ -144,7 +144,8 @@ def _exact_sums(blocks, nrows, N, mu):
             np.subtract(x, q, out=r)
             tau[i:i + len(x)] += q.sum(axis=1)
             low[i:i + len(x)] += r.sum(axis=1)
-        x = q = r = scratch = None  # a new pass below holds no block of this one
+            x = None  # the next block may be formed while this one is not held
+        q = r = scratch = None  # a new pass below holds no block of this one
         c = tau + low
         z = c - tau
         err = (tau - (c - z)) + (low - z)
@@ -163,8 +164,11 @@ def _exact_sums(blocks, nrows, N, mu):
 
 
 def _row(blocks, i):
-    """Row ``i``'s runs of values, from a new pass of ``blocks()``."""
-    for i0, x in blocks():
+    """Row ``i``'s runs of values, from a new pass of ``blocks()``, or of
+    ``blocks.holding(i)`` where ``blocks`` has it: a pass that holds row
+    ``i`` and may leave out other rows."""
+    holding = getattr(blocks, "holding", None)
+    for i0, x in blocks() if holding is None else holding(i):
         if i0 <= i < i0 + len(x):
             yield x[i - i0]
 

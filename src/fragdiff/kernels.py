@@ -221,8 +221,9 @@ class KernelSet:
     pairs as data: the pairs ``(p, q)`` whose collision re-emits exactly
     ``{p, q}``.  The built-in factories state that set from their closed
     form; ``from_tables`` finds it by a per-pair scan.  The collision
-    matrix, the masked loss matrix, the Cheng-Redner fragment weights and
-    (tables only) the gain tensor are built on first use.
+    matrix, the masked loss matrix, the Cheng-Redner fragment weights, the
+    regularization-weight midpoints and (tables only) the gain tensor are
+    built on first use.
     """
 
     family: str
@@ -240,6 +241,7 @@ class KernelSet:
     _gain_tensor: np.ndarray | None = None
     _loss_matrix: np.ndarray | None = None
     _cr_weights: np.ndarray | None = None
+    _c_mid: np.ndarray | None = None
 
     # -- factories ---------------------------------------------------------
 
@@ -374,7 +376,11 @@ class KernelSet:
 
     @property
     def c_mid(self):
-        return 0.5 * (self.c_lo + self.c_hi)
+        """The midpoints ``0.5 * (c_lo + c_hi)`` of the regularization-weight
+        enclosures, built on first use."""
+        if self._c_mid is None:
+            self._c_mid = 0.5 * (self.c_lo + self.c_hi)
+        return self._c_mid
 
     def a_matrix(self):
         if self._a_mat is None:

@@ -248,13 +248,15 @@ class MonitorAccumulator:
         block, from one :func:`grid._exact_sums` over blocks of about
         ``_SUM_BLOCK`` values, forming no single-species field.
 
-        ``v`` and ``w`` are weighted one block of whole grid rows at a time
-        in three buffers, species by species into zeroed ``v`` and ``w`` as
-        ``np.sum(..., axis=0)`` adds: the same bits.  ``|Q|`` follows in the
-        same buffers, then views of ``F``, then the face squares, so no
-        block is allocated while the split holds a view of an older one.
-        The bounds come first: the extents of ``F`` and ``Q``, bounds of
-        ``w v`` and ``v v`` from them, and a pass over the face squares.
+        :meth:`_products` come first, then ``|Q|`` in one buffer, then views
+        of ``F``, then the face squares.  ``F`` and ``|Q|`` go in runs of
+        whole species where a species fits a block, else of ``_SUM_BLOCK``
+        values of one species.  The bounds come first: the extents of ``F``
+        and ``Q``, bounds of ``w v`` and ``v v`` from them, and a pass over
+        the face squares.  A row that the split leaves to ``fsum`` is read
+        again from a pass that forms only what it needs (``blocks.holding``,
+        :func:`grid._row`): a row of ``F`` or ``|Q|`` reads its species
+        alone, and only ``w v`` or ``v v`` repeats the products.
         """
         grid, n, B = self.grid, len(F), gridmod._SUM_BLOCK
         flat, qflat = F.reshape(n, -1), Q.reshape(n, -1)
@@ -272,34 +274,56 @@ class MonitorAccumulator:
             [V * W * slack, V * V * slack][:1 + first],
             gridmod._row_maxima(lambda: self._face_rows(F, 0),
                                 grid.dim * len(self.energy_specs))])
-        rows = F.reshape(n, F.shape[1], -1)
-        k = max(1, B // rows.shape[2])
+        faces = 2 * n + 1 + first  # the first row of the face squares
+        whole = max(1, B // grid.ncells)  # whole rows of a run, where a row fits
 
-        def runs(x):  # one species' run of at most B values at a time
-            return ((i, x[i:i + 1, c:c + B]) for i in range(n) for c in range(0, grid.ncells, B))
+        def runs(x, r):  # rows r, r + 1, ... of x, in runs of at most B values or one row
+            return ((r + i, x[i:i + whole, c:c + B])
+                    for i in range(0, len(x), whole) for c in range(0, grid.ncells, B))
 
-        def products():
-            buffers = np.empty((3, min(k, rows.shape[1]), rows.shape[2]))
-            for r0 in range(0, rows.shape[1], k):
-                block = rows[:, r0:r0 + k]
-                v, w, term = buffers[:, :block.shape[1]]
-                v.fill(0.0)
-                w.fill(0.0)
-                for f, wi, wid in zip(block, self._wi, self._wid):
-                    v += np.multiply(wi, f, out=term)
-                    w += np.multiply(wid, f, out=term)
-                if first:
-                    yield 2 * n + 1, np.multiply(v, v, out=term).reshape(1, -1)
-                w *= v
-                yield 2 * n, w.reshape(1, -1)
-            out = buffers.reshape(-1)  # 3 k grid rows hold min(cells, B) values
-            for i, q in runs(qflat):
-                yield n + i, np.abs(q, out=out[:q.size].reshape(q.shape))
+        def magnitudes(q, r):  # |q| of runs(q, r), in one buffer
+            out = np.empty(min(q.size, B))
+            for i, run in runs(q, r):
+                yield i, np.abs(run, out=out[:run.size].reshape(run.shape))
 
         def blocks():
-            return chain(products(), runs(flat), self._face_rows(F, 2 * n + 1 + first))
+            return chain(self._products(F, first), magnitudes(qflat, n), runs(flat, 0),
+                         self._face_rows(F, faces))
 
+        def holding(i):
+            if i < n:
+                return runs(flat[i:i + 1], i)
+            if i < 2 * n:
+                return magnitudes(qflat[i - n:i - n + 1], i)
+            return self._products(F, first) if i < faces else self._face_rows(F, faces)
+
+        blocks.holding = holding
         return gridmod._exact_sums(blocks, len(mu), grid.ncells, mu), lo, hi
+
+    def _products(self, F, first):
+        """Yield the rows ``w v`` (``2 n``) and, when ``first``, ``v v``
+        (``2 n + 1``) of a streamed sample, one block of whole grid rows of
+        about ``_SUM_BLOCK`` values at a time, in three buffers.
+
+        ``v`` and ``w`` are weighted species by species into zeroed ``v``
+        and ``w`` as ``np.sum(..., axis=0)`` adds: the same bits.
+        """
+        n = len(F)
+        rows = F.reshape(n, F.shape[1], -1)
+        k = max(1, gridmod._SUM_BLOCK // rows.shape[2])
+        buffers = np.empty((3, min(k, rows.shape[1]), rows.shape[2]))
+        for r0 in range(0, rows.shape[1], k):
+            block = rows[:, r0:r0 + k]
+            v, w, term = buffers[:, :block.shape[1]]
+            v.fill(0.0)
+            w.fill(0.0)
+            for f, wi, wid in zip(block, self._wi, self._wid):
+                v += np.multiply(wi, f, out=term)
+                w += np.multiply(wid, f, out=term)
+            if first:
+                yield 2 * n + 1, np.multiply(v, v, out=term).reshape(1, -1)
+            w *= v
+            yield 2 * n, w.reshape(1, -1)
 
     def report(self):
         if not self.times:

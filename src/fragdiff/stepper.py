@@ -43,12 +43,14 @@ whose residual is within ``1e-12`` passes at once; from the first block
 that misses on, the per-species residual maxima are folded block by
 block, and they and the bounds decide.
 
-Memory: :func:`run_simulation` owns three field stacks, the state ``F``,
-its reaction term ``Q`` and a work stack ``W``, and recycles them: a step
-forms its stage in ``W``, solves it there, and an accepted candidate
-becomes the next ``F`` while the old ``F`` becomes the next ``W``.  The
-solver keeps its factors and scratch of three blocks, in 1D as in 2D, so
-after the first step no step allocates a field-sized array.
+Memory: :func:`run_simulation` owns two field stacks, the state ``F`` and
+its reaction term ``Q``, and recycles them: an attempt forms its stage in
+``Q``'s stack and solves it there, an accepted candidate becomes the next
+``F``, and the old ``F``'s stack takes the next ``Q``.  A rejected attempt
+evaluates the state's ``Q`` again from the untouched ``F``.  The solver
+keeps its factors and one scratch array of three blocks, in 1D as in 2D,
+which :func:`reaction.q_field` borrows between sweeps as the scratch of
+its gain, so after the first step no step allocates a field-sized array.
 
 Negativity: the sweeps keep a nonnegative stage nonnegative, so a
 candidate turns negative only where the explicit reaction makes ``f*``
@@ -204,6 +206,14 @@ def _residual(diag, off, prev, x, b, r, t):
     return r
 
 
+def _block_rule(n, m, lines):
+    """``(k, q)``: a sweep's block along an axis of ``m`` cells is ``k`` of
+    its ``lines`` whole lines of ``q`` of the ``n`` species, at most
+    ``_BLOCK_CELLS`` cells or one line."""
+    k = min(lines, max(1, _BLOCK_CELLS // m))
+    return k, min(n, max(1, _BLOCK_CELLS // (k * m)))
+
+
 def _extent(a, axes):
     """``max|a|`` over ``axes``, from the maximum and the minimum (NaN
     propagates)."""
@@ -280,13 +290,23 @@ class DiffusionSolver:
                             pad[:-1].reshape(shape)) + _ldl_factor(diag.ravel(), pad[1:-1]))
         return factors
 
+    def scratch(self, size):
+        """The one scratch array that the solver keeps, of at least ``size``
+        values.  It is allocated on first use with at least three of the
+        largest block of any axis, so that no sweep of a stack on the grid
+        enlarges it, and enlarged only when a caller needs more.  Between
+        sweeps the run lends it to :func:`reaction.q_field` as block
+        scratch."""
+        if self._scratch.size < size:
+            n, shape = self.ks.n, self.grid.shape
+            blocks = [m * math.prod(_block_rule(n, m, self.grid.ncells // m)) for m in shape]
+            self._scratch = np.empty(max(size, 3 * max(blocks)))
+        return self._scratch
+
     def _blocks(self, size):
-        """Three scratch blocks of ``size`` cells, the rows of a view of one
-        array that the solver keeps and enlarges only when a sweep needs
-        more."""
-        if self._scratch.size < 3 * size:
-            self._scratch = np.empty(3 * size)
-        return self._scratch[:3 * size].reshape(3, size)
+        """Three scratch blocks of ``size`` cells, the rows of a view of
+        :meth:`scratch`."""
+        return self.scratch(3 * size)[:3 * size].reshape(3, size)
 
     @np.errstate(over="ignore", invalid="ignore")
     def sweep(self, x, dt, axis):
@@ -329,8 +349,7 @@ class DiffusionSolver:
         n, m = self.ks.n, self.grid.shape[axis]
         # a block is k whole lines of q species
         lines = x.size // (n * m)
-        k = min(lines, max(1, _BLOCK_CELLS // m))
-        q = min(n, max(1, _BLOCK_CELLS // (k * m)))
+        k, q = _block_rule(n, m, lines)
         species_blocks = [slice(s, min(s + q, n)) for s in range(0, n, q)]
         line_blocks = [slice(p, p + k) for p in range(0, lines, k)]
         if axis == 0:
@@ -410,9 +429,10 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
     always sampled.  The trajectory always records the sample times and
     the terminal state.
 
-    ``Q`` is evaluated once per accepted state and shared by every step
-    attempted from it, halved retries included, and by its sample.  When
-    the run aborts, the last accepted state is sampled before
+    ``Q`` is evaluated once per accepted state, shared by its sample and
+    its first attempt, and evaluated again after each rejected attempt,
+    with the same bits, for the next attempt or the abort.  When the run
+    aborts, the last accepted state is sampled before
     :class:`NumericalAbortError` is raised; the error carries the
     trajectory as ``exc.trajectory``.
 
@@ -427,13 +447,15 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
     returns it.  The run copies the stack.  A stack passed directly stays
     alive for the whole run; one returned by a function that hands over
     the only reference, such as ``[F0].pop``, is freed once copied, before
-    the first step.  The run then holds three field stacks, ``F``, ``Q``
-    and a work stack ``W``, and recycles them.  An attempt forms its stage
-    ``F + dt * Q`` in ``W`` and solves it there, so a halved retry
-    re-forms it from the untouched ``F`` and ``Q``; on accept, ``W`` is
-    the new state, ``Q`` is evaluated into its own stack with the old
-    ``F`` as scratch, and the old ``F`` is the next ``W``.  The solver adds
-    its factors and three scratch blocks of about ``_BLOCK_CELLS`` cells.
+    the first step.  The run then holds two field stacks, ``F`` and
+    ``Q``, and recycles them.  An attempt forms its stage ``F + dt * Q``
+    in ``Q``'s stack and solves it there.  On accept, the candidate is the
+    new state, and the new ``Q`` is evaluated into the old ``F``'s stack.
+    A rejected attempt, whether it halves or aborts, first evaluates the
+    state's ``Q`` again from the untouched ``F`` into its stack: one
+    ``q_field`` per rejected attempt.  The solver adds its factors and
+    three scratch blocks of about ``_BLOCK_CELLS`` cells, which
+    ``q_field`` takes as block scratch for its gain.
     """
     F = np.array(F0() if callable(F0) else F0, dtype=float, order="C", copy=True)
     if np.any(F < 0):
@@ -455,9 +477,14 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         traj.terminal = F
         return NumericalAbortError(message, trajectory=traj)
 
+    def evaluate(F, Q):
+        # the reaction term of F into Q's stack, with the solver's idle
+        # scratch as its block scratch
+        reaction.q_field(F, ks, eps, out=Q, work=solver.scratch(ks.n + 1))
+
     t = t0
-    Q, W = np.empty_like(F), np.empty_like(F)
-    reaction.q_field(F, ks, eps, out=Q, work=W)
+    Q = np.empty_like(F)
+    evaluate(F, Q)
     take(t, F, Q)
     guard = 1e-12 * max(1.0, abs(cfg.t_end))
     dt_next, streak = cfg.dt, 0  # the step size to start at; accepted steps below cfg.dt
@@ -467,23 +494,28 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         dt_try = dt_next if remaining >= dt_next - guard else remaining
         while True:
             # each attempt ends in one of three ways: accept, halve or abort;
-            # Q * dt + F has the bits of F + dt * Q
-            np.multiply(Q, dt_try, out=W)
-            W += F
+            # the stage Q * dt + F, formed in Q's stack, has the bits of F + dt * Q
+            np.multiply(Q, dt_try, out=Q)
+            Q += F
             try:
-                cand = solver.solve(W, dt_try)
+                cand = solver.solve(Q, dt_try)
             except LinearSolveError:
-                # every attempt from this state shares its Q: if Q is not
-                # finite, no halving can help
-                if not np.all(np.isfinite(Q)):
-                    raise abort(f"non-finite reaction term at t={t:g}", t, F, Q)
+                cand = None
             else:
                 # two reductions decide; NaN fails both comparisons, and only a
                 # failing candidate pays for isfinite to name its fault
                 if cand.min() >= 0.0 and cand.max() < math.inf:
                     break
-                if not np.all(np.isfinite(cand)):
-                    raise abort(f"non-finite state at t={t:g} (dt={dt_try:g})", t, F, Q)
+            non_finite = cand is not None and not np.all(np.isfinite(cand))
+            # the attempt spent Q's stack: the state's Q is evaluated again
+            # from the untouched F, with the same bits
+            evaluate(F, Q)
+            if non_finite:
+                raise abort(f"non-finite state at t={t:g} (dt={dt_try:g})", t, F, Q)
+            # every attempt from this state shares its Q: if Q is not
+            # finite, no halving can help
+            if cand is None and not np.all(np.isfinite(Q)):
+                raise abort(f"non-finite reaction term at t={t:g}", t, F, Q)
             state.rejected_steps += 1
             dt_try *= 0.5
             if dt_try < cfg.dt_min:
@@ -494,8 +526,8 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
         streak = streak + 1 if dt_try < cfg.dt else 0
         dt_next = dt_try if streak < _DT_STREAK else min(2.0 * dt_try, cfg.dt)
         streak %= _DT_STREAK
-        F, W = cand, F  # the old state is the scratch of the new Q
-        reaction.q_field(F, ks, eps, out=Q, work=W)
+        F, Q = cand, F  # the old state's stack takes the new Q
+        evaluate(F, Q)
         t += dt_try
         if t >= cfg.t_end - guard:
             t = cfg.t_end  # the last step ends at t_end exactly

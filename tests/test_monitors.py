@@ -418,6 +418,43 @@ def test_a_level_below_every_value_is_decided_without_fsum(monkeypatch, cells):
     assert acc._grads[1] == [float(ks.d[1]) * gradient_sq_by_axis(g, F[1])]
 
 
+def test_a_row_left_to_fsum_reads_only_its_own_values(monkeypatch):
+    # a 1D stack of 256 species on 64 cells, two blocks, whose last 40
+    # species underflow: their rows of F and |Q| are left to fsum, and each
+    # is read again alone.  The products w v and v v, which no open row
+    # needs, are formed once per sample, and every sum has fsum's bits
+    g = make_grid_1d(64)
+    n = 256
+    ks = fd.cheng_redner_uniform(n, 4.0, 0.5)
+    F, Q = _sample_stack(g, n, 46)
+    F[-40:] = np.random.default_rng(47).uniform(0.0, 1.0, size=(40, 64)) * 1e-310
+    Q[-40:] *= 1e-300
+    assert F.size > gridmod._SUM_BLOCK
+    acc = fd.MonitorAccumulator(g, ks, eps=0.01, energy_specs=[(1, 0.5)])
+    passes, products = [], fd.MonitorAccumulator._products
+    opened, row = [], gridmod._row
+
+    def counted_products(self, F, first):
+        passes.append(first)
+        return products(self, F, first)
+
+    def counted_row(blocks, i):
+        opened.append(i)
+        return row(blocks, i)
+
+    monkeypatch.setattr(fd.MonitorAccumulator, "_products", counted_products)
+    monkeypatch.setattr(gridmod, "_row", counted_row)
+    acc.add(0.0, F, Q)
+    acc.add(1.0, F, Q)
+    assert passes == [True, False]
+    assert any(i < n for i in opened) and any(n <= i < 2 * n for i in opened)
+    vol = g.cell_volume
+    q_ints = np.array([vol * math.fsum(np.abs(q)) for q in Q])
+    for ints, per_t in zip(acc._ints, acc._per_t):
+        assert [v.hex() for v in ints] == [(vol * math.fsum(f)).hex() for f in F]
+        assert per_t.tobytes() == ((1.0 / ks.d) * q_ints).tobytes()
+
+
 @pytest.mark.parametrize("cells", [(128, 128), (256, 256)], ids=["2D", "2D-256"])
 def test_rows_left_to_fsum_keep_a_sample_in_its_bound(monkeypatch, cells):
     # species 6 sums to a rounding midpoint, so its row goes to fsum over a

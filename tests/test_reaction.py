@@ -362,9 +362,10 @@ def test_builtin_counts_never_build_the_gain_tensor(make, monkeypatch):
 
 @pytest.mark.parametrize("case", ["uniform", "uniform_product", "cheng_redner", "wrapped"])
 def test_q_field_into_given_stacks(case):
-    # Q written into a caller's stack, with a caller's scratch, has the bits
-    # of a fresh evaluation on every gain path; what the scratch held before
-    # does not show, and a stack of the wrong shape or layout is refused
+    # Q written into a caller's stack, with a caller's block scratch, has the
+    # bits of a fresh evaluation on every gain path; what the scratch held
+    # before does not show, and a stack of the wrong shape or layout, or
+    # scratch that is not a long enough flat float64 array, is refused
     make = fd.cheng_redner_uniform if case == "cheng_redner" else fd.power_law_uniform
     ks = make(12, 4.0, 0.5)
     if case == "wrapped":
@@ -375,7 +376,8 @@ def test_q_field_into_given_stacks(case):
     F = np.random.default_rng(43).uniform(0.0, 2.0, size=(12,) + spatial)
     for eps in (0.0, 0.1):
         want = q_field(F, ks, eps)
-        out, work = np.full(F.shape, np.nan), np.full(F.shape, -1.0)
+        # blocks of 7 cells of n + 1 = 13 values, and a remainder
+        out, work = np.full(F.shape, np.nan), np.full(13 * 7 + 3, -1.0)
         assert q_field(F, ks, eps, out=out, work=work) is out
         assert out.tobytes() == want.tobytes()
     for bad in (np.empty(F.shape[:-1]), np.empty(F.shape, order="F"),
@@ -383,6 +385,46 @@ def test_q_field_into_given_stacks(case):
         for name in ("out", "work"):
             with pytest.raises(DomainError, match=f"{name} must be a writable C-contiguous"):
                 q_field(F, ks, 0.0, **{name: bad})
+    for bad in (np.empty(12), np.empty(26)[::2], np.empty(13, dtype=np.float32)):
+        with pytest.raises(DomainError, match="work must be a writable C-contiguous"):
+            q_field(F, ks, 0.0, work=bad)
+
+
+@pytest.mark.parametrize("case", ["uniform_loop", "uniform_product", "cheng_redner", "wrapped"])
+def test_q_field_in_blocks_has_the_bits_of_the_whole_field(case, monkeypatch):
+    # the gain and the denominator, formed one block of cells at a time in
+    # block scratch (here 1, 2, 7 and 64 of 143 cells, each with a
+    # remainder, and every cell), give the bits of gain - loss and of the
+    # denominator formed for the whole field at once, on every gain path;
+    # a field of 12000 cells spans several blocks of the default scratch
+    make = fd.cheng_redner_uniform if case == "cheng_redner" else fd.power_law_uniform
+    n = 12
+    ks = make(n, 4.0, 0.5)
+    if case == "wrapped":
+        ks = _scaled_at_size_9(ks)
+    if case == "uniform_loop":
+        monkeypatch.setattr(reaction, "PAIR_PRODUCT_MAX_SIZE", -1)
+    rng = np.random.default_rng(47)
+    for spatial, widths in (((13, 11), (1, 2, 7, 64, 143)), ((12000,), (None,))):
+        shape = (n,) + spatial
+        F = rng.uniform(0.0, 2.0, size=shape) * (rng.random(shape) < 0.8)
+        G2 = F.reshape(n, -1)
+        assert (G2.size <= reaction.PAIR_PRODUCT_MAX_SIZE) == (
+            case != "uniform_loop" and len(spatial) == 2)
+        gain, loss = _gain_loss(G2, ks)
+        for eps in (0.0, 0.1):
+            want = gain - loss
+            if eps:
+                want /= reaction._denominator(G2, ks, eps)
+            for width in widths:
+                if width is None:
+                    assert reaction.GAIN_BLOCK_VALUES < (n + 1) * G2.shape[1] // 4
+                    work = None
+                else:
+                    work = np.full((n + 1) * width + n, np.nan)
+                out = np.full(shape, np.nan)
+                assert q_field(F, ks, eps, out=out, work=work) is out
+                assert out.tobytes() == want.reshape(shape).tobytes(), (spatial, eps, width)
 
 
 def fsum_gain_loss_cheng_redner(f, n, lam):

@@ -728,6 +728,38 @@ def test_loop_peak_is_four_field_stacks():
     assert peak <= 3 * 2**20 + 3 * 8 * stepper._BLOCK_CELLS + 3 * 2**17, peak / 2**20
 
 
+def test_loop_peak_is_two_field_stacks(monkeypatch):
+    # two stacks, F and Q: an attempt forms and solves its stage in Q's
+    # stack, and every q_field, the first included, forms its gain in the
+    # solver's three idle scratch blocks, so the loop peaks at two stacks
+    # plus those blocks and the solver's factors (a third stack would take
+    # the peak to at least 3 MB)
+    import tracemalloc
+
+    g, F0 = _bump_2d(32)
+    ks = fd.power_law_uniform(32, 4.0, 0.5)
+    cfg = StepperConfig(dt=1e-3, t_end=3e-3)
+    scratch, real = [], fd.reaction.q_field
+
+    def recorded(F, ks, eps=0.0, **stacks):
+        scratch.append(stacks["work"].size)
+        return real(F, ks, eps, **stacks)
+
+    monkeypatch.setattr(fd.reaction, "q_field", recorded)
+    run_simulation(g, ks, F0, cfg, eps=0.01, sample=lambda t, F, Q: None)  # warm imports
+    assert scratch == [3 * stepper._BLOCK_CELLS] * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = run_simulation(g, ks, F0, cfg, eps=0.01, sample=lambda t, F, Q: None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert traj.state.step_index == 3 and traj.state.rejected_steps == 0
+    assert F0.nbytes == 2**20
+    assert peak <= 2 * 2**20 + 3 * 8 * stepper._BLOCK_CELLS + 3 * 2**17, peak / 2**20
+
+
 @pytest.mark.parametrize("make, n", [(fd.power_law_uniform, 32), (fd.cheng_redner_uniform, 16)],
                          ids=["uniform", "cheng_redner"])
 def test_no_step_allocates_a_field_stack(make, n):
@@ -818,7 +850,9 @@ def test_failed_solve_contract_halves_step():
 
 
 def test_halved_retries_reuse_the_states_q(monkeypatch):
-    # one q_field per accepted state, shared by every attempt from it
+    # one q_field per accepted state, and one per rejected attempt: an
+    # attempt forms its stage in Q's stack, so a rejected one evaluates the
+    # state's Q again from the untouched state
     g, ks, F0 = _uncertifiable_setup()
     calls = []
     real = fd.reaction.q_field
@@ -831,7 +865,7 @@ def test_halved_retries_reuse_the_states_q(monkeypatch):
     cfg = StepperConfig(scheme="imex_euler", dt=37.5, t_end=37.5)
     traj = run_simulation(g, ks, F0, cfg, cadence=1)
     assert traj.state.rejected_steps >= 6
-    assert len(calls) == traj.state.step_index + 1
+    assert len(calls) == traj.state.step_index + 1 + traj.state.rejected_steps
     assert len(traj.fields) == len(traj.times) == traj.state.step_index + 1
 
 
@@ -866,6 +900,78 @@ def test_steps_start_at_the_last_accepted_dt(monkeypatch):
     assert np.allclose(np.diff(traj.times), 1e-3 / 8, rtol=1e-9, atol=0.0)
     assert sorted(solvers[0]._factors) == [1e-3 / 8, 1e-3 / 4, 1e-3 / 2, 1e-3]
     assert len(solvers[0]._factors) <= _MAX_FACTOR_SETS
+
+
+def _reference_trajectory(grid, ks, F0, cfg, eps):
+    """``(t, digest of F, digest of Q)`` of every accepted state, and the
+    rejected attempts, of a loop that forms every stage and every ``Q`` in
+    new arrays, with :func:`run_simulation`'s operations and step-size
+    rule."""
+    import hashlib
+
+    solver = DiffusionSolver(grid, ks)
+    F = np.array(F0, dtype=float)
+    t, dt_next, streak, rejected = 0.0, cfg.dt, 0, 0
+    guard = 1e-12 * max(1.0, abs(cfg.t_end))
+    Q = fd.q_field(F, ks, eps)
+    states = [(t, hashlib.sha256(F).hexdigest(), hashlib.sha256(Q).hexdigest())]
+    while t < cfg.t_end - guard:
+        dt = dt_next if cfg.t_end - t >= dt_next - guard else cfg.t_end - t
+        while True:
+            try:
+                cand = solver.solve(Q * dt + F, dt)
+            except fd.LinearSolveError:
+                cand = None
+            if cand is not None and cand.min() >= 0.0:
+                break
+            rejected += 1
+            dt *= 0.5
+        streak = streak + 1 if dt < cfg.dt else 0
+        dt_next = dt if streak < stepper._DT_STREAK else min(2.0 * dt, cfg.dt)
+        streak %= stepper._DT_STREAK
+        t += dt
+        if t >= cfg.t_end - guard:
+            t = cfg.t_end
+        F = cand
+        Q = fd.q_field(F, ks, eps)
+        states.append((t, hashlib.sha256(F).hexdigest(), hashlib.sha256(Q).hexdigest()))
+    return states, rejected
+
+
+@pytest.mark.parametrize("setup", ["uncertifiable", "cells_4096"])
+def test_two_stacks_keep_the_trajectory_of_new_arrays(setup):
+    # the run recycles two stacks: each attempt forms and solves its stage
+    # in Q's stack, and a rejected one evaluates the state's Q again.
+    # Every accepted state and its Q, and the rejected attempts, are those
+    # of a loop that forms every stage and every Q in new arrays: on
+    # _uncertifiable_setup, whose solves miss the residual contract, and
+    # on the reference config at 4096 cells (80 steps, 10 rejected)
+    import hashlib
+
+    if setup == "uncertifiable":
+        g, ks, F0 = _uncertifiable_setup()
+        cfg, eps = StepperConfig(dt=37.5, t_end=37.5), 0.0
+    else:
+        from fragdiff.config import (SimConfig, make_grid, make_initial_condition,
+                                     make_kernel_set, reference_scenario_dict)
+
+        doc = reference_scenario_dict()
+        doc["grid"]["cells"] = [4096]
+        doc["stepper"]["t_end"] = 0.01
+        sim = SimConfig.from_dict(doc)
+        g, ks = make_grid(sim.grid), make_kernel_set(sim.kernel)
+        F0 = make_initial_condition(sim.ic, g, sim.kernel.n)
+        cfg, eps = sim.stepper, sim.eps
+    states, rejected = _reference_trajectory(g, ks, F0, cfg, eps)
+    seen = []
+
+    def sample(t, F, Q):
+        seen.append((t, hashlib.sha256(F).hexdigest(), hashlib.sha256(Q).hexdigest()))
+
+    traj = run_simulation(g, ks, F0, cfg, eps=eps, cadence=1, sample=sample)
+    assert traj.state.rejected_steps == rejected >= (6 if setup == "uncertifiable" else 10)
+    assert traj.state.step_index + 1 == len(states)
+    assert seen == states
 
 
 @pytest.mark.parametrize("value, message, rejected", [
