@@ -58,6 +58,8 @@ def _exit_code(exc):
         return EXIT_NUMERICAL, "numerical abort"
     if isinstance(exc, ContractViolationError):
         return EXIT_INVARIANT, "invariant failure"
+    if isinstance(exc, DivergentSeriesError):
+        return EXIT_INVARIANT, "divergent series"
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG, "config error"
     return EXIT_CONFIG, "error"

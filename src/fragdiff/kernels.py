@@ -473,8 +473,8 @@ class ValidationReport:
 
 
 _CHECK_CELLS = 1 << 12
-"""Floats in one block of collision rates, plateaus or tail terms that the
-validator reads (32 kB)."""
+"""Floats in one block of plateaus or tail terms that the validator reads
+(32 kB)."""
 _TERM_CELLS = 1 << 16
 """Floats in one block of mass terms that the validator sums (512 kB)."""
 
@@ -513,19 +513,12 @@ def validate_kernel_set(ks, i_max=None, rel_tol=1e-12):
         failures.append("diffusion coefficients must be positive and finite")
 
     # a-symmetry / nonnegativity on the stored range (a NaN reads as
-    # asymmetric), from separable weights a block of rows at a time, with
-    # the products of np.outer and no a_matrix(); a stored matrix whole
-    w = ks.sep_weights
-    if w is None or ks._a_mat is not None:
-        blocks = [(ks.a_matrix(), ks.a_matrix())]
+    # asymmetric): a stored matrix whole, separable weights in closed form
+    if ks.sep_weights is None or ks._a_mat is not None:
+        a = ks.a_matrix()
+        symmetric, nonnegative = np.array_equal(a, a.T), not np.any(a < 0)
     else:
-        step = max(1, _CHECK_CELLS // ks.n)
-        blocks = ((np.outer(w[r:r + step], w), np.outer(w, w[r:r + step]))
-                  for r in range(0, ks.n, step))
-    symmetric = nonnegative = True
-    for rows, cols in blocks:  # a[r, :] and a[:, r]
-        symmetric = symmetric and np.array_equal(rows, cols.T)
-        nonnegative = nonnegative and not np.any(rows < 0)
+        symmetric, nonnegative = _separable_rate_checks(ks.sep_weights)
     if not symmetric:
         failures.append("collision rates are not symmetric")
     if not nonnegative:
@@ -534,6 +527,19 @@ def validate_kernel_set(ks, i_max=None, rel_tol=1e-12):
     worst, pairs = (_pair_checks_by_size(ks, i_max, rel_tol)
                     or _pair_checks_by_row(ks, i_max, rel_tol, failures))
     return ValidationReport(not failures, worst, pairs, failures, notes)
+
+
+def _separable_rate_checks(w):
+    """``(symmetric, nonnegative)`` of ``np.outer(w, w)``, from ``w`` in O(n).
+
+    Products commute exactly, so only a NaN product (a NaN weight, or an
+    infinite one beside a zero) is asymmetric.  Products of opposite signs are
+    negative unless the largest, ``max(w) * min(w)`` (NaN weights passed
+    over), underflows to ``-0``, as they all then do.  Python floats give
+    numpy's bits with no warning on ``inf * 0``.
+    """
+    symmetric = not (np.isnan(w).any() or (np.isinf(w).any() and (w == 0.0).any()))
+    return symmetric, not float(np.fmax.reduce(w)) * float(np.fmin.reduce(w)) < 0.0
 
 
 def _pair_checks_by_row(ks, i_max, rel_tol, failures):

@@ -4,7 +4,7 @@ Every monitor is a fold over samples.  :class:`MonitorAccumulator` takes
 one sample ``(t, F, Q)`` at a time, the state and its reaction term, and
 keeps only scalars and per-species vectors, so a run is monitored while
 it is taken and no sampled field is stored.  :func:`compute_monitors`
-folds the same accumulator over a stored trajectory.
+folds the same accumulator over states that a caller kept.
 
 Every time integral is a trapezoidal quadrature on the sample cadence,
 accumulated in sample order, so each reported quantity is a
@@ -139,7 +139,7 @@ class MonitorAccumulator:
     bits) from one exact-sum pass per sample, over rows formed whole
     (:meth:`_one_block`) or block by block (:meth:`_streamed`).
     ``report()`` forms the time series and audits the invariants over the
-    samples added so far.
+    samples added so far.  ``add`` is a sampler for ``run_simulation``.
 
     * Duality: quadrature of ``integral (sum i d_i f_i)(sum i f_i) dx``
       against ``R = (sup_i d_i) * ||sum i f_i(0)||_L2**2``.
@@ -421,18 +421,17 @@ class MonitorAccumulator:
                              budget=budget, energy=energy, linf=linf, invariants=invariants)
 
 
-def compute_monitors(traj, ks, eps=0.0, tail_levels=(8, 16, 24),
+def compute_monitors(grid, ks, samples, eps=0.0, tail_levels=(8, 16, 24),
                      energy_specs=(), envelope_family=None):
-    """Evaluate every monitor over a stored trajectory and audit the invariants.
+    """Evaluate every monitor over ``(t, F)`` pairs and audit the invariants.
 
-    Folds a :class:`MonitorAccumulator` over the stored states, with one
-    ``q_field`` per state evaluated as the fold reaches it: the same fold
-    as a run streamed into the accumulator, so both give bitwise equal
-    reports.
+    Folds a :class:`MonitorAccumulator` over ``samples`` with one
+    ``q_field`` per state, as a run streamed into it does: states a sampler
+    kept as copies give the streamed report, bit for bit.
     """
-    acc = MonitorAccumulator(traj.grid, ks, eps=eps, tail_levels=tail_levels,
+    acc = MonitorAccumulator(grid, ks, eps=eps, tail_levels=tail_levels,
                              energy_specs=energy_specs, envelope_family=envelope_family)
-    for t, F in zip(traj.times, traj.fields):
+    for t, F in samples:
         acc.add(t, F, reaction.q_field(F, ks, eps))
     return acc.report()
 

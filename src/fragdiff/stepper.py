@@ -44,13 +44,14 @@ that misses on, the per-species residual maxima are folded block by
 block, and they and the bounds decide.
 
 Memory: :func:`run_simulation` owns two field stacks, the state ``F`` and
-its reaction term ``Q``, and recycles them: an attempt forms its stage in
-``Q``'s stack and solves it there, an accepted candidate becomes the next
-``F``, and the old ``F``'s stack takes the next ``Q``.  A rejected attempt
-evaluates the state's ``Q`` again from the untouched ``F``.  The solver
-keeps its factors and one scratch array of three blocks, in 1D as in 2D,
-which :func:`reaction.q_field` borrows between sweeps as the scratch of
-its gain, so after the first step no step allocates a field-sized array.
+its reaction term ``Q``, with or without a sampler, and keeps no sampled
+state.  It recycles them: an attempt forms its stage in ``Q``'s stack and
+solves it there, an accepted candidate becomes the next ``F``, and the
+old ``F``'s stack takes the next ``Q``.  A rejected attempt evaluates the
+state's ``Q`` again from the untouched ``F``.  The solver keeps its
+factors and one scratch array of three blocks, in 1D as in 2D, which
+:func:`reaction.q_field` borrows between sweeps as the scratch of its
+gain, so after the first step no step allocates a field-sized array.
 
 Negativity: the sweeps keep a nonnegative stage nonnegative, so a
 candidate turns negative only where the explicit reaction makes ``f*``
@@ -150,21 +151,13 @@ class Trajectory:
     """Sample times and terminal state of one run.
 
     ``terminal`` is the last state :func:`run_simulation` reached (the
-    last accepted state of an aborted run).  ``fields[k]`` is the stack at
-    ``times[k]`` when the run stores its samples, which is what
-    :func:`run_simulation` does by default; a run streamed into another
-    sampler leaves ``fields`` empty.
+    last accepted state of an aborted run).  A caller keeps sampled states
+    through its sampler.
     """
 
-    grid: gridmod.GridSpec
     times: list[float] = field(default_factory=list)
-    fields: list[np.ndarray] = field(default_factory=list)
     state: SimState = field(default_factory=SimState)
     terminal: np.ndarray | None = None
-
-    def store(self, t, F, Q):
-        """The default sampler: keep a copy of every sampled state."""
-        self.fields.append(F.copy())
 
 
 def _ldl_factor(diag, off):
@@ -421,13 +414,13 @@ class DiffusionSolver:
 def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
     """Integrate from ``t0`` to ``cfg.t_end`` and sample every ``cadence`` steps.
 
-    A sample calls ``sample(t, F, Q)`` with the state ``F`` at time ``t``
+    A sample records its time ``t`` in the trajectory and, when a sampler
+    is given, calls ``sample(t, F, Q)`` with the state ``F`` at time ``t``
     and ``Q = reaction.q_field(F, ks, eps)``.  Both arrays are the run's
     own stacks, valid only during the call: the run overwrites them
-    later, so a sampler copies what it keeps, as the default sampler,
-    :meth:`Trajectory.store`, does.  The initial and the final state are
-    always sampled.  The trajectory always records the sample times and
-    the terminal state.
+    later, so a sampler copies what it keeps.  The initial and the final
+    state are always sampled.  The trajectory records the sample times
+    and the terminal state, and keeps no sampled state.
 
     ``Q`` is evaluated once per accepted state, shared by its sample and
     its first attempt, and evaluated again after each rejected attempt,
@@ -460,16 +453,15 @@ def run_simulation(grid, ks, F0, cfg, eps=0.0, cadence=10, t0=0.0, sample=None):
     F = np.array(F0() if callable(F0) else F0, dtype=float, order="C", copy=True)
     if np.any(F < 0):
         raise DomainError("initial data contains negative entries")
-    traj = Trajectory(grid=grid)
-    if sample is None:
-        sample = traj.store
+    traj = Trajectory()
     state = traj.state
     state.t = t0
     solver = DiffusionSolver(grid, ks)
 
     def take(t, F, Q):
         traj.times.append(t)
-        sample(t, F, Q)
+        if sample is not None:
+            sample(t, F, Q)
 
     def abort(message, t, F, Q):
         if traj.times[-1] != t:

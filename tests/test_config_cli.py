@@ -409,6 +409,18 @@ class TestSimulateCommand:
     def test_missing_config_flag(self):
         assert cli.main(["simulate"]) == 2
 
+    def test_divergent_series_exit_code(self, tmp_path, capsys):
+        # lam = 1 makes the power-law series diverge: exit 1, as audit does,
+        # and nothing is written
+        cfg_path = write_cfg(tmp_path, small_doc(kernel={"lam": 1.0}))
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="below the assumption-family threshold"):
+            rc = cli.main(["simulate", "--config", cfg_path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("divergent series: sum i**-s diverges"), err
+        assert not out.exists()
+
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{]")
@@ -713,6 +725,18 @@ class TestSweepCommand:
 
         for x, y in ((a, b), (b, a), (a, a), (b, b[:5])):
             assert cli._l1_between(grid, x, y).hex() == padded(x, y).hex()
+
+    def test_divergent_series_fails_each_point(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, small_doc(kernel={"lam": 1.0}))
+        out = tmp_path / "sweep"
+        with pytest.warns(UserWarning, match="below the assumption-family threshold"):
+            rc = cli.main(["sweep", "--config", cfg_path, "--axis", "eps",
+                           "--values", "0.02,0.01", "--out", str(out), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.count("divergent series in ") == 2
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
+        with open(out / "sweep.csv", newline="") as fh:
+            assert [r["exit_code"] for r in csv.DictReader(fh)] == ["1", "1"]
 
     def test_eps_sweep(self, tmp_path):
         doc = small_doc(stepper={"t_end": 0.005})

@@ -616,6 +616,47 @@ def test_validator_memory_is_linear_in_n(make):
         assert peak < 2 * 2**20 + n * 2**10, (n, peak)
 
 
+def _rate_checks_by_matrix(w):
+    """``(symmetric, nonnegative)`` of ``np.outer(w, w)``, checked whole."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.outer(w, w)
+    return np.array_equal(a, a.T), not np.any(a < 0)
+
+
+def test_separable_rates_checked_in_closed_form():
+    # the O(n) checks from the weights decide as the whole matrix does: on
+    # every tuple of up to three weights of this set with 0.25 appended,
+    # and where every product of opposite signs underflows to -0
+    from itertools import product
+
+    from fragdiff import kernels
+
+    values = [1.0, 0.5, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 1e-300, 1e300]
+    weights = [np.array(t + (0.25,)) for r in range(4) for t in product(values, repeat=r)]
+    weights += [np.array([1e-300, -1e-300]), np.array([1e-200, math.nan, -1e-200])]
+    assert len(weights) == 1113
+    for w in weights:
+        assert kernels._separable_rate_checks(w) == _rate_checks_by_matrix(w), w
+
+
+@pytest.mark.parametrize("w", [[1.0, 0.5, math.nan, 0.25], [math.inf, 0.0, 1.0, 0.25],
+                               [-math.inf, -0.0, 1.0, 0.25], [1.0, -1.0, 0.5, 0.25],
+                               [1e-300, -1e-300, 0.0, -0.0], [1e300, -1e300, math.nan, 0.0]],
+                         ids=["nan", "inf-beside-zero", "minus-inf-beside-minus-zero",
+                              "both-signs", "underflow", "overflow-nan-zero"])
+def test_separable_rate_failures_match_per_pair_reference(monkeypatch, w):
+    from oracles import validate_kernel_set_by_pair
+
+    ks = fd.power_law_uniform(4, 4.0, 0.5)
+    monkeypatch.setattr(ks, "sep_weights", np.array(w))
+    rep = fd.validate_kernel_set(ks)
+    assert ks._a_mat is None  # checked from the weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = validate_kernel_set_by_pair(ks)  # builds and keeps np.outer(w, w)
+    assert rep.failures == ref.failures
+    assert repr(rep) == repr(ref)
+
+
 @pytest.mark.parametrize("make", [fd.power_law_uniform, fd.cheng_redner_uniform])
 def test_builtin_counts_never_enter_the_row_path(monkeypatch, make):
     from fragdiff import kernels

@@ -19,7 +19,7 @@ from fragdiff.monitors import (
     write_monitors_csv,
     write_summary_json,
 )
-from fragdiff.stepper import StepperConfig, Trajectory, run_simulation
+from fragdiff.stepper import StepperConfig, run_simulation
 from oracles import gradient_sq_by_axis, stencil_eigenvalue
 
 
@@ -27,9 +27,18 @@ def constant_fields(grid, values):
     return np.array([np.full(grid.shape, v) for v in values])
 
 
-def synthetic_traj(grid, times, fields):
-    return Trajectory(grid=grid, times=list(times),
-                      fields=[np.asarray(F, dtype=float) for F in fields])
+def synthetic_traj(times, fields):
+    """The ``(t, F)`` pairs that :func:`compute_monitors` folds."""
+    return [(t, np.asarray(F, dtype=float)) for t, F in zip(times, fields)]
+
+
+def kept_run(grid, ks, F0, cfg, **kwargs):
+    """A run whose sampler keeps a copy of every sampled state: ``(traj,
+    pairs)``, the pairs as :func:`synthetic_traj` gives them."""
+    pairs = []
+    traj = run_simulation(grid, ks, F0, cfg, sample=lambda t, F, Q: pairs.append((t, F.copy())),
+                          **kwargs)
+    return traj, pairs
 
 
 def test_total_mass_exponential_oracle():
@@ -67,8 +76,8 @@ def test_duality_closed_form():
     ks = fd.power_law_uniform(1, 4.0, 0.0)
     c = 2.0
     fields = [constant_fields(g, [c])] * 3
-    traj = synthetic_traj(g, [0.0, 0.25, 0.5], fields)
-    rep = compute_monitors(traj, ks).duality
+    traj = synthetic_traj([0.0, 0.25, 0.5], fields)
+    rep = compute_monitors(g, ks, traj).duality
     assert rep.D == 2.0
     assert rep.R == 4.0
     assert rep.ratio == 0.5
@@ -78,16 +87,16 @@ def test_duality_closed_form():
 def test_duality_zero_initial_data():
     g = make_grid_1d(16)
     ks = fd.power_law_uniform(2, 4.0, 0.5)
-    traj = synthetic_traj(g, [0.0, 1.0], [np.zeros((2, 16))] * 2)
-    rep = compute_monitors(traj, ks).duality
+    traj = synthetic_traj([0.0, 1.0], [np.zeros((2, 16))] * 2)
+    rep = compute_monitors(g, ks, traj).duality
     assert rep.D == 0.0 and rep.ratio == 0.0
 
 
 def test_budget_zero_without_collisions():
     g = make_grid_1d(16)
     ks = fd.power_law_uniform(1, 4.0, 0.0)
-    traj = synthetic_traj(g, [0.0, 0.5, 1.0], [constant_fields(g, [1.0])] * 3)
-    rep = compute_monitors(traj, ks).budget
+    traj = synthetic_traj([0.0, 0.5, 1.0], [constant_fields(g, [1.0])] * 3)
+    rep = compute_monitors(g, ks, traj).budget
     assert rep.total == 0.0
     assert rep.series == [0.0, 0.0, 0.0]
     assert np.all(rep.per_species == 0.0)
@@ -97,9 +106,9 @@ def test_budget_nondecreasing_on_real_run():
     g = make_grid_1d(16)
     ks = fd.power_law_uniform(8, 4.0, 0.5)
     F0 = constant_fields(g, [math.exp(-i) for i in range(1, 9)])
-    traj = run_simulation(g, ks, F0, StepperConfig(dt=1e-3, t_end=0.02), eps=0.01,
-                          cadence=2)
-    rep = compute_monitors(traj, ks, eps=0.01).budget
+    _traj, pairs = kept_run(g, ks, F0, StepperConfig(dt=1e-3, t_end=0.02), eps=0.01,
+                            cadence=2)
+    rep = compute_monitors(g, ks, pairs, eps=0.01).budget
     assert rep.total > 0.0
     assert all(b - a >= 0.0 for a, b in zip(rep.series, rep.series[1:]))
     assert rep.total == pytest.approx(math.fsum(map(float, rep.per_species)), rel=1e-12)
@@ -110,8 +119,8 @@ def test_energy_fully_masked_constant():
     # slack equals the full RHS
     g = make_grid_1d(16)
     ks = fd.power_law_uniform(1, 4.0, 0.0)
-    traj = synthetic_traj(g, [0.0, 1.0], [constant_fields(g, [2.0])] * 2)
-    (rep,) = compute_monitors(traj, ks, energy_specs=[(1, 1.0)]).energy
+    traj = synthetic_traj([0.0, 1.0], [constant_fields(g, [2.0])] * 2)
+    (rep,) = compute_monitors(g, ks, traj, energy_specs=[(1, 1.0)]).energy
     assert rep.lhs == 0.0
     assert rep.rhs == pytest.approx(1.0 * (0.0 + 2.0), rel=1e-15)
     assert rep.slack == rep.rhs
@@ -129,9 +138,9 @@ def test_energy_wiring_against_manual_quadrature():
         np.array([1.0 + 0.5 * math.exp(lam * t) * np.cos(2 * np.pi * x)])
         for t in times
     ]
-    traj = synthetic_traj(g, times, fields)
+    traj = synthetic_traj(times, fields)
     level = 10.0  # far above the range: no masking
-    (rep,) = compute_monitors(traj, ks, energy_specs=[(1, level)]).energy
+    (rep,) = compute_monitors(g, ks, traj, energy_specs=[(1, level)]).energy
     grads = [gradient_sq_integral(g, F[0]) for F in fields]
     lhs_manual = float(ks.d[0]) * np.trapezoid(grads, times)
     assert rep.lhs == pytest.approx(lhs_manual, rel=1e-12)
@@ -139,29 +148,29 @@ def test_energy_wiring_against_manual_quadrature():
     assert rep.slack >= 0.0
 
     # a level inside the range masks crests and can only shrink the LHS
-    (rep_low,) = compute_monitors(traj, ks, energy_specs=[(1, 1.2)]).energy
+    (rep_low,) = compute_monitors(g, ks, traj, energy_specs=[(1, 1.2)]).energy
     assert rep_low.lhs < rep.lhs
 
 
 def test_energy_input_validation():
     g = make_grid_1d(16)
     ks = fd.power_law_uniform(2, 4.0, 0.5)
-    traj = synthetic_traj(g, [0.0, 1.0], [np.ones((2, 16))] * 2)
+    traj = synthetic_traj([0.0, 1.0], [np.ones((2, 16))] * 2)
     with pytest.raises(DomainError):
-        compute_monitors(traj, ks, energy_specs=[(3, 1.0)])
+        compute_monitors(g, ks, traj, energy_specs=[(3, 1.0)])
     with pytest.raises(DomainError):
-        compute_monitors(traj, ks, energy_specs=[(1, 0.0)])
+        compute_monitors(g, ks, traj, energy_specs=[(1, 0.0)])
 
 
 def test_linf_report():
     g = make_grid_1d(16)
     ks = fd.power_law_uniform(2, 4.0, 0.5)
     F = constant_fields(g, [1.0, 3.7])
-    traj = synthetic_traj(g, [0.0, 1.0], [F, 0.5 * F])
-    rep = compute_monitors(traj, ks, eps=0.01).linf
+    traj = synthetic_traj([0.0, 1.0], [F, 0.5 * F])
+    rep = compute_monitors(g, ks, traj, eps=0.01).linf
     assert rep.sup == 3.7
     assert rep.ratio == pytest.approx(0.037)
-    assert compute_monitors(traj, ks).linf.ratio == 0.0
+    assert compute_monitors(g, ks, traj).linf.ratio == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -171,9 +180,9 @@ def small_run():
     x = g.centers()
     F0 = np.array([math.exp(-i) * (1.0 + 0.5 * np.cos(2 * np.pi * x))
                    for i in range(1, 9)])
-    traj = run_simulation(g, ks, F0, StepperConfig(dt=1e-3, t_end=0.02),
-                          eps=0.01, cadence=5)
-    report = compute_monitors(traj, ks, eps=0.01, tail_levels=(2, 4, 6),
+    traj, pairs = kept_run(g, ks, F0, StepperConfig(dt=1e-3, t_end=0.02),
+                           eps=0.01, cadence=5)
+    report = compute_monitors(g, ks, pairs, eps=0.01, tail_levels=(2, 4, 6),
                               energy_specs=((1, 0.5), (2, 1.0)),
                               envelope_family="exponential")
     return traj, report
@@ -252,10 +261,10 @@ def test_moment0_nondecreasing_catches_violation():
     # fabricated shrinking particle count must fail the audit
     g = make_grid_1d(16)
     ks = fd.power_law_uniform(2, 4.0, 0.5)
-    traj = synthetic_traj(g, [0.0, 1.0],
+    traj = synthetic_traj([0.0, 1.0],
                           [constant_fields(g, [1.0, 1.0]),
                            constant_fields(g, [0.5, 1.0])])
-    report = compute_monitors(traj, ks, tail_levels=(1,))
+    report = compute_monitors(g, ks, traj, tail_levels=(1,))
     assert not report.invariants["moment0_nondecreasing"]["pass"]
     assert not report.all_pass
 

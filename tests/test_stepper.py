@@ -36,6 +36,13 @@ def weighted_mass(grid, ks, F):
     return math.fsum((i + 1) * integrate(grid, F[i]) for i in range(ks.n))
 
 
+def copies():
+    """``(kept, sample)``: a sampler that keeps a copy of every sampled
+    state in the list ``kept``."""
+    kept = []
+    return kept, lambda t, F, Q: kept.append(F.copy())
+
+
 def test_stepper_config_validation():
     with pytest.raises(DomainError, match="'leapfrog' is unknown"):
         StepperConfig(scheme="leapfrog")
@@ -748,16 +755,21 @@ def test_loop_peak_is_two_field_stacks(monkeypatch):
     monkeypatch.setattr(fd.reaction, "q_field", recorded)
     run_simulation(g, ks, F0, cfg, eps=0.01, sample=lambda t, F, Q: None)  # warm imports
     assert scratch == [3 * stepper._BLOCK_CELLS] * 4
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        traj = run_simulation(g, ks, F0, cfg, eps=0.01, sample=lambda t, F, Q: None)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert traj.state.step_index == 3 and traj.state.rejected_steps == 0
     assert F0.nbytes == 2**20
-    assert peak <= 2 * 2**20 + 3 * 8 * stepper._BLOCK_CELLS + 3 * 2**17, peak / 2**20
+    # streamed into a sampler, and with no sampler at every step: a run
+    # without a sampler keeps no sampled state
+    for kwargs in ({"sample": lambda t, F, Q: None}, {"cadence": 1}):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traj = run_simulation(g, ks, F0, cfg, eps=0.01, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert traj.state.step_index == 3 and traj.state.rejected_steps == 0
+        bound = 2 * 2**20 + 3 * 8 * stepper._BLOCK_CELLS + 3 * 2**17
+        assert peak <= bound, (kwargs, peak / 2**20)
+    assert len(traj.times) == 4
 
 
 @pytest.mark.parametrize("make, n", [(fd.power_law_uniform, 32), (fd.cheng_redner_uniform, 16)],
@@ -796,8 +808,9 @@ def test_imex_mass_conservation():
     x = g.centers()
     F0 = np.array([math.exp(-i) * (1.0 + 0.5 * np.cos(2 * np.pi * x)) for i in range(1, 9)])
     cfg = StepperConfig(scheme="imex_euler", dt=1e-3, t_end=0.05)
-    traj = run_simulation(g, ks, F0, cfg, eps=0.01)
-    m0 = weighted_mass(g, ks, traj.fields[0])
+    fields, sample = copies()
+    traj = run_simulation(g, ks, F0, cfg, eps=0.01, sample=sample)
+    m0 = weighted_mass(g, ks, fields[0])
     m1 = weighted_mass(g, ks, traj.terminal)
     assert abs(m1 - m0) <= 1e-12 * m0
     assert np.min(traj.terminal) >= 0.0
@@ -863,10 +876,11 @@ def test_halved_retries_reuse_the_states_q(monkeypatch):
 
     monkeypatch.setattr(fd.reaction, "q_field", counted)
     cfg = StepperConfig(scheme="imex_euler", dt=37.5, t_end=37.5)
-    traj = run_simulation(g, ks, F0, cfg, cadence=1)
+    fields, sample = copies()
+    traj = run_simulation(g, ks, F0, cfg, cadence=1, sample=sample)
     assert traj.state.rejected_steps >= 6
     assert len(calls) == traj.state.step_index + 1 + traj.state.rejected_steps
-    assert len(traj.fields) == len(traj.times) == traj.state.step_index + 1
+    assert len(fields) == len(traj.times) == traj.state.step_index + 1
 
 
 def test_steps_start_at_the_last_accepted_dt(monkeypatch):
@@ -1054,11 +1068,12 @@ def test_sampling_times():
     F0 = np.ones((1, 16))
     dt = 1.0 / 256.0
     cfg = StepperConfig(scheme="imex_euler", dt=dt, t_end=10.0 / 256.0)
-    traj = run_simulation(g, ks, F0, cfg, cadence=3)
+    fields, sample = copies()
+    traj = run_simulation(g, ks, F0, cfg, cadence=3, sample=sample)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 10.0 / 256.0  # dyadic steps sum exactly
     assert traj.times == [0.0, 3 * dt, 6 * dt, 9 * dt, 10 * dt]
-    assert len(traj.fields) == len(traj.times)
+    assert len(fields) == len(traj.times)
 
 
 def test_last_step_within_rounding_of_dt_reuses_its_factor(monkeypatch):
@@ -1095,20 +1110,13 @@ def test_deterministic_rerun():
     rng = np.random.default_rng(23)
     F0 = rng.uniform(0.5, 1.5, size=(6, 16))
     cfg = StepperConfig(scheme="imex_euler", dt=1e-3, t_end=0.02)
-    t1 = run_simulation(g, ks, F0, cfg, eps=0.01)
-    t2 = run_simulation(g, ks, F0, cfg, eps=0.01)
+    fields1, sample1 = copies()
+    fields2, sample2 = copies()
+    t1 = run_simulation(g, ks, F0, cfg, eps=0.01, sample=sample1)
+    t2 = run_simulation(g, ks, F0, cfg, eps=0.01, sample=sample2)
     assert t1.times == t2.times
-    for a, b in zip(t1.fields, t2.fields):
+    for a, b in zip(fields1, fields2):
         np.testing.assert_array_equal(a, b)
-
-
-def test_trajectory_fields_are_snapshots():
-    g = make_grid_1d(16)
-    F0 = np.ones((1, 16))
-    traj = run_simulation(g, pure_diffusion_kernel(), F0,
-                          StepperConfig(t_end=0.0))
-    F0[:] = 99.0
-    assert traj.fields[0][0, 0] == 1.0
 
 
 class TestCheckpoint:

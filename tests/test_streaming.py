@@ -2,10 +2,11 @@
 
 A ``simulate`` run folds each sample into a ``MonitorAccumulator`` as it
 is taken and reuses the step's ``Q``; ``compute_monitors`` folds the same
-accumulator over a stored trajectory.  These differential checks hold
-the streamed CLI artifacts byte-equal to the stored path, the fold to a
-whole-trajectory evaluation of the same quadratures, and the run to one
-``q_field`` per accepted state and no stored field.
+accumulator over states that a library run's sampler kept as copies.
+These differential checks hold the streamed CLI artifacts byte-equal to
+that fold over kept copies, the fold to a whole-trajectory evaluation of
+the same quadratures, and the run to one ``q_field`` per accepted state
+and no stored field.
 """
 
 import json
@@ -63,24 +64,28 @@ def _setup(doc):
     return cfg, grid, ks, make_initial_condition(cfg.ic, grid, cfg.kernel.n)
 
 
-def _stored_run(doc):
-    """The library path: every sample stored, monitors computed afterwards."""
+def _kept_run(doc):
+    """The library path: a sampler keeps a copy of every sampled state, and
+    the monitors are folded over the copies afterwards.  Returns ``(traj,
+    grid, ks, samples, report)``, ``samples`` the kept ``(t, F)`` pairs."""
     cfg, grid, ks, F0 = _setup(doc)
+    samples = []
     try:
         traj = fd.run_simulation(grid, ks, F0, cfg.stepper, eps=cfg.eps,
-                                 cadence=cfg.monitors.cadence)
+                                 cadence=cfg.monitors.cadence,
+                                 sample=lambda t, F, Q: samples.append((t, F.copy())))
     except NumericalAbortError as exc:
         traj = exc.trajectory
     report = fd.compute_monitors(
-        traj, ks, eps=cfg.eps, tail_levels=cfg.monitors.tail_levels,
+        grid, ks, samples, eps=cfg.eps, tail_levels=cfg.monitors.tail_levels,
         energy_specs=cfg.monitors.energy_specs,
         envelope_family=cfg.monitors.envelope_family,
     )
-    return traj, ks, report
+    return traj, grid, ks, samples, report
 
 
 def _assert_artifacts_equal_stored(tmp_path, doc, out):
-    traj, _ks, report = _stored_run(doc)
+    traj, _grid, _ks, _samples, report = _kept_run(doc)
     stored = tmp_path / "stored"
     stored.mkdir()
     fd.write_monitors_csv(stored / "monitors.csv", report)
@@ -113,11 +118,12 @@ def _trapezoid(times, values):
 
 
 def test_fold_matches_whole_trajectory_evaluation():
-    # each series evaluated over the whole stored trajectory at once, with
+    # each series evaluated over the whole kept trajectory at once, with
     # the sample order of the quadratures; the fold must agree bit for bit
     doc = _doc("2D")
-    traj, ks, report = _stored_run(doc)
-    grid, times, fields = traj.grid, traj.times, traj.fields
+    traj, grid, ks, samples, report = _kept_run(doc)
+    times, fields = traj.times, [F for _t, F in samples]
+    assert [t for t, _F in samples] == times
     eps = doc["eps"]
     Qs = [reaction.q_field(F, ks, eps) for F in fields]
     i1 = np.arange(1, ks.n + 1, dtype=float)[:, None, None]
@@ -184,7 +190,7 @@ def test_sampler_receives_the_steps_q():
     traj = fd.run_simulation(grid, ks, F0, cfg.stepper, eps=cfg.eps, cadence=3,
                              sample=sample)
     assert seen == traj.times
-    assert traj.fields == []
+    assert set(vars(traj)) == {"times", "state", "terminal"}  # no sampled state
     assert traj.terminal is not None
 
 
