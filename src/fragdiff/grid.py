@@ -27,12 +27,9 @@ _SUM_BLOCK = 8192
 """Cells per block of :func:`_fsum_rows` and of the streamed integrands;
 the split's two scratch arrays then take 128 kB."""
 _FSUM_KEEPS_NEGATIVE_ZERO = copysign(1.0, fsum((-0.0,))) < 0.0
-"""Whether this Python's ``fsum`` of ``-0.0`` alone is ``-0.0`` (on 3.10 and
-3.11 it is ``+0.0``, as for every other row of zeros)."""
-# the split points of _fsum_rows stay in [2**-900, 2**1000]: u * sigma is
-# normal and no sum of the split overflows
-_SUM_SIGMA_MIN = 2.0 ** -900
-_SUM_SIGMA_MAX = 2.0 ** 1000
+"""Whether this Python's ``fsum`` of ``-0.0`` alone is ``-0.0`` (on CPython
+3.6 to 3.13 it is ``+0.0``, as for every other row of zeros)."""
+_SUM_SIGMA_MAX = 2.0 ** 1000  # _exact_sums splits a row only where 2 N mu is at most this
 _CSV_CHUNK_ROWS = 64
 _CSV_COPY_BYTES = 1 << 16
 # Rows per formatting process.  On a 2-core Xeon, in a process that has
@@ -108,7 +105,7 @@ def _exact_sums(blocks, nrows, N, mu):
     ``i + j``.  ``mu[i]``, known before the first block, bounds ``|x|`` on
     row ``i``.
 
-    Each row is split error-free at ``sigma``, a power of two above
+    Each row is split error-free at ``sigma``, the power of two above
     ``2 N mu`` (Rump, Ogita & Oishi 2008, "Accurate floating-point
     summation, Part I", SIAM J. Sci. Comput. 31(1), Lemma 3.2):
     ``q = fl(fl(sigma + x) - sigma)`` is a multiple of ``u sigma``
@@ -119,56 +116,75 @@ def _exact_sums(blocks, nrows, N, mu):
     ``N u sigma``, less than ``2 N**2 u**2 sigma``.  ``c = fl(tau + low)``
     and its exact error ``err`` (TwoSum) put the exact sum within that
     bound of ``c + err``; when the interval lies inside ``c``'s rounding
-    interval, ``c`` is the exactly rounded sum.  A row of zeros
-    (``mu = 0``) sums to ``+0.0``, or to ``fsum``'s zero where every value
-    is ``-0.0``.  Any other row that fails this test (a sum within the
-    bound of a midpoint between two floats, or zero), or whose bound is not
-    finite or too large for the split, is summed with ``fsum`` over a new
-    pass of its blocks (:func:`_row`), the only ``fsum`` of a row.  The
-    split takes two scratch arrays the size of the largest block.
+    interval, ``c`` is the exactly rounded sum.  Else (a sum near a
+    midpoint between two floats, or zero) let ``g`` be the spacing of
+    floats at the row's least nonzero ``|x|``: every ``x`` is a multiple of
+    ``g``, so every ``r`` is one of ``h = min(g, u sigma)``.  If ``N u sigma
+    <= 2**53 g``, every sum of some ``r``s is a multiple of ``h`` of at most
+    ``2**53 h`` (as ``N <= 2**53``), which a float holds: ``low`` is exact,
+    and ``c`` is the exact sum rounded to nearest, ties to even, as ``fsum``
+    rounds.  A row of zeros (``mu = 0``) sums to ``+0.0``, or to ``-0.0``
+    where every value is ``-0.0`` and this Python's ``fsum`` keeps that sign.
+
+    A row whose ``sigma`` would be below ``2**-900`` is scaled up by
+    ``1 / sigma`` and split at ``1`` (a block with no such row is not
+    scaled).  Both scales are exact: rounding commutes with them where the
+    sum is normal, and a subnormal sum is a float.  A row that both tests
+    leave open, or whose ``mu`` is not finite or above ``_SUM_SIGMA_MAX /
+    (2 N)``, is summed with ``fsum`` over a new pass of its blocks
+    (:func:`_row`).  The split takes two scratch arrays of a block's size.
     """
     mu = np.asarray(mu, dtype=float)
     # a row that is not split (inf, nan, too large) may overflow or form
     # inf - inf below; its sums are discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = np.ldexp(1.0, np.frexp(np.maximum(mu * (2.0 * N), _SUM_SIGMA_MIN))[1])
+        e = np.frexp(mu * (2.0 * N))[1]  # 0 where mu is 0, inf or nan
+        shift = np.where(e < -900, -e, 0)  # u sigma and the bound of low stay normal
+        sigma, scaled = np.ldexp(1.0, e + shift), shift.any()
         tau, low = np.zeros((2, nrows))
+        least = np.full(nrows, 2 ** 64 - 1, np.uint64)  # bits of the least |x| > 0, less 1
+        negative = (mu == 0.0) & _FSUM_KEEPS_NEGATIVE_ZERO  # zero rows, until a +0.0
         scratch = np.empty(0)
         for i, x in blocks():
+            rows = slice(i, i + len(x))
+            if _FSUM_KEEPS_NEGATIVE_ZERO:
+                for j in np.flatnonzero(negative[rows]):  # -0.0 has the top bit alone
+                    negative[i + j] = x[j].view(np.uint64).min() == 1 << 63
             if scratch.size < 2 * x.size:
                 scratch = np.empty(2 * x.size)
             q, r = scratch[:2 * x.size].reshape((2,) + x.shape)
-            sig = sigma[i:i + len(x), None]
+            if scaled and shift[rows].any():
+                x = np.ldexp(x, shift[rows, None], out=r)
+            bits = np.abs(x, out=q).view(np.uint64)
+            bits -= 1  # a zero wraps round to the largest value
+            np.minimum(least[rows], bits.min(axis=1), out=least[rows])
+            sig = sigma[rows, None]
             np.add(x, sig, out=q)
             q -= sig
             np.subtract(x, q, out=r)
-            tau[i:i + len(x)] += q.sum(axis=1)
-            low[i:i + len(x)] += r.sum(axis=1)
+            tau[rows] += q.sum(axis=1)
+            low[rows] += r.sum(axis=1)
             x = None  # the next block may be formed while this one is not held
-        q = r = scratch = None  # a new pass below holds no block of this one
+        q = r = bits = scratch = None  # a new pass below holds no block of this one
         c = tau + low
         z = c - tau
         err = (tau - (c - z)) + (low - z)
         a = np.abs(c)
         half_gap = (a - np.nextafter(a, 0.0)) * 0.5  # the smaller of c's two gaps
-        open_rows = ~((mu <= _SUM_SIGMA_MAX / (2.0 * N))
-                      & (half_gap - np.abs(err) > sigma * (2.0 * N * N * 2.0 ** -106)))
-    for i in np.flatnonzero(open_rows):
-        if mu[i] == 0.0:
-            negative = (_FSUM_KEEPS_NEGATIVE_ZERO
-                        and all(np.signbit(x).all() for x in _row(blocks, i)))
-            c[i] = -0.0 if negative else 0.0
-        else:
-            c[i] = fsum(chain.from_iterable(map(memoryview, _row(blocks, i))))
+        g = np.spacing((least + np.uint64(1)).view(float))
+        decided = (mu <= _SUM_SIGMA_MAX / (2.0 * N)) & (
+            (mu == 0.0) | ((N * 2.0 ** -53) * sigma <= 2.0 ** 53 * g)
+            | (half_gap - np.abs(err) > sigma * (2.0 * N * N * 2.0 ** -106)))
+    c = np.ldexp(c, -shift) if scaled else c
+    c[negative] = -0.0
+    for i in np.flatnonzero(~decided):
+        c[i] = fsum(chain.from_iterable(map(memoryview, _row(blocks, i))))
     return c
 
 
 def _row(blocks, i):
-    """Row ``i``'s runs of values, from a new pass of ``blocks()``, or of
-    ``blocks.holding(i)`` where ``blocks`` has it: a pass that holds row
-    ``i`` and may leave out other rows."""
-    holding = getattr(blocks, "holding", None)
-    for i0, x in blocks() if holding is None else holding(i):
+    """Row ``i``'s runs of values, from a new pass of ``blocks()``."""
+    for i0, x in blocks():
         if i0 <= i < i0 + len(x):
             yield x[i - i0]
 

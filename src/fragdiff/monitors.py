@@ -137,7 +137,8 @@ class MonitorAccumulator:
     vectors of it: the species integrals, min and max, and the duality,
     budget and energy integrands, all exactly rounded sums (``math.fsum``'s
     bits) from one exact-sum pass per sample, over rows formed whole
-    (:meth:`_one_block`) or block by block (:meth:`_streamed`).
+    (:meth:`_one_block`) or block by block (:meth:`_streamed`), which reads
+    a row again only where :func:`grid._exact_sums` leaves it to ``fsum``.
     ``report()`` forms the time series and audits the invariants over the
     samples added so far.  ``add`` is a sampler for ``run_simulation``.
 
@@ -253,10 +254,7 @@ class MonitorAccumulator:
         whole species where a species fits a block, else of ``_SUM_BLOCK``
         values of one species.  The bounds come first: the extents of ``F``
         and ``Q``, bounds of ``w v`` and ``v v`` from them, and a pass over
-        the face squares.  A row that the split leaves to ``fsum`` is read
-        again from a pass that forms only what it needs (``blocks.holding``,
-        :func:`grid._row`): a row of ``F`` or ``|Q|`` reads its species
-        alone, and only ``w v`` or ``v v`` repeats the products.
+        the face squares.  A row left to ``fsum`` reads the whole sample again.
         """
         grid, n, B = self.grid, len(F), gridmod._SUM_BLOCK
         flat, qflat = F.reshape(n, -1), Q.reshape(n, -1)
@@ -274,30 +272,21 @@ class MonitorAccumulator:
             [V * W * slack, V * V * slack][:1 + first],
             gridmod._row_maxima(lambda: self._face_rows(F, 0),
                                 grid.dim * len(self.energy_specs))])
-        faces = 2 * n + 1 + first  # the first row of the face squares
         whole = max(1, B // grid.ncells)  # whole rows of a run, where a row fits
 
-        def runs(x, r):  # rows r, r + 1, ... of x, in runs of at most B values or one row
-            return ((r + i, x[i:i + whole, c:c + B])
+        def runs(x):  # rows of x, in runs of at most B values or one row
+            return ((i, x[i:i + whole, c:c + B])
                     for i in range(0, len(x), whole) for c in range(0, grid.ncells, B))
 
-        def magnitudes(q, r):  # |q| of runs(q, r), in one buffer
-            out = np.empty(min(q.size, B))
-            for i, run in runs(q, r):
-                yield i, np.abs(run, out=out[:run.size].reshape(run.shape))
+        def magnitudes():  # |Q| as rows n, n + 1, ..., in one buffer
+            out = np.empty(min(qflat.size, B))
+            for i, run in runs(qflat):
+                yield n + i, np.abs(run, out=out[:run.size].reshape(run.shape))
 
         def blocks():
-            return chain(self._products(F, first), magnitudes(qflat, n), runs(flat, 0),
-                         self._face_rows(F, faces))
+            return chain(self._products(F, first), magnitudes(), runs(flat),
+                         self._face_rows(F, 2 * n + 1 + first))
 
-        def holding(i):
-            if i < n:
-                return runs(flat[i:i + 1], i)
-            if i < 2 * n:
-                return magnitudes(qflat[i - n:i - n + 1], i)
-            return self._products(F, first) if i < faces else self._face_rows(F, faces)
-
-        blocks.holding = holding
         return gridmod._exact_sums(blocks, len(mu), grid.ncells, mu), lo, hi
 
     def _products(self, F, first):

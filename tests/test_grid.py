@@ -176,15 +176,69 @@ def _count_fallbacks(monkeypatch):
 @pytest.mark.parametrize("head", [[1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -80],
                                   [1.0, 2.0 ** -53, -(2.0 ** -80)], [1.0, -1.0]])
 def test_row_sums_at_a_rounding_midpoint_fall_back_to_fsum(monkeypatch, head):
-    # a sum at (or within the bound of) a midpoint between two floats, or
-    # zero, is left to fsum; the other rows are decided by the bound
+    # a sum within the bound of a midpoint between two floats, whose terms
+    # span too many binades for the grid certificate, is left to fsum; the
+    # other rows are decided by the bound.  The zero sum of [1.0, -1.0] is
+    # decided by the certificate
     rows = np.ones((3, 4096))
     rows[1] = 0.0
     rows[1, :len(head)] = head
     calls = _count_fallbacks(monkeypatch)
     got = gridmod._fsum_rows(rows)
     assert [float(v).hex() for v in got] == _fsum_hex(rows)
-    assert len(calls) == 1 and np.array_equal(calls[0], rows[1])
+    if head == [1.0, -1.0]:
+        assert calls == []
+    else:
+        assert len(calls) == 1 and np.array_equal(calls[0], rows[1])
+
+
+def test_a_midpoint_that_a_float_sum_of_low_misses_goes_to_fsum(monkeypatch):
+    # 2 + 2**-52 + 2**-105 rounds up, but the remainders 2**-52, 2**-67 +
+    # 2**-105 and -2**-67 span 53 binades and their float sum drops
+    # 2**-105: the grid certificate must not take this row
+    row = np.array([[2.0 ** -52, 2.0 ** -67 + 2.0 ** -105, 1.0, 1.0, -(2.0 ** -67)]])
+    calls = _count_fallbacks(monkeypatch)
+    assert gridmod._fsum_rows(row)[0] == 2.0 + 2.0 ** -51 == math.fsum(row[0].tolist())
+    assert len(calls) == 1
+
+
+def _decided_rows(N):
+    """Rows that the split decides without fsum: tiny rows, scaled up by a
+    power of two, with normal and with subnormal sums; sums at a rounding
+    midpoint that the grid certificate decides (one ties down, one up);
+    the zero sum of [1.0, -1.0]."""
+    rng = np.random.default_rng(N)
+    rows = np.zeros((9, N))
+    rows[0] = rng.uniform(0.5, 1.0, N) * 2.0 ** -1000  # normal terms and sum
+    rows[1] = rows[0] * rng.choice([-1.0, 1.0], N)
+    rows[2] = rng.uniform(0.0, 1.0, N) * 2.0 ** -1015  # a subnormal spacing
+    rows[3] = rng.integers(0, 2 ** 8, N) * 5e-324  # a subnormal sum
+    rows[4] = rows[3] * rng.choice([-1.0, 1.0], N)
+    rows[5, [0, N // 2]] = [5e-324, 5e-324]  # the two smallest subnormals
+    rows[6, [1, N - 1]] = [1.0, 1.0 + 2.0 ** -52]  # 2 + 2**-52 ties down to 2
+    rows[7, [0, N - 2]] = [1.0 + 2.0 ** -52, 2.0 + 2.0 ** -51]  # ties up
+    rows[8, [2, N - 3]] = [1.0, -1.0]
+    return rows
+
+
+def test_tiny_and_midpoint_rows_are_decided_in_one_pass(monkeypatch):
+    # each row has fsum's bits without a call of fsum, in one block (16 and
+    # 4096 cells) and streamed over blocks cut across it
+    calls = _count_fallbacks(monkeypatch)
+    for N in (16, 4096):
+        rows = _decided_rows(N)
+        got = gridmod._fsum_rows(rows)
+        assert [float(v).hex() for v in got] == _fsum_hex(rows)
+    N = 12000
+    rows = _decided_rows(N)
+    assert math.fsum(rows[3].tolist()) < 2.0 ** -1022 <= math.fsum(rows[2].tolist())
+    mu = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    for bound in (mu, 3.0 * mu):
+        blocks, passes = _runs(rows, [0, 1, 9, 4096, 4097, 8190, 8192, N])
+        got = gridmod._exact_sums(blocks, len(rows), N, bound)
+        assert [float(v).hex() for v in got] == _fsum_hex(rows)
+        assert len(passes) == 1
+    assert calls == []
 
 
 def test_row_sums_with_zeros_and_subnormals():

@@ -1,3 +1,4 @@
+import copy
 import csv
 import math
 
@@ -382,31 +383,26 @@ def test_a_sample_takes_one_exact_sum_pass(monkeypatch, cells):
 
 
 def test_steady_samples_of_the_grid2d_64_run_send_no_row_to_fsum(monkeypatch):
-    # the benchmark's grid2d_64 workload at seed 3 (its initial depth as
-    # perfbench/run.py draws it): every sample after the first is decided
-    # by the split bounds alone
+    # the benchmark's grid2d_64 and ref1d workloads at seed 3 (their
+    # initial depth as perfbench/run.py draws it): every sample, the first
+    # included, is decided by the split without fsum
     import random
 
     doc = fd.reference_scenario_dict()
-    doc["grid"] = {"cells": [64, 64], "lengths": [1.0, 1.0]}
-    doc["stepper"]["t_end"] = 0.05
     doc["ic"]["depth"] = random.Random(3).uniform(0.25, 0.75)
-    cfg = fd.SimConfig.from_dict(doc)
-    g, ks = fd.make_grid(cfg.grid), fd.make_kernel_set(cfg.kernel)
-    F0 = fd.make_initial_condition(cfg.ic, g, cfg.kernel.n)
-    acc = fd.MonitorAccumulator(g, ks, eps=cfg.eps, tail_levels=cfg.monitors.tail_levels,
-                                energy_specs=cfg.monitors.energy_specs)
-    calls = _count_row_fsums(monkeypatch, g)
-    steady = []
-
-    def sample(t, F, Q):
-        acc.add(t, F, Q)
-        if len(acc.times) > 1:
-            steady.append(len(calls))
-
-    run_simulation(g, ks, F0, cfg.stepper, eps=cfg.eps, cadence=cfg.monitors.cadence,
-                   sample=sample)
-    assert len(steady) == 5 and calls == []
+    wide = copy.deepcopy(doc)
+    wide["grid"] = {"cells": [64, 64], "lengths": [1.0, 1.0]}
+    wide["stepper"]["t_end"] = 0.05
+    for doc, samples in ((wide, 6), (doc, 101)):
+        cfg = fd.SimConfig.from_dict(doc)
+        g, ks = fd.make_grid(cfg.grid), fd.make_kernel_set(cfg.kernel)
+        F0 = fd.make_initial_condition(cfg.ic, g, cfg.kernel.n)
+        acc = fd.MonitorAccumulator(g, ks, eps=cfg.eps, tail_levels=cfg.monitors.tail_levels,
+                                    energy_specs=cfg.monitors.energy_specs)
+        calls = _count_row_fsums(monkeypatch, g)
+        run_simulation(g, ks, F0, cfg.stepper, eps=cfg.eps, cadence=cfg.monitors.cadence,
+                       sample=acc.add)
+        assert len(acc.times) == samples and calls == [], g.shape
 
 
 @pytest.mark.parametrize("cells", [(64,), (32, 32)], ids=["one-block", "streamed"])
@@ -427,19 +423,9 @@ def test_a_level_below_every_value_is_decided_without_fsum(monkeypatch, cells):
     assert acc._grads[1] == [float(ks.d[1]) * gradient_sq_by_axis(g, F[1])]
 
 
-def test_a_row_left_to_fsum_reads_only_its_own_values(monkeypatch):
-    # a 1D stack of 256 species on 64 cells, two blocks, whose last 40
-    # species underflow: their rows of F and |Q| are left to fsum, and each
-    # is read again alone.  The products w v and v v, which no open row
-    # needs, are formed once per sample, and every sum has fsum's bits
-    g = make_grid_1d(64)
-    n = 256
-    ks = fd.cheng_redner_uniform(n, 4.0, 0.5)
-    F, Q = _sample_stack(g, n, 46)
-    F[-40:] = np.random.default_rng(47).uniform(0.0, 1.0, size=(40, 64)) * 1e-310
-    Q[-40:] *= 1e-300
-    assert F.size > gridmod._SUM_BLOCK
-    acc = fd.MonitorAccumulator(g, ks, eps=0.01, energy_specs=[(1, 0.5)])
+def _count_passes(monkeypatch):
+    """The ``first`` argument of each ``_products`` pass, and the rows that
+    ``grid._row`` opens."""
     passes, products = [], fd.MonitorAccumulator._products
     opened, row = [], gridmod._row
 
@@ -453,15 +439,51 @@ def test_a_row_left_to_fsum_reads_only_its_own_values(monkeypatch):
 
     monkeypatch.setattr(fd.MonitorAccumulator, "_products", counted_products)
     monkeypatch.setattr(gridmod, "_row", counted_row)
+    return passes, opened
+
+
+def test_underflowing_species_are_decided_in_the_samples_pass(monkeypatch):
+    # a 1D stack of 256 species on 64 cells, two blocks, whose last 40
+    # species underflow: their tiny rows of F and |Q| are scaled up and
+    # decided in the sample's one pass, which forms the products once, and
+    # every sum has fsum's bits
+    g = make_grid_1d(64)
+    n = 256
+    ks = fd.cheng_redner_uniform(n, 4.0, 0.5)
+    F, Q = _sample_stack(g, n, 46)
+    F[-40:] = np.random.default_rng(47).uniform(0.0, 1.0, size=(40, 64)) * 1e-310
+    Q[-40:] *= 1e-300
+    assert F.size > gridmod._SUM_BLOCK
+    acc = fd.MonitorAccumulator(g, ks, eps=0.01, energy_specs=[(1, 0.5)])
+    passes, opened = _count_passes(monkeypatch)
     acc.add(0.0, F, Q)
     acc.add(1.0, F, Q)
-    assert passes == [True, False]
-    assert any(i < n for i in opened) and any(n <= i < 2 * n for i in opened)
+    assert passes == [True, False] and opened == []
     vol = g.cell_volume
     q_ints = np.array([vol * math.fsum(np.abs(q)) for q in Q])
     for ints, per_t in zip(acc._ints, acc._per_t):
         assert [v.hex() for v in ints] == [(vol * math.fsum(f)).hex() for f in F]
         assert per_t.tobytes() == ((1.0 / ks.d) * q_ints).tobytes()
+
+
+def test_zero_rows_keep_fsums_sign_from_the_samples_pass(monkeypatch):
+    # as on a Python whose fsum of -0.0 alone is -0.0: a streamed uniform
+    # sample has the zero row |Q_n| and here the -0.0 row F_4, and the one
+    # pass reads their signs, opening no row
+    monkeypatch.setattr(gridmod, "_FSUM_KEEPS_NEGATIVE_ZERO", True)
+    g = fd.make_grid_2d(32, 32)
+    n = 16
+    ks = fd.power_law_uniform(n, 4.0, 0.5)
+    F, _ = _sample_stack(g, n, 48)
+    F[3] = -0.0
+    Q = fd.q_field(F, ks, 0.01)
+    assert F.size > gridmod._SUM_BLOCK and not Q[-1].any()
+    acc = fd.MonitorAccumulator(g, ks, eps=0.01, energy_specs=[(1, 0.5)])
+    passes, opened = _count_passes(monkeypatch)
+    acc.add(0.0, F, Q)
+    assert passes == [True] and opened == []
+    assert math.copysign(1.0, acc._ints[0][3]) == -1.0
+    assert math.copysign(1.0, acc._per_t[0][-1]) == 1.0
 
 
 @pytest.mark.parametrize("cells", [(128, 128), (256, 256)], ids=["2D", "2D-256"])
