@@ -41,16 +41,24 @@ DIVERGES = "DIVERGES"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 DEFAULT_LEVELS = (50, 100, 200, 400)
-_CR_ROW_BLOCK = 8  # rows of A4 term-1 terms built at once (Cheng-Redner)
+# rows of A4 term-1 terms built at once (Cheng-Redner): at the default
+# largest level, 400, one block of grid._fsum_rows
+_CR_ROW_BLOCK = 20
 
 
 @dataclass(frozen=True)
 class ConditionReport:
     """Verdict for one summability condition.
 
-    ``lower`` is always a computed partial sum (hence a true lower bound);
-    ``upper`` is a certified majorant when the verdict is CONVERGES and
-    ``None`` otherwise.
+    ``lower`` is the lower end of a certified enclosure where a
+    convergent series factorizes into power series (A1 and A4_term2 of a
+    power-law family).  Elsewhere it is the partial sum at the largest
+    truncation level: the exactly rounded sum of terms that are each
+    computed in floating point and carry their own rounding, so it can
+    exceed the true partial sum by a few units in the last place and is
+    not a proven lower bound.  ``upper`` is a majorant when the verdict
+    is CONVERGES (for A4_term1 and kernel tables that partial sum plus a
+    tail bound or a pad) and ``None`` otherwise.
     """
 
     condition: str
@@ -95,9 +103,11 @@ class SummabilityReport:
         }
 
 
-def _partial_power(s, N):
-    """Exact partial sum of i**(-s) over 1..N."""
-    return math.fsum(float(i) ** (-s) for i in range(1, N + 1))
+def _partial_powers(s, levels):
+    """Exact partial sums of i**(-s) over 1..N at each level ``N``, from
+    the powers formed once up to the largest level."""
+    powers = [float(i) ** (-s) for i in range(1, max(levels) + 1)]
+    return [math.fsum(powers[:N]) for N in levels]
 
 
 def _integral_tail(s, N):
@@ -117,7 +127,8 @@ def _log_trend(levels, partials):
 
 
 def _audit_a1_power(lam, levels):
-    partials = [2.0 * _partial_power(lam - 1.0, N) * _partial_power(lam, N) for N in levels]
+    partials = [2.0 * x * y for x, y in zip(_partial_powers(lam - 1.0, levels),
+                                            _partial_powers(lam, levels))]
     trunc = {"levels": list(levels), "partials": partials}
     if lam <= 2.0:
         note = (
@@ -152,7 +163,7 @@ def _audit_a1_table(ks, levels):
 
 def _audit_term2_power(lam, alpha, levels):
     s = 0.5 * (lam + 1.0 - alpha)
-    partials = [_partial_power(s, N) ** 2 for N in levels]
+    partials = [x ** 2 for x in _partial_powers(s, levels)]
     trunc = {"levels": list(levels), "partials": partials}
     if s <= 1.0:
         note = "factor exponent -(lam+1-alpha)/2 = %.4g >= -1: diverges" % (-s)
@@ -221,44 +232,45 @@ def _term1_partials_cr(lam, alpha, levels):
 
     b^i_{jk} is piecewise constant in i (two plateaus plus the monomer
     pass-through spike), so the inner sum reduces to at most three
-    cumulative-power segment differences per pair.  Each row ``j`` of
-    terms is built once, at the largest level, in blocks of
-    ``_CR_ROW_BLOCK`` rows so that memory stays ``O(N)``; a term does not
-    depend on the level (``np.cumsum`` is sequential), so level ``N`` sums
-    the first ``N`` terms of each of the first ``N`` rows, then the row
-    totals.
+    cumulative-power segment differences per pair.  Off the monomer row
+    and column, ``P`` is nondecreasing and the plateau ``c_k = 2/(k-1)``
+    decreasing, so ``P[min(j, k) - 1] = min(P[j-1], P[k-1])``, ``P[max(j,
+    k) - 1] = max(P[j-1], P[k-1])`` and ``sqrt(c_max(j, k)) = min(sqrt
+    c_j, sqrt c_k)`` hold exactly: a block of ``_CR_ROW_BLOCK`` rows is
+    formed from broadcast vectors, once, at the largest level, and memory
+    stays ``O(N)``.  A term does not depend on the level (``np.cumsum`` is
+    sequential), so level ``N`` is the ``fsum`` of the first ``N`` rows'
+    sums of their first ``N`` terms, each with ``fsum``'s bits
+    (:func:`grid._fsum_rows`).
     """
     N = max(levels)
-    P = _cum_power(alpha, 2 * N - 1)
-    totals = [[] for _ in levels]
-    kv = np.arange(1, N + 1)
-    kf = kv.astype(float)
+    P = _cum_power(alpha, N - 1)
+    kf = np.arange(1.0, N + 1)
     base = kf ** (-0.5 * (lam + 1.0))
-    c = np.where(kv > 1, 2.0 / np.maximum(kf - 1.0, 1.0), 0.0)  # plateau 2/(k-1)
+    c = 2.0 / np.maximum(kf - 1.0, 1.0)  # plateau 2/(k-1)
+    c[0] = 0.0
+    sqrt_c = np.sqrt(c)
     # a monomer collider: one plateau, plus the pass-through monomer at i = 1
-    edge = np.sqrt(c + 1.0) + np.sqrt(c) * (P[kv - 1] - P[1])
-    for first in range(1, N + 1, _CR_ROW_BLOCK):
-        js = range(first, min(first + _CR_ROW_BLOCK, N + 1))
-        j = np.array(js)[:, None]
-        # scalar pow per row: numpy's vectorized pow need not round like libm's
-        jcol = np.array([float(jj) ** (-0.5 * lam) * float(jj) ** (0.5 * (alpha - 1.0))
-                         for jj in js])
-        cj = c[j - 1]
-        m1 = np.minimum(j, kv)
-        m2 = np.maximum(j, kv)
-        chigh = np.where(kv > j, c, cj)
-        inner = np.sqrt(cj + c) * P[m1 - 1] + np.sqrt(chigh) * (P[m2 - 1] - P[m1 - 1])
-        inner[:, 0] = edge[j[:, 0] - 1]
-        if first == 1:
-            inner[0] = edge
-            inner[0, 0] = math.sqrt(2.0)  # both monomers re-emitted
-        # fsum reads each row prefix straight from the float buffer
-        rows = (jcol[:, None] * base * inner).reshape(-1).data
-        for r, jj in enumerate(js):
-            for total, level in zip(totals, levels):
-                if jj <= level:
-                    total.append(math.fsum(rows[r * N:r * N + level]))
-    return [math.fsum(total) for total in totals]
+    edge = np.sqrt(c + 1.0) + sqrt_c * (P - P[1])
+    # scalar pow per row: numpy's vectorized pow need not round like libm's
+    jcol = np.array([float(j) ** (-0.5 * lam) * float(j) ** (0.5 * (alpha - 1.0))
+                     for j in range(1, N + 1)])
+    sums = [[] for _ in levels]
+    for first in range(0, N, _CR_ROW_BLOCK):
+        rows = slice(first, first + _CR_ROW_BLOCK)
+        Pj = P[rows, None]
+        low = np.minimum(Pj, P)
+        terms = np.sqrt(c[rows, None] + c) * low
+        terms += np.minimum(sqrt_c[rows, None], sqrt_c) * (np.maximum(Pj, P) - low)
+        terms[:, 0] = edge[rows]
+        if first == 0:
+            terms[0] = edge
+            terms[0, 0] = math.sqrt(2.0)  # both monomers re-emitted
+        terms *= jcol[rows, None] * base
+        for total, level in zip(sums, levels):
+            if first < level:
+                total.extend(gridmod._fsum_rows(terms[:level - first, :level]).tolist())
+    return [math.fsum(total) for total in sums]
 
 
 def _audit_term1_power(ks, levels):

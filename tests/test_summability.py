@@ -9,6 +9,7 @@ import fragdiff as fd
 from fragdiff.errors import DomainError
 from fragdiff.summability import (
     CONVERGES,
+    DEFAULT_LEVELS,
     DIVERGES,
     INCONCLUSIVE,
     _cum_power,
@@ -95,6 +96,23 @@ class TestSeriesVerdicts:
         rep = audit_summability(ks, truncation_levels=(10, 20))
         assert all(c.truncation["levels"] == [10, 20] for c in rep.conditions)
 
+    @pytest.mark.parametrize("lam, alpha", [(4.0, 0.5), (2.0, 1.0), (5.0, 0.0), (3.3, 0.7)])
+    def test_power_partials_are_per_level_fsums(self, lam, alpha):
+        # the powers are formed once, up to the largest level; each partial
+        # keeps the bits of an fsum formed afresh at its own level
+        def partial(s, N):
+            return math.fsum(float(i) ** (-s) for i in range(1, N + 1))
+
+        levels = (2, 7, 50, 100, 400)
+        rep = audit_summability(fd.power_law_uniform(8, lam, alpha, profile="stronger"),
+                                truncation_levels=levels)
+        s = 0.5 * (lam + 1.0 - alpha)
+        want = {"A1": [2.0 * partial(lam - 1.0, N) * partial(lam, N) for N in levels],
+                "A4_term2": [partial(s, N) ** 2 for N in levels]}
+        for name, partials in want.items():
+            got = _by_name(rep, name).truncation["partials"]
+            assert [p.hex() for p in got] == [p.hex() for p in partials], name
+
 
 def _term1_naive(lam, alpha, N, count):
     """Triple loop straight from the definitions; deliberately unoptimized."""
@@ -158,13 +176,64 @@ def test_uniform_audit_holds_no_term_list():
 
 def test_term1_partial_cr_matches_naive():
     # every level is summed from the terms built once at the largest one;
-    # a level above 32 spans two blocks of rows
+    # levels 30 and 33 take rows from more than one block
     for lam, alpha, levels in [(4.0, 0.0, [7, 30]), (4.0, 0.5, [7, 30, 33]),
                                (5.0, 1.0, [7, 30])]:
         fast = _term1_partials_cr(lam, alpha, levels)
         for N, got in zip(levels, fast):
             slow = _term1_naive(lam, alpha, N, fd.cheng_redner_uniform(N, lam, alpha).b)
             assert got == pytest.approx(slow, rel=1e-13), (lam, alpha, N)
+
+
+def test_term1_partials_cr_are_fsums_of_row_fsums():
+    # each level's partial sum has the bits of fsum over the rows' fsums of
+    # their first `level` terms; each term is formed as Python floats from
+    # the same powers, in the order of the reduced inner sum:
+    # sqrt(c_j + c_k) P[min - 1] + sqrt(c_max) (P[max - 1] - P[min - 1]),
+    # with the monomer rows and columns replaced by their edge values
+    levels = [2, 7, 20, 21, 33, 65]  # across row blocks of 8 and of 20
+    N = max(levels)
+    for lam, alpha in [(4.0, 0.5), (4.0, 0.0), (5.0, 1.0), (3.5, 0.95)]:
+        P = [float(p) for p in _cum_power(alpha, 2 * N - 1)]
+        base = [float(b) for b in np.arange(1.0, N + 1) ** (-0.5 * (lam + 1.0))]
+        c = [0.0] + [2.0 / (k - 1) for k in range(2, N + 1)]
+
+        def edge(k):
+            return math.sqrt(c[k - 1] + 1.0) + math.sqrt(c[k - 1]) * (P[k - 1] - P[1])
+
+        def inner(j, k):
+            if j == k == 1:
+                return math.sqrt(2.0)
+            if j == 1 or k == 1:
+                return edge(max(j, k))
+            lo, hi = min(j, k), max(j, k)
+            return (math.sqrt(c[j - 1] + c[k - 1]) * P[lo - 1]
+                    + math.sqrt(c[hi - 1]) * (P[hi - 1] - P[lo - 1]))
+
+        rows = []
+        for j in range(1, N + 1):
+            jcol = float(j) ** (-0.5 * lam) * float(j) ** (0.5 * (alpha - 1.0))
+            rows.append([jcol * base[k - 1] * inner(j, k) for k in range(1, N + 1)])
+        got = _term1_partials_cr(lam, alpha, levels)
+        for level, partial in zip(levels, got):
+            want = math.fsum(math.fsum(row[:level]) for row in rows[:level])
+            assert type(partial) is float
+            assert partial.hex() == want.hex(), (lam, alpha, level)
+
+
+def test_cr_term1_holds_no_term_table():
+    # the 400x400 term table would take 1.28 MB
+    import tracemalloc
+
+    _term1_partials_cr(5.0, 0.5, DEFAULT_LEVELS)
+    tracemalloc.start()
+    try:
+        _term1_partials_cr(5.0, 0.5, DEFAULT_LEVELS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(DEFAULT_LEVELS) == 400
+    assert peak < 1e6, peak
 
 
 def test_cr_term1_certifies_alpha_zero():
