@@ -159,13 +159,22 @@ def cmd_simulate(args):
 
 
 def cmd_audit(args):
-    cfg = cfgmod.load_config(args.config)
+    doc, code = _audit(cfgmod.load_config(args.config))
+    if not args.quiet:
+        print(monmod.json_text(doc))
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "audit.json", doc)
+    return code
+
+
+def _audit(cfg):
+    """The audit document of ``cfg`` and its exit code."""
     try:
         ks = cfgmod.make_kernel_set(cfg.kernel)
     except DivergentSeriesError as exc:
-        doc = {"error": str(exc), "verdict": DIVERGES}
-        print(monmod.json_text(doc))
-        return EXIT_INVARIANT
+        return {"error": str(exc), "verdict": DIVERGES}, EXIT_INVARIANT
 
     vr = validate_kernel_set(ks)
     rep = audit_summability(ks, profile=cfg.kernel.profile)
@@ -183,19 +192,12 @@ def cmd_audit(args):
         },
         "initial_data": adm.to_json_dict(),
     }
-    if not args.quiet:
-        print(monmod.json_text(doc))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "audit.json", doc)
-
     verdicts = [c.verdict for c in rep.conditions]
     if not vr.ok or DIVERGES in verdicts or adm.judgment == "infinite":
-        return EXIT_INVARIANT
+        return doc, EXIT_INVARIANT
     if INCONCLUSIVE in verdicts or adm.judgment == "unclear":
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+        return doc, EXIT_INCONCLUSIVE
+    return doc, EXIT_OK
 
 
 # -- sweep -----------------------------------------------------------------

@@ -28,7 +28,8 @@ _SUM_BLOCK = 8192
 the split's two scratch arrays then take 128 kB."""
 _FSUM_KEEPS_NEGATIVE_ZERO = copysign(1.0, fsum((-0.0,))) < 0.0
 """Whether this Python's ``fsum`` of ``-0.0`` alone is ``-0.0`` (on CPython
-3.6 to 3.13 it is ``+0.0``, as for every other row of zeros)."""
+3.6 to 3.13 it is ``+0.0``, as for every other row of zeros); where it is,
+:func:`_exact_sums` leaves each row of zeros to ``fsum``."""
 _SUM_SIGMA_MAX = 2.0 ** 1000  # _exact_sums splits a row only where 2 N mu is at most this
 _CSV_CHUNK_ROWS = 64
 _CSV_COPY_BYTES = 1 << 16
@@ -96,17 +97,18 @@ def make_grid_2d(mx, my, lx=1.0, ly=1.0):
     return GridSpec(shape=(mx, my), lengths=(float(lx), float(ly)))
 
 
-def _exact_sums(blocks, nrows, N, mu):
+def _exact_sums(blocks, nrows, N):
     """The exactly rounded sums, with ``math.fsum``'s bits, of ``nrows``
     rows of at most ``N`` floats each, fed block by block.
 
     Each call of ``blocks()`` yields every row's values again, in order, as
     pairs ``(i, x)``: row ``j`` of the 2D block ``x`` continues row
-    ``i + j``.  ``mu[i]``, known before the first block, bounds ``|x|`` on
-    row ``i``.
+    ``i + j``.  A first pass reads, from the bits of each ``|x|``, each
+    row's largest ``|x|``, ``mu``, and its least nonzero one (a NaN's bits
+    lie above inf's, so a row with a NaN has ``mu`` NaN).
 
-    Each row is split error-free at ``sigma``, the power of two above
-    ``2 N mu`` (Rump, Ogita & Oishi 2008, "Accurate floating-point
+    A second pass splits each row error-free at ``sigma``, the power of two
+    above ``2 N mu`` (Rump, Ogita & Oishi 2008, "Accurate floating-point
     summation, Part I", SIAM J. Sci. Comput. 31(1), Lemma 3.2):
     ``q = fl(fl(sigma + x) - sigma)`` is a multiple of ``u sigma``
     (``u = 2**-53``) and ``r = x - q`` is exact with ``|r| <= u sigma``.
@@ -123,18 +125,31 @@ def _exact_sums(blocks, nrows, N, mu):
     <= 2**53 g``, every sum of some ``r``s is a multiple of ``h`` of at most
     ``2**53 h`` (as ``N <= 2**53``), which a float holds: ``low`` is exact,
     and ``c`` is the exact sum rounded to nearest, ties to even, as ``fsum``
-    rounds.  A row of zeros (``mu = 0``) sums to ``+0.0``, or to ``-0.0``
-    where every value is ``-0.0`` and this Python's ``fsum`` keeps that sign.
+    rounds.  A row of zeros (``mu = 0``) sums to ``+0.0``; where this
+    Python's ``fsum`` keeps the sign of ``-0.0`` it is left to ``fsum``.
 
     A row whose ``sigma`` would be below ``2**-900`` is scaled up by
     ``1 / sigma`` and split at ``1`` (a block with no such row is not
-    scaled).  Both scales are exact: rounding commutes with them where the
-    sum is normal, and a subnormal sum is a float.  A row that both tests
-    leave open, or whose ``mu`` is not finite or above ``_SUM_SIGMA_MAX /
-    (2 N)``, is summed with ``fsum`` over a new pass of its blocks
-    (:func:`_row`).  The split takes two scratch arrays of a block's size.
+    scaled); its ``g`` is scaled with it.  Both scales are exact: rounding
+    commutes with them where the sum is normal, and a subnormal sum is a
+    float.  A row that both tests leave open, or whose ``mu`` is not
+    finite or above ``_SUM_SIGMA_MAX / (2 N)``, is summed with ``fsum`` over
+    a new pass of its blocks (:func:`_row`).  The passes take two scratch
+    arrays of a block's size.
     """
-    mu = np.asarray(mu, dtype=float)
+    top = np.zeros(nrows, np.uint64)  # bits of the largest |x|
+    least = np.full(nrows, 2 ** 64 - 1, np.uint64)  # bits of the least |x| > 0, less 1
+    scratch = np.empty(0)
+    for i, x in blocks():
+        rows = slice(i, i + len(x))
+        if scratch.size < 2 * x.size:
+            scratch = np.empty(2 * x.size)
+        bits = np.abs(x, out=scratch[:x.size].reshape(x.shape)).view(np.uint64)
+        np.maximum(top[rows], bits.max(axis=1), out=top[rows])
+        bits -= 1  # a zero wraps round to the largest value
+        np.minimum(least[rows], bits.min(axis=1), out=least[rows])
+        x = bits = None  # the next block may be formed while this one is not held
+    mu = top.view(float)
     # a row that is not split (inf, nan, too large) may overflow or form
     # inf - inf below; its sums are discarded
     with np.errstate(over="ignore", invalid="ignore"):
@@ -142,41 +157,32 @@ def _exact_sums(blocks, nrows, N, mu):
         shift = np.where(e < -900, -e, 0)  # u sigma and the bound of low stay normal
         sigma, scaled = np.ldexp(1.0, e + shift), shift.any()
         tau, low = np.zeros((2, nrows))
-        least = np.full(nrows, 2 ** 64 - 1, np.uint64)  # bits of the least |x| > 0, less 1
-        negative = (mu == 0.0) & _FSUM_KEEPS_NEGATIVE_ZERO  # zero rows, until a +0.0
-        scratch = np.empty(0)
         for i, x in blocks():
             rows = slice(i, i + len(x))
-            if _FSUM_KEEPS_NEGATIVE_ZERO:
-                for j in np.flatnonzero(negative[rows]):  # -0.0 has the top bit alone
-                    negative[i + j] = x[j].view(np.uint64).min() == 1 << 63
             if scratch.size < 2 * x.size:
                 scratch = np.empty(2 * x.size)
             q, r = scratch[:2 * x.size].reshape((2,) + x.shape)
             if scaled and shift[rows].any():
                 x = np.ldexp(x, shift[rows, None], out=r)
-            bits = np.abs(x, out=q).view(np.uint64)
-            bits -= 1  # a zero wraps round to the largest value
-            np.minimum(least[rows], bits.min(axis=1), out=least[rows])
             sig = sigma[rows, None]
             np.add(x, sig, out=q)
             q -= sig
             np.subtract(x, q, out=r)
             tau[rows] += q.sum(axis=1)
             low[rows] += r.sum(axis=1)
-            x = None  # the next block may be formed while this one is not held
-        q = r = bits = scratch = None  # a new pass below holds no block of this one
+            x = None
+        q = r = scratch = None  # a new pass below holds no block of this one
         c = tau + low
         z = c - tau
         err = (tau - (c - z)) + (low - z)
         a = np.abs(c)
         half_gap = (a - np.nextafter(a, 0.0)) * 0.5  # the smaller of c's two gaps
-        g = np.spacing((least + np.uint64(1)).view(float))
+        g = np.ldexp(np.spacing((least + np.uint64(1)).view(float)), shift)
         decided = (mu <= _SUM_SIGMA_MAX / (2.0 * N)) & (
-            (mu == 0.0) | ((N * 2.0 ** -53) * sigma <= 2.0 ** 53 * g)
+            ((mu == 0.0) & (not _FSUM_KEEPS_NEGATIVE_ZERO))
+            | ((N * 2.0 ** -53) * sigma <= 2.0 ** 53 * g)
             | (half_gap - np.abs(err) > sigma * (2.0 * N * N * 2.0 ** -106)))
     c = np.ldexp(c, -shift) if scaled else c
-    c[negative] = -0.0
     for i in np.flatnonzero(~decided):
         c[i] = fsum(chain.from_iterable(map(memoryview, _row(blocks, i))))
     return c
@@ -189,17 +195,14 @@ def _row(blocks, i):
             yield x[i - i0]
 
 
-def _fsum_rows(rows, mu=None):
+def _fsum_rows(rows):
     """``math.fsum`` of each row of the 2D float array ``rows``, by
     :func:`_exact_sums`: the exactly rounded sums, with ``fsum``'s bits,
     without a Python step per float.
 
-    ``mu`` is each row's largest absolute value, when the caller has it.
-    The rows go through the split in blocks of ``_SUM_BLOCK`` cells.
+    The rows go through both passes in blocks of ``_SUM_BLOCK`` cells.
     """
     nrows, N = rows.shape
-    if mu is None:
-        mu = np.maximum(rows.max(axis=1), -rows.min(axis=1))
     width = min(N, _SUM_BLOCK)
     step = max(1, _SUM_BLOCK // N)
 
@@ -208,7 +211,7 @@ def _fsum_rows(rows, mu=None):
             for c0 in range(0, N, width):
                 yield r0, rows[r0:r0 + step, c0:c0 + width]
 
-    return _exact_sums(blocks, nrows, N, mu)
+    return _exact_sums(blocks, nrows, N)
 
 
 def integrate(grid, u):
@@ -241,8 +244,7 @@ def gradient_sq_integral(grid, u, level=None):
     The squared differences (and the level mask) are formed one block of
     whole rows of the grid at a time, about ``_SUM_BLOCK`` cells
     (:func:`_face_squares`), and each axis' sum is exactly rounded
-    (:func:`_exact_sums`), split at the largest square, which a first pass
-    over the blocks finds.
+    (:func:`_exact_sums`, which forms the squares again for each pass).
     """
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
@@ -251,17 +253,7 @@ def gradient_sq_integral(grid, u, level=None):
     def blocks():
         return _face_squares(grid, u, level)
 
-    return _gradient_total(grid, _exact_sums(blocks, grid.dim, grid.ncells,
-                                             _row_maxima(blocks, grid.dim)))
-
-
-def _row_maxima(blocks, nrows):
-    """Each row's largest value, at least ``0.0`` (a NaN stays), from one
-    pass of ``blocks()``: the bounds of rows of nonnegative values."""
-    mu = np.zeros(nrows)
-    for i, x in blocks():
-        mu[i:i + len(x)] = np.maximum(mu[i:i + len(x)], x.max(axis=1))
-    return mu
+    return _gradient_total(grid, _exact_sums(blocks, grid.dim, grid.ncells))
 
 
 def _face_squares(grid, u, level):

@@ -136,9 +136,11 @@ class MonitorAccumulator:
     ``Q = q_field(F, ks, eps)`` and keeps only scalars and per-species
     vectors of it: the species integrals, min and max, and the duality,
     budget and energy integrands, all exactly rounded sums (``math.fsum``'s
-    bits) from one exact-sum pass per sample, over rows formed whole
-    (:meth:`_one_block`) or block by block (:meth:`_streamed`), which reads
-    a row again only where :func:`grid._exact_sums` leaves it to ``fsum``.
+    bits) from one exact sum per sample, over rows formed whole
+    (:meth:`_one_block`) or block by block (:meth:`_streamed`).
+    :func:`grid._exact_sums` reads its rows' bounds in a first pass, splits
+    them in a second, and reads a row again only where it leaves the row to
+    ``fsum``.
     ``report()`` forms the time series and audits the invariants over the
     samples added so far.  ``add`` is a sampler for ``run_simulation``.
 
@@ -221,8 +223,8 @@ class MonitorAccumulator:
             r += self.grid.dim
 
     def _one_block(self, F, Q, first):
-        """The exact sums of a sample, and each species' minimum and
-        maximum, from one exact-sum pass (:func:`grid._fsum_rows`).
+        """The exact sums of a sample (:func:`grid._fsum_rows` of one
+        table), and each species' minimum and maximum.
 
         Its rows are the species of ``F``, of ``|Q|``, ``w * v`` and, when
         ``first``, ``v * v``, with ``v = sum_i i f_i`` and ``w = sum_i i d_i
@@ -241,37 +243,23 @@ class MonitorAccumulator:
             np.multiply(v, v, out=rows[2 * n + 1])
         for r, sq in self._face_rows(F, 2 * n + 1 + first):
             rows[r, :sq.size] = sq[0]
-        top, bottom = rows.max(axis=1), rows.min(axis=1)
-        return gridmod._fsum_rows(rows, mu=np.maximum(top, -bottom)), bottom[:n], top[:n]
+        return gridmod._fsum_rows(rows), rows[:n].min(axis=1), rows[:n].max(axis=1)
 
     def _streamed(self, F, Q, first):
         """:meth:`_one_block`'s sums and extremes for a stack larger than a
         block, from one :func:`grid._exact_sums` over blocks of about
-        ``_SUM_BLOCK`` values, forming no single-species field.
+        ``_SUM_BLOCK`` values, forming no single-species field; each of its
+        passes forms the blocks again.
 
         :meth:`_products` come first, then ``|Q|`` in one buffer, then views
         of ``F``, then the face squares.  ``F`` and ``|Q|`` go in runs of
         whole species where a species fits a block, else of ``_SUM_BLOCK``
-        values of one species.  The bounds come first: the extents of ``F``
-        and ``Q``, bounds of ``w v`` and ``v v`` from them, and a pass over
-        the face squares.  A row left to ``fsum`` reads the whole sample again.
+        values of one species.  A row left to ``fsum`` reads the whole
+        sample again.
         """
         grid, n, B = self.grid, len(F), gridmod._SUM_BLOCK
         flat, qflat = F.reshape(n, -1), Q.reshape(n, -1)
         lo, hi = flat.min(axis=1), flat.max(axis=1)
-        extent = np.maximum(hi, -lo)
-        # V and W, the exactly rounded sums of i * extent_i and of
-        # i * d_i * extent_i, bound |v| and |w| up to n + 1 roundings each;
-        # the slack covers the 2 n + 6 roundings of a product's bound for
-        # fewer than 2**21 species
-        V = math.fsum((self._wi.ravel() * extent).data)
-        W = math.fsum((self._wid.ravel() * extent).data)
-        slack = 1.0 + 2.0 ** -30
-        mu = np.concatenate([
-            extent, np.maximum(qflat.max(axis=1), -qflat.min(axis=1)),
-            [V * W * slack, V * V * slack][:1 + first],
-            gridmod._row_maxima(lambda: self._face_rows(F, 0),
-                                grid.dim * len(self.energy_specs))])
         whole = max(1, B // grid.ncells)  # whole rows of a run, where a row fits
 
         def runs(x):  # rows of x, in runs of at most B values or one row
@@ -287,7 +275,8 @@ class MonitorAccumulator:
             return chain(self._products(F, first), magnitudes(), runs(flat),
                          self._face_rows(F, 2 * n + 1 + first))
 
-        return gridmod._exact_sums(blocks, len(mu), grid.ncells, mu), lo, hi
+        nrows = 2 * n + 1 + first + grid.dim * len(self.energy_specs)
+        return gridmod._exact_sums(blocks, nrows, grid.ncells), lo, hi
 
     def _products(self, F, first):
         """Yield the rows ``w v`` (``2 n``) and, when ``first``, ``v v``

@@ -24,6 +24,10 @@ family's closed form in exact rational arithmetic, one pair at a time.
 ``gradient_sq_by_axis`` is ``fragdiff.gradient_sq_integral`` from whole
 arrays: ``np.diff`` per axis and ``fsum`` of each axis' float list, which
 the streamed blocks must match bit for bit.
+
+``fsum_keeping_negative_zero`` is ``math.fsum`` as on a Python whose sum
+of ``-0.0`` alone is ``-0.0``: the IEEE sum of values that are all
+``-0.0``.
 """
 
 import math
@@ -190,3 +194,10 @@ def gradient_sq_by_axis(grid, u, mask=None):
                 w *= oh
         terms.append(w * fsum(sq.ravel().tolist()))
     return fsum(terms)
+
+
+def fsum_keeping_negative_zero(values):
+    values = list(values)
+    if values and all(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values):
+        return -0.0
+    return fsum(values)

@@ -622,6 +622,19 @@ class TestAuditCommand:
         rc = cli.main(["audit", "--config", cfg_path, "--quiet"])
         assert rc == 1
 
+    def test_divergent_kernel_writes_its_document_quietly(self, tmp_path, capsys):
+        # lam = 1 makes sum i**-s diverge before any kernel is built: the
+        # document goes through --quiet and --out as any other audit's
+        cfg_path = write_cfg(tmp_path, small_doc(kernel={"lam": 1.0}))
+        out = tmp_path / "audit_lam1"
+        with pytest.warns(UserWarning, match="below the assumption-family threshold"):
+            rc = cli.main(["audit", "--config", cfg_path, "--out", str(out), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+        doc = json.loads((out / "audit.json").read_text())
+        assert doc["verdict"] == "DIVERGES"
+        assert doc["error"].startswith("sum i**-s diverges"), doc["error"]
+
     def test_inconclusive(self, tmp_path):
         cfg_path = write_cfg(tmp_path, self._doc(4.0, 1.0))
         out = tmp_path / "audit4"

@@ -19,6 +19,7 @@ from fragdiff.grid import (
     write_species_csv,
 )
 from oracles import (
+    fsum_keeping_negative_zero,
     gradient_sq_by_axis,
     laplacian_neumann,
     spectral_heat_solve_1d,
@@ -221,9 +222,10 @@ def _decided_rows(N):
     return rows
 
 
-def test_tiny_and_midpoint_rows_are_decided_in_one_pass(monkeypatch):
+def test_tiny_and_midpoint_rows_are_decided_without_fsum(monkeypatch):
     # each row has fsum's bits without a call of fsum, in one block (16 and
-    # 4096 cells) and streamed over blocks cut across it
+    # 4096 cells) and streamed over blocks cut across it, in two passes:
+    # the scan for the bounds, then the split
     calls = _count_fallbacks(monkeypatch)
     for N in (16, 4096):
         rows = _decided_rows(N)
@@ -232,12 +234,10 @@ def test_tiny_and_midpoint_rows_are_decided_in_one_pass(monkeypatch):
     N = 12000
     rows = _decided_rows(N)
     assert math.fsum(rows[3].tolist()) < 2.0 ** -1022 <= math.fsum(rows[2].tolist())
-    mu = np.maximum(rows.max(axis=1), -rows.min(axis=1))
-    for bound in (mu, 3.0 * mu):
-        blocks, passes = _runs(rows, [0, 1, 9, 4096, 4097, 8190, 8192, N])
-        got = gridmod._exact_sums(blocks, len(rows), N, bound)
-        assert [float(v).hex() for v in got] == _fsum_hex(rows)
-        assert len(passes) == 1
+    blocks, passes = _runs(rows, [0, 1, 9, 4096, 4097, 8190, 8192, N])
+    got = gridmod._exact_sums(blocks, len(rows), N)
+    assert [float(v).hex() for v in got] == _fsum_hex(rows)
+    assert len(passes) == 2
     assert calls == []
 
 
@@ -283,23 +283,39 @@ def _zero_rows(N):
 
 
 def test_zero_rows_are_decided_without_fsum(monkeypatch):
-    # the split decides a row of zeros without fsum, on a table of 16
-    # cells as of 4096: +0.0, or fsum's sum of -0.0 alone where every
-    # value is -0.0 (+0.0 on Python 3.10 and 3.11)
+    # where fsum of -0.0 alone is +0.0 (CPython 3.6 to 3.13), the split
+    # decides a row of zeros as +0.0 without fsum, on a table of 16 cells
+    # as of 4096
+    monkeypatch.setattr(gridmod, "_FSUM_KEEPS_NEGATIVE_ZERO", False)
     calls = _count_fallbacks(monkeypatch)
     for N in (16, 4096):
         for rows in (_zero_rows(N), np.abs(_zero_rows(N))):
             got = gridmod._fsum_rows(rows)
             assert [float(v).hex() for v in got] == _fsum_hex(rows)
-    for keeps_negative_zero in (gridmod._FSUM_KEEPS_NEGATIVE_ZERO, True):
-        # True: as on a Python whose fsum of -0.0 alone is -0.0
-        monkeypatch.setattr(gridmod, "_FSUM_KEEPS_NEGATIVE_ZERO", keeps_negative_zero)
-        for negative, rows in ((keeps_negative_zero, _zero_rows(4096)),
-                               (False, np.abs(_zero_rows(4096)))):
-            got = gridmod._fsum_rows(rows)
-            want = [0.0, -0.0 if negative else 0.0, 0.0, 0.0]
-            assert [float(v).hex() for v in got] == [v.hex() for v in want]
     assert not calls
+
+
+def test_zero_rows_go_to_fsum_where_it_keeps_negative_zero(monkeypatch):
+    # as on a Python whose fsum of -0.0 alone is -0.0: each row of zeros is
+    # left to fsum, which gives that -0.0; the other rows are still decided
+    # by the split
+    calls = []
+
+    def counted(values):
+        values = list(values)
+        calls.append(np.array(values))
+        return fsum_keeping_negative_zero(values)
+
+    monkeypatch.setattr(gridmod, "_FSUM_KEEPS_NEGATIVE_ZERO", True)
+    monkeypatch.setattr(gridmod, "fsum", counted)
+    for N in (16, 4096):
+        for negative, rows in ((True, _zero_rows(N)), (False, np.abs(_zero_rows(N)))):
+            rows = np.vstack([rows, np.ones(N)])
+            calls.clear()
+            got = gridmod._fsum_rows(rows)
+            want = [0.0, -0.0 if negative else 0.0, 0.0, 0.0, float(N)]
+            assert [float(v).hex() for v in got] == [v.hex() for v in want]
+            assert len(calls) == 4 and all(np.array_equal(c, r) for c, r in zip(calls, rows))
 
 
 def _runs(rows, cuts):
@@ -333,17 +349,75 @@ def test_streamed_sums_have_the_bits_of_fsum_across_blocks(monkeypatch):
     rows[5, [4095, 8191]] = [1.0, 2.0 ** -53]  # a midpoint, one value per block
     rows[6] = rng.standard_normal(N)
     cuts = [0, 1, 9, 4096, 4097, 8190, 8192, N]
-    mu = np.maximum(rows.max(axis=1), -rows.min(axis=1))
     calls = _count_fallbacks(monkeypatch)
     for table in (rows, np.abs(rows)):
-        for bound in (mu, 3.0 * mu):  # a loose bound gives the same bits
-            calls.clear()
-            blocks, passes = _runs(table, cuts)
-            got = gridmod._exact_sums(blocks, len(table), N, bound)
-            assert [float(v).hex() for v in got] == _fsum_hex(table)
-            # the midpoint is read again from new passes of the blocks
-            assert len(calls) == len(passes) - 1 >= 1
-            assert any(np.array_equal(c, rows[5]) for c in calls)
+        calls.clear()
+        blocks, passes = _runs(table, cuts)
+        got = gridmod._exact_sums(blocks, len(table), N)
+        assert [float(v).hex() for v in got] == _fsum_hex(table)
+        # after the scan and the split, the midpoint is read again from new
+        # passes of the blocks
+        assert len(calls) == len(passes) - 2 >= 1
+        assert any(np.array_equal(c, rows[5]) for c in calls)
+
+
+def _random_row(rng, kind, N):
+    """A row of 1 to ``N`` floats of the named kind, for the seeded check
+    of ``_exact_sums`` against ``fsum``; a NaN or an inf lies in the row's
+    second half."""
+    n = int(rng.integers(1, N + 1))
+    top = int(rng.integers(-1074, 1000))
+    width = int(rng.choice([0, 8, 60, 200, 2100]))
+
+    def terms(k):  # of magnitudes from 2**(top - width - 1) to 2**top
+        return np.ldexp(rng.uniform(0.5, 1.0, k), rng.integers(top - width, top + 1, k))
+
+    if kind in ("signed", "nonnegative", "nonfinite"):
+        x = terms(n)
+        if kind != "nonnegative":
+            x *= rng.choice([-1.0, 1.0], n)
+        if kind == "nonfinite":
+            x = np.append(x, [np.nan, np.inf, -np.inf][rng.integers(3)])[-n - 1:]
+            x[len(x) // 2:] = rng.permutation(x[len(x) // 2:])
+        return x
+    if kind == "subnormal":
+        return rng.integers(int(rng.choice([-2 ** 20, 0])), 2 ** 20, n) * 5e-324
+    if kind == "zero":
+        return rng.choice([0.0, -0.0], n) if rng.integers(2) else np.full(n, -0.0)
+    # pairs +-t that add nothing, alone or with a sum a + half an ulp of a
+    # at a rounding midpoint, or a tiny term to either side of it
+    t = terms(max(1, n // 2))
+    x = np.concatenate([t, -t])
+    if kind == "midpoint":
+        a = float(np.ldexp(rng.uniform(1.0, 2.0), max(top, -1000)))
+        tiny = rng.choice([0.0, 2.0 ** -60 * a, -(2.0 ** -60) * a])
+        x = np.concatenate([[a, np.spacing(a) / 2, tiny], x[:max(0, n - 3)]])
+    return rng.permutation(x) * rng.choice([-1.0, 1.0])
+
+
+def test_exact_sums_have_the_bits_of_fsum_on_random_rows():
+    # a few thousand seeded rows, each fed whole and then cut into random
+    # blocks, the rows' blocks interleaved at random; a row with a NaN or
+    # an inf has it past its first block
+    rng = np.random.default_rng(2008)
+    kinds = ["signed", "nonnegative", "subnormal", "zero", "midpoint", "cancel", "nonfinite"]
+    N = 301
+    for _ in range(12):
+        rows = [_random_row(rng, kind, N - 1)
+                for kind in rng.choice(kinds, 250, p=[0.3, 0.3, 0.1, 0.05, 0.15, 0.05, 0.05])]
+        want = [math.fsum(x.tolist()).hex() for x in rows]
+        pieces = []
+        for x in rows:
+            first = int(rng.integers(1, max(1, len(x) // 2) + 1))
+            cuts = sorted({0, first, len(x), *rng.integers(1, len(x) + 1, 3).tolist()})
+            pieces.append([x[a:b].reshape(1, -1) for a, b in zip(cuts[:-1], cuts[1:])])
+        order = rng.permutation(np.repeat(np.arange(len(rows)), [len(p) for p in pieces]))
+        runs = [iter(p) for p in pieces]
+        stream = [(i, next(runs[i])) for i in order]
+        for blocks in (lambda: ((i, x.reshape(1, -1)) for i, x in enumerate(rows)),
+                       lambda: iter(stream)):
+            got = gridmod._exact_sums(blocks, len(rows), N)
+            assert [float(v).hex() for v in got] == want
 
 
 @pytest.mark.parametrize("shape", [(300,), (37, 50), (9, 700)])

@@ -21,7 +21,7 @@ from fragdiff.monitors import (
     write_summary_json,
 )
 from fragdiff.stepper import StepperConfig, run_simulation
-from oracles import gradient_sq_by_axis, stencil_eigenvalue
+from oracles import fsum_keeping_negative_zero, gradient_sq_by_axis, stencil_eigenvalue
 
 
 def constant_fields(grid, values):
@@ -362,8 +362,8 @@ def _count_row_fsums(monkeypatch, grid):
                          ids=["1D", "2D-16", "2D", "2D-256"])
 def test_a_sample_takes_one_exact_sum_pass(monkeypatch, cells):
     # with two energy specs, a first and a steady sample each form every
-    # integral in one exact-sum pass, whether the stack fits one block
-    # (1D and 16x16 with n=32) or not
+    # integral in one exact sum, whether the stack fits one block (1D and
+    # 16x16 with n=32) or not
     g = fd.make_grid_2d(*cells) if len(cells) == 2 else make_grid_1d(*cells)
     n = 32
     ks = fd.power_law_uniform(n, 4.0, 0.5)
@@ -371,9 +371,9 @@ def test_a_sample_takes_one_exact_sum_pass(monkeypatch, cells):
     acc = fd.MonitorAccumulator(g, ks, eps=0.01, energy_specs=[(1, 0.5), (2, 1.0)])
     calls, exact_sums = [], gridmod._exact_sums
 
-    def counted(blocks, nrows, N, mu):
+    def counted(blocks, nrows, N):
         calls.append(nrows)
-        return exact_sums(blocks, nrows, N, mu)
+        return exact_sums(blocks, nrows, N)
 
     monkeypatch.setattr(gridmod, "_exact_sums", counted)
     acc.add(0.0, F, Q)
@@ -445,8 +445,9 @@ def _count_passes(monkeypatch):
 def test_underflowing_species_are_decided_in_the_samples_pass(monkeypatch):
     # a 1D stack of 256 species on 64 cells, two blocks, whose last 40
     # species underflow: their tiny rows of F and |Q| are scaled up and
-    # decided in the sample's one pass, which forms the products once, and
-    # every sum has fsum's bits
+    # decided in the sample's split, no row opens, the products are formed
+    # once for the scan and once for the split, and every sum has fsum's
+    # bits
     g = make_grid_1d(64)
     n = 256
     ks = fd.cheng_redner_uniform(n, 4.0, 0.5)
@@ -458,7 +459,7 @@ def test_underflowing_species_are_decided_in_the_samples_pass(monkeypatch):
     passes, opened = _count_passes(monkeypatch)
     acc.add(0.0, F, Q)
     acc.add(1.0, F, Q)
-    assert passes == [True, False] and opened == []
+    assert passes == [True, True, False, False] and opened == []
     vol = g.cell_volume
     q_ints = np.array([vol * math.fsum(np.abs(q)) for q in Q])
     for ints, per_t in zip(acc._ints, acc._per_t):
@@ -466,11 +467,19 @@ def test_underflowing_species_are_decided_in_the_samples_pass(monkeypatch):
         assert per_t.tobytes() == ((1.0 / ks.d) * q_ints).tobytes()
 
 
-def test_zero_rows_keep_fsums_sign_from_the_samples_pass(monkeypatch):
+def test_zero_rows_take_fsums_sign_in_a_streamed_sample(monkeypatch):
     # as on a Python whose fsum of -0.0 alone is -0.0: a streamed uniform
-    # sample has the zero row |Q_n| and here the -0.0 row F_4, and the one
-    # pass reads their signs, opening no row
+    # sample has the zero row |Q_n| and here the -0.0 row F_4; each opens
+    # for fsum, over a new pass of the blocks, and keeps fsum's sign
+    calls = []
+
+    def counted(values):
+        values = list(values)
+        calls.append(values)
+        return fsum_keeping_negative_zero(values)
+
     monkeypatch.setattr(gridmod, "_FSUM_KEEPS_NEGATIVE_ZERO", True)
+    monkeypatch.setattr(gridmod, "fsum", counted)
     g = fd.make_grid_2d(32, 32)
     n = 16
     ks = fd.power_law_uniform(n, 4.0, 0.5)
@@ -481,7 +490,8 @@ def test_zero_rows_keep_fsums_sign_from_the_samples_pass(monkeypatch):
     acc = fd.MonitorAccumulator(g, ks, eps=0.01, energy_specs=[(1, 0.5)])
     passes, opened = _count_passes(monkeypatch)
     acc.add(0.0, F, Q)
-    assert passes == [True] and opened == []
+    assert opened == [3, 2 * n - 1] and passes == [True] * 4
+    assert [len(v) for v in calls if len(v) > g.dim] == [g.ncells] * 2
     assert math.copysign(1.0, acc._ints[0][3]) == -1.0
     assert math.copysign(1.0, acc._per_t[0][-1]) == 1.0
 
